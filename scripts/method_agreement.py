@@ -19,14 +19,10 @@ import sys
 from geomax import (
     EXACT,
     GameParams,
-    expected_value_closed,
-    expected_value_series,
+    moment_report,
     monte_carlo_moments,
     moments_by_power,
-    second_moment_closed,
-    second_moment_series,
     second_moments_recursive,
-    variance_closed,
 )
 
 MC_SPOTS = [(2, 2), (3, 6), (5, 10)]
@@ -40,12 +36,13 @@ def analytic_sweep(n_max: int, s_max: int, tolerance: float) -> bool:
     for s in range(1, s_max + 1):
         for n in range(1, min(n_max, s) + 1):
             params = GameParams(n, s)
-            mean = expected_value_closed(params)
-            m2 = second_moment_closed(params)
+            closed = moment_report(params)
+            series = moment_report(params, method="series")
+            mean, m2 = closed.mean, closed.second_moment
             profile = second_moments_recursive(params)
             gap = max(
-                abs(mean - expected_value_series(params)),
-                abs(m2 - second_moment_series(params)),
+                abs(mean - series.mean),
+                abs(m2 - series.second_moment),
                 abs(mean - profile.first_moments[n]),
                 abs(m2 - profile.second_moments[n]),
             )
@@ -67,8 +64,8 @@ def monte_carlo_spots(trials: int, seed: int) -> float:
     for n, s in MC_SPOTS:
         params = GameParams(n, s)
         est = monte_carlo_moments(params, trials, seed)
-        mean_true = float(expected_value_closed(params, EXACT))
-        var_true = float(variance_closed(params, EXACT))
+        truth = moment_report(params, EXACT)
+        mean_true, var_true = float(truth.mean), float(truth.variance)
         z = abs(est.mean - mean_true) / math.sqrt(var_true / trials)
         worst_z = max(worst_z, z)
         print(

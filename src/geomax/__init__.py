@@ -21,11 +21,8 @@ from .bounds import (
 from .chain import (
     AbsorptionProfile,
     TransitionMatrix,
-    absorption_cdf_by_power,
     absorption_cdf_profile,
     build_transition_matrix,
-    expected_values_recursive,
-    matrix_power,
     moments_by_power,
     second_moments_recursive,
 )
@@ -37,17 +34,7 @@ from .kernels import (
     weighted_geom_sum_first,
     weighted_geom_sum_second,
 )
-from .moments import (
-    CANCELLATION_TOLERANCE,
-    cdf,
-    expected_value_closed,
-    expected_value_series,
-    pmf,
-    quantile,
-    second_moment_closed,
-    second_moment_series,
-    variance_closed,
-)
+from .moments import cdf, pmf, quantile
 from .params import (
     EXACT,
     FLOAT,
@@ -57,7 +44,15 @@ from .params import (
     MomentReport,
     NumericMode,
 )
-from .report import moment_report
+from .report import (
+    CANCELLATION_TOLERANCE,
+    expected_value_closed,
+    expected_value_series,
+    moment_report,
+    second_moment_closed,
+    second_moment_series,
+    variance_closed,
+)
 from .simulate import (
     CHUNK_TRIALS,
     GameRecord,
@@ -90,7 +85,6 @@ __all__ = [
     "MomentReport",
     "NumericMode",
     "TransitionMatrix",
-    "absorption_cdf_by_power",
     "absorption_cdf_profile",
     "binomial",
     "build_transition_matrix",
@@ -100,11 +94,9 @@ __all__ = [
     "ev_bounds_elementary",
     "expected_value_closed",
     "expected_value_series",
-    "expected_values_recursive",
     "is_valid_signature",
     "ks_critical_value",
     "ks_statistic",
-    "matrix_power",
     "moment_report",
     "moments_by_power",
     "monte_carlo_moments",

@@ -4,26 +4,29 @@ The number of dice still on the table is a Markov chain on {0, ..., n}.
 From i dice, exactly j survive a turn with probability
 C(i, j) * p**(i-j) * q**j, and 0 is absorbing. This module builds that
 transition matrix, runs the one-step recursions for first and second
-moments of the absorption time from every start state, and recovers the
-turn-count distribution from matrix powers as an independent route.
+moments of the absorption time from every start state, and, as an
+independent route, pushes the start state through the chain one turn at
+a time to get the absorption probabilities P(T <= t) and, from their
+survival sums, the moments.
 
-Matrix powers use plain iterated multiplication over lists, which keeps
-the whole module polymorphic between floats and Fractions.
+Everything is plain lists of entries, which keeps the whole module
+polymorphic between floats and Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .kernels import (
+    _EPS,
     binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
 )
 from .params import FLOAT, GameParams, NumericMode
-
-_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,14 @@ class AbsorptionProfile:
     """Absorption-time moments from every start state.
 
     first_moments[k] is the expected number of turns to finish a game
-    that currently has k dice; second_moments, when present, holds the
-    matching raw second moments. Index 0 is the absorbed state, so both
-    lists start at 0.
+    that currently has k dice; second_moments holds the matching raw
+    second moments. Index 0 is the absorbed state, so both lists start
+    at 0.
     """
 
     params: GameParams
     first_moments: tuple[float | Fraction, ...]
-    second_moments: tuple[float | Fraction, ...] | None = None
+    second_moments: tuple[float | Fraction, ...]
 
 
 def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> TransitionMatrix:
@@ -73,120 +76,59 @@ def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> Tr
     return TransitionMatrix(n=n, rows=tuple(rows))
 
 
-def _diagonal_complements(matrix: TransitionMatrix) -> list:
-    # 1 - P[k][k] is the per-turn probability of losing at least one die;
-    # it is positive whenever p > 0, which params guarantees.
-    complements = []
-    for k in range(matrix.n + 1):
-        c = 1 - matrix.rows[k][k]
-        if k >= 1 and not c > 0:
-            raise ArithmeticError(f"degenerate diagonal at state {k}")
-        complements.append(c)
-    return complements
-
-
-def expected_values_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
-    """First moments of the absorption time by the one-step recursion.
-
-    E(T_k) = (1 + sum_{j<k} P[k][j] * E(T_j)) / (1 - P[k][k]), built
-    bottom-up from E(T_0) = 0.
-    """
-    matrix = build_transition_matrix(params, mode)
-    complements = _diagonal_complements(matrix)
-    zero = Fraction(0) if mode.exact else 0.0
-    first = [zero]
-    for k in range(1, params.n + 1):
-        row = matrix.rows[k]
-        acc = 1 + sum(row[j] * first[j] for j in range(1, k))
-        first.append(acc / complements[k])
-    return AbsorptionProfile(params=params, first_moments=tuple(first))
-
-
 def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
     """First and second moments of the absorption time, bottom-up.
 
-    E(T_k**2) = (sum_{j<k} P[k][j] * E(T_j**2) - 1 + 2 E(T_k)) / (1 - P[k][k]).
+    E(T_k) = (1 + sum_{j<k} P[k][j] * E(T_j)) / (1 - P[k][k]) and
+    E(T_k**2) = (sum_{j<k} P[k][j] * E(T_j**2) - 1 + 2 E(T_k)) / (1 - P[k][k]),
+    both from E(T_0) = E(T_0**2) = 0.
     """
     matrix = build_transition_matrix(params, mode)
-    complements = _diagonal_complements(matrix)
     zero = Fraction(0) if mode.exact else 0.0
     first = [zero]
     second = [zero]
     for k in range(1, params.n + 1):
         row = matrix.rows[k]
+        # 1 - P[k][k] is the per-turn probability of losing at least one die;
+        # it is positive whenever p > 0, which params guarantees.
+        complement = 1 - row[k]
+        if not complement > 0:
+            raise ArithmeticError(f"degenerate diagonal at state {k}")
         first_acc = 1 + sum(row[j] * first[j] for j in range(1, k))
-        ev = first_acc / complements[k]
+        ev = first_acc / complement
         first.append(ev)
         second_acc = sum(row[j] * second[j] for j in range(1, k)) - 1 + 2 * ev
-        second.append(second_acc / complements[k])
+        second.append(second_acc / complement)
     return AbsorptionProfile(
         params=params, first_moments=tuple(first), second_moments=tuple(second)
     )
 
 
-def _matmul(a, b, size: int):
-    out = []
-    for i in range(size):
-        arow = a[i]
-        out.append(
-            tuple(
-                sum(arow[k] * b[k][j] for k in range(size) if arow[k] != 0)
-                for j in range(size)
-            )
-        )
-    return tuple(out)
-
-
-def matrix_power(matrix: TransitionMatrix, t: int) -> TransitionMatrix:
-    """t-th power by iterated multiplication, preserving the entry type."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    size = matrix.n + 1
-    one = 1 if isinstance(matrix.rows[0][0], Fraction) else 1.0
-    zero = one - one
-    power = tuple(
-        tuple(one if i == j else zero for j in range(size)) for i in range(size)
-    )
-    for _ in range(t):
-        power = _matmul(power, matrix.rows, size)
-    return TransitionMatrix(n=matrix.n, rows=power)
-
-
-def absorption_cdf_by_power(params: GameParams, t: int, mode: NumericMode = FLOAT):
-    """P(turn count <= t) as entry [n][0] of the t-th transition power.
-
-    Computed by pushing the start distribution through t single steps,
-    which is the same iterated multiplication restricted to one row.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return absorption_cdf_profile(params, t, mode)[t]
+def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
+    """P(T <= t) for t = 0, 1, 2, ..., one chain step per item, without end."""
+    matrix = build_transition_matrix(params, mode)
+    n = params.n
+    size = n + 1
+    rows = matrix.rows
+    state = [Fraction(0) if mode.exact else 0.0] * size
+    state[n] = Fraction(1) if mode.exact else 1.0
+    while True:
+        yield state[0]
+        state = [
+            sum(state[i] * rows[i][j] for i in range(size) if state[i])
+            for j in range(size)
+        ]
 
 
 def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = FLOAT) -> list:
     """Absorption probabilities [P(T <= t) for t in 0..t_max] in one sweep."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    matrix = build_transition_matrix(params, mode)
-    n = params.n
-    zero = Fraction(0) if mode.exact else 0.0
-    one = Fraction(1) if mode.exact else 1.0
-    state = [zero] * (n + 1)
-    state[n] = one
-    profile = [state[0]]
-    size = n + 1
-    rows = matrix.rows
-    for _ in range(t_max):
-        state = [
-            sum(state[i] * rows[i][j] for i in range(size) if state[i] != 0)
-            for j in range(size)
-        ]
-        profile.append(state[0])
-    return profile
+    return list(islice(_absorption_steps(params, mode), t_max + 1))
 
 
 def moments_by_power(params: GameParams, mode: NumericMode = FLOAT) -> tuple[float, float, float]:
-    """(mean, second moment, error bound) from the matrix-power route.
+    """(mean, second moment, error bound) from the absorption probabilities.
 
     Sums survival probabilities of the absorption time: the mean is
     sum_t P(T > t) and the second moment sum_t (2t+1) P(T > t), truncated
@@ -200,15 +142,9 @@ def moments_by_power(params: GameParams, mode: NumericMode = FLOAT) -> tuple[flo
         return 1.0, 1.0, 0.0
     q = params.q
     eps = mode.truncation_epsilon
-    matrix = build_transition_matrix(params, mode)
-    rows = matrix.rows
-    size = n + 1
-    state = [0.0] * size
-    state[n] = 1.0
     mean = 0.0
     m2 = 0.0
-    t = 0
-    while True:
+    for t, absorbed in enumerate(_absorption_steps(params, mode)):
         tail_mean = tail_bound_max_geom(n, q, t)
         tail_m2 = tail_bound_weighted_max_geom(n, q, t)
         if tail_mean <= eps and tail_m2 <= eps:
@@ -217,11 +153,6 @@ def moments_by_power(params: GameParams, mode: NumericMode = FLOAT) -> tuple[flo
             rounding = 4.0 * _EPS * t * (t + 1.0) ** 2
             err = tail_mean + tail_m2 + rounding
             return mean, m2, err
-        survival = 1.0 - state[0]
+        survival = 1.0 - absorbed
         mean += survival
         m2 += (2 * t + 1) * survival
-        state = [
-            sum(state[i] * rows[i][j] for i in range(size) if state[i] != 0.0)
-            for j in range(size)
-        ]
-        t += 1

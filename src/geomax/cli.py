@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
@@ -64,9 +65,11 @@ def format_value(value, precision: int) -> str:
     configured number of significant digits.
     """
     if isinstance(value, Fraction):
+        # str(Decimal(i)) prints every digit of i; str(i) refuses integers
+        # longer than the interpreter's int-to-str limit (4300 digits)
         if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+            return str(Decimal(value.numerator))
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     if isinstance(value, int):
         return str(value)
     return f"{value:.{precision}g}"
@@ -167,12 +170,9 @@ def _cmd_compute(args) -> int:
                 if args.y < 0:
                     raise UsageError("matrix-power cdf needs --y >= 0")
                 profile = chain.absorption_cdf_profile(params, args.y, mode)
-                if quantity == "cdf":
-                    value = profile[args.y]
-                else:
-                    if args.y < 1:
-                        raise UsageError("pmf needs --y >= 1")
-                    value = profile[args.y] - profile[args.y - 1]
+                value = profile[args.y]
+                if quantity == "pmf":  # --y >= 1 was checked above
+                    value -= profile[args.y - 1]
                 tag = "matrix-power"
             else:
                 raise UsageError(f"{quantity} supports methods closed and matrix-power")
@@ -268,12 +268,13 @@ def figure_rows(figure: str, panel: str) -> list[tuple[int, int, float, float, f
     for x in xs:
         n, s = (x, fixed_value) if fixed_axis == "s" else (fixed_value, x)
         params = GameParams(n=n, s=s)
+        report = moment_report(params)
         if figure == "ev-bounds":
-            exact = float(moments.expected_value_closed(params))
+            exact = float(report.mean)
             elementary = float(bounds.ev_bounds_elementary(params).upper)
             improved = float(bounds.ev_bound_pairing(params).upper)
         else:
-            exact = float(moments.variance_closed(params))
+            exact = float(report.variance)
             elementary = float(bounds.var_bounds_elementary(params).upper)
             improved = float(bounds.var_bound_sum(params).upper)
         out.append((n, s, exact, elementary, improved))

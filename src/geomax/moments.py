@@ -1,22 +1,20 @@
 """Distribution and moments of the turn count via the throw-by-throw view.
 
-Two evaluation routes live here:
+Two evaluation kernels live here, each written once for both the mean
+and the second moment:
 
-* closed alternating sums over the subset expansion of the maximum, exact
-  in rational mode and compensated in float mode;
-* positive-term series for the mean and second moment, float only, with
-  truncation controlled by geometric tail bounds.
+* _alternating_sum, the closed alternating sums over the subset
+  expansion of the maximum, exact in rational mode and compensated in
+  float mode, where it also estimates how much the sum cancelled;
+* _series_sum, the positive-term series for the mean (weight 1) and the
+  second moment (weight 2t+1), float only, with truncation controlled by
+  geometric tail bounds.
 
-The alternating sums cancel heavily once n gets large. In float mode each
-closed evaluator estimates the cancellation from the largest partial sum
-and, when the estimated relative error exceeds CANCELLATION_TOLERANCE,
-either hands over to the matching series (fallback=True, the default) or
-raises CancellationError (fallback=False). Float-mode terms are built as
-ratios of exact integers, so each term carries a single rounding.
-
-Exact mode returns Fractions. The series have no finite exact evaluation,
-so exact-mode series requests route to the closed forms, which are equal
-as real numbers.
+Float-mode closed terms are built as ratios of exact integers, so each
+term carries a single rounding. Deciding what to do when a closed sum
+cancels too much is report.py's job; the public moment functions live
+there as views of moment_report. This module also holds pmf, cdf and
+quantile.
 """
 
 from __future__ import annotations
@@ -26,18 +24,13 @@ import operator
 from fractions import Fraction
 
 from .kernels import (
+    _EPS,
     CompensatedAccumulator,
     binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
 )
-from .params import FLOAT, CancellationError, GameParams, NumericMode
-
-#: Estimated relative cancellation above which float-mode closed forms
-#: refuse to stand on their own.
-CANCELLATION_TOLERANCE = 1e-9
-
-_EPS = 2.0 ** -52
+from .params import FLOAT, GameParams, NumericMode
 
 
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -62,18 +55,10 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     y = operator.index(y)
     if y < 1:
         raise ValueError("pmf support starts at y = 1")
-    n, s = params.n, params.s
     if mode.exact:
-        a = 1
-        b = 1
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            a *= s
-            b *= s - 1
-            # q**((y-1)k) - q**(yk) as an integer ratio
-            piece = Fraction(binomial(n, k) * b ** (y - 1) * (a - b), a**y)
-            total += piece if k % 2 == 1 else -piece
-        return total
+        # q**((y-1)k) - q**(yk) as an integer ratio
+        return _alternating_sum(params, mode, lambda a, b: (b ** (y - 1) * (a - b), a**y))[0]
+    n, s = params.n, params.s
     if s == 1:
         return 1.0 if y == 1 else 0.0
     lq = math.log(params.q)
@@ -86,160 +71,65 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     return min(1.0, max(0.0, acc.value))
 
 
-def _closed_mean_exact(params: GameParams) -> Fraction:
-    n, s = params.n, params.s
+#: Per-k terms of the closed sums, as (numerator, denominator) over
+#: a = s**k and b = (s-1)**k, before the factor C(n, k): the mean's
+#: 1/(1 - q**k) and the second moment's (1 + q**k)/(1 - q**k)**2.
+CLOSED_TERMS = (
+    lambda a, b: (a, a - b),
+    lambda a, b: ((a + b) * a, (a - b) ** 2),
+)
+
+
+def _alternating_sum(params: GameParams, mode: NumericMode, term):
+    """Sum of (-1)**(k+1) C(n,k) num/den over k = 1..n, (num, den) = term(s**k, (s-1)**k).
+
+    Each term is one ratio of exact integers: a Fraction in exact mode, a
+    single rounding in float mode. Returns (value, error bound,
+    cancellation); both diagnostics are Fraction(0) in exact mode.
+    """
+    n, s, exact = params.n, params.s, mode.exact
     a = 1
     b = 1
     total = Fraction(0)
-    for k in range(1, n + 1):
-        a *= s
-        b *= s - 1
-        piece = Fraction(binomial(n, k) * a, a - b)  # C(n,k) / (1 - q**k)
-        total += piece if k % 2 == 1 else -piece
-    return total
-
-
-def _closed_m2_exact(params: GameParams) -> Fraction:
-    n, s = params.n, params.s
-    a = 1
-    b = 1
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        a *= s
-        b *= s - 1
-        # C(n,k) (1 + q**k) / (1 - q**k)**2
-        piece = Fraction(binomial(n, k) * (a + b) * a, (a - b) ** 2)
-        total += piece if k % 2 == 1 else -piece
-    return total
-
-
-def _closed_mean_float(params: GameParams) -> tuple[float, float, float]:
-    """Alternating mean sum; returns (value, error bound, cancellation)."""
-    n, s = params.n, params.s
-    a = 1
-    b = 1
     acc = CompensatedAccumulator()
     term_rounding = 0.0
     for k in range(1, n + 1):
         a *= s
         b *= s - 1
-        term = (binomial(n, k) * a) / (a - b)  # one rounding per term
-        term_rounding += _EPS * term
-        acc.add(term if k % 2 == 1 else -term)
-    err = acc.error_estimate() + term_rounding
-    return acc.value, err, acc.relative_cancellation()
+        num, den = term(a, b)
+        if exact:
+            piece = Fraction(binomial(n, k) * num, den)
+            total += piece if k % 2 == 1 else -piece
+        else:
+            piece = (binomial(n, k) * num) / den  # one rounding per term
+            term_rounding += _EPS * piece
+            acc.add(piece if k % 2 == 1 else -piece)
+    if exact:
+        return total, Fraction(0), Fraction(0)
+    return acc.value, acc.error_estimate() + term_rounding, acc.relative_cancellation()
 
 
-def _closed_m2_float(params: GameParams) -> tuple[float, float, float]:
-    n, s = params.n, params.s
-    a = 1
-    b = 1
-    acc = CompensatedAccumulator()
-    term_rounding = 0.0
-    for k in range(1, n + 1):
-        a *= s
-        b *= s - 1
-        term = (binomial(n, k) * (a + b) * a) / ((a - b) * (a - b))
-        term_rounding += _EPS * term
-        acc.add(term if k % 2 == 1 else -term)
-    err = acc.error_estimate() + term_rounding
-    return acc.value, err, acc.relative_cancellation()
+def _series_sum(params: GameParams, eps: float, weighted: bool) -> tuple[float, float]:
+    """Positive series sum_t w_t (1 - (1 - q**t)**n) and its error bound.
 
-
-def _series_mean_float(params: GameParams, eps: float) -> tuple[float, float]:
-    """Positive series sum_k (1 - (1 - q**k)**n), truncated by tail bound."""
+    The weight w_t is 1 for the mean and 2t+1 for the second moment; the
+    matching geometric tail bound stops the sum once it drops to eps.
+    """
     n, s = params.n, params.s
     if s == 1:
         return 1.0, 0.0
     q = params.q
+    tail_bound = tail_bound_weighted_max_geom if weighted else tail_bound_max_geom
     acc = CompensatedAccumulator()
-    acc.add(1.0)  # k = 0: the 0**0 corner, 1 - (1-1)**n = 1
-    k = 1
-    while True:
-        bound = tail_bound_max_geom(n, q, k)
-        if bound <= eps:
-            return acc.value, acc.error_estimate() + bound
-        qk = q**k
-        acc.add(-math.expm1(n * math.log1p(-qk)))  # 1 - (1 - q**k)**n
-        k += 1
-
-
-def _series_m2_float(params: GameParams, eps: float) -> tuple[float, float]:
-    """Positive series sum_t (2t+1)(1 - (1 - q**t)**n) for the second moment."""
-    n, s = params.n, params.s
-    if s == 1:
-        return 1.0, 0.0
-    q = params.q
-    acc = CompensatedAccumulator()
-    acc.add(1.0)  # t = 0 term
+    acc.add(1.0)  # t = 0: the 0**0 corner, 1 - (1-1)**n = 1, weight 1
     t = 1
     while True:
-        bound = tail_bound_weighted_max_geom(n, q, t)
+        bound = tail_bound(n, q, t)
         if bound <= eps:
             return acc.value, acc.error_estimate() + bound
-        qt = q**t
-        acc.add((2 * t + 1) * -math.expm1(n * math.log1p(-qt)))
+        term = -math.expm1(n * math.log1p(-q**t))  # 1 - (1 - q**t)**n
+        acc.add((2 * t + 1) * term if weighted else term)
         t += 1
-
-
-def expected_value_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
-    """Mean turn count by the closed alternating sum.
-
-    In float mode, heavy cancellation triggers the positive-series
-    fallback unless fallback=False, in which case CancellationError
-    carries the diagnosis.
-    """
-    if mode.exact:
-        return _closed_mean_exact(params)
-    value, _, cancellation = _closed_mean_float(params)
-    if cancellation > CANCELLATION_TOLERANCE:
-        if not fallback:
-            raise CancellationError(
-                f"alternating mean sum at n={params.n}, s={params.s} lost "
-                f"~{cancellation:.1e} relative precision; use the series"
-            )
-        return _series_mean_float(params, mode.truncation_epsilon)[0]
-    return value
-
-
-def second_moment_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
-    """Second moment of the turn count by the closed alternating sum."""
-    if mode.exact:
-        return _closed_m2_exact(params)
-    value, _, cancellation = _closed_m2_float(params)
-    if cancellation > CANCELLATION_TOLERANCE:
-        if not fallback:
-            raise CancellationError(
-                f"alternating second-moment sum at n={params.n}, s={params.s} "
-                f"lost ~{cancellation:.1e} relative precision; use the series"
-            )
-        return _series_m2_float(params, mode.truncation_epsilon)[0]
-    return value
-
-
-def variance_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
-    """Variance of the turn count, second moment minus squared mean."""
-    mean = expected_value_closed(params, mode, fallback=fallback)
-    m2 = second_moment_closed(params, mode, fallback=fallback)
-    return m2 - mean * mean
-
-
-def expected_value_series(params: GameParams, mode: NumericMode = FLOAT):
-    """Mean turn count by the positive-term series.
-
-    Exact mode routes to the closed form: the series is an infinite sum
-    and only its closed evaluation is available without truncation.
-    """
-    if mode.exact:
-        return _closed_mean_exact(params)
-    return _series_mean_float(params, mode.truncation_epsilon)[0]
-
-
-def second_moment_series(params: GameParams, mode: NumericMode = FLOAT):
-    """Second moment by the weighted positive-term series."""
-    if mode.exact:
-        return _closed_m2_exact(params)
-    return _series_m2_float(params, mode.truncation_epsilon)[0]
 
 
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:

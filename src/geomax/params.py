@@ -12,6 +12,7 @@ doubles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,16 @@ class CancellationError(ArithmeticError):
 
 class GameNotFinishedError(RuntimeError):
     """A simulated game hit the iteration cap before all dice were removed."""
+
+
+def plain_int(value, message: str) -> int:
+    """value as a plain int if operator.index takes it (bool excepted), else ValueError(message)."""
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,8 @@ class GameParams:
     die can show the current dice count and nothing is ever removed). The
     distribution formulas stay valid for any n >= 1, so relaxed=True lifts
     the n <= s check for the analytic evaluators; the simulator refuses
-    such parameters regardless.
+    such parameters regardless. n and s may be any integer-like values
+    (see plain_int) and are stored as plain ints.
     """
 
     n: int
@@ -69,10 +81,9 @@ class GameParams:
     relaxed: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or isinstance(self.s, bool):
-            raise ValueError("n and s must be integers")
-        if not isinstance(self.n, int) or not isinstance(self.s, int):
-            raise ValueError("n and s must be integers")
+        for name in ("n", "s"):
+            value = plain_int(getattr(self, name), "n and s must be integers")
+            object.__setattr__(self, name, value)
         if self.n < 1 or self.s < 1:
             raise ValueError("n and s must both be at least 1")
         if self.n > self.s and not self.relaxed:

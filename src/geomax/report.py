@@ -1,4 +1,13 @@
-"""Assemble moment reports from any analytic evaluation path."""
+"""Moment reports from any analytic route, and the one fallback policy.
+
+The closed alternating sums cancel heavily once n gets large. In float
+mode the closed route estimates the cancellation of both sums (mean and
+second moment), and when either estimate exceeds CANCELLATION_TOLERANCE
+it hands both moments over to the positive series (method "auto") or
+raises CancellationError (method "closed"). The public single-moment
+functions below are views of moment_report, so they follow the same
+policy and always agree with the report's fields.
+"""
 
 from __future__ import annotations
 
@@ -12,66 +21,53 @@ from .params import FLOAT, CancellationError, GameParams, MomentReport, NumericM
 #: sums and raises CancellationError when they cannot deliver.
 ANALYTIC_METHODS = ("auto", "closed", "series", "recursive", "matrix-power")
 
+#: Estimated relative cancellation above which float-mode closed forms
+#: refuse to stand on their own.
+CANCELLATION_TOLERANCE = 1e-9
+
 
 def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> MomentReport:
-    if mode.exact:
-        mean = moments._closed_mean_exact(params)
-        m2 = moments._closed_m2_exact(params)
-        return MomentReport(
-            mean=mean,
-            second_moment=m2,
-            variance=m2 - mean * mean,
-            method="closed-alternating",
-            error_bound=Fraction(0),
-        )
-    mean, mean_err, mean_cancel = moments._closed_mean_float(params)
-    m2, m2_err, m2_cancel = moments._closed_m2_float(params)
-    if max(mean_cancel, m2_cancel) > moments.CANCELLATION_TOLERANCE:
+    (mean, mean_err, mean_cancel), (m2, m2_err, m2_cancel) = (
+        moments._alternating_sum(params, mode, term) for term in moments.CLOSED_TERMS
+    )
+    if max(mean_cancel, m2_cancel) > CANCELLATION_TOLERANCE:
         if not fallback:
             raise CancellationError(
                 f"closed alternating sums at n={params.n}, s={params.s} lost "
                 "too much precision and fallback is disabled"
             )
         return _series_report(params, mode)
-    return _pack_float(mean, m2, mean_err, m2_err, "closed-alternating")
+    return _pack(mean, m2, mean_err, m2_err, "closed-alternating")
 
 
 def _series_report(params: GameParams, mode: NumericMode) -> MomentReport:
     if mode.exact:
-        report = _closed_report(params, mode, fallback=False)
-        return report
-    eps = mode.truncation_epsilon
-    mean, mean_err = moments._series_mean_float(params, eps)
-    m2, m2_err = moments._series_m2_float(params, eps)
-    return _pack_float(mean, m2, mean_err, m2_err, "series")
+        return _closed_report(params, mode, fallback=False)
+    (mean, mean_err), (m2, m2_err) = (
+        moments._series_sum(params, mode.truncation_epsilon, weighted)
+        for weighted in (False, True)
+    )
+    return _pack(mean, m2, mean_err, m2_err, "series")
 
 
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
     profile = chain.second_moments_recursive(params, mode)
     mean = profile.first_moments[params.n]
-    assert profile.second_moments is not None
     m2 = profile.second_moments[params.n]
-    if mode.exact:
-        return MomentReport(
-            mean=mean,
-            second_moment=m2,
-            variance=m2 - mean * mean,
-            method="recursive",
-            error_bound=Fraction(0),
-        )
     # mild heuristic: the recursion is a positive cascade of n divisions
-    scale = 2.0 ** -52 * 8.0 * params.n
-    return _pack_float(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
+    scale = Fraction(0) if mode.exact else 2.0 ** -52 * 8.0 * params.n
+    return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
 
 
 def _power_report(params: GameParams, mode: NumericMode) -> MomentReport:
     mean, m2, err = chain.moments_by_power(params, mode)
-    return _pack_float(mean, m2, err, err, "matrix-power")
+    return _pack(mean, m2, err, err, "matrix-power")
 
 
-def _pack_float(mean: float, m2: float, mean_err: float, m2_err: float, tag: str) -> MomentReport:
+def _pack(mean, m2, mean_err, m2_err, tag: str) -> MomentReport:
+    """Report with the variance and its bound; zero bounds stay Fraction(0) in exact mode."""
     variance = m2 - mean * mean
-    var_err = m2_err + 2.0 * abs(mean) * mean_err + mean_err * mean_err
+    var_err = m2_err + 2 * abs(mean) * mean_err + mean_err * mean_err
     return MomentReport(
         mean=mean,
         second_moment=m2,
@@ -102,3 +98,28 @@ def moment_report(
     if method == "matrix-power":
         return _power_report(params, mode)
     raise ValueError(f"unknown method {method!r}; pick from {ANALYTIC_METHODS}")
+
+
+def expected_value_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
+    """Mean turn count by the closed sums: method "auto", or "closed" when fallback=False."""
+    return moment_report(params, mode, "auto" if fallback else "closed").mean
+
+
+def second_moment_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
+    """Second moment of the turn count, by the route expected_value_closed takes."""
+    return moment_report(params, mode, "auto" if fallback else "closed").second_moment
+
+
+def variance_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):
+    """Variance of the turn count, by the route expected_value_closed takes."""
+    return moment_report(params, mode, "auto" if fallback else "closed").variance
+
+
+def expected_value_series(params: GameParams, mode: NumericMode = FLOAT):
+    """Mean turn count by the positive-term series (exact mode: the closed form)."""
+    return moment_report(params, mode, "series").mean
+
+
+def second_moment_series(params: GameParams, mode: NumericMode = FLOAT):
+    """Second moment by the weighted positive-term series (exact mode: the closed form)."""
+    return moment_report(params, mode, "series").second_moment

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .moments import cdf
-from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode
+from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, plain_int
 
 #: A game exceeding this many turns aborts with GameNotFinishedError.
 TURN_CAP = 10**9
@@ -70,7 +70,8 @@ def _require_playable(params: GameParams) -> None:
 
 
 def _check_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    seed = plain_int(seed, "seed must be a nonnegative integer")
+    if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     return seed
 
@@ -141,7 +142,8 @@ def enumerate_signatures(n: int) -> list[tuple[int, ...]]:
     n (the dice removed the first time anything leaves) followed by any
     signature of the remaining n - i dice.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    n = plain_int(n, "n must be a positive integer")
+    if n < 1:
         raise ValueError("n must be a positive integer")
     if n > MAX_ENUMERATION_DICE:
         raise ValueError(
@@ -172,10 +174,6 @@ def is_valid_signature(values: Iterable[int]) -> bool:
         idx += run
         remaining -= run
     return idx == len(sig)
-
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
 def _play_chunk(
@@ -215,32 +213,37 @@ def _play_chunk(
     return turn_counts, signatures
 
 
-def _chunks(trials: int) -> Iterator[tuple[int, int]]:
-    index = 0
-    done = 0
-    while done < trials:
+def _chunk_results(
+    params: GameParams, trials: int, seed: int, want_signatures: bool
+) -> Iterator[tuple[np.ndarray, list[list[int]] | None]]:
+    """Validate a Monte Carlo request, then play it one chunk at a time.
+
+    Yields one _play_chunk result per chunk, each from the RNG substream
+    of (seed, chunk index). Chunk sizes depend only on the trial count.
+    """
+    _require_playable(params)
+    seed = _check_seed(seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    for index, done in enumerate(range(0, trials, CHUNK_TRIALS)):
         size = min(CHUNK_TRIALS, trials - done)
-        yield index, size
-        index += 1
-        done += size
+        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+        yield _play_chunk(params, size, rng, want_signatures)
 
 
 def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimate:
     """Sample mean and variance of the turn count over seeded games.
 
-    Accumulates exact integer sums per chunk, so the estimate is a pure
-    function of (params, trials, seed).
+    Reads exact integer sums off the turn-count histogram, so the
+    estimate is a pure function of (params, trials, seed).
     """
     _require_playable(params)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
-    total = 0
-    total_sq = 0
-    for index, size in _chunks(trials):
-        turn_counts, _ = _play_chunk(params, size, _chunk_rng(seed, index), False)
-        total += int(turn_counts.sum())
-        total_sq += int((turn_counts * turn_counts).sum())
+    counts = turn_count_histogram(params, trials, seed).tolist()
+    total = sum(y * count for y, count in enumerate(counts))
+    total_sq = sum(y * y * count for y, count in enumerate(counts))
     mean = total / trials
     # exact integer numerator: no cancellation between the two big sums
     variance = (trials * total_sq - total * total) / (trials * (trials - 1))
@@ -255,13 +258,8 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
 
 def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarray:
     """Counts of observed turn counts; index y holds how many games took y turns."""
-    _require_playable(params)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     hist = np.zeros(1, dtype=np.int64)
-    for index, size in _chunks(trials):
-        turn_counts, _ = _play_chunk(params, size, _chunk_rng(seed, index), False)
+    for turn_counts, _ in _chunk_results(params, trials, seed, False):
         bc = np.bincount(turn_counts)
         if bc.size > hist.size:
             bc[: hist.size] += hist
@@ -273,14 +271,8 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
 
 def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter:
     """Observed signature counts over seeded games, keyed by tuple."""
-    _require_playable(params)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     freq: Counter = Counter()
-    for index, size in _chunks(trials):
-        _, signatures = _play_chunk(params, size, _chunk_rng(seed, index), True)
-        assert signatures is not None
+    for _, signatures in _chunk_results(params, trials, seed, True):
         freq.update(tuple(sig) for sig in signatures)
     return freq
 

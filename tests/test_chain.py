@@ -17,13 +17,10 @@ from geomax import (
     EXACT,
     FLOAT,
     GameParams,
-    absorption_cdf_by_power,
     absorption_cdf_profile,
     build_transition_matrix,
     cdf,
     expected_value_closed,
-    expected_values_recursive,
-    matrix_power,
     moments_by_power,
     second_moment_closed,
     second_moments_recursive,
@@ -64,29 +61,18 @@ class TestTransitionMatrix:
         for total in m.row_sums():
             assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_stochasticity_survives_matrix_powers(self):
-        params = GameParams(6, 9)
-        m_exact = build_transition_matrix(params, EXACT)
-        for t in (2, 7, 19):
-            power = matrix_power(m_exact, t)
-            assert all(total == 1 for total in power.row_sums())
-        m_float = build_transition_matrix(params, FLOAT)
-        power = matrix_power(m_float, 50)
-        for total in power.row_sums():
-            assert total == pytest.approx(1.0, abs=1e-10)
-
 
 class TestRecursiveMoments:
     def test_two_dice_first_moments_by_hand(self):
         # E(T_1) = 2; E(T_2) = (1 + (1/2)*2) / (3/4) = 8/3
-        first = expected_values_recursive(GameParams(2, 2), EXACT).first_moments
+        first = second_moments_recursive(GameParams(2, 2), EXACT).first_moments
         assert first[0] == 0
         assert first[1] == 2
         assert first[2] == Fraction(8, 3)
 
     def test_single_die_takes_s_turns_on_average(self):
         for s in (1, 4, 30):
-            first = expected_values_recursive(GameParams(1, s), EXACT).first_moments
+            first = second_moments_recursive(GameParams(1, s), EXACT).first_moments
             assert first[1] == s
 
     @given(playable)
@@ -109,8 +95,8 @@ class TestRecursiveMoments:
     def test_float_recursion_close_to_exact(self):
         for n, s in [(2, 2), (5, 9), (12, 12)]:
             params = GameParams(n, s)
-            exact = expected_values_recursive(params, EXACT).first_moments
-            approx = expected_values_recursive(params, FLOAT).first_moments
+            exact = second_moments_recursive(params, EXACT).first_moments
+            approx = second_moments_recursive(params, FLOAT).first_moments
             for a, b in zip(approx[1:], exact[1:]):
                 assert a == pytest.approx(float(b), rel=1e-12)
 
@@ -119,12 +105,12 @@ class TestAbsorptionByPower:
     @settings(deadline=None)
     @given(playable, st.integers(0, 25))
     def test_exact_power_cdf_equals_closed_cdf(self, params, t):
-        assert absorption_cdf_by_power(params, t, EXACT) == cdf(params, t, EXACT)
+        assert absorption_cdf_profile(params, t, EXACT)[t] == cdf(params, t, EXACT)
 
     def test_float_power_cdf_tracks_closed_cdf(self):
         params = GameParams(5, 8)
         for t in (1, 10, 60, 150):
-            gap = absorption_cdf_by_power(params, t, FLOAT) - cdf(params, t)
+            gap = absorption_cdf_profile(params, t, FLOAT)[t] - cdf(params, t)
             assert abs(gap) < 1e-12
 
     def test_profile_is_monotone_and_bounded(self):

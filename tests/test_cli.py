@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from geomax import EXACT, GameParams, cdf
 from geomax.cli import UsageError, figure_rows, format_value, main, parse_range
 
 HEADER = "n,s,quantity,method,value,error_bound"
@@ -98,6 +100,19 @@ class TestCompute:
         )
         assert code == 0
         assert csv_rows(out)[0]["value"] == "5/16"
+
+    def test_exact_values_beyond_the_int_to_str_limit(self, capsys):
+        # the printed numerator and denominator run past 4300 digits,
+        # where str(int) refuses by default
+        code, out, err = run(
+            capsys, "compute", "--n", "40", "--s", "40", "--quantity", "cdf",
+            "--y", "170", "--mode", "exact",
+        )
+        assert code == 0, err
+        num, den = csv_rows(out)[0]["value"].split("/")
+        assert len(den) > 4300
+        value = Fraction(int(Decimal(num)), int(Decimal(den)))
+        assert value == cdf(GameParams(40, 40), 170, EXACT)
 
     def test_quantile(self, capsys):
         code, out, _ = run(

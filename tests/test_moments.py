@@ -27,6 +27,7 @@ from geomax import (
     cdf,
     expected_value_closed,
     expected_value_series,
+    moment_report,
     pair_expected_value,
     pmf,
     quantile,
@@ -195,6 +196,20 @@ class TestCancellationPolicy:
         assert expected_value_closed(params) == expected_value_series(params)
         # sanity: the fallback value sits inside the coarse bracket
         assert params.s < expected_value_closed(params) < params.n * params.s
+
+    @pytest.mark.parametrize("n, s", [(30, 30), (31, 31), (32, 32), (35, 48)])
+    def test_single_moments_follow_the_report(self, n, s):
+        # here the mean sum cancels past the tolerance and the second-moment
+        # sum does not; both moments must still come from one route
+        params = GameParams(n, s)
+        report = moment_report(params)
+        assert expected_value_closed(params) == report.mean
+        assert second_moment_closed(params) == report.second_moment
+        assert variance_closed(params) == report.variance
+        exact = moment_report(params, EXACT).variance
+        assert abs(variance_closed(params) - exact) <= report.error_bound
+        with pytest.raises(CancellationError):
+            second_moment_closed(params, fallback=False)
 
     def test_small_cases_stay_on_closed_path(self):
         # a float evaluation differing from the series by less than the

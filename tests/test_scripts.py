@@ -1,0 +1,38 @@
+"""The runnable scripts start, import the public names they use and finish cleanly."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_method_agreement_small_sweep():
+    result = run_script("method_agreement.py", "--n-max", "6", "--s-max", "8", "--trials", "20000")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "agreement ok" in result.stdout
+
+
+def test_make_figure_data_writes_every_panel(tmp_path):
+    result = run_script("make_figure_data.py", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "ev-bounds-fixed-n.csv",
+        "ev-bounds-fixed-s.csv",
+        "var-bounds-fixed-n.csv",
+        "var-bounds-fixed-s.csv",
+    ]

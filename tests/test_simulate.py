@@ -191,6 +191,29 @@ class TestMonteCarlo:
         assert set(counts) <= set(enumerate_signatures(4))
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(4, True), (np.int64(4), True), (np.uint8(4), True), (True, False), (4.0, False)],
+)
+def test_integer_like_sizes_and_seeds(value, accepted):
+    if not accepted:
+        with pytest.raises(ValueError):
+            GameParams(value, 6)
+        with pytest.raises(ValueError):
+            monte_carlo_moments(GameParams(4, 6), trials=100, seed=value)
+        with pytest.raises(ValueError):
+            enumerate_signatures(value)
+        return
+    params = GameParams(value, 6)
+    assert params == GameParams(4, 6)
+    assert type(params.n) is int
+    est = monte_carlo_moments(params, trials=100, seed=value)
+    assert est == monte_carlo_moments(GameParams(4, 6), trials=100, seed=4)
+    assert type(est.seed) is int
+    assert play_game(params, seed=value) == play_game(GameParams(4, 6), seed=4)
+    assert len(enumerate_signatures(value)) == 8
+
+
 class TestKolmogorovSmirnov:
     def test_statistic_zero_against_own_cdf(self):
         # histogram proportional to the exact pmf gives a tiny statistic
