@@ -9,8 +9,9 @@ independent route, pushes the start state through the chain one turn at
 a time to get the absorption probabilities P(T <= t) and, from their
 survival sums, the moments.
 
-Everything is plain lists of entries, which keeps the whole module
-polymorphic between floats and Fractions.
+The matrix and the recursion are plain tuples of entries, which keeps
+them polymorphic between floats and Fractions; the chain step is one
+numpy matrix product, on float64 or object (Fraction) entries.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from .kernels import (
     _EPS,
@@ -105,19 +108,20 @@ def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> A
 
 
 def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
-    """P(T <= t) for t = 0, 1, 2, ..., one chain step per item, without end."""
-    matrix = build_transition_matrix(params, mode)
-    n = params.n
-    size = n + 1
-    rows = matrix.rows
-    state = [Fraction(0) if mode.exact else 0.0] * size
-    state[n] = Fraction(1) if mode.exact else 1.0
+    """P(T <= t) for t = 0, 1, 2, ..., one chain step per item, without end.
+
+    The state is a numpy vector over dice counts, float64 in float mode
+    and object (Fractions) in exact mode, so one matrix product serves
+    both and exact results stay exact.
+    """
+    zero, one = (Fraction(0), Fraction(1)) if mode.exact else (0.0, 1.0)
+    dtype = object if mode.exact else np.float64
+    rows = np.array(build_transition_matrix(params, mode).rows, dtype=dtype)
+    state = np.full(params.n + 1, zero, dtype=dtype)
+    state[params.n] = one
     while True:
-        yield state[0]
-        state = [
-            sum(state[i] * rows[i][j] for i in range(size) if state[i])
-            for j in range(size)
-        ]
+        yield state.item(0)
+        state = state @ rows
 
 
 def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = FLOAT) -> list:

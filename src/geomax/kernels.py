@@ -5,7 +5,7 @@ from multiple threads. The pieces:
 
 * closed forms for the power-weighted geometric series that back the
   second-moment algebra,
-* an exact binomial table built by Pascal's rule,
+* exact binomial rows, each built by the multiplicative formula,
 * a Neumaier-compensated accumulator that tracks how large the partial
   sums got, which is what the cancellation diagnostics feed on,
 * geometric tail bounds used to truncate the positive-term series.
@@ -43,17 +43,23 @@ def weighted_geom_sum_second(x):
 
 @lru_cache(maxsize=None)
 def _pascal_row(n: int) -> tuple[int, ...]:
-    row = (1,)
-    for _ in range(n):
-        row = (1, *(row[i] + row[i + 1] for i in range(len(row) - 1)), 1)
-    return row
+    """Row n of Pascal's triangle, in O(n) big-int steps.
+
+    C(n, k) = C(n, k-1) * (n - k + 1) / k, where the division is exact;
+    the second half mirrors the first. A cache miss builds and keeps row
+    n alone: deriving it from row n - 1 would keep every row below too.
+    """
+    half = [1]
+    for k in range(1, n // 2 + 1):
+        half.append(half[-1] * (n - k + 1) // k)
+    return (*half, *reversed(half[: (n + 1) // 2]))
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) from a cached Pascal-rule table.
+    """Exact C(n, k) from a cached row of Pascal's triangle.
 
-    Rows are plain Python integers, so there is no overflow ceiling; the
-    table grows on demand and is shared process-wide (lru_cache makes the
+    Rows are plain Python integers, so there is no overflow ceiling; rows
+    are built on demand and shared process-wide (lru_cache makes the
     row construction thread safe).
     """
     if n < 0 or k < 0:

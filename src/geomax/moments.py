@@ -23,6 +23,8 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 from .kernels import (
     _EPS,
     CompensatedAccumulator,
@@ -85,7 +87,9 @@ def _alternating_sum(params: GameParams, mode: NumericMode, term):
 
     Each term is one ratio of exact integers: a Fraction in exact mode, a
     single rounding in float mode. Returns (value, error bound,
-    cancellation); both diagnostics are Fraction(0) in exact mode.
+    cancellation); both diagnostics are Fraction(0) in exact mode. A float
+    term too large for a double counts as unbounded cancellation:
+    (nan, inf, inf), so the fallback policy treats it like any other.
     """
     n, s, exact = params.n, params.s, mode.exact
     a = 1
@@ -101,7 +105,10 @@ def _alternating_sum(params: GameParams, mode: NumericMode, term):
             piece = Fraction(binomial(n, k) * num, den)
             total += piece if k % 2 == 1 else -piece
         else:
-            piece = (binomial(n, k) * num) / den  # one rounding per term
+            try:
+                piece = (binomial(n, k) * num) / den  # one rounding per term
+            except OverflowError:  # a term beyond the float range: unbounded cancellation
+                return math.nan, math.inf, math.inf
             term_rounding += _EPS * piece
             acc.add(piece if k % 2 == 1 else -piece)
     if exact:
@@ -109,27 +116,79 @@ def _alternating_sum(params: GameParams, mode: NumericMode, term):
     return acc.value, acc.error_estimate() + term_rounding, acc.relative_cancellation()
 
 
+#: Terms per numpy block of the positive series; no array spans more.
+SERIES_BLOCK = 1 << 14
+
+#: Unit roundoff of a double, u = 2**-53.
+_U = _EPS / 2
+
+
+def _first_at_most(bound, eps: float) -> int:
+    """Smallest t >= 1 with bound(t) <= eps, for a bound unimodal in t.
+
+    If bound(1) > eps, the bound stays above eps until it crosses eps
+    once on its decreasing side, so doubling brackets the crossing and
+    bisection finds it.
+    """
+    hi = 1
+    while bound(hi) > eps:
+        hi *= 2
+    lo = hi // 2  # 0, or a t with bound(t) > eps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _series_sum(params: GameParams, eps: float, weighted: bool) -> tuple[float, float]:
     """Positive series sum_t w_t (1 - (1 - q**t)**n) and its error bound.
 
-    The weight w_t is 1 for the mean and 2t+1 for the second moment; the
-    matching geometric tail bound stops the sum once it drops to eps.
+    The weight w_t is 1 for the mean and 2t+1 for the second moment. The
+    sum stops before the first t >= 1 whose geometric tail bound is <= eps
+    and runs over numpy blocks of SERIES_BLOCK terms, each summed by
+    math.fsum, the block sums fsum'd again.
+
+    Each term is -expm1(n * log1p(-q**t)) with q**t = exp(t * lam),
+    lam = log1p(-1/s), never a power of the rounded q. Error bound, with
+    u = 2**-53 and libm's exp, log1p and expm1 within one ulp (2u):
+
+    * fl(t * lam) = t * lam * (1 + theta) with |theta| <= 5u: the u of
+      fl(1/s), which log1p passes on amplified by x / ((1-x) |ln(1-x)|)
+      <= 1.24 at x = 1/s <= 1/3 (1/2 is exact), log1p's own 2u and the
+      product's u. So q**t carries a relative error of at most
+      (5 t |lam| + 2) u, exp's own error included.
+    * A relative error e of y = q**t moves the term by about
+      n y (1 - y)**(n-1) e <= term * e, since the term is
+      sum_{j<n} y (1 - y)**j. A relative error d of
+      z = n log1p(-y) = ln P, P = (1 - y)**n, moves it by about
+      P |ln P| d <= (1 - P) d = term * d. log1p, the product with n,
+      expm1 and the weight add at most 2u + u + 2u + u.
+    * So each term's absolute error is at most (5 t |lam| + 8) u term_t,
+      with no factor of n, and the two fsum levels add at most 2u |total|.
+
+    The bound is u sum_t (5 t |lam| + 8) w_t term_t + 2u |total| + tail.
     """
     n, s = params.n, params.s
     if s == 1:
         return 1.0, 0.0
     q = params.q
     tail_bound = tail_bound_weighted_max_geom if weighted else tail_bound_max_geom
-    acc = CompensatedAccumulator()
-    acc.add(1.0)  # t = 0: the 0**0 corner, 1 - (1-1)**n = 1, weight 1
-    t = 1
-    while True:
-        bound = tail_bound(n, q, t)
-        if bound <= eps:
-            return acc.value, acc.error_estimate() + bound
-        term = -math.expm1(n * math.log1p(-q**t))  # 1 - (1 - q**t)**n
-        acc.add((2 * t + 1) * term if weighted else term)
-        t += 1
+    stop = _first_at_most(lambda t: tail_bound(n, q, t), eps)
+    lam = math.log1p(-1.0 / s)
+    block_sums = [1.0]  # t = 0: the 0**0 corner, 1 - (1-1)**n = 1, weight 1
+    evaluation = 0.0  # sum_t (5 t |lam| + 8) w_t term_t
+    for start in range(1, stop, SERIES_BLOCK):
+        t = np.arange(start, min(start + SERIES_BLOCK, stop), dtype=np.float64)
+        terms = -np.expm1(n * np.log1p(-np.exp(t * lam)))  # 1 - (1 - q**t)**n
+        if weighted:
+            terms *= 2 * t + 1
+        block_sums.append(math.fsum(memoryview(terms)))  # yields Python floats, no list
+        evaluation += float(np.sum((5 * abs(lam) * t + 8) * terms))
+    total = math.fsum(block_sums)
+    return total, _U * evaluation + 2 * _U * abs(total) + tail_bound(n, q, stop)
 
 
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:

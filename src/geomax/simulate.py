@@ -223,6 +223,7 @@ def _chunk_results(
     """
     _require_playable(params)
     seed = _check_seed(seed)
+    trials = plain_int(trials, "trials must be a positive integer")
     if trials < 1:
         raise ValueError("trials must be positive")
     for index, done in enumerate(range(0, trials, CHUNK_TRIALS)):
@@ -239,6 +240,7 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
     """
     _require_playable(params)
     seed = _check_seed(seed)
+    trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
     counts = turn_count_histogram(params, trials, seed).tolist()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from geomax.kernels import (
     CompensatedAccumulator,
+    _pascal_row,
     binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
@@ -62,6 +63,17 @@ class TestBinomial:
             for k in range(n + 1):
                 expected = math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
                 assert binomial(n, k) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 37, 150, 500, 1100])
+    def test_pascal_row_matches_math_comb(self, n):
+        assert _pascal_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+
+    def test_cold_row_caches_that_row_alone(self):
+        # one miss keeps one row: a row built from the rows below it would
+        # keep all of them, 1,100 rows of big ints here
+        _pascal_row.cache_clear()
+        _pascal_row(1100)
+        assert _pascal_row.cache_info().currsize == 1
 
     def test_out_of_range_k_is_zero(self):
         assert binomial(5, 6) == 0

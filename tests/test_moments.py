@@ -34,6 +34,7 @@ from geomax import (
     second_moment_closed,
     second_moment_series,
     variance_closed,
+    var_bounds_elementary,
 )
 
 
@@ -161,6 +162,18 @@ class TestClosedMoments:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+#: Every pair n <= s <= 40, plus the points where powers of the rounded q
+#: broke the bound most: (35, 48), the fallback cliff and large s.
+SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
+    (35, 48),
+    (60, 10**4),
+    (4, 2 * 10**4),
+    (5, 2 * 10**4),
+    (6, 2 * 10**4),
+    (5, 10**5),
+]
+
+
 class TestSeriesAgreement:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 20).flatmap(lambda n: st.integers(n, 20).map(lambda s: (n, s))))
@@ -181,6 +194,24 @@ class TestSeriesAgreement:
         exact = float(expected_value_closed(params, EXACT))
         assert abs(fine - exact) < abs(rough - exact) + 1e-13
         assert abs(fine - exact) < 1e-12
+
+    def test_series_error_bound_holds(self):
+        worst = (0.0, (1, 1))
+        for n, s in SERIES_BOUND_GRID:
+            params = GameParams(n, s)
+            report = moment_report(params, method="series")
+            exact = moment_report(params, EXACT)
+            bound = Fraction(report.error_bound)
+            for value, truth in (
+                (report.mean, exact.mean),
+                (report.second_moment, exact.second_moment),
+                (report.variance, exact.variance),
+            ):
+                gap = abs(Fraction(value) - truth)
+                assert gap <= bound, (n, s, float(gap), report.error_bound)
+                if bound:
+                    worst = max(worst, (float(gap / bound), (n, s)))
+        print(f"series: worst |value - EXACT| / error_bound = {worst[0]:.3f} at {worst[1]}")
 
 
 class TestCancellationPolicy:
@@ -210,6 +241,20 @@ class TestCancellationPolicy:
         assert abs(variance_closed(params) - exact) <= report.error_bound
         with pytest.raises(CancellationError):
             second_moment_closed(params, fallback=False)
+
+    def test_float_overflow_falls_back_to_the_series(self):
+        # C(1100, k) * s**k / (s**k - (s-1)**k) passes the double range
+        params = GameParams(1100, 2000)
+        report = moment_report(params)
+        assert report.method == "series"
+        lam = -math.log(params.q)
+        harmonic = math.fsum(1 / k for k in range(1, params.n + 1))
+        # large-n asymptotics (Szpankowski & Rego 1990): H_n / lam + 1/2
+        # plus a periodic term far below double precision at s = 2000
+        assert report.mean == pytest.approx(harmonic / lam + 0.5, rel=1e-9)
+        assert var_bounds_elementary(params).contains(report.variance)
+        with pytest.raises(CancellationError):
+            moment_report(params, method="closed")
 
     def test_small_cases_stay_on_closed_path(self):
         # a float evaluation differing from the series by less than the

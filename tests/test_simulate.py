@@ -214,6 +214,15 @@ def test_integer_like_sizes_and_seeds(value, accepted):
     assert len(enumerate_signatures(value)) == 8
 
 
+@pytest.mark.parametrize("trials", [100.0, True])
+@pytest.mark.parametrize(
+    "run", [turn_count_histogram, signature_frequencies, monte_carlo_moments]
+)
+def test_trials_must_be_an_integer(run, trials):
+    with pytest.raises(ValueError):
+        run(GameParams(2, 3), trials, 1)
+
+
 class TestKolmogorovSmirnov:
     def test_statistic_zero_against_own_cdf(self):
         # histogram proportional to the exact pmf gives a tiny statistic
