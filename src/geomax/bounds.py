@@ -13,10 +13,6 @@ from fractions import Fraction
 
 from .params import GameParams
 
-#: Provenance tags used by the bound reports.
-SOURCES = ("elementary-EV", "pairing-EV", "elementary-Var", "sum-Var")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     quantity: str  # mean | second-moment | variance

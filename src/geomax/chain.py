@@ -1,17 +1,14 @@
 """Simultaneous-roll view: the dice-count Markov chain.
 
-The number of dice still on the table is a Markov chain on {0, ..., n}.
-From i dice, exactly j survive a turn with probability
-C(i, j) * p**(i-j) * q**j, and 0 is absorbing. This module builds that
-transition matrix, runs the one-step recursions for first and second
-moments of the absorption time from every start state, and, as an
-independent route, pushes the start state through the chain one turn at
-a time to get the absorption probabilities P(T <= t) and, from their
-survival sums, the moments.
-
-The matrix and the recursion are plain tuples of entries, which keeps
-them polymorphic between floats and Fractions; the chain step is one
-numpy matrix product, on float64 or object (Fraction) entries.
+The number of dice still on the table is a Markov chain on {0, ..., n};
+0 is absorbing, and from k dice the survivors are Binomial(k, q). One
+generator builds these transition rows by Pascal's rule, on float64 or
+object (Fraction) numpy arrays, so no C(k, j) is ever converted to float.
+The rows feed the transition matrix, the one-step recursions for the
+first and second moments of the absorption time from every start state,
+and, as an independent route, the chain step that pushes the start state
+through one turn at a time to get P(T <= t) and, from its survival sums,
+the moments.
 """
 
 from __future__ import annotations
@@ -23,12 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import (
-    _EPS,
-    binomial,
-    tail_bound_max_geom,
-    tail_bound_weighted_max_geom,
-)
+from .kernels import _EPS, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import FLOAT, GameParams, NumericMode
 
 
@@ -61,22 +53,42 @@ class AbsorptionProfile:
     second_moments: tuple[float | Fraction, ...]
 
 
+def _arithmetic(params: GameParams, mode: NumericMode):
+    """(p, q, zero, dtype): Fractions on object arrays in exact mode, else doubles."""
+    if mode.exact:
+        return params.p_exact, params.q_exact, Fraction(0), object
+    return params.p, params.q, 0.0, np.float64
+
+
+def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
+    """Rows k = 0..n of the transition matrix, row k holding its entries j = 0..k.
+
+    Row k is the Binomial(k, q) law of the survivors, built from row k-1
+    by Pascal's rule p * [row, 0] + q * [0, row]. Every entry is a sum of
+    positive terms, exact in exact mode.
+    """
+    p, q, zero, dtype = _arithmetic(params, mode)
+    pad = np.array([zero], dtype=dtype)
+    row = pad + 1  # row 0: [1]
+    for _ in range(params.n):
+        yield row
+        row = np.concatenate((p * row, pad)) + np.concatenate((pad, q * row))
+    yield row
+
+
+def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
+    """The transition matrix as one (n+1) x (n+1) array, zero above the diagonal."""
+    _, _, zero, dtype = _arithmetic(params, mode)
+    matrix = np.full((params.n + 1, params.n + 1), zero, dtype=dtype)
+    for k, row in enumerate(_survivor_rows(params, mode)):
+        matrix[k, : k + 1] = row
+    return matrix
+
+
 def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> TransitionMatrix:
     """Survival-count transition matrix for one turn."""
-    n = params.n
-    if mode.exact:
-        p, q = params.p_exact, params.q_exact
-        zero = Fraction(0)
-    else:
-        p, q = params.p, params.q
-        zero = 0.0
-    rows = []
-    for i in range(n + 1):
-        row = [zero] * (n + 1)
-        for j in range(i + 1):
-            row[j] = binomial(i, j) * p ** (i - j) * q**j
-        rows.append(tuple(row))
-    return TransitionMatrix(n=n, rows=tuple(rows))
+    rows = _stacked_rows(params, mode).tolist()  # plain floats or Fractions
+    return TransitionMatrix(n=params.n, rows=tuple(map(tuple, rows)))
 
 
 def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
@@ -84,26 +96,20 @@ def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> A
 
     E(T_k) = (1 + sum_{j<k} P[k][j] * E(T_j)) / (1 - P[k][k]) and
     E(T_k**2) = (sum_{j<k} P[k][j] * E(T_j**2) - 1 + 2 E(T_k)) / (1 - P[k][k]),
-    both from E(T_0) = E(T_0**2) = 0.
+    both from E(T_0) = E(T_0**2) = 0, streaming the rows in O(n) memory.
     """
-    matrix = build_transition_matrix(params, mode)
-    zero = Fraction(0) if mode.exact else 0.0
-    first = [zero]
-    second = [zero]
-    for k in range(1, params.n + 1):
-        row = matrix.rows[k]
-        # 1 - P[k][k] is the per-turn probability of losing at least one die;
-        # it is positive whenever p > 0, which params guarantees.
-        complement = 1 - row[k]
+    _, _, zero, dtype = _arithmetic(params, mode)
+    first, second = np.full((2, params.n + 1), zero, dtype=dtype)
+    for k, row in enumerate(islice(_survivor_rows(params, mode), 1, None), start=1):
+        # 1 - P[k][k], the chance of losing a die this turn, as a positive sum:
+        # no cancellation when q is near 1, and positive since params has p > 0
+        complement = row[:k].sum()
         if not complement > 0:
             raise ArithmeticError(f"degenerate diagonal at state {k}")
-        first_acc = 1 + sum(row[j] * first[j] for j in range(1, k))
-        ev = first_acc / complement
-        first.append(ev)
-        second_acc = sum(row[j] * second[j] for j in range(1, k)) - 1 + 2 * ev
-        second.append(second_acc / complement)
+        first[k] = (1 + row[1:k] @ first[1:k]) / complement
+        second[k] = (row[1:k] @ second[1:k] - 1 + 2 * first[k]) / complement
     return AbsorptionProfile(
-        params=params, first_moments=tuple(first), second_moments=tuple(second)
+        params=params, first_moments=tuple(first.tolist()), second_moments=tuple(second.tolist())
     )
 
 
@@ -114,11 +120,8 @@ def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
     and object (Fractions) in exact mode, so one matrix product serves
     both and exact results stay exact.
     """
-    zero, one = (Fraction(0), Fraction(1)) if mode.exact else (0.0, 1.0)
-    dtype = object if mode.exact else np.float64
-    rows = np.array(build_transition_matrix(params, mode).rows, dtype=dtype)
-    state = np.full(params.n + 1, zero, dtype=dtype)
-    state[params.n] = one
+    rows = _stacked_rows(params, mode)
+    state = np.flip(rows[0])  # row 0 is [1, 0, ..., 0]; flipped, all n dice remain
     while True:
         yield state.item(0)
         state = state @ rows

@@ -5,7 +5,7 @@ from multiple threads. The pieces:
 
 * closed forms for the power-weighted geometric series that back the
   second-moment algebra,
-* exact binomial rows, each built by the multiplicative formula,
+* exact binomial coefficients, for the closed alternating sums only,
 * a Neumaier-compensated accumulator that tracks how large the partial
   sums got, which is what the cancellation diagnostics feed on,
 * geometric tail bounds used to truncate the positive-term series.

@@ -49,10 +49,13 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
 
 
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
-    """P(turn count == y) for y >= 1, by the alternating subset sum.
+    """P(turn count == y) for y >= 1.
 
-    The sum telescopes to cdf(y) - cdf(y-1); it is computed directly so
-    that the telescoping identity stays a meaningful consistency check.
+    Exact mode sums the alternating subset sum, which telescopes to
+    cdf(y) - cdf(y-1), so the telescoping identity stays an independent
+    check. Float mode takes the positive form u_y**n (1 - (1 + x)**-n),
+    from u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
+    with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
     """
     y = operator.index(y)
     if y < 1:
@@ -61,16 +64,13 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         # q**((y-1)k) - q**(yk) as an integer ratio
         return _alternating_sum(params, mode, lambda a, b: (b ** (y - 1) * (a - b), a**y))[0]
     n, s = params.n, params.s
+    if y == 1:
+        return params.p**n
     if s == 1:
-        return 1.0 if y == 1 else 0.0
-    lq = math.log(params.q)
-    acc = CompensatedAccumulator()
-    for k in range(1, n + 1):
-        shrink = math.exp(k * (y - 1) * lq)  # q**(k(y-1))
-        last = -math.expm1(k * lq)  # 1 - q**k
-        term = binomial(n, k) * shrink * last
-        acc.add(term if k % 2 == 1 else -term)
-    return min(1.0, max(0.0, acc.value))
+        return 0.0
+    lam = math.log1p(-1.0 / s)
+    x = params.p * math.exp((y - 1) * lam) / -math.expm1((y - 1) * lam)
+    return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
 
 
 #: Per-k terms of the closed sums, as (numerator, denominator) over

@@ -54,7 +54,7 @@ def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
     profile = chain.second_moments_recursive(params, mode)
     mean = profile.first_moments[params.n]
     m2 = profile.second_moments[params.n]
-    # mild heuristic: the recursion is a positive cascade of n divisions
+    # heuristic, not derived: each of the recursion's n levels adds positive sums
     scale = Fraction(0) if mode.exact else 2.0 ** -52 * 8.0 * params.n
     return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
 

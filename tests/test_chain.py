@@ -7,6 +7,7 @@ which share no code with the chain builders.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from geomax import (
     build_transition_matrix,
     cdf,
     expected_value_closed,
+    moment_report,
     moments_by_power,
     second_moment_closed,
     second_moments_recursive,
@@ -61,6 +63,13 @@ class TestTransitionMatrix:
         for total in m.row_sums():
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_float_rows_at_large_n(self):
+        # C(1100, k) exceeds the double range; Pascal's rule never forms it
+        m = build_transition_matrix(GameParams(1100, 2000))
+        for k, row in enumerate(m.rows):
+            assert all(math.isfinite(entry) for entry in row)
+            assert abs(math.fsum(row) - 1) <= k * 2.0**-52, k
+
 
 class TestRecursiveMoments:
     def test_two_dice_first_moments_by_hand(self):
@@ -99,6 +108,14 @@ class TestRecursiveMoments:
             approx = second_moments_recursive(params, FLOAT).first_moments
             for a, b in zip(approx[1:], exact[1:]):
                 assert a == pytest.approx(float(b), rel=1e-12)
+
+    def test_large_n_agrees_with_the_series(self):
+        params = GameParams(1100, 2000)
+        recursive = moment_report(params, method="recursive")
+        series = moment_report(params, method="series")
+        allowed = recursive.error_bound + series.error_bound
+        assert abs(recursive.mean - series.mean) <= allowed
+        assert abs(recursive.variance - series.variance) <= allowed
 
 
 class TestAbsorptionByPower:

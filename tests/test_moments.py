@@ -107,6 +107,20 @@ class TestDistribution:
         total = sum(pmf(params, t, EXACT) for t in range(1, y + 1))
         assert total + (1 - cdf(params, y, EXACT)) == 1
 
+    def test_float_pmf_within_four_eps_of_exact(self):
+        # the accuracy the CLI claims for pmf points, down to values far
+        # below the double epsilon at y = 1. The exact law is taken as a cdf
+        # difference: cheaper than the exact alternating sum, and equal to it
+        # (see the telescoping test)
+        for s in range(1, 41):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                for y in (1, 2, 3, 5, 8, 13):
+                    exact = cdf(params, y, EXACT) - cdf(params, y - 1, EXACT)
+                    gap = abs(Fraction(pmf(params, y)) - exact)
+                    assert gap <= Fraction(4 * 2.0**-52), (n, s, y, float(gap))
+        assert math.isfinite(pmf(GameParams(1100, 2000), 15000))
+
     def test_float_normalization_spot(self):
         for n, s in [(1, 1), (2, 2), (3, 7), (12, 12)]:
             params = GameParams(n, s)
@@ -163,7 +177,9 @@ class TestClosedMoments:
 
 
 #: Every pair n <= s <= 40, plus the points where powers of the rounded q
-#: broke the bound most: (35, 48), the fallback cliff and large s.
+#: broke the series bound most, (35, 48), the fallback cliff and large s,
+#: which also broke the recursion's bound while it took 1 - q**k by
+#: subtraction.
 SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (35, 48),
     (60, 10**4),
@@ -172,6 +188,9 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (6, 2 * 10**4),
     (5, 10**5),
 ]
+
+#: The O(t n**2) matrix-power route joins the gate up to this face count.
+POWER_BOUND_S_MAX = 12
 
 
 class TestSeriesAgreement:
@@ -196,22 +215,28 @@ class TestSeriesAgreement:
         assert abs(fine - exact) < 1e-12
 
     def test_series_error_bound_holds(self):
-        worst = (0.0, (1, 1))
+        # each float route against its own error_bound: the series and the
+        # recursion on the whole grid, matrix-power on its small corner
+        worst = {method: (0.0, (1, 1)) for method in ("series", "recursive", "matrix-power")}
         for n, s in SERIES_BOUND_GRID:
             params = GameParams(n, s)
-            report = moment_report(params, method="series")
             exact = moment_report(params, EXACT)
-            bound = Fraction(report.error_bound)
-            for value, truth in (
-                (report.mean, exact.mean),
-                (report.second_moment, exact.second_moment),
-                (report.variance, exact.variance),
-            ):
-                gap = abs(Fraction(value) - truth)
-                assert gap <= bound, (n, s, float(gap), report.error_bound)
-                if bound:
-                    worst = max(worst, (float(gap / bound), (n, s)))
-        print(f"series: worst |value - EXACT| / error_bound = {worst[0]:.3f} at {worst[1]}")
+            for method in worst:
+                if method == "matrix-power" and s > POWER_BOUND_S_MAX:
+                    continue
+                report = moment_report(params, method=method)
+                bound = Fraction(report.error_bound)
+                for value, truth in (
+                    (report.mean, exact.mean),
+                    (report.second_moment, exact.second_moment),
+                    (report.variance, exact.variance),
+                ):
+                    gap = abs(Fraction(value) - truth)
+                    assert gap <= bound, (method, n, s, float(gap), report.error_bound)
+                    if bound:
+                        worst[method] = max(worst[method], (float(gap / bound), (n, s)))
+        for method, (ratio, where) in worst.items():
+            print(f"{method}: worst |value - EXACT| / error_bound = {ratio:.3f} at {where}")
 
 
 class TestCancellationPolicy:
