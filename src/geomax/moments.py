@@ -36,7 +36,11 @@ from .params import FLOAT, GameParams, NumericMode
 
 
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
-    """P(turn count <= y). Zero below 1, else (1 - q**y)**n."""
+    """P(turn count <= y). Zero below 1, else (1 - q**y)**n.
+
+    Float mode takes exp(n log1p(-q**y)) with q**y = exp(y log1p(-1/s)):
+    never a power of the rounded q, and no n-th power of a rounded base.
+    """
     y = operator.index(y)
     if y < 1:
         return Fraction(0) if mode.exact else 0.0
@@ -44,8 +48,7 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return (1 - params.q_exact**y) ** params.n
     if params.s == 1:
         return 1.0
-    u = -math.expm1(y * math.log(params.q))  # 1 - q**y without cancellation
-    return u**params.n
+    return math.exp(params.n * math.log1p(-math.exp(y * math.log1p(-1.0 / params.s))))
 
 
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -205,7 +208,7 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     root = float(prob) ** (1.0 / params.n)  # target value of 1 - q**y
     if root >= 1.0:
         root = 1.0 - 2.0**-52  # seed only; the walk below settles the answer
-    estimate = math.log1p(-root) / math.log(params.q)
+    estimate = math.log1p(-root) / math.log1p(-1.0 / params.s)
     y = max(1, math.ceil(estimate) - 2)
     while cdf(params, y, mode) < prob:
         y += 1

@@ -2,12 +2,14 @@
 
 A turn rolls every remaining die once and removes each die showing a
 value equal to the current dice count. play_game records a single game
-throw by throw; the Monte Carlo entry points play games in fixed-size
-chunks, vectorized across games, with an independent RNG substream per
-chunk derived from (seed, chunk index). Chunk boundaries depend only on
-the trial count, and chunk results merge by plain integer addition, so
-estimates are bit-identical across runs and across any parallel
-scheduling of chunks.
+throw by throw, reading faces from blocks of FACE_BLOCK draws. The Monte
+Carlo entry points draw only the number of dice removed, as
+Binomial(alive, 1/s), which has the law of rolling each die; they play
+games in fixed-size chunks, vectorized across games, with an independent
+RNG substream per chunk derived from (seed, chunk index). Chunk
+boundaries depend only on the trial count, and chunk results merge by
+plain integer addition, so estimates are bit-identical across runs and
+across any parallel scheduling of chunks.
 
 Signatures: the sequence of values shown by removed dice, in removal
 order (ties within a turn in ascending original die order; they all show
@@ -31,6 +33,9 @@ TURN_CAP = 10**9
 
 #: Trials per RNG substream in the Monte Carlo drivers.
 CHUNK_TRIALS = 1 << 16
+
+#: Faces a seeded play_game draws per generator call (more if a turn needs more).
+FACE_BLOCK = 1 << 8
 
 #: enumerate_signatures refuses n above this (2**23 signatures at n=24).
 MAX_ENUMERATION_DICE = 24
@@ -109,9 +114,16 @@ def play_game(
 
     else:
         rng = np.random.default_rng(_check_seed(seed) if seed is not None else None)
+        block: list[int] = []
+        start = 0  # next unread face in block
 
         def draw(count: int) -> list[int]:
-            return [int(f) for f in rng.integers(1, s + 1, size=count)]
+            nonlocal block, start
+            if start + count > len(block):
+                fresh = rng.integers(1, s + 1, size=max(count, FACE_BLOCK)).tolist()
+                block, start = block[start:] + fresh, 0
+            start += count
+            return block[start - count : start]
 
     turns: list[tuple[int, ...]] = []
     removed_per_turn: list[int] = []
@@ -182,11 +194,14 @@ def _play_chunk(
     rng: np.random.Generator,
     want_signatures: bool,
 ) -> tuple[np.ndarray, list[list[int]] | None]:
-    """Play `count` games at once; returns turn counts and optional signatures."""
+    """Play `count` games at once; returns turn counts and optional signatures.
+
+    A turn removes Binomial(alive, 1/s) dice from each unfinished game.
+    """
     n, s = params.n, params.s
-    alive = np.full(count, n, dtype=np.int64)
     turn_counts = np.zeros(count, dtype=np.int64)
     active = np.arange(count, dtype=np.int64)
+    alive = np.full(count, n, dtype=np.int64)  # dice left, one per active game
     signatures: list[list[int]] | None = (
         [[] for _ in range(count)] if want_signatures else None
     )
@@ -195,21 +210,18 @@ def _play_chunk(
         turn += 1
         if turn > TURN_CAP:
             raise GameNotFinishedError(f"chunk still running after {TURN_CAP} turns")
-        counts = alive[active]
-        faces = rng.integers(1, s + 1, size=int(counts.sum()))
-        needed = np.repeat(counts, counts)
-        hits = (faces == needed).astype(np.int64)
-        offsets = np.zeros(counts.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        removed = np.add.reduceat(hits, offsets)
-        turn_counts[active] += 1
+        removed = rng.binomial(alive, 1.0 / s)
         if signatures is not None:
-            for local in np.nonzero(removed)[0]:
-                game = int(active[local])
-                signatures[game].extend([int(counts[local])] * int(removed[local]))
-        survivors = counts - removed
-        alive[active] = survivors
-        active = active[survivors > 0]
+            hit = removed > 0
+            for game, level, gone in zip(
+                active[hit].tolist(), alive[hit].tolist(), removed[hit].tolist()
+            ):
+                signatures[game] += [level] * gone
+        alive -= removed
+        done = alive == 0
+        turn_counts[active[done]] = turn
+        active = active[~done]
+        alive = alive[~done]
     return turn_counts, signatures
 
 

@@ -121,6 +121,24 @@ class TestDistribution:
                     assert gap <= Fraction(4 * 2.0**-52), (n, s, y, float(gap))
         assert math.isfinite(pmf(GameParams(1100, 2000), 15000))
 
+    def test_float_cdf_within_four_eps_of_exact(self):
+        # the accuracy the CLI claims for cdf points, at large s, where q**y
+        # taken as a power of the rounded q missed it by up to 710 eps. The
+        # exact law is b**n with b = cdf(GameParams(1, s), y, EXACT); b**n
+        # runs to millions of digits at (40, 2000, 32000), so it is bracketed
+        # by the n-th powers of b rounded down and up to a multiple of 2**-200
+        accuracy = Fraction(4 * 2.0**-52)
+        scale = 2**200
+        for s in (40, 200, 2000):
+            for y in range(s // 2, 16 * s + 1, s // 2):
+                scaled = cdf(GameParams(1, s), y, EXACT) * scale
+                low = Fraction(math.floor(scaled), scale)
+                high = Fraction(math.ceil(scaled), scale)
+                for n in (1, 5, 20, 40):
+                    value = Fraction(cdf(GameParams(n, s), y))
+                    assert value - accuracy <= low**n, (n, s, y)
+                    assert high**n <= value + accuracy, (n, s, y)
+
     def test_float_normalization_spot(self):
         for n, s in [(1, 1), (2, 2), (3, 7), (12, 12)]:
             params = GameParams(n, s)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from geomax import (
     EXACT,
     GameParams,
     GameRecord,
+    build_transition_matrix,
     cdf,
     enumerate_signatures,
     expected_value_closed,
@@ -32,6 +34,7 @@ from geomax import (
     turn_count_histogram,
     variance_closed,
 )
+from geomax.simulate import _play_chunk
 
 
 def check_record(record: GameRecord) -> None:
@@ -82,6 +85,20 @@ class TestScriptedGame:
         c = play_game(GameParams(5, 6), seed=100)
         assert a == b
         assert a != c  # nearly certain; frozen seed pair chosen to differ
+
+    def test_replaying_a_seeded_game_gives_it_back(self):
+        for n, s, seed in [(1, 6, 1), (4, 6, 2), (5, 5, 3), (12, 20, 4), (30, 30, 5)]:
+            record = play_game(GameParams(n, s), seed=seed)
+            faces = [face for turn in record.turns for face in turn]
+            assert play_game(GameParams(n, s), roll_source=faces) == record
+
+    @pytest.mark.parametrize("n, s", [(1, 6), (3, 4)])
+    def test_seeded_turn_counts_follow_the_law(self, n, s):
+        # a face buffer that reused or skipped draws would bend this law
+        params = GameParams(n, s)
+        counts = [play_game(params, seed=seed).turn_count for seed in range(2_000)]
+        hist = np.bincount(counts)
+        assert ks_statistic(hist, params) < ks_critical_value(2_000)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -143,12 +160,16 @@ class TestMonteCarlo:
         assert (a.mean, a.variance) == (b.mean, b.variance)
 
     def test_chunking_does_not_change_the_stream(self):
-        # totals over trials spanning several chunks must match a single
-        # larger run truncated nowhere: same seed, same per-chunk substreams
-        small = monte_carlo_moments(GameParams(2, 4), trials=CHUNK_TRIALS + 17, seed=3)
-        assert small.trials == CHUNK_TRIALS + 17
-        again = monte_carlo_moments(GameParams(2, 4), trials=CHUNK_TRIALS + 17, seed=3)
-        assert small == again
+        # CHUNK_TRIALS + 17 trials are the CHUNK_TRIALS-trial run, on
+        # substream (seed, 0), plus 17 games on substream (seed, 1)
+        params, seed = GameParams(2, 4), 3
+        whole = turn_count_histogram(params, CHUNK_TRIALS + 17, seed)
+        head = turn_count_histogram(params, CHUNK_TRIALS, seed)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        tail = np.bincount(_play_chunk(params, 17, rng, False)[0])
+        size = max(head.size, tail.size)
+        expected = np.pad(head, (0, size - head.size)) + np.pad(tail, (0, size - tail.size))
+        assert np.array_equal(whole, expected)
 
     def test_estimates_near_truth(self):
         params = GameParams(2, 2)
@@ -185,6 +206,32 @@ class TestMonteCarlo:
         freq = counts[(2, 2)] / 100_000
         # 3.3 standard errors of the binomial at p = 1/3
         assert abs(freq - 1 / 3) < 3.3 * math.sqrt((1 / 3) * (2 / 3) / 100_000)
+
+    def test_signature_frequencies_follow_the_jump_chain(self):
+        # exact signature law: from k dice the game next has j < k dice
+        # with probability P[k][j] / (1 - P[k][k]), and the k - j removed
+        # dice add k - j copies of k to the signature
+        trials = 100_000
+        cases = [GameParams(3, 3), GameParams(3, 5)]
+        # two-sided, Bonferroni over the 4 signatures of 3 dice in each case
+        z_max = NormalDist().inv_cdf(1 - 0.001 / (2 * 4 * len(cases)))
+        for params in cases:
+            rows = build_transition_matrix(params, EXACT).rows
+            law = {}
+            for sig in enumerate_signatures(params.n):
+                prob, k = Fraction(1), params.n
+                while k:
+                    j = k - sig.count(k)
+                    prob *= rows[k][j] / (1 - rows[k][k])
+                    k = j
+                law[sig] = prob
+            assert sum(law.values()) == 1
+            counts = signature_frequencies(params, trials, seed=19)
+            assert set(counts) <= set(law)
+            for sig, prob in law.items():
+                p = float(prob)
+                z = abs(counts[sig] - trials * p) / math.sqrt(trials * p * (1 - p))
+                assert z < z_max, (params, sig, z)
 
     def test_signature_frequencies_are_valid_signatures(self):
         counts = signature_frequencies(GameParams(4, 6), trials=20_000, seed=17)
