@@ -27,7 +27,6 @@ from .chain import (
     second_moments_recursive,
 )
 from .kernels import (
-    CompensatedAccumulator,
     binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
@@ -75,7 +74,6 @@ __all__ = [
     "CANCELLATION_TOLERANCE",
     "CHUNK_TRIALS",
     "CancellationError",
-    "CompensatedAccumulator",
     "EXACT",
     "FLOAT",
     "GameNotFinishedError",

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import _EPS, tail_bound_max_geom, tail_bound_weighted_max_geom
+from .kernels import _EPS, _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import FLOAT, GameParams, NumericMode
 
 
@@ -125,6 +125,21 @@ def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
     while True:
         yield state.item(0)
         state = state @ rows
+
+
+def absorption_step_bound(params: GameParams, t: int) -> float:
+    """Bound on |P(T <= t) - exact| for the float chain: m u / (1 - m u), m = t(5n+1).
+
+    A rounding is a factor (1 + d), |d| <= u = 2**-53: fl(1/s) has one,
+    fl(1 - p) two (p/q <= 1), a Pascal level two more, so row k carries at
+    most 4k - 2, and a step's dot products of nonnegative terms n + 1. A
+    step so errs by at most (5n-1)u / (1 - (5n-1)u) times the state's
+    1-norm, which the stochastic matrix never grows, and t steps by that
+    compounded (Higham 2002, lemma 3.3). The 2t spare factors cover this
+    formula's two roundings; twice the bound at t covers a pmf point.
+    """
+    count = t * (5 * params.n + 1) * _U
+    return count / (1 - count)
 
 
 def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = FLOAT) -> list:

@@ -122,10 +122,6 @@ def _emit(rows: list[dict], fields: tuple[str, ...], fmt: str) -> None:
             print(",".join(str(row[f]) for f in fields))
 
 
-def _numeric_mode(args) -> NumericMode:
-    return NumericMode(kind=args.mode)
-
-
 def _compute_pairs(args) -> list[GameParams]:
     n_lo, n_hi = parse_range(args.n)
     s_lo, s_hi = parse_range(args.s)
@@ -142,7 +138,7 @@ def _compute_pairs(args) -> list[GameParams]:
 
 def _cmd_compute(args) -> int:
     precision = _resolve_precision(args)
-    mode = _numeric_mode(args)
+    mode = NumericMode(kind=args.mode)
     quantity = args.quantity
     method = args.method or "auto"
     rows = []
@@ -166,17 +162,20 @@ def _cmd_compute(args) -> int:
                 fn = moments.pmf if quantity == "pmf" else moments.cdf
                 value = fn(params, args.y, mode)
                 tag = "closed-alternating"
+                err = 4.0 * 2.0**-52
             elif method == "matrix-power":
                 if args.y < 0:
                     raise UsageError("matrix-power cdf needs --y >= 0")
                 profile = chain.absorption_cdf_profile(params, args.y, mode)
                 value = profile[args.y]
+                err = chain.absorption_step_bound(params, args.y)
                 if quantity == "pmf":  # --y >= 1 was checked above
                     value -= profile[args.y - 1]
+                    err *= 2
                 tag = "matrix-power"
             else:
                 raise UsageError(f"{quantity} supports methods closed and matrix-power")
-            err = Fraction(0) if mode.exact else 4.0 * 2.0**-52
+            err = Fraction(0) if mode.exact else err
         elif quantity == "quantile":
             if args.prob is None:
                 raise UsageError("--quantity quantile needs --prob")
@@ -203,7 +202,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_compare(args) -> int:
     precision = _resolve_precision(args)
-    mode = _numeric_mode(args)
+    mode = NumericMode(kind=args.mode)
     if args.n_max < 1 or args.s_max < args.n_max:
         raise UsageError("need 1 <= --n-max <= --s-max")
     if args.s_max > 30:

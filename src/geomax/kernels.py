@@ -1,24 +1,23 @@
 """Low-level numeric machinery shared by the evaluators.
 
-Everything here is a pure function or a small value type, safe to call
-from multiple threads. The pieces:
+Everything here is a pure function, safe to call from multiple threads.
+The pieces:
 
 * closed forms for the power-weighted geometric series that back the
   second-moment algebra,
 * exact binomial coefficients, for the closed alternating sums only,
-* a Neumaier-compensated accumulator that tracks how large the partial
-  sums got, which is what the cancellation diagnostics feed on,
 * geometric tail bounds used to truncate the positive-term series.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 _EPS = sys.float_info.epsilon
+
+#: Unit roundoff of a double, u = 2**-53.
+_U = _EPS / 2
 
 
 def _check_open_unit(x) -> None:
@@ -101,46 +100,3 @@ def tail_bound_weighted_max_geom(n: int, q, start: int):
     if not 0 <= q < 1:
         raise ValueError(f"tail bound needs 0 <= q < 1, got {q!r}")
     return (2 * start + 3) * n * q**start * (1 + 2 * q / (1 - q)) / (1 - q)
-
-
-class CompensatedAccumulator:
-    """Neumaier-compensated float sum that remembers its largest partial.
-
-    The running compensation keeps the folded sum within a few machine
-    epsilons of the true sum of the terms as given. max_partial_magnitude
-    records the largest magnitude any partial sum reached, which bounds
-    how much cancellation the final value absorbed.
-    """
-
-    __slots__ = ("_sum", "_comp", "max_partial_magnitude")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-        self.max_partial_magnitude = 0.0
-
-    def add(self, term: float) -> None:
-        s = self._sum + term
-        if abs(self._sum) >= abs(term):
-            self._comp += (self._sum - s) + term
-        else:
-            self._comp += (term - s) + self._sum
-        self._sum = s
-        magnitude = abs(s + self._comp)
-        if magnitude > self.max_partial_magnitude:
-            self.max_partial_magnitude = magnitude
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
-
-    def error_estimate(self) -> float:
-        """Absolute rounding-error estimate for value(), from the partials."""
-        return 4.0 * _EPS * self.max_partial_magnitude
-
-    def relative_cancellation(self) -> float:
-        """Estimated relative error of value() due to cancellation."""
-        v = abs(self.value)
-        if v == 0.0:
-            return math.inf if self.max_partial_magnitude > 0.0 else 0.0
-        return self.error_estimate() / v

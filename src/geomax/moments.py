@@ -4,17 +4,16 @@ Two evaluation kernels live here, each written once for both the mean
 and the second moment:
 
 * _alternating_sum, the closed alternating sums over the subset
-  expansion of the maximum, exact in rational mode and compensated in
-  float mode, where it also estimates how much the sum cancelled;
+  expansion of the maximum, exact in rational mode; in float mode each
+  term is one rounded ratio of exact integers, the sum an fsum, and the
+  error bound follows from the sum's condition number;
 * _series_sum, the positive-term series for the mean (weight 1) and the
   second moment (weight 2t+1), float only, with truncation controlled by
   geometric tail bounds.
 
-Float-mode closed terms are built as ratios of exact integers, so each
-term carries a single rounding. Deciding what to do when a closed sum
-cancels too much is report.py's job; the public moment functions live
-there as views of moment_report. This module also holds pmf, cdf and
-quantile.
+Deciding what to do when a closed sum's bound is too wide is report.py's
+job; the public moment functions live there as views of moment_report.
+This module also holds pmf, cdf and quantile.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kernels import (
-    _EPS,
-    CompensatedAccumulator,
+    _U,
     binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
@@ -86,44 +84,39 @@ CLOSED_TERMS = (
 
 
 def _alternating_sum(params: GameParams, mode: NumericMode, term):
-    """Sum of (-1)**(k+1) C(n,k) num/den over k = 1..n, (num, den) = term(s**k, (s-1)**k).
+    """(value, bound) of sum_k (-1)**(k+1) C(n,k) num/den, (num, den) = term(s**k, (s-1)**k).
 
-    Each term is one ratio of exact integers: a Fraction in exact mode, a
-    single rounding in float mode. Returns (value, error bound,
-    cancellation); both diagnostics are Fraction(0) in exact mode. A float
-    term too large for a double counts as unbounded cancellation:
-    (nan, inf, inf), so the fallback policy treats it like any other.
+    Each term t_k is a ratio of exact integers: a Fraction in exact mode,
+    bound Fraction(0); in float mode p_k, a correctly rounded division, and
+    math.fsum rounds sum p_k correctly. With every rounding written as
+    x = fl(x)(1 + d), |d| <= u = 2**-53, and F = fsum(|p_k|), the terms err
+    by at most u sum |p_k| <= u(1 + u)F and the sum by u|value|. The bound
+    u(1 + 4u)(F + |value|) covers that through its own two roundings, as
+    (1 + u)**3 <= 1 + 4u. It is u|value| times 1 + the condition number
+    sum |t_k| / |sum t_k| (Higham 2002, ch. 4). Past the double range the
+    result is (nan, inf).
     """
-    n, s, exact = params.n, params.s, mode.exact
-    a = 1
-    b = 1
-    total = Fraction(0)
-    acc = CompensatedAccumulator()
-    term_rounding = 0.0
-    for k in range(1, n + 1):
-        a *= s
-        b *= s - 1
-        num, den = term(a, b)
-        if exact:
-            piece = Fraction(binomial(n, k) * num, den)
-            total += piece if k % 2 == 1 else -piece
-        else:
-            try:
-                piece = (binomial(n, k) * num) / den  # one rounding per term
-            except OverflowError:  # a term beyond the float range: unbounded cancellation
-                return math.nan, math.inf, math.inf
-            term_rounding += _EPS * piece
-            acc.add(piece if k % 2 == 1 else -piece)
-    if exact:
-        return total, Fraction(0), Fraction(0)
-    return acc.value, acc.error_estimate() + term_rounding, acc.relative_cancellation()
+    n, s = params.n, params.s
+    divide = Fraction if mode.exact else operator.truediv
+    a = b = 1
+    pieces = []
+    try:
+        for k in range(1, n + 1):
+            a *= s
+            b *= s - 1
+            num, den = term(a, b)
+            piece = divide(binomial(n, k) * num, den)
+            pieces.append(piece if k % 2 == 1 else -piece)
+        if mode.exact:
+            return sum(pieces, Fraction(0)), Fraction(0)
+        value = math.fsum(pieces)
+        return value, _U * (1 + 4 * _U) * (math.fsum(map(abs, pieces)) + abs(value))
+    except OverflowError:
+        return math.nan, math.inf
 
 
 #: Terms per numpy block of the positive series; no array spans more.
 SERIES_BLOCK = 1 << 14
-
-#: Unit roundoff of a double, u = 2**-53.
-_U = _EPS / 2
 
 
 def _first_at_most(bound, eps: float) -> int:

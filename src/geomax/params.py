@@ -42,7 +42,7 @@ class NumericMode:
     kind "exact" evaluates every finite formula in arbitrary-precision
     rationals. Infinite series have no exact finite evaluation, so series
     entry points route to the closed forms in that mode. kind "float"
-    uses doubles with compensated summation and tail-bounded truncation;
+    uses doubles with math.fsum sums and tail-bounded truncation;
     truncation_epsilon is the absolute tail mass at which series stop.
     """
 

@@ -1,12 +1,12 @@
 """Moment reports from any analytic route, and the one fallback policy.
 
 The closed alternating sums cancel heavily once n gets large. In float
-mode the closed route estimates the cancellation of both sums (mean and
-second moment), and when either estimate exceeds CANCELLATION_TOLERANCE
-it hands both moments over to the positive series (method "auto") or
-raises CancellationError (method "closed"). The public single-moment
-functions below are views of moment_report, so they follow the same
-policy and always agree with the report's fields.
+mode each closed sum (mean and second moment) carries an error bound
+derived from its condition number; when either bound exceeds
+CANCELLATION_TOLERANCE times its sum, both moments go to the positive
+series (method "auto") or CancellationError is raised (method "closed").
+The public single-moment functions below are views of moment_report, so
+they follow the same policy and always agree with the report's fields.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ from .params import FLOAT, CancellationError, GameParams, MomentReport, NumericM
 #: sums and raises CancellationError when they cannot deliver.
 ANALYTIC_METHODS = ("auto", "closed", "series", "recursive", "matrix-power")
 
-#: Estimated relative cancellation above which float-mode closed forms
-#: refuse to stand on their own.
+#: Relative error bound above which float-mode closed sums refuse to
+#: stand on their own.
 CANCELLATION_TOLERANCE = 1e-9
 
 
 def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> MomentReport:
-    (mean, mean_err, mean_cancel), (m2, m2_err, m2_cancel) = (
+    (mean, mean_err), (m2, m2_err) = sums = [
         moments._alternating_sum(params, mode, term) for term in moments.CLOSED_TERMS
-    )
-    if max(mean_cancel, m2_cancel) > CANCELLATION_TOLERANCE:
+    ]
+    # <= is False for an overflowed sum, (nan, inf), so it is refused too
+    if not all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):
         if not fallback:
             raise CancellationError(
                 f"closed alternating sums at n={params.n}, s={params.s} lost "

@@ -91,7 +91,7 @@ def play_game(
     Faces come from roll_source when given (any iterable of ints in
     1..s, consumed left to right, one per die per turn), otherwise from
     a generator seeded with seed. Exhausting a roll_source mid-game or
-    feeding it an out-of-range face raises ValueError.
+    feeding it a non-integer or out-of-range face raises ValueError.
     """
     _require_playable(params)
     n, s = params.n, params.s
@@ -106,7 +106,7 @@ def play_game(
                     face = next(source)
                 except StopIteration:
                     raise ValueError("roll source exhausted before the game ended")
-                face = int(face)
+                face = plain_int(face, f"face {face!r} is not an integer")
                 if not 1 <= face <= s:
                     raise ValueError(f"face {face} outside 1..{s}")
                 faces.append(face)

@@ -27,6 +27,7 @@ from geomax import (
     second_moment_closed,
     second_moments_recursive,
 )
+from geomax.chain import absorption_step_bound
 
 playable = st.integers(1, 12).flatmap(
     lambda s: st.integers(1, s).map(lambda n: GameParams(n=n, s=s))
@@ -129,6 +130,29 @@ class TestAbsorptionByPower:
         for t in (1, 10, 60, 150):
             gap = absorption_cdf_profile(params, t, FLOAT)[t] - cdf(params, t)
             assert abs(gap) < 1e-12
+
+    def test_float_profile_within_its_step_bound(self):
+        # P(T <= t) within absorption_step_bound(t) of EXACT, a pmf point
+        # (step t minus step t-1) within twice that
+        worst = {"cdf": 0.0, "pmf": 0.0}
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                profile = absorption_cdf_profile(params, 40, FLOAT)
+                exact = [cdf(params, t, EXACT) for t in range(41)]
+                for t in range(41):
+                    bound = Fraction(absorption_step_bound(params, t))
+                    gap = abs(Fraction(profile[t]) - exact[t])
+                    assert gap <= bound, ("cdf", n, s, t, float(gap))
+                    if bound:
+                        worst["cdf"] = max(worst["cdf"], float(gap / bound))
+                    if t >= 1:
+                        pmf_gap = abs(
+                            Fraction(profile[t] - profile[t - 1]) - (exact[t] - exact[t - 1])
+                        )
+                        assert pmf_gap <= 2 * bound, ("pmf", n, s, t, float(pmf_gap))
+                        worst["pmf"] = max(worst["pmf"], float(pmf_gap / (2 * bound)))
+        print(f"worst |value - EXACT| / bound: {worst}")
 
     def test_profile_is_monotone_and_bounded(self):
         values = absorption_cdf_profile(GameParams(4, 6), 80, FLOAT)

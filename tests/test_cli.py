@@ -101,6 +101,27 @@ class TestCompute:
         assert code == 0
         assert csv_rows(out)[0]["value"] == "5/16"
 
+    def test_matrix_power_points_print_their_step_bound(self, capsys):
+        # the chain's rounding grows with the steps taken; closed points keep 4 eps
+        params = GameParams(12, 12)
+        for quantity, truth in (
+            ("cdf", cdf(params, 40, EXACT)),
+            ("pmf", cdf(params, 40, EXACT) - cdf(params, 39, EXACT)),
+        ):
+            rows = {}
+            for method in ("closed", "matrix-power"):
+                code, out, _ = run(
+                    capsys, "compute", "--n", "12", "--s", "12", "--quantity", quantity,
+                    "--y", "40", "--method", method, "--precision", "17",
+                )
+                assert code == 0
+                rows[method] = csv_rows(out)[0]
+            assert float(rows["closed"]["error_bound"]) == 4.0 * 2.0**-52
+            row = rows["matrix-power"]
+            bound = float(row["error_bound"])
+            assert bound > 4.0 * 2.0**-52
+            assert abs(Fraction(float(row["value"])) - truth) <= Fraction(bound)
+
     def test_exact_values_beyond_the_int_to_str_limit(self, capsys):
         # the printed numerator and denominator run past 4300 digits,
         # where str(int) refuses by default
@@ -225,7 +246,7 @@ class TestExitCodes:
 
     def test_cancellation_exit_code(self, capsys):
         # compare forces the closed path without fallback; at the 30,30
-        # corner its cancellation estimate crosses the refusal threshold
+        # corner its derived error bound crosses the refusal threshold
         code, _, err = run(capsys, "compare", "--n-max", "30", "--s-max", "30")
         assert code == 3
         assert "precision" in err

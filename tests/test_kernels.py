@@ -6,11 +6,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from geomax.kernels import (
-    CompensatedAccumulator,
     _pascal_row,
     binomial,
     tail_bound_max_geom,
@@ -137,37 +136,3 @@ class TestTailBounds:
                 tail_bound_max_geom(2, q, 0)
             with pytest.raises(ValueError):
                 tail_bound_weighted_max_geom(2, q, 0)
-
-
-class TestCompensatedAccumulator:
-    def test_classic_cancellation_survives(self):
-        acc = CompensatedAccumulator()
-        for term in (1e16, 1.0, -1e16):
-            acc.add(term)
-        assert acc.value == 1.0
-        assert acc.max_partial_magnitude >= 1e16
-
-    def test_empty_sum(self):
-        acc = CompensatedAccumulator()
-        assert acc.value == 0.0
-        assert acc.relative_cancellation() == 0.0
-
-    @settings(max_examples=200)
-    @given(
-        st.lists(
-            st.floats(
-                min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-            ),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_tracks_fsum_within_bound(self, terms):
-        acc = CompensatedAccumulator()
-        for term in terms:
-            acc.add(term)
-        truth = math.fsum(terms)
-        eps = 2.0**-52
-        bound = 4.0 * eps * acc.max_partial_magnitude + 1e-300
-        assert abs(acc.value - truth) <= bound
-        assert acc.max_partial_magnitude >= abs(acc.value) * (1 - 1e-15)

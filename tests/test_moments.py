@@ -36,6 +36,7 @@ from geomax import (
     variance_closed,
     var_bounds_elementary,
 )
+from geomax.moments import CLOSED_TERMS, _alternating_sum
 
 
 def game_tree_cdf(n: int, s: int, y: int) -> Fraction:
@@ -234,15 +235,21 @@ class TestSeriesAgreement:
 
     def test_series_error_bound_holds(self):
         # each float route against its own error_bound: the series and the
-        # recursion on the whole grid, matrix-power on its small corner
-        worst = {method: (0.0, (1, 1)) for method in ("series", "recursive", "matrix-power")}
+        # recursion on the whole grid, the closed sums wherever they do not
+        # refuse, matrix-power on its small corner
+        routes = ("closed", "series", "recursive", "matrix-power")
+        worst = {method: (0.0, (1, 1)) for method in routes}
         for n, s in SERIES_BOUND_GRID:
             params = GameParams(n, s)
             exact = moment_report(params, EXACT)
             for method in worst:
                 if method == "matrix-power" and s > POWER_BOUND_S_MAX:
                     continue
-                report = moment_report(params, method=method)
+                try:
+                    report = moment_report(params, method=method)
+                except CancellationError:
+                    assert method == "closed"
+                    continue
                 bound = Fraction(report.error_bound)
                 for value, truth in (
                     (report.mean, exact.mean),
@@ -271,11 +278,17 @@ class TestCancellationPolicy:
         # sanity: the fallback value sits inside the coarse bracket
         assert params.s < expected_value_closed(params) < params.n * params.s
 
-    @pytest.mark.parametrize("n, s", [(30, 30), (31, 31), (32, 32), (35, 48)])
+    @pytest.mark.parametrize("n, s", [(29, 29), (30, 30), (31, 31), (32, 32), (35, 48)])
     def test_single_moments_follow_the_report(self, n, s):
-        # here the mean sum cancels past the tolerance and the second-moment
-        # sum does not; both moments must still come from one route
+        # the mean sum's bound is past the tolerance and, except at (35, 48),
+        # the second-moment sum's is not; both moments must still come from
+        # one route
         params = GameParams(n, s)
+        (mean, mean_err), (m2, m2_err) = (
+            _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
+        )
+        assert mean_err > CANCELLATION_TOLERANCE * mean
+        assert (m2_err <= CANCELLATION_TOLERANCE * m2) == ((n, s) != (35, 48))
         report = moment_report(params)
         assert expected_value_closed(params) == report.mean
         assert second_moment_closed(params) == report.second_moment
@@ -284,6 +297,19 @@ class TestCancellationPolicy:
         assert abs(variance_closed(params) - exact) <= report.error_bound
         with pytest.raises(CancellationError):
             second_moment_closed(params, fallback=False)
+
+    def test_fallback_exactly_when_a_closed_bound_is_too_wide(self):
+        # the one derived bound per closed sum is also the fallback test
+        for s in range(1, 61):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                too_wide = any(
+                    err > CANCELLATION_TOLERANCE * abs(value)
+                    for value, err in (
+                        _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
+                    )
+                )
+                assert (moment_report(params).method == "series") == too_wide, (n, s)
 
     def test_float_overflow_falls_back_to_the_series(self):
         # C(1100, k) * s**k / (s**k - (s-1)**k) passes the double range

@@ -74,6 +74,9 @@ class TestScriptedGame:
             play_game(GameParams(2, 3), roll_source=[1, 4])
         with pytest.raises(ValueError, match="outside"):
             play_game(GameParams(2, 3), roll_source=[0, 2])
+        for face in (1.5, 2.9, True, "1"):
+            with pytest.raises(ValueError, match="not an integer"):
+                play_game(GameParams(1, 2), roll_source=[face])
 
     def test_unplayable_game_rejected(self):
         with pytest.raises(ValueError):
