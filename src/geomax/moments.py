@@ -52,19 +52,29 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count == y) for y >= 1.
 
-    Exact mode sums the alternating subset sum, which telescopes to
+    Exact mode sums the alternating subset sum
+    sum_k (-1)**(k+1) C(n,k) (q**((y-1)k) - q**(yk)), which telescopes to
     cdf(y) - cdf(y-1), so the telescoping identity stays an independent
-    check. Float mode takes the positive form u_y**n (1 - (1 + x)**-n),
+    check. Its terms are (A**k - B**k) / S**k with A = s (s-1)**(y-1),
+    B = (s-1)**y and S = s**y, so it runs on integers over the shared
+    denominator S**n, by Horner's rule in S, and one Fraction is built at
+    the end. Float mode takes the positive form u_y**n (1 - (1 + x)**-n),
     from u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
     """
     y = operator.index(y)
     if y < 1:
         raise ValueError("pmf support starts at y = 1")
-    if mode.exact:
-        # q**((y-1)k) - q**(yk) as an integer ratio
-        return _alternating_sum(params, mode, lambda a, b: (b ** (y - 1) * (a - b), a**y))[0]
     n, s = params.n, params.s
+    if mode.exact:
+        big_a, big_b, big_s = s * (s - 1) ** (y - 1), (s - 1) ** y, s**y
+        total, a_k, b_k = 0, 1, 1
+        for k in range(1, n + 1):
+            a_k *= big_a
+            b_k *= big_b
+            term = binomial(n, k) * (a_k - b_k)
+            total = total * big_s + (term if k % 2 == 1 else -term)
+        return Fraction(total, big_s**n)
     if y == 1:
         return params.p**n
     if s == 1:

@@ -52,9 +52,7 @@ def _series_report(params: GameParams, mode: NumericMode) -> MomentReport:
 
 
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
-    profile = chain.second_moments_recursive(params, mode)
-    mean = profile.first_moments[params.n]
-    m2 = profile.second_moments[params.n]
+    mean, m2 = chain._recursive_moments(params, mode)
     # heuristic, not derived: each of the recursion's n levels adds positive sums
     scale = Fraction(0) if mode.exact else 2.0 ** -52 * 8.0 * params.n
     return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")

@@ -54,7 +54,7 @@ class TestTransitionMatrix:
         for total in m.row_sums():
             assert total == 1
         for i, row in enumerate(m.rows):
-            assert all(entry >= 0 for entry in row)
+            assert all(type(entry) is Fraction and entry >= 0 for entry in row)
             # no entry above the diagonal: dice never come back
             assert all(entry == 0 for entry in row[i + 1 :])
 
@@ -102,6 +102,23 @@ class TestRecursiveMoments:
         for k in range(1, params.n + 1):
             assert second[k] >= first[k] ** 2
 
+    def test_exact_recursion_equals_closed_moments_on_the_grid(self):
+        # every n <= s <= 20, plus relaxed pairs with more dice than faces
+        pairs = [(n, s) for s in range(1, 21) for n in range(1, s + 1)]
+        for n, s in pairs + [(5, 3), (7, 2), (4, 1)]:
+            params = GameParams(n, s, relaxed=n > s)
+            profile = second_moments_recursive(params, EXACT)
+            closed = moment_report(params, EXACT, "closed")
+            assert profile.first_moments[n] == closed.mean, (n, s)
+            assert profile.second_moments[n] == closed.second_moment, (n, s)
+            assert all(type(value) is Fraction for value in profile.first_moments)
+            assert all(type(value) is Fraction for value in profile.second_moments)
+            # the report reduces state n only, to the profile's value
+            report = moment_report(params, EXACT, "recursive")
+            assert report.mean == profile.first_moments[n], (n, s)
+            assert report.second_moment == profile.second_moments[n], (n, s)
+            assert type(report.mean) is Fraction and type(report.second_moment) is Fraction
+
     def test_float_recursion_close_to_exact(self):
         for n, s in [(2, 2), (5, 9), (12, 12)]:
             params = GameParams(n, s)
@@ -124,6 +141,14 @@ class TestAbsorptionByPower:
     @given(playable, st.integers(0, 25))
     def test_exact_power_cdf_equals_closed_cdf(self, params, t):
         assert absorption_cdf_profile(params, t, EXACT)[t] == cdf(params, t, EXACT)
+
+    def test_exact_profile_equals_closed_cdf_on_the_grid(self):
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                profile = absorption_cdf_profile(params, 40, EXACT)
+                assert all(type(value) is Fraction for value in profile)
+                assert profile == [cdf(params, t, EXACT) for t in range(41)], (n, s)
 
     def test_float_power_cdf_tracks_closed_cdf(self):
         params = GameParams(5, 8)

@@ -8,8 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from geomax import EXACT, GameParams, cdf
-from geomax.cli import UsageError, figure_rows, format_value, main, parse_range
+from geomax import EXACT, GameParams, cdf, chain
+from geomax.cli import (
+    CDF_SPOT_TURNS,
+    UsageError,
+    figure_rows,
+    format_value,
+    main,
+    parse_range,
+)
 
 HEADER = "n,s,quantity,method,value,error_bound"
 
@@ -265,6 +272,21 @@ class TestExitCodes:
         assert all(float(row["max_discrepancy"]) < 1e-9 for row in rows)
         # one row per playable pair with s <= 5
         assert len(rows) == sum(min(3, s) for s in range(1, 6))
+
+    def test_exact_compare_steps_the_chain_to_every_spot_turn(self, capsys, monkeypatch):
+        steps = []
+        profile = chain.absorption_cdf_profile
+
+        def recording(params, t_max, mode):
+            steps.append((t_max, mode))
+            return profile(params, t_max, mode)
+
+        monkeypatch.setattr(chain, "absorption_cdf_profile", recording)
+        code, out, _ = run(capsys, "compare", "--n-max", "3", "--s-max", "6", "--mode", "exact")
+        assert code == 0
+        assert steps and all(step == (max(CDF_SPOT_TURNS), EXACT) for step in steps)
+        assert max(CDF_SPOT_TURNS) == 50
+        assert all(row["max_discrepancy"] == "0" for row in csv_rows(out))
 
     def test_compare_misordered_limits(self, capsys):
         assert run(capsys, "compare", "--n-max", "6", "--s-max", "3")[0] == 2

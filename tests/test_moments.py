@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomax import (
@@ -88,6 +88,13 @@ class TestDistribution:
             pmf(params, 0)
 
     @given(small_params, st.integers(1, 60))
+    # the grid's heaviest exact pmf points, y = 1, one face, and n > s
+    @example(GameParams(34, 39), 161)
+    @example(GameParams(20, 40), 144)
+    @example(GameParams(4, 9), 1)
+    @example(GameParams(1, 1), 1)
+    @example(GameParams(3, 1, relaxed=True), 2)
+    @example(GameParams(7, 5, relaxed=True), 9)
     def test_pmf_telescopes_exactly(self, params, y):
         assert pmf(params, y, EXACT) == cdf(params, y, EXACT) - cdf(params, y - 1, EXACT)
 
