@@ -21,7 +21,6 @@ from geomax import (
     GameParams,
     moment_report,
     monte_carlo_moments,
-    moments_by_power,
     second_moments_recursive,
 )
 
@@ -48,9 +47,9 @@ def analytic_sweep(n_max: int, s_max: int, tolerance: float) -> bool:
             )
             if gap > worst:
                 worst, worst_at = gap, (n, s)
-            power_mean, power_m2, power_err = moments_by_power(params)
-            power_gap = max(abs(mean - power_mean), abs(m2 - power_m2))
-            power_excess = max(power_excess, power_gap - power_err)
+            power = moment_report(params, method="matrix-power")
+            power_gap = max(abs(mean - power.mean), abs(m2 - power.second_moment))
+            power_excess = max(power_excess, power_gap - power.error_bound)
     print(f"three-way sweep n<={n_max}, s<={s_max}: worst gap {worst:.3e} at {worst_at}")
     print(f"matrix-power route: worst gap minus reported bound {power_excess:.3e}")
     ok = worst <= tolerance and power_excess <= 0.0

@@ -23,7 +23,6 @@ from .chain import (
     TransitionMatrix,
     absorption_cdf_profile,
     build_transition_matrix,
-    moments_by_power,
     second_moments_recursive,
 )
 from .kernels import (
@@ -96,7 +95,6 @@ __all__ = [
     "ks_critical_value",
     "ks_statistic",
     "moment_report",
-    "moments_by_power",
     "monte_carlo_moments",
     "pair_expected_value",
     "play_game",

@@ -9,8 +9,8 @@ Fraction only for a value it returns.
 The rows feed the transition matrix, the one-step recursions for the
 first and second moments of the absorption time from every start state,
 and, as an independent route, the chain step that pushes the start state
-through one turn at a time to get P(T <= t) and, from its survival sums,
-the moments.
+through one turn at a time to get P(T <= t), whose survival terms
+moments._survival_sums turns into the moments.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import _EPS, _U, tail_bound_max_geom, tail_bound_weighted_max_geom
+from .kernels import _U
 from .params import EXACT, FLOAT, GameParams, NumericMode
 
 
@@ -220,37 +220,19 @@ def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = F
     return list(islice(_absorption_steps(params, mode), t_max + 1))
 
 
-def moments_by_power(params: GameParams, mode: NumericMode = FLOAT) -> tuple[float, float, float]:
-    """(mean, second moment, error bound) from the absorption probabilities.
+def _survival_terms(params: GameParams):
+    """Survival-term source for moments._survival_sums: P(T > t) = 1 - P(T <= t).
 
-    Sums survival probabilities of the absorption time: the mean is
-    sum_t P(T > t) and the second moment sum_t (2t+1) P(T > t), truncated
-    once the geometric tail bounds drop below the mode's epsilon. Float
-    only; exact mode has no finite evaluation of these sums.
-
-    The bound's rounding term 4 eps t (t+1)**2 is a deliberate
-    overestimate, not a derived bound: against EXACT at n = 13..200,
-    s <= 1000, the mean's error measured 1e-5 to 1e-8 of the claimed
-    bound and the second moment's 1e-2 to 1e-4.
+    Each call reads the next block of float chain steps. A term errs by at
+    most the step's absorption_step_bound b_t, plus u for the subtraction
+    and u for the weight 2t+1: relative bound 2u, absolute bound b_t. The
+    products u b_t are second order and fall inside the step bound's
+    spare factors.
     """
-    if mode.exact:
-        raise ValueError("matrix-power moments are float-only")
-    n, s = params.n, params.s
-    if s == 1:
-        return 1.0, 1.0, 0.0
-    q = params.q
-    eps = mode.truncation_epsilon
-    mean = 0.0
-    m2 = 0.0
-    for t, absorbed in enumerate(_absorption_steps(params, mode)):
-        tail_mean = tail_bound_max_geom(n, q, t)
-        tail_m2 = tail_bound_weighted_max_geom(n, q, t)
-        if tail_mean <= eps and tail_m2 <= eps:
-            # state error compounds roughly linearly per step; weighted by
-            # 2t+1 and summed, the rounding term grows like t**3
-            rounding = 4.0 * _EPS * t * (t + 1.0) ** 2
-            err = tail_mean + tail_m2 + rounding
-            return mean, m2, err
-        survival = 1.0 - absorbed
-        mean += survival
-        m2 += (2 * t + 1) * survival
+    steps = islice(_absorption_steps(params, FLOAT), 1, None)
+
+    def terms_of(t: np.ndarray):
+        absorbed = np.fromiter(steps, np.float64, count=t.size)
+        return 1.0 - absorbed, 2 * _U, absorption_step_bound(params, t)
+
+    return terms_of

@@ -64,14 +64,14 @@ def format_value(value, precision: int) -> str:
     denominator is 1) and round-trip exactly; floats print with the
     configured number of significant digits.
     """
+    # str(Decimal(i)) prints every digit of i; str(i) refuses integers
+    # longer than the interpreter's int-to-str limit (4300 digits)
     if isinstance(value, Fraction):
-        # str(Decimal(i)) prints every digit of i; str(i) refuses integers
-        # longer than the interpreter's int-to-str limit (4300 digits)
         if value.denominator == 1:
             return str(Decimal(value.numerator))
         return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     if isinstance(value, int):
-        return str(value)
+        return str(Decimal(value))
     return f"{value:.{precision}g}"
 
 
@@ -92,25 +92,20 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("GEOMAX_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"GEOMAX_PRECISION={raw!r} is not an integer") from None
-    if not 1 <= value <= 17:
-        raise UsageError("GEOMAX_PRECISION must lie in 1..17")
-    return value
-
-
 def _resolve_precision(args) -> int:
-    if args.precision is not None:
-        if not 1 <= args.precision <= 17:
-            raise UsageError("--precision must lie in 1..17")
-        return args.precision
-    return _default_precision()
+    """--precision, else GEOMAX_PRECISION, else DEFAULT_PRECISION; either must lie in 1..17."""
+    value, source = args.precision, "--precision"
+    if value is None:
+        raw = os.environ.get("GEOMAX_PRECISION")
+        if raw is None:
+            return DEFAULT_PRECISION
+        try:
+            value, source = int(raw), "GEOMAX_PRECISION"
+        except ValueError:
+            raise UsageError(f"GEOMAX_PRECISION={raw!r} is not an integer") from None
+    if not 1 <= value <= 17:
+        raise UsageError(f"{source} must lie in 1..17")
+    return value
 
 
 def _emit(rows: list[dict], fields: tuple[str, ...], fmt: str) -> None:
@@ -208,7 +203,7 @@ def _cmd_compare(args) -> int:
     if args.s_max > 30:
         raise UsageError("--s-max above 30 is not supported")
     tolerance = args.tolerance
-    if tolerance < 0:
+    if not tolerance >= 0:  # also refuses nan
         raise UsageError("--tolerance must be nonnegative")
     rows = []
     worst_overall = -1.0
@@ -343,7 +338,7 @@ def _cmd_signatures(args) -> int:
         raise UsageError("--n must be at least 1")
     if args.count_only:
         print("count")
-        print(2 ** (args.n_value - 1))
+        print(format_value(2 ** (args.n_value - 1), DEFAULT_PRECISION))
         return 0
     sigs = simulate.enumerate_signatures(args.n_value)
     rows = [{"signature": _signature_label(sig, args.n_value)} for sig in sigs]

@@ -7,9 +7,12 @@ and the second moment:
   expansion of the maximum, exact in rational mode; in float mode each
   term is one rounded ratio of exact integers, the sum an fsum, and the
   error bound follows from the sum's condition number;
-* _series_sum, the positive-term series for the mean (weight 1) and the
-  second moment (weight 2t+1), float only, with truncation controlled by
-  geometric tail bounds.
+* _survival_sums, the positive survival sums for the mean (weight 1)
+  and the second moment (weight 2t+1), float only, truncated by
+  geometric tail bounds. It reads the terms P(Y > t) from a source: the
+  closed form here (_closed_form_terms, the "series" route) or the
+  chain's absorption probabilities (chain._survival_terms, the
+  "matrix-power" route).
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
@@ -149,13 +152,8 @@ def _first_at_most(bound, eps: float) -> int:
     return hi
 
 
-def _series_sum(params: GameParams, eps: float, weighted: bool) -> tuple[float, float]:
-    """Positive series sum_t w_t (1 - (1 - q**t)**n) and its error bound.
-
-    The weight w_t is 1 for the mean and 2t+1 for the second moment. The
-    sum stops before the first t >= 1 whose geometric tail bound is <= eps
-    and runs over numpy blocks of SERIES_BLOCK terms, each summed by
-    math.fsum, the block sums fsum'd again.
+def _closed_form_terms(params: GameParams):
+    """Survival-term source for _survival_sums: P(Y > t) = 1 - (1 - q**t)**n.
 
     Each term is -expm1(n * log1p(-q**t)) with q**t = exp(t * lam),
     lam = log1p(-1/s), never a power of the rounded q. Error bound, with
@@ -172,29 +170,58 @@ def _series_sum(params: GameParams, eps: float, weighted: bool) -> tuple[float, 
       z = n log1p(-y) = ln P, P = (1 - y)**n, moves it by about
       P |ln P| d <= (1 - P) d = term * d. log1p, the product with n,
       expm1 and the weight add at most 2u + u + 2u + u.
-    * So each term's absolute error is at most (5 t |lam| + 8) u term_t,
-      with no factor of n, and the two fsum levels add at most 2u |total|.
+    * So each weighted term errs by at most (5 t |lam| + 8) u times it,
+      a relative bound with no factor of n.
+    """
+    n, lam = params.n, math.log1p(-1.0 / params.s)
 
-    The bound is u sum_t (5 t |lam| + 8) w_t term_t + 2u |total| + tail.
+    def terms_of(t: np.ndarray):
+        return -np.expm1(n * np.log1p(-np.exp(t * lam))), (5 * abs(lam) * t + 8) * _U, 0.0
+
+    return terms_of
+
+
+def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float, float], ...]:
+    """((mean, bound), (second moment, bound)) from the survival terms P(Y > t).
+
+    E(Y) = sum_{t>=0} P(Y > t) and E(Y**2) = sum_{t>=0} (2t+1) P(Y > t).
+    source(params) gives a function that maps each next block of turns t
+    (a float64 array, the blocks in order from t = 1) to the terms and two
+    error bounds, relative and absolute (arrays or scalars): a term times
+    its weight w, as rounded, errs by at most relative * (w term) +
+    w absolute. The t = 0 term is 1 for both sums.
+
+    Each sum stops before the first t >= 1 whose geometric tail bound
+    (tail_bound_max_geom, or tail_bound_weighted_max_geom for the second
+    moment) is <= eps. Both run over the same numpy blocks of SERIES_BLOCK
+    terms, each block summed by math.fsum and the block sums fsum'd
+    again; the two fsum levels err by at most 2u |total|, u = 2**-53.
+    Each bound is the weighted per-term error bounds plus 2u |total| plus
+    the tail bound at the stop.
     """
     n, s = params.n, params.s
-    if s == 1:
-        return 1.0, 0.0
+    if s == 1:  # every die is removed on the first turn
+        return (1.0, 0.0), (1.0, 0.0)
     q = params.q
-    tail_bound = tail_bound_weighted_max_geom if weighted else tail_bound_max_geom
-    stop = _first_at_most(lambda t: tail_bound(n, q, t), eps)
-    lam = math.log1p(-1.0 / s)
-    block_sums = [1.0]  # t = 0: the 0**0 corner, 1 - (1-1)**n = 1, weight 1
-    evaluation = 0.0  # sum_t (5 t |lam| + 8) w_t term_t
-    for start in range(1, stop, SERIES_BLOCK):
-        t = np.arange(start, min(start + SERIES_BLOCK, stop), dtype=np.float64)
-        terms = -np.expm1(n * np.log1p(-np.exp(t * lam)))  # 1 - (1 - q**t)**n
-        if weighted:
-            terms *= 2 * t + 1
-        block_sums.append(math.fsum(memoryview(terms)))  # yields Python floats, no list
-        evaluation += float(np.sum((5 * abs(lam) * t + 8) * terms))
-    total = math.fsum(block_sums)
-    return total, _U * evaluation + 2 * _U * abs(total) + tail_bound(n, q, stop)
+    tails = (tail_bound_max_geom, tail_bound_weighted_max_geom)
+    stops = [_first_at_most(lambda t: tail(n, q, t), eps) for tail in tails]
+    terms_of = source(params)
+    block_sums = ([1.0], [1.0])  # t = 0
+    evaluation = [0.0, 0.0]  # the summed per-term error bounds
+    for start in range(1, max(stops), SERIES_BLOCK):
+        t = np.arange(start, min(start + SERIES_BLOCK, max(stops)), dtype=np.float64)
+        terms, relative, absolute = terms_of(t)
+        for k, weight in enumerate((1.0, 2 * t + 1)):
+            size = max(0, stops[k] - start)
+            values = terms * weight
+            bounds = relative * values + absolute * weight
+            block_sums[k].append(math.fsum(memoryview(values[:size])))  # Python floats, no list
+            evaluation[k] += float(np.sum(bounds[:size]))
+    sums = []
+    for parts, evaluated, tail, stop in zip(block_sums, evaluation, tails, stops):
+        total = math.fsum(parts)
+        sums.append((total, evaluated + 2 * _U * abs(total) + tail(n, q, stop)))
+    return tuple(sums)
 
 
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:

@@ -101,10 +101,6 @@ class GameParams:
         return 1.0 - 1.0 / self.s
 
     @property
-    def p_exact(self) -> Fraction:
-        return Fraction(1, self.s)
-
-    @property
     def q_exact(self) -> Fraction:
         return 1 - Fraction(1, self.s)
 

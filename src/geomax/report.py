@@ -37,18 +37,25 @@ def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> Mom
                 f"closed alternating sums at n={params.n}, s={params.s} lost "
                 "too much precision and fallback is disabled"
             )
-        return _series_report(params, mode)
+        return _survival_report(params, mode, "series")
     return _pack(mean, m2, mean_err, m2_err, "closed-alternating")
 
 
-def _series_report(params: GameParams, mode: NumericMode) -> MomentReport:
+#: Where each survival-sum route reads its terms P(Y > t): the closed
+#: form, or the chain's absorption probabilities.
+SURVIVAL_SOURCES = {"series": moments._closed_form_terms, "matrix-power": chain._survival_terms}
+
+
+def _survival_report(params: GameParams, mode: NumericMode, method: str) -> MomentReport:
+    """The survival sums of method's source; exact mode has no finite evaluation of them."""
     if mode.exact:
+        if method == "matrix-power":
+            raise ValueError("matrix-power moments are float-only")
         return _closed_report(params, mode, fallback=False)
-    (mean, mean_err), (m2, m2_err) = (
-        moments._series_sum(params, mode.truncation_epsilon, weighted)
-        for weighted in (False, True)
+    (mean, mean_err), (m2, m2_err) = moments._survival_sums(
+        params, mode.truncation_epsilon, SURVIVAL_SOURCES[method]
     )
-    return _pack(mean, m2, mean_err, m2_err, "series")
+    return _pack(mean, m2, mean_err, m2_err, method)
 
 
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
@@ -56,11 +63,6 @@ def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
     # heuristic, not derived: each of the recursion's n levels adds positive sums
     scale = Fraction(0) if mode.exact else 2.0 ** -52 * 8.0 * params.n
     return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
-
-
-def _power_report(params: GameParams, mode: NumericMode) -> MomentReport:
-    mean, m2, err = chain.moments_by_power(params, mode)
-    return _pack(mean, m2, err, err, "matrix-power")
 
 
 def _pack(mean, m2, mean_err, m2_err, tag: str) -> MomentReport:
@@ -90,12 +92,10 @@ def moment_report(
         return _closed_report(params, mode, fallback=True)
     if method == "closed":
         return _closed_report(params, mode, fallback=False)
-    if method == "series":
-        return _series_report(params, mode)
+    if method in SURVIVAL_SOURCES:
+        return _survival_report(params, mode, method)
     if method == "recursive":
         return _recursive_report(params, mode)
-    if method == "matrix-power":
-        return _power_report(params, mode)
     raise ValueError(f"unknown method {method!r}; pick from {ANALYTIC_METHODS}")
 
 

@@ -23,7 +23,6 @@ from geomax import (
     cdf,
     expected_value_closed,
     moment_report,
-    moments_by_power,
     second_moment_closed,
     second_moments_recursive,
 )
@@ -197,16 +196,16 @@ class TestMomentsByPower:
     def test_agrees_with_closed_formulas(self):
         for n, s in [(1, 1), (2, 2), (4, 6), (8, 11)]:
             params = GameParams(n, s)
-            mean, m2, err = moments_by_power(params)
-            assert mean == pytest.approx(
+            report = moment_report(params, method="matrix-power")
+            assert report.mean == pytest.approx(
                 float(expected_value_closed(params, EXACT)), abs=1e-10
             )
-            assert m2 == pytest.approx(
+            assert report.second_moment == pytest.approx(
                 float(second_moment_closed(params, EXACT)), abs=1e-9
             )
-            assert err >= 0.0
+            assert report.error_bound >= 0.0
 
     def test_exact_mode_is_refused(self):
         # survival sums never terminate exactly; exact callers belong elsewhere
         with pytest.raises(ValueError):
-            moments_by_power(GameParams(2, 3), EXACT)
+            moment_report(GameParams(2, 3), EXACT, "matrix-power")

@@ -291,6 +291,11 @@ class TestExitCodes:
     def test_compare_misordered_limits(self, capsys):
         assert run(capsys, "compare", "--n-max", "6", "--s-max", "3")[0] == 2
 
+    def test_compare_refuses_a_nan_tolerance(self, capsys):
+        code, _, err = run(capsys, "compare", "--n-max", "2", "--s-max", "2", "--tolerance", "nan")
+        assert code == 2
+        assert "--tolerance" in err
+
 
 class TestFigures:
     def test_panel_values_match_library(self, capsys):
@@ -362,9 +367,11 @@ class TestSignaturesCommand:
         ]
 
     def test_count_only_skips_enumeration(self, capsys):
-        code, out, _ = run(capsys, "signatures", "--n", "40", "--count-only")
-        assert code == 0
-        assert out.splitlines() == ["count", str(2**39)]
+        # 2**19999 has more digits than the interpreter's int-to-str limit
+        for n in (40, 20000):
+            code, out, _ = run(capsys, "signatures", "--n", str(n), "--count-only")
+            assert code == 0
+            assert out.splitlines() == ["count", str(Decimal(2 ** (n - 1)))]
 
     def test_refuses_oversized_enumeration(self, capsys):
         code, _, err = run(capsys, "signatures", "--n", "25")

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,8 @@ from geomax import (
     variance_closed,
     var_bounds_elementary,
 )
-from geomax.moments import CLOSED_TERMS, _alternating_sum
+from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
+from geomax.moments import CLOSED_TERMS, _alternating_sum, _closed_form_terms, _survival_sums
 
 
 def game_tree_cdf(n: int, s: int, y: int) -> Fraction:
@@ -205,7 +207,7 @@ class TestClosedMoments:
 #: Every pair n <= s <= 40, plus the points where powers of the rounded q
 #: broke the series bound most, (35, 48), the fallback cliff and large s,
 #: which also broke the recursion's bound while it took 1 - q**k by
-#: subtraction.
+#: subtraction, and (50, 50), the benchmark's heaviest matrix-power point.
 SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (35, 48),
     (60, 10**4),
@@ -213,10 +215,13 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (5, 2 * 10**4),
     (6, 2 * 10**4),
     (5, 10**5),
+    (50, 50),
 ]
 
-#: The O(t n**2) matrix-power route joins the gate up to this face count.
+#: The O(t n**2) matrix-power route joins the gate up to this face count,
+#: and at the largest points where the benchmark runs it.
 POWER_BOUND_S_MAX = 12
+POWER_BOUND_EXTRA = ((6, 40), (50, 50))
 
 
 class TestSeriesAgreement:
@@ -240,17 +245,40 @@ class TestSeriesAgreement:
         assert abs(fine - exact) < abs(rough - exact) + 1e-13
         assert abs(fine - exact) < 1e-12
 
+    def test_survival_sums_add_their_bound_parts(self):
+        # a source with a constant absolute bound per term: each sum stops at
+        # the first t whose tail bound is <= eps, and its bound is the
+        # weighted error bounds plus 2u |total| plus that tail bound
+        params, eps, error = GameParams(4, 9), 1e-13, 2.0**-60
+        exact_terms = _closed_form_terms(params)
+
+        def source(_):
+            return lambda t: (exact_terms(t)[0], 0.0, np.full(t.size, error))
+
+        sums = _survival_sums(params, eps, source)
+        # weights 1 (mean) and 2t + 1 (second moment)
+        for (total, bound), tail, slope in zip(
+            sums, (tail_bound_max_geom, tail_bound_weighted_max_geom), (0, 2)
+        ):
+            stop = next(t for t in count(1) if tail(params.n, params.q, t) <= eps)
+            t = np.arange(1, stop, dtype=np.float64)
+            weight = slope * t + 1
+            assert total == math.fsum([1.0, *(exact_terms(t)[0] * weight).tolist()])
+            parts = error * float(np.sum(weight)) + 2 * _U * total
+            assert bound == pytest.approx(parts + tail(params.n, params.q, stop), rel=1e-12, abs=0)
+
     def test_series_error_bound_holds(self):
         # each float route against its own error_bound: the series and the
         # recursion on the whole grid, the closed sums wherever they do not
-        # refuse, matrix-power on its small corner
+        # refuse, matrix-power on its small corner and its extra points
         routes = ("closed", "series", "recursive", "matrix-power")
         worst = {method: (0.0, (1, 1)) for method in routes}
         for n, s in SERIES_BOUND_GRID:
             params = GameParams(n, s)
             exact = moment_report(params, EXACT)
             for method in worst:
-                if method == "matrix-power" and s > POWER_BOUND_S_MAX:
+                power_skipped = s > POWER_BOUND_S_MAX and (n, s) not in POWER_BOUND_EXTRA
+                if method == "matrix-power" and power_skipped:
                     continue
                 try:
                     report = moment_report(params, method=method)
