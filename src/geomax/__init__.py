@@ -26,7 +26,6 @@ from .chain import (
     second_moments_recursive,
 )
 from .kernels import (
-    binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
     weighted_geom_sum_first,
@@ -83,7 +82,6 @@ __all__ = [
     "NumericMode",
     "TransitionMatrix",
     "absorption_cdf_profile",
-    "binomial",
     "build_transition_matrix",
     "cdf",
     "enumerate_signatures",

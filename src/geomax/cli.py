@@ -33,6 +33,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
+from .kernels import _U
 from .params import CancellationError, GameParams, NumericMode
 from .report import moment_report
 
@@ -157,7 +158,7 @@ def _cmd_compute(args) -> int:
                 fn = moments.pmf if quantity == "pmf" else moments.cdf
                 value = fn(params, args.y, mode)
                 tag = "closed-alternating"
-                err = 4.0 * 2.0**-52
+                err = 8 * _U
             elif method == "matrix-power":
                 if args.y < 0:
                     raise UsageError("matrix-power cdf needs --y >= 0")
@@ -420,10 +421,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CancellationError as exc:

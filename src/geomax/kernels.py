@@ -1,23 +1,18 @@
 """Low-level numeric machinery shared by the evaluators.
 
-Everything here is a pure function, safe to call from multiple threads.
-The pieces:
+Everything here is a constant or a pure function, safe to call from
+multiple threads. The pieces:
 
+* the unit roundoff _U of a double,
 * closed forms for the power-weighted geometric series that back the
   second-moment algebra,
-* exact binomial coefficients, for the closed alternating sums only,
-* geometric tail bounds used to truncate the positive-term series.
+* geometric tail bounds used to truncate the positive survival sums.
 """
 
 from __future__ import annotations
 
-import sys
-from functools import lru_cache
-
-_EPS = sys.float_info.epsilon
-
 #: Unit roundoff of a double, u = 2**-53.
-_U = _EPS / 2
+_U = 2.0**-53
 
 
 def _check_open_unit(x) -> None:
@@ -38,34 +33,6 @@ def weighted_geom_sum_second(x):
     """Sum of i**2 * x**i over i >= 1, for |x| < 1: x(1+x)/(1-x)**3."""
     _check_open_unit(x)
     return x * (1 + x) / (1 - x) ** 3
-
-
-@lru_cache(maxsize=None)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle, in O(n) big-int steps.
-
-    C(n, k) = C(n, k-1) * (n - k + 1) / k, where the division is exact;
-    the second half mirrors the first. A cache miss builds and keeps row
-    n alone: deriving it from row n - 1 would keep every row below too.
-    """
-    half = [1]
-    for k in range(1, n // 2 + 1):
-        half.append(half[-1] * (n - k + 1) // k)
-    return (*half, *reversed(half[: (n + 1) // 2]))
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) from a cached row of Pascal's triangle.
-
-    Rows are plain Python integers, so there is no overflow ceiling; rows
-    are built on demand and shared process-wide (lru_cache makes the
-    row construction thread safe).
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial needs n >= 0 and k >= 0")
-    if k > n:
-        return 0
-    return _pascal_row(n)[k]
 
 
 def tail_bound_max_geom(n: int, q, start: int):

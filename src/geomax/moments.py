@@ -27,12 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import (
-    _U,
-    binomial,
-    tail_bound_max_geom,
-    tail_bound_weighted_max_geom,
-)
+from .kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import FLOAT, GameParams, NumericMode
 
 
@@ -61,8 +56,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     check. Its terms are (A**k - B**k) / S**k with A = s (s-1)**(y-1),
     B = (s-1)**y and S = s**y, so it runs on integers over the shared
     denominator S**n, by Horner's rule in S, and one Fraction is built at
-    the end. Float mode takes the positive form u_y**n (1 - (1 + x)**-n),
-    from u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
+    the end; C(n, k) is carried as in _alternating_sum. Float mode takes
+    the positive form u_y**n (1 - (1 + x)**-n), from
+    u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
     """
     y = operator.index(y)
@@ -71,11 +67,12 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     n, s = params.n, params.s
     if mode.exact:
         big_a, big_b, big_s = s * (s - 1) ** (y - 1), (s - 1) ** y, s**y
-        total, a_k, b_k = 0, 1, 1
+        total, a_k, b_k, c = 0, 1, 1, 1
         for k in range(1, n + 1):
             a_k *= big_a
             b_k *= big_b
-            term = binomial(n, k) * (a_k - b_k)
+            c = c * (n - k + 1) // k
+            term = c * (a_k - b_k)
             total = total * big_s + (term if k % 2 == 1 else -term)
         return Fraction(total, big_s**n)
     if y == 1:
@@ -107,18 +104,20 @@ def _alternating_sum(params: GameParams, mode: NumericMode, term):
     u(1 + 4u)(F + |value|) covers that through its own two roundings, as
     (1 + u)**3 <= 1 + 4u. It is u|value| times 1 + the condition number
     sum |t_k| / |sum t_k| (Higham 2002, ch. 4). Past the double range the
-    result is (nan, inf).
+    result is (nan, inf). The loop carries C(n, k) = C(n, k-1) (n-k+1) / k,
+    where the division is exact, next to the powers a and b.
     """
     n, s = params.n, params.s
     divide = Fraction if mode.exact else operator.truediv
-    a = b = 1
+    a = b = c = 1
     pieces = []
     try:
         for k in range(1, n + 1):
             a *= s
             b *= s - 1
+            c = c * (n - k + 1) // k
             num, den = term(a, b)
-            piece = divide(binomial(n, k) * num, den)
+            piece = divide(c * num, den)
             pieces.append(piece if k % 2 == 1 else -piece)
         if mode.exact:
             return sum(pieces, Fraction(0)), Fraction(0)
@@ -224,12 +223,36 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
     return tuple(sums)
 
 
+def _exact_cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
+    """cdf(params, y, EXACT) >= prob, decided on bounds of n k bits while they can.
+
+    u = 1 - q**y = a / b, with a = s**y - (s-1)**y and b = s**y, lies in
+    [lo, lo + 1] / 2**k for lo = floor(a 2**k / b), so cdf = u**n lies in
+    [lo**n, (lo + 1)**n] / 2**(n k): integers of n k bits. k doubles until
+    prob falls outside; once 2**k exceeds b, the exact u**n is no dearer.
+    """
+    n, s = params.n, params.s
+    a, b = s**y - (s - 1) ** y, s**y
+    k = 64
+    while k <= b.bit_length():
+        lo = (a << k) // b
+        scaled = prob.numerator << (n * k)  # prob 2**(n k), times prob's denominator
+        if lo**n * prob.denominator >= scaled:
+            return True
+        if (lo + 1) ** n * prob.denominator < scaled:
+            return False
+        k *= 2
+    return Fraction(a, b) ** n >= prob
+
+
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     """Smallest y with cdf(y) >= prob, for 0 < prob < 1.
 
-    A float estimate from inverting the cdf seeds the search; the final
-    answer is settled by direct cdf comparisons in the requested mode, so
-    exact mode gives exact threshold decisions.
+    A float estimate from inverting the cdf seeds the search; cdf
+    comparisons in the requested mode settle the answer. The float cdf is
+    within 8u = 4 * 2**-52 of EXACT, so a float comparison decides as
+    EXACT does unless the two lie that close, and _exact_cdf_reaches
+    decides such a near-tie: the float quantile equals the exact one.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -240,8 +263,15 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
         root = 1.0 - 2.0**-52  # seed only; the walk below settles the answer
     estimate = math.log1p(-root) / math.log1p(-1.0 / params.s)
     y = max(1, math.ceil(estimate) - 2)
-    while cdf(params, y, mode) < prob:
+
+    def reached(y: int) -> bool:
+        value = cdf(params, y, mode)
+        if not mode.exact and abs(value - prob) <= 8 * _U:
+            return _exact_cdf_reaches(params, y, Fraction(prob))
+        return value >= prob
+
+    while not reached(y):
         y += 1
-    while y > 1 and cdf(params, y - 1, mode) >= prob:
+    while y > 1 and reached(y - 1):
         y -= 1
     return y

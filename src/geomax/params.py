@@ -106,7 +106,7 @@ class GameParams:
 
 
 #: Provenance tags a MomentReport may carry.
-METHODS = ("closed-alternating", "series", "recursive", "matrix-power", "monte-carlo")
+METHODS = ("closed-alternating", "series", "recursive", "matrix-power")
 
 
 @dataclass(frozen=True)

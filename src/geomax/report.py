@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import chain, moments
+from .kernels import _U
 from .params import FLOAT, CancellationError, GameParams, MomentReport, NumericMode
 
 #: Analytic methods moment_report accepts. "auto" is the closed route
@@ -61,7 +62,7 @@ def _survival_report(params: GameParams, mode: NumericMode, method: str) -> Mome
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
     mean, m2 = chain._recursive_moments(params, mode)
     # heuristic, not derived: each of the recursion's n levels adds positive sums
-    scale = Fraction(0) if mode.exact else 2.0 ** -52 * 8.0 * params.n
+    scale = Fraction(0) if mode.exact else 16 * params.n * _U
     return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
 
 

@@ -102,9 +102,10 @@ class TestRecursiveMoments:
             assert second[k] >= first[k] ** 2
 
     def test_exact_recursion_equals_closed_moments_on_the_grid(self):
-        # every n <= s <= 20, plus relaxed pairs with more dice than faces
+        # every n <= s <= 20, relaxed pairs with more dice than faces, and
+        # two pairs whose C(n, k) pass 2**53 and 2**64
         pairs = [(n, s) for s in range(1, 21) for n in range(1, s + 1)]
-        for n, s in pairs + [(5, 3), (7, 2), (4, 1)]:
+        for n, s in pairs + [(5, 3), (7, 2), (4, 1), (60, 61), (100, 102)]:
             params = GameParams(n, s, relaxed=n > s)
             profile = second_moments_recursive(params, EXACT)
             closed = moment_report(params, EXACT, "closed")

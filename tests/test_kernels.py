@@ -6,12 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from geomax.kernels import (
-    _pascal_row,
-    binomial,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
     weighted_geom_sum_first,
@@ -54,44 +50,6 @@ class TestWeightedGeomSums:
             weighted_geom_sum_first(x)
         with pytest.raises(ValueError):
             weighted_geom_sum_second(x)
-
-
-class TestBinomial:
-    def test_matches_factorial_formula_to_64(self):
-        for n in range(65):
-            for k in range(n + 1):
-                expected = math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
-                assert binomial(n, k) == expected
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 12, 37, 150, 500, 1100])
-    def test_pascal_row_matches_math_comb(self, n):
-        assert _pascal_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
-
-    def test_cold_row_caches_that_row_alone(self):
-        # one miss keeps one row: a row built from the rows below it would
-        # keep all of them, 1,100 rows of big ints here
-        _pascal_row.cache_clear()
-        _pascal_row(1100)
-        assert _pascal_row.cache_info().currsize == 1
-
-    def test_out_of_range_k_is_zero(self):
-        assert binomial(5, 6) == 0
-        assert binomial(0, 1) == 0
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    @given(st.integers(0, 80), st.integers(0, 80))
-    def test_symmetry_and_pascal_rule(self, n, k):
-        if k <= n:
-            assert binomial(n, k) == binomial(n, n - k)
-        else:
-            assert binomial(n, k) == 0
-        if 1 <= k <= n:
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestTailBounds:

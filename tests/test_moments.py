@@ -93,6 +93,7 @@ class TestDistribution:
     # the grid's heaviest exact pmf points, y = 1, one face, and n > s
     @example(GameParams(34, 39), 161)
     @example(GameParams(20, 40), 144)
+    @example(GameParams(60, 61), 60)  # C(60, k) passes 2**53 and 2**64
     @example(GameParams(4, 9), 1)
     @example(GameParams(1, 1), 1)
     @example(GameParams(3, 1, relaxed=True), 2)
@@ -185,6 +186,19 @@ class TestClosedMoments:
         assert pmf(params, 1) == 1.0 and pmf(params, 2) == 0.0
         assert cdf(params, 1) == 1.0
         assert quantile(params, 0.42) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 37, 150, 500, 1100])
+    def test_carried_binomials_match_math_comb(self, n):
+        # a numerator that records what multiplies it reads off each C(n, k)
+        carried = []
+
+        class Numerator:
+            def __rmul__(self, c):
+                carried.append(c)
+                return c
+
+        _alternating_sum(GameParams(n, n), EXACT, lambda a, b: (Numerator(), 1))
+        assert carried == [math.comb(n, k) for k in range(1, n + 1)]
 
     def test_mean_from_game_tree_tail_sum(self):
         # E = sum of survival probabilities; truncate far beyond the bulk
@@ -389,6 +403,31 @@ class TestQuantile:
         assert cdf(params, y, EXACT) >= prob
         if y > 1:
             assert cdf(params, y - 1, EXACT) < prob
+
+    def test_float_equals_exact_at_near_ties(self):
+        # each exact cdf value, rounded, and its two float neighbours: a
+        # float cdf that rounds onto prob must not end the walk a turn early
+        mismatches = []
+        for s in range(2, 13):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                for y in range(1, 60):
+                    level = float(cdf(params, y, EXACT))
+                    for prob in (math.nextafter(level, 0), level, math.nextafter(level, 1)):
+                        if 0 < prob < 1 and quantile(params, prob) != quantile(params, prob, EXACT):
+                            mismatches.append((n, s, prob))
+        assert mismatches == []
+
+    def test_near_ties_past_the_sweep_and_at_exact_levels(self):
+        # round trips at more dice, where the tie is settled on bounds of
+        # u = 1 - q**y, and levels that the exact cdf meets exactly
+        params = GameParams(100, 100)
+        for y in (300, 496, 900):
+            prob = cdf(params, y)
+            assert quantile(params, prob) == quantile(params, prob, EXACT)
+        for params in (GameParams(3, 7), GameParams(3, 8)):
+            level = cdf(params, 5, EXACT)
+            assert quantile(params, level) == quantile(params, level, EXACT) == 5
 
     def test_level_extremes_rejected(self):
         params = GameParams(2, 3)

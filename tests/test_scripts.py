@@ -36,3 +36,18 @@ def test_make_figure_data_writes_every_panel(tmp_path):
         "var-bounds-fixed-n.csv",
         "var-bounds-fixed-s.csv",
     ]
+
+
+def test_route_snapshot_is_repeatable_and_covers_every_route(tmp_path):
+    outputs = []
+    for name in ("first.txt", "second.txt"):
+        result = run_script("route_snapshot.py", "--out", str(tmp_path / name), "--s-max", "5")
+        assert result.returncode == 0, result.stdout + result.stderr
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    routes = {line.split(" ", 1)[0] for line in outputs[0].decode().splitlines()}
+    assert routes == {
+        "float-auto", "float-closed", "float-series", "float-recursive", "float-matrix-power",
+        "exact-closed", "exact-recursive",
+        *(f"{kind}-{point}" for kind in ("float", "exact") for point in ("profile", "cdf", "pmf", "quantile")),
+    }
