@@ -23,13 +23,22 @@ the exception's type name, and a missing bound as "-". The routes:
 * the cliffs benchmark points, under the routes above.
 
 The default run (s-max 40) takes about 3 s on a 2-vCPU Xeon VM.
+
+With --cli the file is instead a transcript of the command line, run in
+one process through geomax.cli.main: for each call in CLI_CALLS, the call
+with its environment, its exit code, standard output and standard error.
+--help pages wrap to HELP_COLUMNS.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
+import os
 import pathlib
+import shlex
 from fractions import Fraction
 
 from geomax import (
@@ -44,6 +53,7 @@ from geomax import (
     quantile,
 )
 from geomax.chain import absorption_step_bound
+from geomax.cli import main as cli_main
 
 #: The cliffs workload's size classes at their nominal sizes:
 #: (n, s, mode, method).
@@ -64,6 +74,83 @@ CLIFFS = (
 #: Profile horizon and quantile levels of the point routes.
 TURNS = 40
 LEVELS = (1e-6, 0.001, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9)
+
+
+#: Terminal width the --cli transcript's --help pages wrap to.
+HELP_COLUMNS = 80
+
+#: The --cli transcript's calls, as shell lines: every command of
+#: tests/test_cli.py, then the error paths, then each --help page.
+CLI_CALLS = (
+    "geomax compute --n 2 --s 2 --quantity mean --mode exact",
+    "geomax compute --n 2 --s 2 --quantity mean",
+    "geomax compute --n 2..3 --s 5..6 --quantity mean --mode exact",
+    *(
+        f"geomax compute --n 3 --s 6 --quantity variance --method {m}"
+        for m in ("series", "recursive", "matrix-power")
+    ),
+    "geomax compute --n 2 --s 2 --quantity pmf --y 2 --mode exact",
+    *(
+        f"geomax compute --n 12 --s 12 --quantity {q} --y 40 --method {m} --precision 17"
+        for q in ("cdf", "pmf")
+        for m in ("closed", "matrix-power")
+    ),
+    "geomax compute --n 40 --s 40 --quantity cdf --y 170 --mode exact",
+    "geomax compute --n 2 --s 6 --quantity quantile --prob 0.99",
+    "geomax compute --n 2 --s 2 --quantity mean --mode exact --format json",
+    "geomax compute --n 5 --s 2 --quantity mean",
+    "geomax compute --n 5 --s 2 --quantity mean --relaxed",
+    "geomax compute --n 5 --s 2 --quantity mean --relaxed --mode exact",
+    "geomax compute --n 2..3 --s 4 --quantity variance",
+    "geomax compute --n 2 --s 2 --quantity mean --precision 4",
+    "GEOMAX_PRECISION=5 geomax compute --n 2 --s 2 --quantity mean",
+    "GEOMAX_PRECISION=5 geomax compute --n 2 --s 2 --quantity mean --precision 3",
+    "GEOMAX_PRECISION=lots geomax compute --n 2 --s 2 --quantity mean",
+    "GEOMAX_PRECISION=40 geomax compute --n 2 --s 2 --quantity mean",
+    "geomax compute --n 2 --s 2 --quantity mean --precision 18",
+    "geomax compute --n 2 --s 2 --quantity pmf",
+    "geomax compute --n 2 --s 2 --quantity quantile",
+    "geomax compute --n 2 --s 2 --quantity mean --method monte-carlo",
+    "geomax compare --n-max 30 --s-max 30",
+    "geomax compare --n-max 45 --s-max 45",
+    "geomax frobnicate",
+    "geomax compare --n-max 3 --s-max 5",
+    "geomax compare --n-max 3 --s-max 6 --mode exact",
+    "geomax compare --n-max 6 --s-max 3",
+    "geomax compare --n-max 2 --s-max 2 --tolerance nan",
+    "geomax figures --figure ev-bounds --panel fixed-s",
+    "geomax simulate --n 2 --s 2 --trials 4000 --seed 1",
+    "geomax simulate --n 2 --s 3 --trials 2000 --seed 2 --report histogram",
+    "geomax simulate --n 4 --s 4 --trials 500 --seed 3 --report signatures",
+    "geomax simulate --n 2 --s 2 --trials 0",
+    "geomax simulate --n 2 --s 2 --seed -4",
+    "geomax signatures --n 3",
+    "geomax signatures --n 4",
+    *(
+        f"geomax signatures --n {n} --count-only{fmt}"
+        for n in (3, 40, 20000)
+        for fmt in ("", " --format json")
+    ),
+    "geomax signatures --n 25",
+    "geomax",
+    "geomax compute --n 2 --quantity bogus",
+    "geomax compute --n x --s 2 --quantity mean",
+    "geomax compute --n 3..2 --s 4 --quantity mean",
+    "geomax compute --n 2 --s 2 --quantity mean --precision abc",
+    "geomax compute --n 2 --s 2 --quantity mean --method matrix-power --mode exact",
+    "geomax compute --n 40 --s 40 --quantity mean --method closed",
+    "geomax compute --n 2 --s 2 --quantity pmf --y 0",
+    "geomax compute --n 2 --s 2 --quantity cdf --y 3 --method series",
+    "geomax compute --n 2 --s 2 --quantity cdf --y -1 --method matrix-power",
+    "geomax compute --n 2 --s 2 --quantity quantile --prob 0.5 --method recursive",
+    "geomax compute --n 2 --s 2 --quantity quantile --prob 1.5",
+    "geomax compare --n-max 3 --s-max 5 --tolerance 0",
+    "geomax figures --figure ev-bounds --panel sideways",
+    "geomax simulate --n 2",
+    "geomax signatures --n 0",
+    "geomax --help",
+    *(f"geomax {c} --help" for c in ("compute", "compare", "figures", "simulate", "signatures")),
+)
 
 
 def fmt(value) -> str:
@@ -123,12 +210,33 @@ def snapshot(s_max: int):
         yield from moment_lines(GameParams(n, s), mode, method)
 
 
+def cli_transcript():
+    """One block per call of CLI_CALLS: "$ " and the call, its exit code, stdout, stderr."""
+    os.environ.pop("GEOMAX_PRECISION", None)
+    os.environ["COLUMNS"] = str(HELP_COLUMNS)
+    for call in CLI_CALLS:
+        words = shlex.split(call)
+        start = words.index("geomax")
+        env = dict(word.split("=", 1) for word in words[:start])
+        os.environ.update(env)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(words[start + 1 :])
+        for name in env:
+            del os.environ[name]
+        yield f"$ {call}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path, required=True)
     parser.add_argument("--s-max", type=int, default=40)
+    parser.add_argument("--cli", action="store_true", help="write the CLI transcript instead")
     args = parser.parse_args()
     with args.out.open("w") as fh:
+        if args.cli:
+            fh.writelines(cli_transcript())
+            return
         for route, params, point, value, bound in snapshot(args.s_max):
             fh.write(f"{route} {params.n} {params.s} {point} {value} {bound}\n")
 

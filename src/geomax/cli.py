@@ -26,6 +26,7 @@ rendered output; --precision beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,8 +339,8 @@ def _cmd_signatures(args) -> int:
     if args.n_value < 1:
         raise UsageError("--n must be at least 1")
     if args.count_only:
-        print("count")
-        print(format_value(2 ** (args.n_value - 1), DEFAULT_PRECISION))
+        count = format_value(2 ** (args.n_value - 1), DEFAULT_PRECISION)
+        _emit([{"count": count}], ("count",), args.format)
         return 0
     sigs = simulate.enumerate_signatures(args.n_value)
     rows = [{"signature": _signature_label(sig, args.n_value)} for sig in sigs]
@@ -347,7 +348,17 @@ def _cmd_signatures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call and shared by later ones.
+
+    The cache holds one parser of fixed size: it takes no arguments, so it
+    never grows, and parsing leaves the parser as it was, so no result
+    depends on the order of the calls. The tree holds only data; main()
+    picks the handler, and everything a call may change (GEOMAX_PRECISION,
+    the terminal width that --help wraps to, sys.stdout and sys.stderr) is
+    read when that call runs.
+    """
     parser = argparse.ArgumentParser(
         prog="geomax",
         description="Turn-count distribution of the dice elimination game",
@@ -377,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--y", type=int, default=None, help="point for pmf/cdf")
     compute.add_argument("--prob", type=float, default=None, help="level for quantile")
     add_common(compute)
-    compute.set_defaults(handler=_cmd_compute)
 
     compare = sub.add_parser("compare", help="cross-check evaluation paths")
     compare.add_argument("--n-max", type=int, required=True)
@@ -385,13 +395,11 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--tolerance", type=float, default=1e-9)
     compare.add_argument("--mode", choices=("float", "exact"), default="float")
     add_common(compare)
-    compare.set_defaults(handler=_cmd_compare)
 
     figures = sub.add_parser("figures", help="bound-versus-exact curve data")
     figures.add_argument("--figure", choices=("ev-bounds", "var-bounds"), required=True)
     figures.add_argument("--panel", choices=("fixed-s", "fixed-n"), required=True)
     add_common(figures)
-    figures.set_defaults(handler=_cmd_figures)
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo")
     sim.add_argument("--n", dest="n_value", type=int, required=True)
@@ -402,25 +410,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", choices=("moments", "signatures", "histogram"), default="moments"
     )
     add_common(sim)
-    sim.set_defaults(handler=_cmd_simulate)
 
     sigs = sub.add_parser("signatures", help="enumerate removal signatures")
     sigs.add_argument("--n", dest="n_value", type=int, required=True)
     sigs.add_argument("--count-only", action="store_true")
     add_common(sigs)
-    sigs.set_defaults(handler=_cmd_signatures)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up per call, so a handler replaced after the parser was built runs
+    handler = {
+        "compute": _cmd_compute,
+        "compare": _cmd_compare,
+        "figures": _cmd_figures,
+        "simulate": _cmd_simulate,
+        "signatures": _cmd_signatures,
+    }[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

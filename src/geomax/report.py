@@ -5,6 +5,7 @@ mode each closed sum (mean and second moment) carries an error bound
 derived from its condition number; when either bound exceeds
 CANCELLATION_TOLERANCE times its sum, both moments go to the positive
 series (method "auto") or CancellationError is raised (method "closed").
+Where n alone makes the mean's bound fail, that is decided before summing.
 The public single-moment functions below are views of moment_report, so
 they follow the same policy and always agree with the report's fields.
 """
@@ -27,19 +28,38 @@ ANALYTIC_METHODS = ("auto", "closed", "series", "recursive", "matrix-power")
 CANCELLATION_TOLERANCE = 1e-9
 
 
+def _mean_surely_refused(params: GameParams) -> bool:
+    """Whether the float closed mean's bound must fail, known before summing.
+
+    Each mean term is at least C(n, k), so F = fsum(|p_k|) >= (1 - u)**2 (2**n - 1),
+    and the sum's bound is at least u F. The computed mean lies within 3uF of
+    the true one, which is at most n s (the maximum of n turn counts is at most
+    their sum). So u (2**n - 1) > 4 TOL n s, with TOL = CANCELLATION_TOLERANCE,
+    gives TOL |value| < u F / 3 + 3 TOL u F < u F: the summed test refuses too.
+    It is decided on integers, as 2**n overflows a double at n >= 1024; past
+    the right side's bit length it holds without building 2**n.
+    """
+    n, s = params.n, params.s
+    u_num, u_den = _U.as_integer_ratio()
+    tol_num, tol_den = CANCELLATION_TOLERANCE.as_integer_ratio()
+    right = 4 * tol_num * n * s * u_den
+    return n > right.bit_length() or (2**n - 1) * u_num * tol_den > right
+
+
 def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> MomentReport:
-    (mean, mean_err), (m2, m2_err) = sums = [
-        moments._alternating_sum(params, mode, term) for term in moments.CLOSED_TERMS
-    ]
-    # <= is False for an overflowed sum, (nan, inf), so it is refused too
-    if not all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):
-        if not fallback:
-            raise CancellationError(
-                f"closed alternating sums at n={params.n}, s={params.s} lost "
-                "too much precision and fallback is disabled"
-            )
-        return _survival_report(params, mode, "series")
-    return _pack(mean, m2, mean_err, m2_err, "closed-alternating")
+    if mode.exact or not _mean_surely_refused(params):
+        (mean, mean_err), (m2, m2_err) = sums = [
+            moments._alternating_sum(params, mode, term) for term in moments.CLOSED_TERMS
+        ]
+        # <= is False for an overflowed sum, (nan, inf), so it is refused too
+        if all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):
+            return _pack(mean, m2, mean_err, m2_err, "closed-alternating")
+    if not fallback:
+        raise CancellationError(
+            f"closed alternating sums at n={params.n}, s={params.s} lost "
+            "too much precision and fallback is disabled"
+        )
+    return _survival_report(params, mode, "series")
 
 
 #: Where each survival-sum route reads its terms P(Y > t): the closed

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from geomax import EXACT, GameParams, cdf, chain
+from geomax import EXACT, GameParams, cdf, chain, cli
 from geomax.cli import (
     CDF_SPOT_TURNS,
     UsageError,
@@ -368,11 +369,64 @@ class TestSignaturesCommand:
 
     def test_count_only_skips_enumeration(self, capsys):
         # 2**19999 has more digits than the interpreter's int-to-str limit
-        for n in (40, 20000):
+        for n in (3, 40, 20000):
+            count = str(Decimal(2 ** (n - 1)))
             code, out, _ = run(capsys, "signatures", "--n", str(n), "--count-only")
             assert code == 0
-            assert out.splitlines() == ["count", str(Decimal(2 ** (n - 1)))]
+            assert out == f"count\n{count}\n"
+            code, out, _ = run(
+                capsys, "signatures", "--n", str(n), "--count-only", "--format", "json"
+            )
+            assert code == 0
+            assert json.loads(out) == [{"count": count}]
 
     def test_refuses_oversized_enumeration(self, capsys):
         code, _, err = run(capsys, "signatures", "--n", "25")
         assert code == 2
+
+
+class TestSharedParser:
+    """main() builds its parser once; nothing a call reads is kept from an earlier call."""
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        run(capsys, "signatures", "--n", "3")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for i in range(20):
+            code, _, _ = run(capsys, "compute", "--n", "2", "--s", str(2 + i), "--quantity", "mean")
+            assert code == 0
+        assert built == []
+
+    def test_no_state_carries_over_between_calls(self, capsys):
+        valid = ("compute", "--n", "2..3", "--s", "4", "--quantity", "variance")
+        alone = run(capsys, *valid)
+        assert run(capsys, "compute", "--n", "2", "--quantity", "bogus")[0] == 2
+        assert run(capsys, *valid) == alone
+        # a flag given once does not stick to the parser
+        assert run(capsys, "compute", "--n", "5", "--s", "2", "--quantity", "mean", "--relaxed")[0] == 0
+        code, _, err = run(capsys, "compute", "--n", "5", "--s", "2", "--quantity", "mean")
+        assert code == 2
+        assert "--relaxed" in err
+
+    def test_help_wraps_to_the_width_of_each_call(self, capsys, monkeypatch):
+        run(capsys, "signatures", "--n", "3")
+        pages = {}
+        for columns in (50, 150):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, pages[columns], _ = run(capsys, "compute", "--help")
+            assert code == 0
+        assert "default is closed with automatic series fallback" in pages[150]
+        assert "default is closed with automatic series fallback" not in pages[50]
+
+    def test_handler_is_resolved_per_call(self, capsys, monkeypatch):
+        run(capsys, "signatures", "--n", "3")
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_signatures", lambda args: seen.append(args.n_value) or 0)
+        assert run(capsys, "signatures", "--n", "3") == (0, "", "")
+        assert seen == [3]

@@ -29,6 +29,7 @@ from geomax import (
     expected_value_closed,
     expected_value_series,
     moment_report,
+    moments,
     pair_expected_value,
     pmf,
     quantile,
@@ -348,17 +349,37 @@ class TestCancellationPolicy:
             second_moment_closed(params, fallback=False)
 
     def test_fallback_exactly_when_a_closed_bound_is_too_wide(self):
-        # the one derived bound per closed sum is also the fallback test
-        for s in range(1, 61):
-            for n in range(1, s + 1):
-                params = GameParams(n, s)
-                too_wide = any(
-                    err > CANCELLATION_TOLERANCE * abs(value)
-                    for value, err in (
-                        _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
-                    )
+        # the one derived bound per closed sum is also the fallback test; the
+        # refusal decided before summing must agree with it everywhere
+        pairs = [GameParams(n, s) for s in range(1, 61) for n in range(1, s + 1)]
+        pairs += [GameParams(n, s) for n, s in ((900, 2000), (1100, 2000), (1108, 1999), (60, 10**4))]
+        pairs += [GameParams(n, s, relaxed=True) for s in (1, 2, 3, 7) for n in range(s + 1, 61)]
+        for params in pairs:
+            too_wide = any(
+                not err <= CANCELLATION_TOLERANCE * abs(value)
+                for value, err in (
+                    _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
                 )
-                assert (moment_report(params).method == "series") == too_wide, (n, s)
+            )
+            assert (moment_report(params).method == "series") == too_wide, params
+
+    def test_hopeless_sums_are_refused_before_summing(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _alternating_sum(*args)
+
+        monkeypatch.setattr(moments, "_alternating_sum", counting)
+        wide = GameParams(900, 2000)
+        assert moment_report(wide).method == "series"
+        with pytest.raises(CancellationError, match="n=900, s=2000 lost too much precision"):
+            moment_report(wide, method="closed")
+        assert calls == []
+        # pairs the test cannot settle, and exact mode, still sum
+        assert moment_report(GameParams(30, 30)).method == "series"
+        moment_report(GameParams(40, 40), EXACT)
+        assert calls == [GameParams(30, 30)] * 2 + [GameParams(40, 40)] * 2
 
     def test_float_overflow_falls_back_to_the_series(self):
         # C(1100, k) * s**k / (s**k - (s-1)**k) passes the double range
