@@ -12,8 +12,8 @@ Each line is "route n s point value bound". Floats are written with
 float.hex, exact values as num/den in hex, quantiles as integers, a refusal as
 the exception's type name, and a missing bound as "-". The routes:
 
-* float-auto, float-series, float-recursive: moments for n <= s <= s-max;
-* float-closed: moments wherever the closed sums hold, else the refusal;
+* float-auto, -closed, -series, -recursive (ANALYTIC_METHODS): moments for
+  n <= s <= s-max; float-closed writes the refusal where its sums fail;
 * float-matrix-power and the chain profile (float-profile,
   exact-profile, t <= 40) for s <= min(12, s-max);
 * exact-closed, exact-recursive: moments for n <= s <= min(20, s-max);
@@ -54,6 +54,7 @@ from geomax import (
 )
 from geomax.chain import absorption_step_bound
 from geomax.cli import main as cli_main
+from geomax.report import ANALYTIC_METHODS
 
 #: The cliffs workload's size classes at their nominal sizes:
 #: (n, s, mode, method).
@@ -124,6 +125,7 @@ CLI_CALLS = (
     "geomax simulate --n 4 --s 4 --trials 500 --seed 3 --report signatures",
     "geomax simulate --n 2 --s 2 --trials 0",
     "geomax simulate --n 2 --s 2 --seed -4",
+    "geomax simulate --n 3 --s 2",
     "geomax signatures --n 3",
     "geomax signatures --n 4",
     *(
@@ -197,7 +199,7 @@ def point_lines(params: GameParams, mode):
 
 def snapshot(s_max: int):
     for params in pairs(s_max):
-        for method in ("auto", "closed", "series", "recursive"):
+        for method in (m for m in ANALYTIC_METHODS if m != "matrix-power"):  # O(t n**2)
             yield from moment_lines(params, FLOAT, method)
     for params in pairs(min(12, s_max)):
         yield from moment_lines(params, FLOAT, "matrix-power")

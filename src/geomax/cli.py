@@ -34,9 +34,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
-from .kernels import _U
 from .params import CancellationError, GameParams, NumericMode
-from .report import moment_report
+from .report import MOMENTS, ROUTES, moment_report
 
 DEFAULT_PRECISION = 12
 
@@ -136,63 +135,31 @@ def _compute_pairs(args) -> list[GameParams]:
 def _cmd_compute(args) -> int:
     precision = _resolve_precision(args)
     mode = NumericMode(kind=args.mode)
-    quantity = args.quantity
-    method = args.method or "auto"
+    quantity, method = args.quantity, args.method or "auto"
+    pairs = _compute_pairs(args)
+    point = args.prob if quantity == "quantile" else args.y
+    if quantity in ("pmf", "cdf"):
+        if point is None:
+            raise UsageError(f"--quantity {quantity} needs --y")
+        if quantity == "pmf" and point < 1:
+            raise UsageError("pmf needs --y >= 1")
+        if method == "matrix-power" and point < 0:
+            raise UsageError("matrix-power cdf needs --y >= 0")
+    elif quantity == "quantile" and point is None:
+        raise UsageError("--quantity quantile needs --prob")
+    evaluate = ROUTES.get((quantity, method))
+    if evaluate is None:
+        if quantity in MOMENTS:  # only monte-carlo has no moment route
+            raise UsageError("use the simulate command for monte-carlo estimates")
+        methods = [m for q, m in ROUTES if q == quantity and m != "auto"]
+        if len(methods) == 1:
+            raise UsageError(f"{quantity} supports only the {methods[0]} method")
+        raise UsageError(f"{quantity} supports methods {' and '.join(methods)}")
     rows = []
-    for params in _compute_pairs(args):
-        if quantity in ("mean", "variance", "second-moment"):
-            if method == "monte-carlo":
-                raise UsageError("use the simulate command for monte-carlo estimates")
-            report = moment_report(params, mode, method)
-            value = {
-                "mean": report.mean,
-                "variance": report.variance,
-                "second-moment": report.second_moment,
-            }[quantity]
-            tag, err = report.method, report.error_bound
-        elif quantity in ("pmf", "cdf"):
-            if args.y is None:
-                raise UsageError(f"--quantity {quantity} needs --y")
-            if quantity == "pmf" and args.y < 1:
-                raise UsageError("pmf needs --y >= 1")
-            if method in ("auto", "closed"):
-                fn = moments.pmf if quantity == "pmf" else moments.cdf
-                value = fn(params, args.y, mode)
-                tag = "closed-alternating"
-                err = 8 * _U
-            elif method == "matrix-power":
-                if args.y < 0:
-                    raise UsageError("matrix-power cdf needs --y >= 0")
-                profile = chain.absorption_cdf_profile(params, args.y, mode)
-                value = profile[args.y]
-                err = chain.absorption_step_bound(params, args.y)
-                if quantity == "pmf":  # --y >= 1 was checked above
-                    value -= profile[args.y - 1]
-                    err *= 2
-                tag = "matrix-power"
-            else:
-                raise UsageError(f"{quantity} supports methods closed and matrix-power")
-            err = Fraction(0) if mode.exact else err
-        elif quantity == "quantile":
-            if args.prob is None:
-                raise UsageError("--quantity quantile needs --prob")
-            if method not in ("auto", "closed"):
-                raise UsageError("quantile supports only the closed method")
-            value = moments.quantile(params, args.prob, mode)
-            tag = "closed-alternating"
-            err = Fraction(0) if mode.exact else 0.0
-        else:  # pragma: no cover - argparse choices guard this
-            raise UsageError(f"unknown quantity {quantity!r}")
-        rows.append(
-            {
-                "n": params.n,
-                "s": params.s,
-                "quantity": quantity,
-                "method": tag,
-                "value": format_value(value, precision),
-                "error_bound": format_value(err, precision),
-            }
-        )
+    for params in pairs:
+        value, err, tag = evaluate(params, mode, point)
+        value, err = format_value(value, precision), format_value(err, precision)
+        rows.append(dict(zip(COMPUTE_FIELDS, (params.n, params.s, quantity, tag, value, err))))
     _emit(rows, COMPUTE_FIELDS, args.format)
     return 0
 
@@ -303,7 +270,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError("--trials must be positive")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    params = GameParams(n=args.n_value, s=args.s_value)
+    params = GameParams(n=args.n, s=args.s, relaxed=True)  # the simulator refuses n > s itself
     base = {"n": params.n, "s": params.s, "trials": args.trials, "seed": args.seed}
     if args.report == "moments":
         est = simulate.monte_carlo_moments(params, args.trials, args.seed)
@@ -336,14 +303,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_signatures(args) -> int:
-    if args.n_value < 1:
+    if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.count_only:
-        count = format_value(2 ** (args.n_value - 1), DEFAULT_PRECISION)
+        count = format_value(2 ** (args.n - 1), DEFAULT_PRECISION)
         _emit([{"count": count}], ("count",), args.format)
         return 0
-    sigs = simulate.enumerate_signatures(args.n_value)
-    rows = [{"signature": _signature_label(sig, args.n_value)} for sig in sigs]
+    sigs = simulate.enumerate_signatures(args.n)
+    rows = [{"signature": _signature_label(sig, args.n)} for sig in sigs]
     _emit(rows, ("signature",), args.format)
     return 0
 
@@ -372,14 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="moments, pmf/cdf points, quantiles")
     compute.add_argument("--n", required=True, help="dice count or range A..B")
     compute.add_argument("--s", required=True, help="face count or range A..B")
-    compute.add_argument(
-        "--quantity",
-        required=True,
-        choices=("mean", "variance", "second-moment", "pmf", "cdf", "quantile"),
-    )
+    quantities = tuple(dict.fromkeys(q for q, _ in ROUTES))
+    compute.add_argument("--quantity", required=True, choices=quantities)
     compute.add_argument(
         "--method",
-        choices=("closed", "series", "recursive", "matrix-power", "monte-carlo"),
+        choices=(*dict.fromkeys(m for _, m in ROUTES if m != "auto"), "monte-carlo"),
         default=None,
         help="force one path; default is closed with automatic series fallback",
     )
@@ -402,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(figures)
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo")
-    sim.add_argument("--n", dest="n_value", type=int, required=True)
-    sim.add_argument("--s", dest="s_value", type=int, required=True)
+    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--s", type=int, required=True)
     sim.add_argument("--trials", type=int, default=10000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
@@ -412,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sim)
 
     sigs = sub.add_parser("signatures", help="enumerate removal signatures")
-    sigs.add_argument("--n", dest="n_value", type=int, required=True)
+    sigs.add_argument("--n", type=int, required=True)
     sigs.add_argument("--count-only", action="store_true")
     add_common(sigs)
 

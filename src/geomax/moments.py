@@ -31,6 +31,11 @@ from .kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import FLOAT, GameParams, NumericMode
 
 
+#: Error bound of a float pmf or cdf point against EXACT: 8u = 4 * 2**-52.
+#: Checked on n <= 40, s <= 2000, not derived: at n = 10**6 the cdf can miss it.
+CLOSED_POINT_BOUND = 8 * _U
+
+
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count <= y). Zero below 1, else (1 - q**y)**n.
 
@@ -250,7 +255,7 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
 
     A float estimate from inverting the cdf seeds the search; cdf
     comparisons in the requested mode settle the answer. The float cdf is
-    within 8u = 4 * 2**-52 of EXACT, so a float comparison decides as
+    within CLOSED_POINT_BOUND of EXACT, so a float comparison decides as
     EXACT does unless the two lie that close, and _exact_cdf_reaches
     decides such a near-tie: the float quantile equals the exact one.
     """
@@ -266,7 +271,7 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
 
     def reached(y: int) -> bool:
         value = cdf(params, y, mode)
-        if not mode.exact and abs(value - prob) <= 8 * _U:
+        if not mode.exact and abs(value - prob) <= CLOSED_POINT_BOUND:
             return _exact_cdf_reaches(params, y, Fraction(prob))
         return value >= prob
 

@@ -1,4 +1,4 @@
-"""Moment reports from any analytic route, and the one fallback policy.
+"""Moment reports from any analytic route, the one fallback policy, and ROUTES.
 
 The closed alternating sums cancel heavily once n gets large. In float
 mode each closed sum (mean and second moment) carries an error bound
@@ -13,6 +13,7 @@ they follow the same policy and always agree with the report's fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import chain, moments
 from .kernels import _U
@@ -143,3 +144,42 @@ def expected_value_series(params: GameParams, mode: NumericMode = FLOAT):
 def second_moment_series(params: GameParams, mode: NumericMode = FLOAT):
     """Second moment by the weighted positive-term series (exact mode: the closed form)."""
     return moment_report(params, mode, "series").second_moment
+
+
+#: The moment quantities, as ROUTES and the CLI name them.
+MOMENTS = ("mean", "variance", "second-moment")
+
+
+def _float_bound(mode: NumericMode, bound):
+    return Fraction(0) if mode.exact else bound
+
+
+def _moment(quantity: str, method: str, params, mode, point):
+    report = moment_report(params, mode, method)
+    return getattr(report, quantity.replace("-", "_")), report.error_bound, report.method
+
+
+def _closed(quantity: str, params, mode, point):
+    bound = 0.0 if quantity == "quantile" else moments.CLOSED_POINT_BOUND
+    value = getattr(moments, quantity)(params, point, mode)
+    return value, _float_bound(mode, bound), "closed-alternating"
+
+
+def _chain(quantity: str, params, mode, y):
+    profile = chain.absorption_cdf_profile(params, y, mode)
+    value, bound = profile[y], chain.absorption_step_bound(params, y)
+    if quantity == "pmf":  # the difference of two cdf points
+        value, bound = value - profile[y - 1], 2 * bound
+    return value, _float_bound(mode, bound), "matrix-power"
+
+
+#: Each (quantity, method) pair's evaluator (params, mode, point) ->
+#: (value, error_bound, route tag), point being y for pmf (y >= 1) and cdf
+#: and the level for quantile. The evaluators set each float bound; a
+#: quantile's is 0, as it equals the exact one, and exact bounds are 0. They
+#: look up what they call when called, so a patched or traced function runs.
+ROUTES = {
+    **{(q, m): partial(_moment, q, m) for q in MOMENTS for m in ANALYTIC_METHODS},
+    **{(q, m): partial(_closed, q) for q in ("pmf", "cdf", "quantile") for m in ("auto", "closed")},
+    **{(q, "matrix-power"): partial(_chain, q) for q in ("pmf", "cdf")},
+}

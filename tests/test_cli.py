@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from geomax import EXACT, GameParams, cdf, chain, cli
+from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
 from geomax.cli import (
     CDF_SPOT_TURNS,
     UsageError,
@@ -18,6 +18,7 @@ from geomax.cli import (
     main,
     parse_range,
 )
+from geomax.report import ROUTES
 
 HEADER = "n,s,quantity,method,value,error_bound"
 
@@ -129,6 +130,26 @@ class TestCompute:
             bound = float(row["error_bound"])
             assert bound > 4.0 * 2.0**-52
             assert abs(Fraction(float(row["value"])) - truth) <= Fraction(bound)
+
+    def test_every_route_prints_its_evaluators_tag_and_bound(self, capsys):
+        params = GameParams(3, 6)
+        for (quantity, method), evaluate in ROUTES.items():
+            point = {"pmf": 5, "cdf": 5, "quantile": 0.5}.get(quantity)
+            argv = ["compute", "--n", "3", "--s", "6", "--quantity", quantity, "--precision", "17"]
+            if method != "auto":
+                argv += ["--method", method]
+            if point is not None:
+                argv += ["--prob" if quantity == "quantile" else "--y", str(point)]
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            value, bound, tag = evaluate(params, FLOAT, point)
+            assert tag == ("closed-alternating" if method in ("auto", "closed") else method)
+            assert csv_rows(out) == [
+                {
+                    "n": "3", "s": "6", "quantity": quantity, "method": tag,
+                    "value": format_value(value, 17), "error_bound": format_value(bound, 17),
+                }
+            ]
 
     def test_exact_values_beyond_the_int_to_str_limit(self, capsys):
         # the printed numerator and denominator run past 4300 digits,
@@ -357,6 +378,10 @@ class TestSimulateCommand:
     def test_bad_trials_and_seed(self, capsys):
         assert run(capsys, "simulate", "--n", "2", "--s", "2", "--trials", "0")[0] == 2
         assert run(capsys, "simulate", "--n", "2", "--s", "2", "--seed", "-4")[0] == 2
+        # the simulator's own refusal, not the analytic routes' --relaxed advice
+        code, out, err = run(capsys, "simulate", "--n", "3", "--s", "2")
+        assert (code, out) == (2, "")
+        assert "cannot be played with n > s" in err and "relaxed" not in err
 
 
 class TestSignaturesCommand:
@@ -427,6 +452,6 @@ class TestSharedParser:
     def test_handler_is_resolved_per_call(self, capsys, monkeypatch):
         run(capsys, "signatures", "--n", "3")
         seen = []
-        monkeypatch.setattr(cli, "_cmd_signatures", lambda args: seen.append(args.n_value) or 0)
+        monkeypatch.setattr(cli, "_cmd_signatures", lambda args: seen.append(args.n) or 0)
         assert run(capsys, "signatures", "--n", "3") == (0, "", "")
         assert seen == [3]

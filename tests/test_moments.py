@@ -9,9 +9,11 @@ formulas is a real end-to-end check of the model.
 from __future__ import annotations
 
 import math
+import runpy
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from geomax import (
     pair_expected_value,
     pmf,
     quantile,
+    report,
     second_moment_closed,
     second_moment_series,
     variance_closed,
@@ -40,6 +43,12 @@ from geomax import (
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from geomax.moments import CLOSED_TERMS, _alternating_sum, _closed_form_terms, _survival_sums
+from geomax.report import MOMENTS, ROUTES
+
+#: The quantile levels of scripts/route_snapshot.py.
+SNAPSHOT_LEVELS = runpy.run_path(
+    str(Path(__file__).parents[1] / "scripts" / "route_snapshot.py")
+)["LEVELS"]
 
 
 def game_tree_cdf(n: int, s: int, y: int) -> Fraction:
@@ -282,36 +291,52 @@ class TestSeriesAgreement:
             parts = error * float(np.sum(weight)) + 2 * _U * total
             assert bound == pytest.approx(parts + tail(params.n, params.q, stop), rel=1e-12, abs=0)
 
-    def test_series_error_bound_holds(self):
-        # each float route against its own error_bound: the series and the
-        # recursion on the whole grid, the closed sums wherever they do not
-        # refuse, matrix-power on its small corner and its extra points
-        routes = ("closed", "series", "recursive", "matrix-power")
-        worst = {method: (0.0, (1, 1)) for method in routes}
+    def test_series_error_bound_holds(self, monkeypatch):
+        # every route of report.ROUTES against its own error_bound, EXACT the
+        # truth: the moments on the grid (closed wherever it does not refuse,
+        # matrix-power on its small corner and its extra points), the pmf and
+        # cdf points on n <= s <= 12 for y <= 40, and the quantiles, whose
+        # bound is 0, at the route snapshot's levels
+        assert {q for q, _ in ROUTES} == {*MOMENTS, "pmf", "cdf", "quantile"}
+        # the three moment routes of a method read one report
+        monkeypatch.setattr(report, "moment_report", lru_cache(report.moment_report))
+        worst = {}
+
+        def check(key, params, point, truth):
+            try:
+                value, bound, _ = ROUTES[key](params, FLOAT, point)
+            except CancellationError:
+                assert key[1] == "closed"
+                return
+            gap, bound = abs(Fraction(value) - truth), Fraction(bound)
+            assert gap <= bound, (key, params, point, float(gap), float(bound))
+            ratio = (float(gap / bound) if bound else 0.0, (params.n, params.s, point))
+            worst[key] = max(worst.get(key, ratio), ratio, key=lambda r: r[0])
+
         for n, s in SERIES_BOUND_GRID:
             params = GameParams(n, s)
             exact = moment_report(params, EXACT)
-            for method in worst:
-                power_skipped = s > POWER_BOUND_S_MAX and (n, s) not in POWER_BOUND_EXTRA
-                if method == "matrix-power" and power_skipped:
-                    continue
-                try:
-                    report = moment_report(params, method=method)
-                except CancellationError:
-                    assert method == "closed"
-                    continue
-                bound = Fraction(report.error_bound)
-                for value, truth in (
-                    (report.mean, exact.mean),
-                    (report.second_moment, exact.second_moment),
-                    (report.variance, exact.variance),
-                ):
-                    gap = abs(Fraction(value) - truth)
-                    assert gap <= bound, (method, n, s, float(gap), report.error_bound)
-                    if bound:
-                        worst[method] = max(worst[method], (float(gap / bound), (n, s)))
-        for method, (ratio, where) in worst.items():
-            print(f"{method}: worst |value - EXACT| / error_bound = {ratio:.3f} at {where}")
+            power_skipped = s > POWER_BOUND_S_MAX and (n, s) not in POWER_BOUND_EXTRA
+            for quantity, method in ROUTES:
+                if quantity in MOMENTS and not (method == "matrix-power" and power_skipped):
+                    truth = getattr(exact, quantity.replace("-", "_"))
+                    check((quantity, method), params, None, truth)
+        for params in (GameParams(n, s) for s in range(1, 13) for n in range(1, s + 1)):
+            for y in range(41):
+                truths = {"cdf": cdf(params, y, EXACT)}
+                if y >= 1:
+                    truths["pmf"] = pmf(params, y, EXACT)
+                for quantity, method in ROUTES:
+                    if quantity in truths:
+                        check((quantity, method), params, y, truths[quantity])
+            for prob in SNAPSHOT_LEVELS:
+                truth = quantile(params, prob, EXACT)
+                for quantity, method in ROUTES:
+                    if quantity == "quantile":
+                        check((quantity, method), params, prob, truth)
+        assert worst.keys() == ROUTES.keys()
+        for key, (ratio, where) in worst.items():
+            print(f"{key}: worst |value - EXACT| / error_bound = {ratio:.3f} at {where}")
 
 
 class TestCancellationPolicy:

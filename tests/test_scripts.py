@@ -21,12 +21,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_method_agreement_small_sweep():
-    result = run_script("method_agreement.py", "--n-max", "6", "--s-max", "8", "--trials", "20000")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "agreement ok" in result.stdout
-
-
 def test_make_figure_data_writes_every_panel(tmp_path):
     result = run_script("make_figure_data.py", "--out-dir", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
