@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -187,15 +187,25 @@ def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
     The state is a numpy vector over dice counts, started with all n dice
     on the table. Float mode steps it by the float64 matrix. Exact mode
     steps an integer state by the integer matrix s**n P, so after t steps
-    the state is s**(n*t) times the law, and only the returned value
-    becomes a Fraction.
+    the state is s**(n*t) times the law, and item t is the integer
+    s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
+    it returns.
     """
     rows = _stacked_rows(params, mode)
     state = np.zeros(params.n + 1, dtype=rows.dtype)
     state[-1] = 1
-    for t in count():
-        yield Fraction(state.item(0), params.s ** (params.n * t)) if mode.exact else state.item(0)
+    while True:
+        yield state.item(0)
         state = state @ rows
+
+
+def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:
+    """[P(T <= t) for t in first..last]; exact mode reduces a Fraction for these t only."""
+    window = list(islice(_absorption_steps(params, mode), first, last + 1))
+    if mode.exact:
+        unit = params.s**params.n
+        window = [Fraction(value, unit**t) for t, value in enumerate(window, start=first)]
+    return window
 
 
 def absorption_step_bound(params: GameParams, t: int) -> float:
@@ -217,7 +227,7 @@ def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = F
     """Absorption probabilities [P(T <= t) for t in 0..t_max] in one sweep."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    return list(islice(_absorption_steps(params, mode), t_max + 1))
+    return _absorption_window(params, 0, t_max, mode)
 
 
 def _survival_terms(params: GameParams):

@@ -166,10 +166,11 @@ def _closed(quantity: str, params, mode, point):
 
 
 def _chain(quantity: str, params, mode, y):
-    profile = chain.absorption_cdf_profile(params, y, mode)
-    value, bound = profile[y], chain.absorption_step_bound(params, y)
-    if quantity == "pmf":  # the difference of two cdf points
-        value, bound = value - profile[y - 1], 2 * bound
+    first = y - 1 if quantity == "pmf" else y  # a pmf is the difference of two cdf points
+    points = chain._absorption_window(params, first, y, mode)
+    value, bound = points[-1], chain.absorption_step_bound(params, y)
+    if quantity == "pmf":
+        value, bound = value - points[0], 2 * bound
     return value, _float_bound(mode, bound), "matrix-power"
 
 

@@ -3,17 +3,21 @@
 A turn rolls every remaining die once and removes each die showing a
 value equal to the current dice count. play_game records a single game
 throw by throw, reading faces from blocks of FACE_BLOCK draws. The Monte
-Carlo entry points draw only the number of dice removed, as
-Binomial(alive, 1/s), which has the law of rolling each die; they play
-games in fixed-size chunks, vectorized across games, with an independent
-RNG substream per chunk derived from (seed, chunk index). Chunk
-boundaries depend only on the trial count, and chunk results merge by
-plain integer addition, so estimates are bit-identical across runs and
-across any parallel scheduling of chunks.
+Carlo entry points never roll faces. A die meets the dice count with
+chance 1/s on every turn, whatever the count, so its exit turn is a
+Geometric(1/s) variable, independent of the other dice, and a game lasts
+the maximum of its n exit turns. They play games in fixed-size chunks,
+vectorized across games, with an independent RNG substream per chunk
+derived from (seed, chunk index). Chunk boundaries depend only on the
+trial count, and chunk results merge by plain integer addition, so
+estimates are bit-identical across runs and across any parallel
+scheduling of chunks.
 
 Signatures: the sequence of values shown by removed dice, in removal
 order (ties within a turn in ascending original die order; they all show
-the same value, so the signature itself is unaffected).
+the same value, so the signature itself is unaffected). A die leaving at
+turn t shows n minus the number of dice that left before t, so a drawn
+game's signature is fixed by which of its sorted exit turns tie.
 """
 
 from __future__ import annotations
@@ -193,41 +197,51 @@ def _play_chunk(
     count: int,
     rng: np.random.Generator,
     want_signatures: bool,
-) -> tuple[np.ndarray, list[list[int]] | None]:
-    """Play `count` games at once; returns turn counts and optional signatures.
+) -> tuple[np.ndarray, Counter | None]:
+    """Play `count` games at once; returns turn counts and optional signature counts.
 
-    A turn removes Binomial(alive, 1/s) dice from each unfinished game.
+    Draws each game's n exit turns as one row, row-major, in blocks of
+    whole games holding at most CHUNK_TRIALS draws (one game when n is
+    larger), so both results read the same stream and a block's memory
+    does not grow with count.
     """
-    n, s = params.n, params.s
-    turn_counts = np.zeros(count, dtype=np.int64)
-    active = np.arange(count, dtype=np.int64)
-    alive = np.full(count, n, dtype=np.int64)  # dice left, one per active game
-    signatures: list[list[int]] | None = (
-        [[] for _ in range(count)] if want_signatures else None
-    )
-    turn = 0
-    while active.size:
-        turn += 1
-        if turn > TURN_CAP:
-            raise GameNotFinishedError(f"chunk still running after {TURN_CAP} turns")
-        removed = rng.binomial(alive, 1.0 / s)
+    n = params.n
+    rows = max(1, CHUNK_TRIALS // n)
+    turn_counts = np.empty(count, dtype=np.int64)
+    signatures: Counter | None = Counter() if want_signatures else None
+    for start in range(0, count, rows):
+        exits = rng.geometric(params.p, size=(min(rows, count - start), n))
+        turns = exits.T.copy().max(axis=0)  # numpy reduces short rows in place slowly
+        # numpy saturates a draw at 2**63 - 1 when 1/s is tiny; the cap catches it too
+        if turns.max() > TURN_CAP:
+            raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+        turn_counts[start : start + turns.size] = turns
         if signatures is not None:
-            hit = removed > 0
-            for game, level, gone in zip(
-                active[hit].tolist(), alive[hit].tolist(), removed[hit].tolist()
-            ):
-                signatures[game] += [level] * gone
-        alive -= removed
-        done = alive == 0
-        turn_counts[active[done]] = turn
-        active = active[~done]
-        alive = alive[~done]
+            signatures.update(_signature_counts(exits))
     return turn_counts, signatures
+
+
+def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Signature counts of the games whose exit turns are the rows of exits.
+
+    Games are grouped by their packed tie pattern (which sorted dice start
+    a tie group); one row per pattern is decoded, position i showing n
+    minus the position of its group's first die.
+    """
+    games, n = exits.shape
+    exits = np.sort(exits, axis=1)
+    starts = np.ones((games, n), dtype=bool)
+    np.not_equal(exits[:, 1:], exits[:, :-1], out=starts[:, 1:])
+    packed = np.packbits(starts, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    levels = n - np.maximum.accumulate(np.where(starts[first], np.arange(n), 0), axis=1)
+    return dict(zip(map(tuple, levels.tolist()), counts.tolist()))
 
 
 def _chunk_results(
     params: GameParams, trials: int, seed: int, want_signatures: bool
-) -> Iterator[tuple[np.ndarray, list[list[int]] | None]]:
+) -> Iterator[tuple[np.ndarray, Counter | None]]:
     """Validate a Monte Carlo request, then play it one chunk at a time.
 
     Yields one _play_chunk result per chunk, each from the RNG substream
@@ -247,17 +261,21 @@ def _chunk_results(
 def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimate:
     """Sample mean and variance of the turn count over seeded games.
 
-    Reads exact integer sums off the turn-count histogram, so the
-    estimate is a pure function of (params, trials, seed).
+    Reads exact integer sums off each chunk's distinct turn counts, so the
+    estimate is a pure function of (params, trials, seed), and its memory
+    does not grow with the longest game as a dense histogram's would.
     """
     _require_playable(params)
     seed = _check_seed(seed)
     trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
-    counts = turn_count_histogram(params, trials, seed).tolist()
-    total = sum(y * count for y, count in enumerate(counts))
-    total_sq = sum(y * y * count for y, count in enumerate(counts))
+    total = total_sq = 0
+    for turn_counts, _ in _chunk_results(params, trials, seed, False):
+        values, counts = np.unique(turn_counts, return_counts=True)
+        for y, count in zip(values.tolist(), counts.tolist()):
+            total += y * count
+            total_sq += y * y * count
     mean = total / trials
     # exact integer numerator: no cancellation between the two big sums
     variance = (trials * total_sq - total * total) / (trials * (trials - 1))
@@ -287,7 +305,7 @@ def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter
     """Observed signature counts over seeded games, keyed by tuple."""
     freq: Counter = Counter()
     for _, signatures in _chunk_results(params, trials, seed, True):
-        freq.update(tuple(sig) for sig in signatures)
+        freq.update(signatures)
     return freq
 
 

@@ -8,6 +8,7 @@ which share no code with the chain builders.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from geomax import (
     second_moments_recursive,
 )
 from geomax.chain import absorption_step_bound
+from geomax.report import ROUTES
 
 playable = st.integers(1, 12).flatmap(
     lambda s: st.integers(1, s).map(lambda n: GameParams(n=n, s=s))
@@ -186,6 +188,21 @@ class TestAbsorptionByPower:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] <= 1.0
         assert values[-1] > 0.999
+
+    def test_exact_power_point_builds_no_profile(self):
+        # the point steps the integer state to y and reduces one Fraction;
+        # y + 1 reduced Fractions, a whole profile, take about 4.4 MB here
+        params, y = GameParams(3, 6), 2000
+        tracemalloc.start()
+        try:
+            value, bound, _ = ROUTES[("cdf", "matrix-power")](params, EXACT, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+        assert value == cdf(params, y, EXACT) and bound == 0
+        pmf, _, _ = ROUTES[("pmf", "matrix-power")](params, EXACT, y)
+        assert pmf == value - cdf(params, y - 1, EXACT)
 
     def test_profile_zero_steps(self):
         assert absorption_cdf_profile(GameParams(3, 5), 0, EXACT) == [Fraction(0)]

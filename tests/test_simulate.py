@@ -7,6 +7,7 @@ hand-written roll sequence whose outcome is checked move by move.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from geomax import (
     CHUNK_TRIALS,
     EXACT,
+    GameNotFinishedError,
     GameParams,
     GameRecord,
     build_transition_matrix,
@@ -34,7 +36,7 @@ from geomax import (
     turn_count_histogram,
     variance_closed,
 )
-from geomax.simulate import _play_chunk
+from geomax.simulate import TURN_CAP, _play_chunk
 
 
 def check_record(record: GameRecord) -> None:
@@ -173,6 +175,61 @@ class TestMonteCarlo:
         size = max(head.size, tail.size)
         expected = np.pad(head, (0, size - head.size)) + np.pad(tail, (0, size - tail.size))
         assert np.array_equal(whole, expected)
+
+    @pytest.mark.parametrize("n, s, count", [(1, 1, 5), (3, 5, 1000), (400, 400, 300)])
+    def test_signatures_read_the_histogram_stream(self, n, s, count):
+        # same games with or without signatures; each game's signature is
+        # the rule applied to its n exit turns, drawn row-major (400 dice
+        # span two blocks of whole games)
+        params = GameParams(n, s)
+        turns, sigs = _play_chunk(params, count, np.random.default_rng(8), True)
+        assert np.array_equal(turns, _play_chunk(params, count, np.random.default_rng(8), False)[0])
+        assert sum(sigs.values()) == count
+        draws = np.random.default_rng(8).geometric(1 / s, size=(count, n))
+        assert np.array_equal(turns, draws.max(axis=1))
+        expected = Counter()
+        for row in draws.tolist():
+            signature, alive, exits = [], n, Counter(row)
+            for turn in sorted(exits):
+                removed = exits[turn]
+                signature += [alive] * removed
+                alive -= removed
+            expected[tuple(signature)] += 1
+        assert sigs == expected
+
+    def test_chunk_memory_does_not_grow_with_the_draws(self):
+        # one (count x n) int64 draw would take 13 MB here
+        tracemalloc.start()
+        try:
+            _play_chunk(GameParams(400, 400), 4096, np.random.default_rng(1), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_moments_memory_does_not_grow_with_the_longest_game(self):
+        # games of about 10**6 turns: a dense histogram would take megabytes
+        tracemalloc.start()
+        try:
+            monte_carlo_moments(GameParams(1, 10**6), trials=100, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_turn_cap_stops_long_games_at_once(self):
+        # 1/s = 1e-12 gives about 10**12 turns; 1e-300 saturates numpy's draw
+        with pytest.raises(GameNotFinishedError, match=str(TURN_CAP)):
+            monte_carlo_moments(GameParams(2, 10**12), trials=2, seed=1)
+        with pytest.raises(GameNotFinishedError):
+            signature_frequencies(GameParams(1, 10**300), trials=2, seed=1)
+
+    def test_one_face_games_take_one_turn(self):
+        params = GameParams(1, 1)
+        assert turn_count_histogram(params, 1000, 4).tolist() == [0, 1000]
+        est = monte_carlo_moments(params, 1000, 4)
+        assert (est.mean, est.variance) == (1.0, 0.0)
+        assert signature_frequencies(params, 1000, 4) == Counter({(1,): 1000})
 
     def test_estimates_near_truth(self):
         params = GameParams(2, 2)
