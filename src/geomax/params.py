@@ -94,11 +94,11 @@ class GameParams:
     @property
     def p(self) -> float:
         """Per-turn removal probability of a single die, as a double."""
-        return 1.0 / self.s
+        return 1 / self.s  # int division rounds once and never overflows
 
     @property
     def q(self) -> float:
-        return 1.0 - 1.0 / self.s
+        return 1.0 - self.p
 
     @property
     def q_exact(self) -> Fraction:

@@ -2,16 +2,20 @@
 
 A turn rolls every remaining die once and removes each die showing a
 value equal to the current dice count. play_game records a single game
-throw by throw, reading faces from blocks of FACE_BLOCK draws. The Monte
-Carlo entry points never roll faces. A die meets the dice count with
-chance 1/s on every turn, whatever the count, so its exit turn is a
-Geometric(1/s) variable, independent of the other dice, and a game lasts
-the maximum of its n exit turns. They play games in fixed-size chunks,
-vectorized across games, with an independent RNG substream per chunk
-derived from (seed, chunk index). Chunk boundaries depend only on the
-trial count, and chunk results merge by plain integer addition, so
-estimates are bit-identical across runs and across any parallel
-scheduling of chunks.
+throw by throw, reading faces from blocks of FACE_BLOCK draws. It finds
+the next face equal to the dice count with list.index and cuts every
+turn up to it from the block at once, so the turns that remove nothing
+cost no Python step each. The Monte Carlo entry points never roll faces.
+A die meets the dice count with chance 1/s on every turn, whatever the
+count, so its exit turn is a Geometric(1/s) variable, independent of the
+other dice, and a game lasts the maximum Y of its n exit turns, with
+P(Y <= y) = (1 - q**y)**n. Turn counts invert that law, one uniform per
+game; only signatures draw each die's exit turn. Games are played in
+fixed-size chunks, vectorized across games, with an independent RNG
+substream per chunk derived from (seed, chunk index). Chunk boundaries
+depend only on the trial count, and chunk results merge by plain integer
+addition, so estimates are bit-identical across runs and across any
+parallel scheduling of chunks.
 
 Signatures: the sequence of values shown by removed dice, in removal
 order (ties within a turn in ascending original die order; they all show
@@ -25,12 +29,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .moments import cdf
 from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, plain_int
+
+T = TypeVar("T")
 
 #: A game exceeding this many turns aborts with GameNotFinishedError.
 TURN_CAP = 10**9
@@ -94,16 +100,17 @@ def play_game(
 
     Faces come from roll_source when given (any iterable of ints in
     1..s, consumed left to right, one per die per turn), otherwise from
-    a generator seeded with seed. Exhausting a roll_source mid-game or
-    feeding it a non-integer or out-of-range face raises ValueError.
+    a generator seeded with seed, which draws int64 faces and so refuses
+    s >= 2**63 with ValueError. Exhausting a roll_source mid-game or
+    feeding it a non-integer or out-of-range face raises ValueError; no
+    face past the game's end is read from it.
     """
     _require_playable(params)
     n, s = params.n, params.s
-    source: Iterator[int]
     if roll_source is not None:
         source = iter(roll_source)
 
-        def draw(count: int) -> list[int]:
+        def fresh(count: int) -> list[int]:
             faces = []
             for _ in range(count):
                 try:
@@ -117,30 +124,42 @@ def play_game(
             return faces
 
     else:
+        if s >= 2**63:
+            raise ValueError(
+                "a seeded game draws int64 faces, so s must be at most 2**63 - 1; "
+                f"pass roll_source to play s={s}"
+            )
         rng = np.random.default_rng(_check_seed(seed) if seed is not None else None)
-        block: list[int] = []
-        start = 0  # next unread face in block
 
-        def draw(count: int) -> list[int]:
-            nonlocal block, start
-            if start + count > len(block):
-                fresh = rng.integers(1, s + 1, size=max(count, FACE_BLOCK)).tolist()
-                block, start = block[start:] + fresh, 0
-            start += count
-            return block[start - count : start]
+        def fresh(count: int) -> list[int]:
+            return rng.integers(1, s + 1, size=max(count, FACE_BLOCK)).tolist()
 
     turns: list[tuple[int, ...]] = []
     removed_per_turn: list[int] = []
     signature: list[int] = []
+    block: list[int] = []
+    start = 0  # next unread face in block
     alive = n
     while alive > 0:
-        if len(turns) >= TURN_CAP:
+        if len(block) - start < alive:
+            block, start = block[start:] + fresh(alive), 0
+        whole = min((len(block) - start) // alive, TURN_CAP - len(turns))
+        if whole == 0:
             raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
-        faces = draw(alive)
-        removed = sum(1 for face in faces if face == alive)
-        turns.append(tuple(faces))
-        removed_per_turn.append(removed)
-        signature.extend([alive] * removed)
+        end = start + whole * alive
+        try:  # all turns but the last, which is counted below in any case
+            hit = block.index(alive, start, end - alive)
+        except ValueError:
+            pass
+        else:
+            end = hit - (hit - start) % alive + alive  # the turns up to the first match
+        faces = block[start:end]
+        played = list(zip(*[iter(faces)] * alive)) if end - start > alive else [tuple(faces)]
+        start = end
+        removed = played[-1].count(alive)
+        signature += [alive] * removed
+        turns += played
+        removed_per_turn += [0] * (len(played) - 1) + [removed]
         alive -= removed
     return GameRecord(
         params=params,
@@ -192,33 +211,47 @@ def is_valid_signature(values: Iterable[int]) -> bool:
     return idx == len(sig)
 
 
-def _play_chunk(
-    params: GameParams,
-    count: int,
-    rng: np.random.Generator,
-    want_signatures: bool,
-) -> tuple[np.ndarray, Counter | None]:
-    """Play `count` games at once; returns turn counts and optional signature counts.
+def _turn_counts(params: GameParams, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Turn counts of `count` games, one uniform U per game.
+
+    A game's turn count is the smallest y with (1 - q**y)**n >= U, that is
+    ceil(log(1 - U**(1/n)) / log q), with 1 - U**(1/n) = -expm1(log(U)/n).
+    """
+    turns = rng.random(count)
+    # log q = -inf at s = 1 and log(U) = -inf at U = 0 both give one turn;
+    # a subnormal 1/s overflows the quotient past the cap
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = np.log1p(-params.p)
+        np.log(turns, out=turns)
+        turns *= 1 / params.n
+        np.expm1(turns, out=turns)
+        np.negative(turns, out=turns)
+        np.log(turns, out=turns)
+        turns /= log_q
+    np.ceil(turns, out=turns)
+    if turns.max() > TURN_CAP:
+        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+    np.maximum(turns, 1, out=turns)
+    return turns.astype(np.int64)
+
+
+def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -> Counter:
+    """Signature counts of `count` games, from each die's exit turn.
 
     Draws each game's n exit turns as one row, row-major, in blocks of
     whole games holding at most CHUNK_TRIALS draws (one game when n is
-    larger), so both results read the same stream and a block's memory
-    does not grow with count.
+    larger), so a block's memory does not grow with count.
     """
     n = params.n
     rows = max(1, CHUNK_TRIALS // n)
-    turn_counts = np.empty(count, dtype=np.int64)
-    signatures: Counter | None = Counter() if want_signatures else None
+    signatures: Counter = Counter()
     for start in range(0, count, rows):
         exits = rng.geometric(params.p, size=(min(rows, count - start), n))
-        turns = exits.T.copy().max(axis=0)  # numpy reduces short rows in place slowly
         # numpy saturates a draw at 2**63 - 1 when 1/s is tiny; the cap catches it too
-        if turns.max() > TURN_CAP:
+        if exits.max() > TURN_CAP:
             raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
-        turn_counts[start : start + turns.size] = turns
-        if signatures is not None:
-            signatures.update(_signature_counts(exits))
-    return turn_counts, signatures
+        signatures.update(_signature_counts(exits))
+    return signatures
 
 
 def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -240,11 +273,11 @@ def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
 
 
 def _chunk_results(
-    params: GameParams, trials: int, seed: int, want_signatures: bool
-) -> Iterator[tuple[np.ndarray, Counter | None]]:
+    params: GameParams, trials: int, seed: int, kernel: Callable[..., T]
+) -> Iterator[T]:
     """Validate a Monte Carlo request, then play it one chunk at a time.
 
-    Yields one _play_chunk result per chunk, each from the RNG substream
+    Yields kernel(params, size, rng) per chunk, rng being the substream
     of (seed, chunk index). Chunk sizes depend only on the trial count.
     """
     _require_playable(params)
@@ -252,10 +285,12 @@ def _chunk_results(
     trials = plain_int(trials, "trials must be a positive integer")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if params.p == 0.0:  # 1/s underflows: not one game in 10**300 ends within the cap
+        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
     for index, done in enumerate(range(0, trials, CHUNK_TRIALS)):
         size = min(CHUNK_TRIALS, trials - done)
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        yield _play_chunk(params, size, rng, want_signatures)
+        yield kernel(params, size, rng)
 
 
 def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimate:
@@ -271,7 +306,7 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
     total = total_sq = 0
-    for turn_counts, _ in _chunk_results(params, trials, seed, False):
+    for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
         values, counts = np.unique(turn_counts, return_counts=True)
         for y, count in zip(values.tolist(), counts.tolist()):
             total += y * count
@@ -291,7 +326,7 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
 def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarray:
     """Counts of observed turn counts; index y holds how many games took y turns."""
     hist = np.zeros(1, dtype=np.int64)
-    for turn_counts, _ in _chunk_results(params, trials, seed, False):
+    for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
         bc = np.bincount(turn_counts)
         if bc.size > hist.size:
             bc[: hist.size] += hist
@@ -304,7 +339,7 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
 def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter:
     """Observed signature counts over seeded games, keyed by tuple."""
     freq: Counter = Counter()
-    for _, signatures in _chunk_results(params, trials, seed, True):
+    for signatures in _chunk_results(params, trials, seed, _signature_chunk):
         freq.update(signatures)
     return freq
 

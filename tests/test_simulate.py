@@ -6,8 +6,10 @@ hand-written roll sequence whose outcome is checked move by move.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
@@ -36,7 +38,7 @@ from geomax import (
     turn_count_histogram,
     variance_closed,
 )
-from geomax.simulate import TURN_CAP, _play_chunk
+from geomax.simulate import TURN_CAP, _signature_chunk, _turn_counts
 
 
 def check_record(record: GameRecord) -> None:
@@ -83,6 +85,10 @@ class TestScriptedGame:
     def test_unplayable_game_rejected(self):
         with pytest.raises(ValueError):
             play_game(GameParams(4, 2, relaxed=True))
+        # numpy draws int64 faces; scripted faces have no such limit
+        with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):
+            play_game(GameParams(1, 2**63), seed=1)
+        assert play_game(GameParams(1, 2**63), roll_source=[2**63, 1]).turn_count == 2
 
     def test_seeded_games_are_reproducible(self):
         a = play_game(GameParams(5, 6), seed=99)
@@ -94,8 +100,23 @@ class TestScriptedGame:
     def test_replaying_a_seeded_game_gives_it_back(self):
         for n, s, seed in [(1, 6, 1), (4, 6, 2), (5, 5, 3), (12, 20, 4), (30, 30, 5)]:
             record = play_game(GameParams(n, s), seed=seed)
-            faces = [face for turn in record.turns for face in turn]
+            faces = iter([face for turn in record.turns for face in turn] + [1, 1])
             assert play_game(GameParams(n, s), roll_source=faces) == record
+            assert list(faces) == [1, 1]  # no face read past the game's end
+
+    @pytest.mark.parametrize(
+        "n, s, seed, turns, digest",
+        [
+            (1, 20_000, 3, 17796, "9e7f10f627fdf02e91c9f5ee2f6d082e18b8a4e6790a77043f310d965ddf6167"),
+            (20, 20, 4, 129, "7d2cbfbb1c4dac51e9f310bdc14c436d5a434de0b1f1512e7aee974f22803ea8"),
+            (400, 400, 5, 2204, "8ef31b570a63f2059ff61201f93a0fd6e26d9efc66033116837fe135abbafc44"),
+        ],
+    )
+    def test_seeded_transcripts_frozen(self, n, s, seed, turns, digest):
+        # frozen from the turn-by-turn player that read one turn's faces at a time
+        record = play_game(GameParams(n, s), seed=seed)
+        assert record.turn_count == turns
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, s", [(1, 6), (3, 4)])
     def test_seeded_turn_counts_follow_the_law(self, n, s):
@@ -171,22 +192,19 @@ class TestMonteCarlo:
         whole = turn_count_histogram(params, CHUNK_TRIALS + 17, seed)
         head = turn_count_histogram(params, CHUNK_TRIALS, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        tail = np.bincount(_play_chunk(params, 17, rng, False)[0])
+        tail = np.bincount(_turn_counts(params, 17, rng))
         size = max(head.size, tail.size)
         expected = np.pad(head, (0, size - head.size)) + np.pad(tail, (0, size - tail.size))
         assert np.array_equal(whole, expected)
 
     @pytest.mark.parametrize("n, s, count", [(1, 1, 5), (3, 5, 1000), (400, 400, 300)])
     def test_signatures_read_the_histogram_stream(self, n, s, count):
-        # same games with or without signatures; each game's signature is
-        # the rule applied to its n exit turns, drawn row-major (400 dice
-        # span two blocks of whole games)
+        # each game's signature is the rule applied to its n exit turns,
+        # drawn row-major (400 dice span two blocks of whole games)
         params = GameParams(n, s)
-        turns, sigs = _play_chunk(params, count, np.random.default_rng(8), True)
-        assert np.array_equal(turns, _play_chunk(params, count, np.random.default_rng(8), False)[0])
+        sigs = _signature_chunk(params, count, np.random.default_rng(8))
         assert sum(sigs.values()) == count
         draws = np.random.default_rng(8).geometric(1 / s, size=(count, n))
-        assert np.array_equal(turns, draws.max(axis=1))
         expected = Counter()
         for row in draws.tolist():
             signature, alive, exits = [], n, Counter(row)
@@ -198,14 +216,30 @@ class TestMonteCarlo:
         assert sigs == expected
 
     def test_chunk_memory_does_not_grow_with_the_draws(self):
-        # one (count x n) int64 draw would take 13 MB here
+        # one (count x n) int64 draw would take 13 MB here; the returned
+        # counts (4096 distinct 400-long signatures, about 33 MB) are not
+        # working memory, so the peak is taken above what is still held
         tracemalloc.start()
         try:
-            _play_chunk(GameParams(400, 400), 4096, np.random.default_rng(1), False)
-            peak = tracemalloc.get_traced_memory()[1]
+            sigs = _signature_chunk(GameParams(400, 400), 4096, np.random.default_rng(1))
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert sum(sigs.values()) == 4096
+        assert peak - held < 4e6
+
+    def test_turn_counts_invert_the_exact_law(self):
+        # each game's turn count T is the smallest y with cdf(y) >= U, U its
+        # uniform: cdf(T - 1) < U <= cdf(T) in exact arithmetic
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params, seed = GameParams(n, s), 100 * n + s
+                turns = _turn_counts(params, 2000, np.random.default_rng(seed))
+                uniforms = np.random.default_rng(seed).random(2000)
+                for y in np.unique(turns).tolist():
+                    drawn = uniforms[turns == y]
+                    assert cdf(params, y - 1, EXACT) < Fraction(drawn.min()), (n, s, y)
+                    assert Fraction(drawn.max()) <= cdf(params, y, EXACT), (n, s, y)
 
     def test_moments_memory_does_not_grow_with_the_longest_game(self):
         # games of about 10**6 turns: a dense histogram would take megabytes
@@ -218,16 +252,29 @@ class TestMonteCarlo:
         assert peak < 1e6
 
     def test_turn_cap_stops_long_games_at_once(self):
-        # 1/s = 1e-12 gives about 10**12 turns; 1e-300 saturates numpy's draw
+        # 1/s = 1e-12 gives about 10**12 turns; 1e-300 saturates numpy's
+        # draw; 1/s is subnormal at 2**1024 and rounds to 0 at 2**1100
         with pytest.raises(GameNotFinishedError, match=str(TURN_CAP)):
             monte_carlo_moments(GameParams(2, 10**12), trials=2, seed=1)
         with pytest.raises(GameNotFinishedError):
             signature_frequencies(GameParams(1, 10**300), trials=2, seed=1)
+        for s in (2**1024, 2**1100):
+            for run in (monte_carlo_moments, turn_count_histogram, signature_frequencies):
+                with pytest.raises(GameNotFinishedError, match=str(TURN_CAP)):
+                    run(GameParams(2, s), 2, 1)
 
     def test_one_face_games_take_one_turn(self):
+        # so does a game whose uniform is 0, at any s; log(0) warns nothing
+        class ZeroUniforms:
+            def random(self, count):
+                return np.zeros(count)
+
         params = GameParams(1, 1)
-        assert turn_count_histogram(params, 1000, 4).tolist() == [0, 1000]
-        est = monte_carlo_moments(params, 1000, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert turn_count_histogram(params, 1000, 4).tolist() == [0, 1000]
+            est = monte_carlo_moments(params, 1000, 4)
+            assert _turn_counts(GameParams(3, 5), 4, ZeroUniforms()).tolist() == [1] * 4
         assert (est.mean, est.variance) == (1.0, 0.0)
         assert signature_frequencies(params, 1000, 4) == Counter({(1,): 1000})
 
