@@ -1,12 +1,16 @@
 """Distribution and moments of the turn count via the throw-by-throw view.
 
-Two evaluation kernels live here, each written once for both the mean
+Three evaluation kernels live here, each written once for both the mean
 and the second moment:
 
 * _alternating_sum, the closed alternating sums over the subset
-  expansion of the maximum, exact in rational mode; in float mode each
-  term is one rounded ratio of exact integers, the sum an fsum, and the
-  error bound follows from the sum's condition number;
+  expansion of the maximum, in floats: each term is one rounded ratio of
+  exact integers, the sum an fsum, and the error bound follows from the
+  sum's condition number;
+* _exact_closed_moments, the same sums in exact mode: integers merged
+  over the lcm of the terms' denominators, one Fraction built per
+  returned value. Both closed kernels, and the exact pmf, read their
+  powers and C(n, k) from _binomial_powers;
 * _survival_sums, the positive survival sums for the mean (weight 1)
   and the second moment (weight 2t+1), float only, truncated by
   geometric tail bounds. It reads the terms P(Y > t) from a source: the
@@ -41,6 +45,8 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
 
     Float mode takes exp(n log1p(-q**y)) with q**y = exp(y log1p(-1/s)):
     never a power of the rounded q, and no n-th power of a rounded base.
+    Where q**y rounds to 1 (s past about 2**53, small y), log1p(-q**y)
+    becomes log(-expm1(y log1p(-1/s))).
     """
     y = operator.index(y)
     if y < 1:
@@ -49,7 +55,10 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return (1 - params.q_exact**y) ** params.n
     if params.s == 1:
         return 1.0
-    return math.exp(params.n * math.log1p(-math.exp(y * math.log1p(-1.0 / params.s))))
+    exponent = y * math.log1p(-1.0 / params.s)
+    q_y = math.exp(exponent)
+    log_u = math.log1p(-q_y) if q_y < 1.0 else math.log(-math.expm1(exponent))
+    return math.exp(params.n * log_u)
 
 
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -61,7 +70,7 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     check. Its terms are (A**k - B**k) / S**k with A = s (s-1)**(y-1),
     B = (s-1)**y and S = s**y, so it runs on integers over the shared
     denominator S**n, by Horner's rule in S, and one Fraction is built at
-    the end; C(n, k) is carried as in _alternating_sum. Float mode takes
+    the end; _binomial_powers carries the powers and C(n, k). Float mode takes
     the positive form u_y**n (1 - (1 + x)**-n), from
     u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
@@ -72,11 +81,8 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     n, s = params.n, params.s
     if mode.exact:
         big_a, big_b, big_s = s * (s - 1) ** (y - 1), (s - 1) ** y, s**y
-        total, a_k, b_k, c = 0, 1, 1, 1
-        for k in range(1, n + 1):
-            a_k *= big_a
-            b_k *= big_b
-            c = c * (n - k + 1) // k
+        total = 0
+        for k, (a_k, b_k, c) in enumerate(_binomial_powers(n, big_a, big_b), 1):
             term = c * (a_k - b_k)
             total = total * big_s + (term if k % 2 == 1 else -term)
         return Fraction(total, big_s**n)
@@ -98,38 +104,73 @@ CLOSED_TERMS = (
 )
 
 
-def _alternating_sum(params: GameParams, mode: NumericMode, term):
-    """(value, bound) of sum_k (-1)**(k+1) C(n,k) num/den, (num, den) = term(s**k, (s-1)**k).
+def _binomial_powers(n: int, a: int, b: int):
+    """(a**k, b**k, C(n, k)) for k = 1..n, each from the one before.
 
-    Each term t_k is a ratio of exact integers: a Fraction in exact mode,
-    bound Fraction(0); in float mode p_k, a correctly rounded division, and
-    math.fsum rounds sum p_k correctly. With every rounding written as
-    x = fl(x)(1 + d), |d| <= u = 2**-53, and F = fsum(|p_k|), the terms err
-    by at most u sum |p_k| <= u(1 + u)F and the sum by u|value|. The bound
-    u(1 + 4u)(F + |value|) covers that through its own two roundings, as
-    (1 + u)**3 <= 1 + 4u. It is u|value| times 1 + the condition number
-    sum |t_k| / |sum t_k| (Higham 2002, ch. 4). Past the double range the
-    result is (nan, inf). The loop carries C(n, k) = C(n, k-1) (n-k+1) / k,
-    where the division is exact, next to the powers a and b.
+    C(n, k) = C(n, k-1) (n-k+1) / k, where the division is exact.
     """
-    n, s = params.n, params.s
-    divide = Fraction if mode.exact else operator.truediv
-    a = b = c = 1
+    a_k = b_k = c = 1
+    for k in range(1, n + 1):
+        a_k *= a
+        b_k *= b
+        c = c * (n - k + 1) // k
+        yield a_k, b_k, c
+
+
+def _alternating_sum(params: GameParams, term):
+    """Float (value, bound) of sum_k (-1)**(k+1) C(n,k) num/den, (num, den) = term(s**k, (s-1)**k).
+
+    Each term t_k is a ratio of exact integers, and p_k, its correctly
+    rounded division; math.fsum rounds sum p_k correctly. With every
+    rounding written as x = fl(x)(1 + d), |d| <= u = 2**-53, and
+    F = fsum(|p_k|), the terms err by at most u sum |p_k| <= u(1 + u)F and
+    the sum by u|value|. The bound u(1 + 4u)(F + |value|) covers that
+    through its own two roundings, as (1 + u)**3 <= 1 + 4u. It is u|value|
+    times 1 + the condition number sum |t_k| / |sum t_k| (Higham 2002,
+    ch. 4). Past the double range the result is (nan, inf). Exact mode
+    takes _exact_closed_moments.
+    """
     pieces = []
     try:
-        for k in range(1, n + 1):
-            a *= s
-            b *= s - 1
-            c = c * (n - k + 1) // k
+        for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
             num, den = term(a, b)
-            piece = divide(c * num, den)
+            piece = c * num / den
             pieces.append(piece if k % 2 == 1 else -piece)
-        if mode.exact:
-            return sum(pieces, Fraction(0)), Fraction(0)
         value = math.fsum(pieces)
         return value, _U * (1 + 4 * _U) * (math.fsum(map(abs, pieces)) + abs(value))
     except OverflowError:
         return math.nan, math.inf
+
+
+def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fraction]:
+    """(mean, second moment, variance) of the closed sums, as Fractions.
+
+    Term k is (-1)**(k+1) C(n,k) P_k / Q_k for the mean and R_k / Q_k**2
+    for the second moment, with Q_k = s**k - (s-1)**k the terms of
+    CLOSED_TERMS share. Adjacent (Q, P, R) are merged level by level over
+    their lcm: with g = gcd(Q1, Q2), f1 = Q2 / g and f2 = Q1 / g,
+    Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The
+    balanced tree keeps the products even, and each returned value is
+    reduced once: P / Q, R / Q**2 and (R - P**2) / Q**2.
+    """
+    mean_term, m2_term = CLOSED_TERMS
+    level = []
+    for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
+        num, den = mean_term(a, b)
+        c = c if k % 2 == 1 else -c
+        level.append((den, c * num, c * m2_term(a, b)[0]))  # m2_term's den is den**2
+    while len(level) > 1:
+        merged = []
+        for (q1, p1, r1), (q2, p2, r2) in zip(level[::2], level[1::2]):
+            g = math.gcd(q1, q2)
+            f1, f2 = q2 // g, q1 // g
+            merged.append((q1 * f1, p1 * f1 + p2 * f2, r1 * (f1 * f1) + r2 * (f2 * f2)))
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    [(q, p, r)] = level
+    q2 = q * q
+    return Fraction(p, q), Fraction(r, q2), Fraction(r - p * p, q2)
 
 
 #: Terms per numpy block of the positive series; no array spans more.
@@ -228,6 +269,12 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
     return tuple(sums)
 
 
+#: Largest integer, in bits, that deciding a float quantile's near-tie may
+#: build (8 MiB). n = s = 10**5 needs 2.0e7 bits at its median, 5.5e7 at
+#: the level 1 - 1e-9.
+NEAR_TIE_BITS = 1 << 26
+
+
 def _exact_cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     """cdf(params, y, EXACT) >= prob, decided on bounds of n k bits while they can.
 
@@ -235,11 +282,23 @@ def _exact_cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     [lo, lo + 1] / 2**k for lo = floor(a 2**k / b), so cdf = u**n lies in
     [lo**n, (lo + 1)**n] / 2**(n k): integers of n k bits. k doubles until
     prob falls outside; once 2**k exceeds b, the exact u**n is no dearer.
+    Raises ValueError before building an integer past NEAR_TIE_BITS: b of
+    up to y bit_length(s) bits, a bound of n k bits or u**n of n bit_length(b).
     """
     n, s = params.n, params.s
+
+    def refuse_past_cap(bits: int) -> None:
+        if bits > NEAR_TIE_BITS:
+            raise ValueError(
+                f"deciding the quantile's near-tie at y={y} for n={n}, s={s} needs "
+                f"integers of {bits} bits, past NEAR_TIE_BITS = {NEAR_TIE_BITS}"
+            )
+
+    refuse_past_cap(y * s.bit_length())
     a, b = s**y - (s - 1) ** y, s**y
     k = 64
     while k <= b.bit_length():
+        refuse_past_cap(n * k)
         lo = (a << k) // b
         scaled = prob.numerator << (n * k)  # prob 2**(n k), times prob's denominator
         if lo**n * prob.denominator >= scaled:
@@ -247,6 +306,7 @@ def _exact_cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
         if (lo + 1) ** n * prob.denominator < scaled:
             return False
         k *= 2
+    refuse_past_cap(n * b.bit_length())
     return Fraction(a, b) ** n >= prob
 
 
@@ -257,7 +317,8 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     comparisons in the requested mode settle the answer. The float cdf is
     within CLOSED_POINT_BOUND of EXACT, so a float comparison decides as
     EXACT does unless the two lie that close, and _exact_cdf_reaches
-    decides such a near-tie: the float quantile equals the exact one.
+    decides such a near-tie: the float quantile equals the exact one. A
+    near-tie that needs integers past NEAR_TIE_BITS raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")

@@ -48,9 +48,12 @@ def _mean_surely_refused(params: GameParams) -> bool:
 
 
 def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> MomentReport:
-    if mode.exact or not _mean_surely_refused(params):
+    if mode.exact:
+        mean, m2, variance = moments._exact_closed_moments(params)
+        return MomentReport(mean, m2, variance, "closed-alternating", Fraction(0))
+    if not _mean_surely_refused(params):
         (mean, mean_err), (m2, m2_err) = sums = [
-            moments._alternating_sum(params, mode, term) for term in moments.CLOSED_TERMS
+            moments._alternating_sum(params, term) for term in moments.CLOSED_TERMS
         ]
         # <= is False for an overflowed sum, (nan, inf), so it is refused too
         if all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):

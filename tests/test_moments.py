@@ -42,7 +42,14 @@ from geomax import (
     var_bounds_elementary,
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
-from geomax.moments import CLOSED_TERMS, _alternating_sum, _closed_form_terms, _survival_sums
+from geomax.moments import (
+    CLOSED_TERMS,
+    _alternating_sum,
+    _binomial_powers,
+    _closed_form_terms,
+    _exact_closed_moments,
+    _survival_sums,
+)
 from geomax.report import MOMENTS, ROUTES
 
 #: The quantile levels of scripts/route_snapshot.py.
@@ -160,6 +167,15 @@ class TestDistribution:
                     assert value - accuracy <= low**n, (n, s, y)
                     assert high**n <= value + accuracy, (n, s, y)
 
+    def test_float_cdf_where_q_to_the_y_rounds_to_one(self):
+        # at s = 2**60, exp(y log1p(-1/s)) rounds to 1.0 for small y, and
+        # log1p(-1.0) is a domain error
+        params = GameParams(2, 2**60)
+        for y in (1, 5):
+            assert math.exp(y * math.log1p(-1.0 / params.s)) == 1.0
+            exact = cdf(params, y, EXACT)
+            assert abs(Fraction(cdf(params, y)) - exact) <= exact * Fraction(1, 10**13), y
+
     def test_float_normalization_spot(self):
         for n, s in [(1, 1), (2, 2), (3, 7), (12, 12)]:
             params = GameParams(n, s)
@@ -199,16 +215,28 @@ class TestClosedMoments:
 
     @pytest.mark.parametrize("n", [1, 2, 12, 37, 150, 500, 1100])
     def test_carried_binomials_match_math_comb(self, n):
-        # a numerator that records what multiplies it reads off each C(n, k)
-        carried = []
+        expected = [(n**k, (n - 1) ** k, math.comb(n, k)) for k in range(1, n + 1)]
+        assert list(_binomial_powers(n, n, n - 1)) == expected
 
-        class Numerator:
-            def __rmul__(self, c):
-                carried.append(c)
-                return c
-
-        _alternating_sum(GameParams(n, n), EXACT, lambda a, b: (Numerator(), 1))
-        assert carried == [math.comb(n, k) for k in range(1, n + 1)]
+    def test_exact_kernel_matches_the_fraction_sums(self):
+        # the reference sums one reduced Fraction per term, as each closed
+        # sum reads, and takes the variance as m2 - mean**2
+        pairs = [GameParams(n, s) for s in range(1, 41) for n in range(1, s + 1)]
+        pairs += [GameParams(n, s, relaxed=True) for s in (1, 2, 3, 7) for n in range(s + 1, 61)]
+        for params in pairs + [GameParams(150, 151)]:
+            n, s = params.n, params.s
+            mean, m2 = (
+                sum(
+                    (
+                        Fraction((-1) ** (k + 1) * math.comb(n, k) * num, den)
+                        for k in range(1, n + 1)
+                        for num, den in [term(s**k, (s - 1) ** k)]
+                    ),
+                    Fraction(0),
+                )
+                for term in CLOSED_TERMS
+            )
+            assert _exact_closed_moments(params) == (mean, m2, m2 - mean**2), params
 
     def test_mean_from_game_tree_tail_sum(self):
         # E = sum of survival probabilities; truncate far beyond the bulk
@@ -360,7 +388,7 @@ class TestCancellationPolicy:
         # one route
         params = GameParams(n, s)
         (mean, mean_err), (m2, m2_err) = (
-            _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
+            _alternating_sum(params, term) for term in CLOSED_TERMS
         )
         assert mean_err > CANCELLATION_TOLERANCE * mean
         assert (m2_err <= CANCELLATION_TOLERANCE * m2) == ((n, s) != (35, 48))
@@ -383,7 +411,7 @@ class TestCancellationPolicy:
             too_wide = any(
                 not err <= CANCELLATION_TOLERANCE * abs(value)
                 for value, err in (
-                    _alternating_sum(params, FLOAT, term) for term in CLOSED_TERMS
+                    _alternating_sum(params, term) for term in CLOSED_TERMS
                 )
             )
             assert (moment_report(params).method == "series") == too_wide, params
@@ -391,11 +419,15 @@ class TestCancellationPolicy:
     def test_hopeless_sums_are_refused_before_summing(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args[0])
-            return _alternating_sum(*args)
+        def counting(kernel):
+            def counted(params, *args):
+                calls.append((kernel.__name__, params))
+                return kernel(params, *args)
 
-        monkeypatch.setattr(moments, "_alternating_sum", counting)
+            return counted
+
+        for kernel in (_alternating_sum, _exact_closed_moments):
+            monkeypatch.setattr(moments, kernel.__name__, counting(kernel))
         wide = GameParams(900, 2000)
         assert moment_report(wide).method == "series"
         with pytest.raises(CancellationError, match="n=900, s=2000 lost too much precision"):
@@ -404,7 +436,9 @@ class TestCancellationPolicy:
         # pairs the test cannot settle, and exact mode, still sum
         assert moment_report(GameParams(30, 30)).method == "series"
         moment_report(GameParams(40, 40), EXACT)
-        assert calls == [GameParams(30, 30)] * 2 + [GameParams(40, 40)] * 2
+        assert calls == [("_alternating_sum", GameParams(30, 30))] * 2 + [
+            ("_exact_closed_moments", GameParams(40, 40))
+        ]
 
     def test_float_overflow_falls_back_to_the_series(self):
         # C(1100, k) * s**k / (s**k - (s-1)**k) passes the double range
@@ -474,6 +508,20 @@ class TestQuantile:
         for params in (GameParams(3, 7), GameParams(3, 8)):
             level = cdf(params, 5, EXACT)
             assert quantile(params, level) == quantile(params, level, EXACT) == 5
+
+    def test_near_tie_past_the_size_cap_is_refused(self, monkeypatch):
+        # a round trip of the test above, which decides under the real cap;
+        # s**300 takes up to 300 * 7 = 2,100 bits, the first bounds on u**n 100 * 64
+        params = GameParams(100, 100)
+        prob = cdf(params, 300)
+        for cap in (1000, 4000):
+            monkeypatch.setattr(moments, "NEAR_TIE_BITS", cap)
+            with pytest.raises(ValueError, match="near-tie at y=300 for n=100, s=100"):
+                quantile(params, prob)
+        # s**y alone would take about 8.6e19 bits here
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="past NEAR_TIE_BITS"):
+            quantile(GameParams(2, 2**60), 0.5)
 
     def test_level_extremes_rejected(self):
         params = GameParams(2, 3)
