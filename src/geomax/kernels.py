@@ -4,8 +4,8 @@ Everything here is a constant or a pure function, safe to call from
 multiple threads. The pieces:
 
 * the unit roundoff _U of a double,
-* closed forms for the power-weighted geometric series that back the
-  second-moment algebra,
+* public closed forms for the power-weighted geometric series, checked
+  against partial sums by acceptance criterion 10,
 * geometric tail bounds used to truncate the positive survival sums.
 """
 

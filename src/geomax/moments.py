@@ -3,14 +3,14 @@
 Three evaluation kernels live here, each written once for both the mean
 and the second moment:
 
-* _alternating_sum, the closed alternating sums over the subset
-  expansion of the maximum, in floats: each term is one rounded ratio of
-  exact integers, the sum an fsum, and the error bound follows from the
+* _closed_sums, the closed alternating sums over the subset expansion
+  of the maximum, in floats: each term is one rounded ratio of exact
+  integers, each sum an fsum, and each error bound follows from the
   sum's condition number;
 * _exact_closed_moments, the same sums in exact mode: integers merged
   over the lcm of the terms' denominators, one Fraction built per
-  returned value. Both closed kernels, and the exact pmf, read their
-  powers and C(n, k) from _binomial_powers;
+  returned value. Both read the integer terms of _closed_terms, which,
+  like the exact pmf, takes powers and C(n, k) from _binomial_powers;
 * _survival_sums, the positive survival sums for the mean (weight 1)
   and the second moment (weight 2t+1), float only, truncated by
   geometric tail bounds. It reads the terms P(Y > t) from a source: the
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,13 @@ from .params import FLOAT, GameParams, NumericMode
 #: Error bound of a float pmf or cdf point against EXACT: 8u = 4 * 2**-52.
 #: Checked on n <= 40, s <= 2000, not derived: at n = 10**6 the cdf can miss it.
 CLOSED_POINT_BOUND = 8 * _U
+
+
+def _log_q(params: GameParams) -> float:
+    """ln q = log1p(-p), p = params.p; ValueError once p is subnormal, too coarse for the bounds."""
+    if params.p < sys.float_info.min:
+        raise ValueError(f"s={params.s} puts the float 1/s below the smallest normal double")
+    return math.log1p(-params.p)
 
 
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -55,7 +63,7 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return (1 - params.q_exact**y) ** params.n
     if params.s == 1:
         return 1.0
-    exponent = y * math.log1p(-1.0 / params.s)
+    exponent = y * _log_q(params)
     q_y = math.exp(exponent)
     log_u = math.log1p(-q_y) if q_y < 1.0 else math.log(-math.expm1(exponent))
     return math.exp(params.n * log_u)
@@ -90,18 +98,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return params.p**n
     if s == 1:
         return 0.0
-    lam = math.log1p(-1.0 / s)
+    lam = _log_q(params)
     x = params.p * math.exp((y - 1) * lam) / -math.expm1((y - 1) * lam)
     return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
-
-
-#: Per-k terms of the closed sums, as (numerator, denominator) over
-#: a = s**k and b = (s-1)**k, before the factor C(n, k): the mean's
-#: 1/(1 - q**k) and the second moment's (1 + q**k)/(1 - q**k)**2.
-CLOSED_TERMS = (
-    lambda a, b: (a, a - b),
-    lambda a, b: ((a + b) * a, (a - b) ** 2),
-)
 
 
 def _binomial_powers(n: int, a: int, b: int):
@@ -117,48 +116,50 @@ def _binomial_powers(n: int, a: int, b: int):
         yield a_k, b_k, c
 
 
-def _alternating_sum(params: GameParams, term):
-    """Float (value, bound) of sum_k (-1)**(k+1) C(n,k) num/den, (num, den) = term(s**k, (s-1)**k).
+def _closed_terms(params: GameParams):
+    """Integer terms (Q_k, P_k, R_k), k = 1..n: P_k / Q_k of the mean, R_k / Q_k**2 of E(Y**2).
 
-    Each term t_k is a ratio of exact integers, and p_k, its correctly
-    rounded division; math.fsum rounds sum p_k correctly. With every
-    rounding written as x = fl(x)(1 + d), |d| <= u = 2**-53, and
-    F = fsum(|p_k|), the terms err by at most u sum |p_k| <= u(1 + u)F and
-    the sum by u|value|. The bound u(1 + 4u)(F + |value|) covers that
-    through its own two roundings, as (1 + u)**3 <= 1 + 4u. It is u|value|
-    times 1 + the condition number sum |t_k| / |sum t_k| (Higham 2002,
-    ch. 4). Past the double range the result is (nan, inf). Exact mode
-    takes _exact_closed_moments.
+    With a = s**k, b = (s-1)**k and c = (-1)**(k+1) C(n,k): Q_k = a - b, P_k = c a
+    and R_k = P_k (a + b), so c / (1 - q**k) and c (1 + q**k) / (1 - q**k)**2.
     """
-    pieces = []
+    for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
+        p = c * a if k % 2 == 1 else -c * a
+        yield a - b, p, p * (a + b)
+
+
+def _closed_sums(params: GameParams) -> tuple[tuple[float, float], ...]:
+    """((mean, bound), (second moment, bound)) of the closed sums, in floats.
+
+    Each term t_k, P_k / Q_k or R_k / Q_k**2 of _closed_terms, is a ratio
+    of exact integers, and p_k, its correctly rounded division; math.fsum
+    rounds sum p_k correctly. With every rounding written as
+    x = fl(x)(1 + d), |d| <= u = 2**-53, and F = fsum(|p_k|), the terms
+    err by at most u sum |p_k| <= u(1 + u)F and the sum by u|value|. The
+    bound u(1 + 4u)(F + |value|) covers that through its own two
+    roundings, as (1 + u)**3 <= 1 + 4u. It is u|value| times 1 + the
+    condition number sum |t_k| / |sum t_k| (Higham 2002, ch. 4). Past the
+    double range both moments are (nan, inf).
+    """
     try:
-        for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
-            num, den = term(a, b)
-            piece = c * num / den
-            pieces.append(piece if k % 2 == 1 else -piece)
-        value = math.fsum(pieces)
-        return value, _U * (1 + 4 * _U) * (math.fsum(map(abs, pieces)) + abs(value))
+        sums = []
+        for pieces in zip(*[(p / q, r / (q * q)) for q, p, r in _closed_terms(params)]):
+            value = math.fsum(pieces)
+            sums.append((value, _U * (1 + 4 * _U) * (math.fsum(map(abs, pieces)) + abs(value))))
+        return tuple(sums)
     except OverflowError:
-        return math.nan, math.inf
+        return ((math.nan, math.inf),) * 2
 
 
 def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fraction]:
     """(mean, second moment, variance) of the closed sums, as Fractions.
 
-    Term k is (-1)**(k+1) C(n,k) P_k / Q_k for the mean and R_k / Q_k**2
-    for the second moment, with Q_k = s**k - (s-1)**k the terms of
-    CLOSED_TERMS share. Adjacent (Q, P, R) are merged level by level over
+    Adjacent (Q, P, R) of _closed_terms are merged level by level over
     their lcm: with g = gcd(Q1, Q2), f1 = Q2 / g and f2 = Q1 / g,
-    Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The
-    balanced tree keeps the products even, and each returned value is
-    reduced once: P / Q, R / Q**2 and (R - P**2) / Q**2.
+    Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The balanced
+    tree keeps the products even, and each returned value is reduced
+    once: P / Q, R / Q**2 and (R - P**2) / Q**2.
     """
-    mean_term, m2_term = CLOSED_TERMS
-    level = []
-    for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
-        num, den = mean_term(a, b)
-        c = c if k % 2 == 1 else -c
-        level.append((den, c * num, c * m2_term(a, b)[0]))  # m2_term's den is den**2
+    level = list(_closed_terms(params))
     while len(level) > 1:
         merged = []
         for (q1, p1, r1), (q2, p2, r2) in zip(level[::2], level[1::2]):
@@ -218,7 +219,7 @@ def _closed_form_terms(params: GameParams):
     * So each weighted term errs by at most (5 t |lam| + 8) u times it,
       a relative bound with no factor of n.
     """
-    n, lam = params.n, math.log1p(-1.0 / params.s)
+    n, lam = params.n, _log_q(params)
 
     def terms_of(t: np.ndarray):
         return -np.expm1(n * np.log1p(-np.exp(t * lam))), (5 * abs(lam) * t + 8) * _U, 0.0
@@ -327,7 +328,7 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     root = float(prob) ** (1.0 / params.n)  # target value of 1 - q**y
     if root >= 1.0:
         root = 1.0 - 2.0**-52  # seed only; the walk below settles the answer
-    estimate = math.log1p(-root) / math.log1p(-1.0 / params.s)
+    estimate = math.log1p(-root) / _log_q(params)
     y = max(1, math.ceil(estimate) - 2)
 
     def reached(y: int) -> bool:

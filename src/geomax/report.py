@@ -52,9 +52,7 @@ def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> Mom
         mean, m2, variance = moments._exact_closed_moments(params)
         return MomentReport(mean, m2, variance, "closed-alternating", Fraction(0))
     if not _mean_surely_refused(params):
-        (mean, mean_err), (m2, m2_err) = sums = [
-            moments._alternating_sum(params, term) for term in moments.CLOSED_TERMS
-        ]
+        (mean, mean_err), (m2, m2_err) = sums = moments._closed_sums(params)
         # <= is False for an overflowed sum, (nan, inf), so it is refused too
         if all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):
             return _pack(mean, m2, mean_err, m2_err, "closed-alternating")

@@ -273,6 +273,14 @@ class TestExitCodes:
         assert code == 2
         assert "simulate" in err
 
+    def test_float_point_past_the_double_range_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "--n", "2", "--s", str(2**1100), "--quantity", "cdf", "--y", "5"
+        )
+        assert code == 2
+        assert err.startswith("error:") and "smallest normal double" in err
+        assert "Traceback" not in err
+
     def test_cancellation_exit_code(self, capsys):
         # compare forces the closed path without fallback; at the 30,30
         # corner its derived error bound crosses the refusal threshold

@@ -43,10 +43,9 @@ from geomax import (
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from geomax.moments import (
-    CLOSED_TERMS,
-    _alternating_sum,
     _binomial_powers,
     _closed_form_terms,
+    _closed_sums,
     _exact_closed_moments,
     _survival_sums,
 )
@@ -56,6 +55,20 @@ from geomax.report import MOMENTS, ROUTES
 SNAPSHOT_LEVELS = runpy.run_path(
     str(Path(__file__).parents[1] / "scripts" / "route_snapshot.py")
 )["LEVELS"]
+
+#: The closed sums' terms k before the sign and C(n, k), as (numerator,
+#: denominator) over a = s**k and b = (s-1)**k: the mean's
+#: 1/(1 - q**k) = a/(a - b) and the second moment's
+#: (1 + q**k)/(1 - q**k)**2 = (a + b) a/(a - b)**2.
+CLOSED_SUM_TERMS = (
+    lambda a, b: (a, a - b),
+    lambda a, b: ((a + b) * a, (a - b) ** 2),
+)
+
+#: Every pair n <= s <= 40, and relaxed pairs n > s up to n = 60.
+CLOSED_SUM_PAIRS = [GameParams(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
+    GameParams(n, s, relaxed=True) for s in (1, 2, 3, 7) for n in range(s + 1, 61)
+]
 
 
 def game_tree_cdf(n: int, s: int, y: int) -> Fraction:
@@ -176,6 +189,20 @@ class TestDistribution:
             exact = cdf(params, y, EXACT)
             assert abs(Fraction(cdf(params, y)) - exact) <= exact * Fraction(1, 10**13), y
 
+    @pytest.mark.parametrize("s", [2**1030, 2**1100])
+    def test_float_points_refuse_a_subnormal_one_over_s(self, s):
+        # 1/s below the smallest normal double carries too few bits for the
+        # float bounds; at 2**1100 it rounds to 0
+        params = GameParams(2, s)
+        for evaluate, point in ((cdf, 5), (pmf, 5), (quantile, 0.5)):
+            with pytest.raises(ValueError, match="smallest normal double"):
+                evaluate(params, point)
+
+    def test_float_points_at_the_last_normal_powers(self):
+        params = GameParams(2, 2**1000)
+        assert cdf(params, 5) == 0.0
+        assert pmf(params, 5) == 0.0
+
     def test_float_normalization_spot(self):
         for n, s in [(1, 1), (2, 2), (3, 7), (12, 12)]:
             params = GameParams(n, s)
@@ -221,9 +248,7 @@ class TestClosedMoments:
     def test_exact_kernel_matches_the_fraction_sums(self):
         # the reference sums one reduced Fraction per term, as each closed
         # sum reads, and takes the variance as m2 - mean**2
-        pairs = [GameParams(n, s) for s in range(1, 41) for n in range(1, s + 1)]
-        pairs += [GameParams(n, s, relaxed=True) for s in (1, 2, 3, 7) for n in range(s + 1, 61)]
-        for params in pairs + [GameParams(150, 151)]:
+        for params in CLOSED_SUM_PAIRS + [GameParams(150, 151)]:
             n, s = params.n, params.s
             mean, m2 = (
                 sum(
@@ -234,9 +259,26 @@ class TestClosedMoments:
                     ),
                     Fraction(0),
                 )
-                for term in CLOSED_TERMS
+                for term in CLOSED_SUM_TERMS
             )
             assert _exact_closed_moments(params) == (mean, m2, m2 - mean**2), params
+
+    def test_float_kernel_matches_the_rounded_terms_bit_for_bit(self):
+        # each term rounded once from its reduced Fraction, each sum an fsum,
+        # each bound u(1 + 4u)(F + |value|) with F = fsum(|p_k|)
+        for params in CLOSED_SUM_PAIRS:
+            n, s = params.n, params.s
+            expected = []
+            for term in CLOSED_SUM_TERMS:
+                pieces = [
+                    float(Fraction((-1) ** (k + 1) * math.comb(n, k) * num, den))
+                    for k in range(1, n + 1)
+                    for num, den in [term(s**k, (s - 1) ** k)]
+                ]
+                value = math.fsum(pieces)
+                bound = _U * (1 + 4 * _U) * (math.fsum(map(abs, pieces)) + abs(value))
+                expected.append((value, bound))
+            assert _closed_sums(params) == tuple(expected), params
 
     def test_mean_from_game_tree_tail_sum(self):
         # E = sum of survival probabilities; truncate far beyond the bulk
@@ -387,9 +429,7 @@ class TestCancellationPolicy:
         # the second-moment sum's is not; both moments must still come from
         # one route
         params = GameParams(n, s)
-        (mean, mean_err), (m2, m2_err) = (
-            _alternating_sum(params, term) for term in CLOSED_TERMS
-        )
+        (mean, mean_err), (m2, m2_err) = _closed_sums(params)
         assert mean_err > CANCELLATION_TOLERANCE * mean
         assert (m2_err <= CANCELLATION_TOLERANCE * m2) == ((n, s) != (35, 48))
         report = moment_report(params)
@@ -409,10 +449,7 @@ class TestCancellationPolicy:
         pairs += [GameParams(n, s, relaxed=True) for s in (1, 2, 3, 7) for n in range(s + 1, 61)]
         for params in pairs:
             too_wide = any(
-                not err <= CANCELLATION_TOLERANCE * abs(value)
-                for value, err in (
-                    _alternating_sum(params, term) for term in CLOSED_TERMS
-                )
+                not err <= CANCELLATION_TOLERANCE * abs(value) for value, err in _closed_sums(params)
             )
             assert (moment_report(params).method == "series") == too_wide, params
 
@@ -426,7 +463,7 @@ class TestCancellationPolicy:
 
             return counted
 
-        for kernel in (_alternating_sum, _exact_closed_moments):
+        for kernel in (_closed_sums, _exact_closed_moments):
             monkeypatch.setattr(moments, kernel.__name__, counting(kernel))
         wide = GameParams(900, 2000)
         assert moment_report(wide).method == "series"
@@ -436,13 +473,14 @@ class TestCancellationPolicy:
         # pairs the test cannot settle, and exact mode, still sum
         assert moment_report(GameParams(30, 30)).method == "series"
         moment_report(GameParams(40, 40), EXACT)
-        assert calls == [("_alternating_sum", GameParams(30, 30))] * 2 + [
+        assert calls == [("_closed_sums", GameParams(30, 30))] + [
             ("_exact_closed_moments", GameParams(40, 40))
         ]
 
     def test_float_overflow_falls_back_to_the_series(self):
         # C(1100, k) * s**k / (s**k - (s-1)**k) passes the double range
         params = GameParams(1100, 2000)
+        assert all(math.isnan(value) and err == math.inf for value, err in _closed_sums(params))
         report = moment_report(params)
         assert report.method == "series"
         lam = -math.log(params.q)
