@@ -20,6 +20,7 @@ the exception's type name, and a missing bound as "-". The routes:
 * float-/exact- pmf, cdf and quantile points for s <= min(12, s-max),
   the quantile at fixed levels and at each rounded exact cdf value and
   its two float neighbours (the near-ties);
+* float quantiles at scale (SCALE_QUANTILES), past exact mode's reach;
 * the cliffs benchmark points, under the routes above.
 
 The default run (s-max 40) takes about 3 s on a 2-vCPU Xeon VM.
@@ -75,6 +76,14 @@ CLIFFS = (
 #: Profile horizon and quantile levels of the point routes.
 TURNS = 40
 LEVELS = (1e-6, 0.001, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9)
+
+#: Float quantile points at scale, as (n, s, level): the float cdf at the
+#: median of n = s = 10**4, and three neighbouring doubles at (10**6, 10**9)
+#: whose quantile is 14,095,274,640.
+SCALE_QUANTILES = (
+    (10**4, 10**4, float.fromhex("0x1.00042130673c0p-1")),
+    *((10**6, 10**9, float.fromhex(f"0x1.e0d3f2cdabb1{d}p-2")) for d in (7, 8, 9)),
+)
 
 
 #: Terminal width the --cli transcript's --help pages wrap to.
@@ -210,6 +219,9 @@ def snapshot(s_max: int):
             yield from moment_lines(params, EXACT, method)
     for n, s, mode, method in CLIFFS:
         yield from moment_lines(GameParams(n, s), mode, method)
+    for n, s, prob in SCALE_QUANTILES:
+        params = GameParams(n, s)
+        yield "float-quantile", params, f"p={prob.hex()}", fmt(quantile(params, prob)), "-"
 
 
 def cli_transcript():
