@@ -20,7 +20,8 @@ and the second moment:
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
-This module also holds pmf, cdf and quantile.
+This module also holds pmf, cdf and quantile, which decides each step in
+either mode on the integer brackets of _bracket_power.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from .kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
-from .params import FLOAT, GameParams, NumericMode
+from .params import EXACT, FLOAT, GameParams, NumericMode
 
 
-#: Error bound of a float pmf or cdf point against EXACT: 8u = 4 * 2**-52.
-#: Checked on n <= 40, s <= 2000, not derived: at n = 10**6 the cdf can miss it.
+#: Printed error bound of a float closed pmf or cdf point against EXACT, 8u =
+#: 4 * 2**-52; quantile does not read it. Checked on n <= 40, s <= 2000, not
+#: derived: at n = 10**6 the cdf can miss it.
 CLOSED_POINT_BOUND = 8 * _U
 
 
@@ -270,75 +272,71 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
     return tuple(sums)
 
 
-#: Largest integer, in bits, that deciding a float quantile's near-tie may
-#: build (8 MiB). n = s = 10**5 needs 2.0e7 bits at its median, 5.5e7 at
-#: the level 1 - 1e-9.
+#: Largest integer, in bits, that the quantile's exact fallback may build
+#: (8 MiB): the Fraction cdf at y, of n y bit_length(s) bits.
 NEAR_TIE_BITS = 1 << 26
 
 
-def _exact_cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
-    """cdf(params, y, EXACT) >= prob, decided on bounds of n k bits while they can.
+def _bracket_power(lo: int, hi: int, m: int, k: int) -> tuple[int, int]:
+    """A bracket of x**m from one of x: lo <= x 2**k <= hi, for 0 <= x <= 1.
 
-    u = 1 - q**y = a / b, with a = s**y - (s-1)**y and b = s**y, lies in
-    [lo, lo + 1] / 2**k for lo = floor(a 2**k / b), so cdf = u**n lies in
-    [lo**n, (lo + 1)**n] / 2**(n k): integers of n k bits. k doubles until
-    prob falls outside; once 2**k exceeds b, the exact u**n is no dearer.
-    Raises ValueError before building an integer past NEAR_TIE_BITS: b of
-    up to y bit_length(s) bits, a bound of n k bits or u**n of n bit_length(b).
+    Powers by squaring; each product is floored on the low side and
+    ceiled on the high side back to k bits, so every step stays a bracket.
+    """
+    low = high = 1 << k
+    while m:
+        if m & 1:
+            low, high = low * lo >> k, -(-high * hi >> k)
+        lo, hi, m = lo * lo >> k, -(-hi * hi >> k), m >> 1
+    return low, high
+
+
+def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
+    """cdf(params, y, EXACT) >= prob, decided on k-bit brackets while they can.
+
+    q = (s-1)/s is bracketed, raised to the y-th power, taken from 1 and
+    raised to the n-th power by _bracket_power: a bracket of
+    cdf = (1 - q**y)**n. k doubles from 64 until prob falls outside. Once
+    k passes the Fraction cdf's n y bit_length(s) bits, as at an exact tie,
+    that cdf decides; it raises ValueError past NEAR_TIE_BITS.
     """
     n, s = params.n, params.s
-
-    def refuse_past_cap(bits: int) -> None:
-        if bits > NEAR_TIE_BITS:
-            raise ValueError(
-                f"deciding the quantile's near-tie at y={y} for n={n}, s={s} needs "
-                f"integers of {bits} bits, past NEAR_TIE_BITS = {NEAR_TIE_BITS}"
-            )
-
-    refuse_past_cap(y * s.bit_length())
-    a, b = s**y - (s - 1) ** y, s**y
+    bits = n * y * s.bit_length()
     k = 64
-    while k <= b.bit_length():
-        refuse_past_cap(n * k)
-        lo = (a << k) // b
-        scaled = prob.numerator << (n * k)  # prob 2**(n k), times prob's denominator
-        if lo**n * prob.denominator >= scaled:
+    while k <= bits:
+        q_lo, q_hi = _bracket_power(((s - 1) << k) // s, -(-((s - 1) << k) // s), y, k)
+        lo, hi = _bracket_power((1 << k) - q_hi, (1 << k) - q_lo, n, k)
+        scaled = prob.numerator << k
+        if lo * prob.denominator >= scaled:
             return True
-        if (lo + 1) ** n * prob.denominator < scaled:
+        if hi * prob.denominator < scaled:
             return False
         k *= 2
-    refuse_past_cap(n * b.bit_length())
-    return Fraction(a, b) ** n >= prob
+    if bits > NEAR_TIE_BITS:
+        raise ValueError(
+            f"deciding the quantile at y={y} for n={n}, s={s} needs a cdf of "
+            f"{bits} bits, past NEAR_TIE_BITS = {NEAR_TIE_BITS}"
+        )
+    return cdf(params, y, EXACT) >= prob
 
 
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
-    """Smallest y with cdf(y) >= prob, for 0 < prob < 1.
+    """Smallest y with cdf(y) >= prob, for 0 < prob < 1, the same in either mode.
 
-    A float estimate from inverting the cdf seeds the search; cdf
-    comparisons in the requested mode settle the answer. The float cdf is
-    within CLOSED_POINT_BOUND of EXACT, so a float comparison decides as
-    EXACT does unless the two lie that close, and _exact_cdf_reaches
-    decides such a near-tie: the float quantile equals the exact one. A
-    near-tie that needs integers past NEAR_TIE_BITS raises ValueError.
+    The inverted law ceil(log(-expm1(log(prob)/n)) / log q) seeds the walk,
+    with prob clamped into the doubles for the seed only; _cdf_reaches decides
+    each step exactly, so mode does not change the answer. A decision that
+    needs the Fraction cdf past NEAR_TIE_BITS raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
     if params.s == 1:
         return 1
-    root = float(prob) ** (1.0 / params.n)  # target value of 1 - q**y
-    if root >= 1.0:
-        root = 1.0 - 2.0**-52  # seed only; the walk below settles the answer
-    estimate = math.log1p(-root) / _log_q(params)
-    y = max(1, math.ceil(estimate) - 2)
-
-    def reached(y: int) -> bool:
-        value = cdf(params, y, mode)
-        if not mode.exact and abs(value - prob) <= CLOSED_POINT_BOUND:
-            return _exact_cdf_reaches(params, y, Fraction(prob))
-        return value >= prob
-
-    while not reached(y):
+    level = min(max(float(prob), sys.float_info.min), 1 - _U)
+    y = max(1, math.ceil(math.log(-math.expm1(math.log(level) / params.n)) / _log_q(params)))
+    prob = Fraction(prob)
+    while not _cdf_reaches(params, y, prob):
         y += 1
-    while y > 1 and reached(y - 1):
+    while y > 1 and _cdf_reaches(params, y - 1, prob):
         y -= 1
     return y

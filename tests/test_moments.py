@@ -8,8 +8,10 @@ formulas is a real end-to-end check of the model.
 
 from __future__ import annotations
 
+import decimal
 import math
 import runpy
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -44,6 +46,7 @@ from geomax import (
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from geomax.moments import (
     _binomial_powers,
+    _bracket_power,
     _closed_form_terms,
     _closed_sums,
     _exact_closed_moments,
@@ -548,24 +551,104 @@ class TestQuantile:
             assert quantile(params, level) == quantile(params, level, EXACT) == 5
 
     def test_near_tie_past_the_size_cap_is_refused(self, monkeypatch):
-        # a round trip of the test above, which decides under the real cap;
-        # s**300 takes up to 300 * 7 = 2,100 bits, the first bounds on u**n 100 * 64
+        # the cap guards only the Fraction cdf: brackets decide the round
+        # trip at (100, 100), y = 300, under small caps, and at s = 2**60,
+        # while the exact tie at (3, 8), y = 5, whose Fraction cdf takes
+        # n y bit_length(s) = 3 * 5 * 4 = 60 bits, needs that cdf
         params = GameParams(100, 100)
         prob = cdf(params, 300)
-        for cap in (1000, 4000):
+        tie = GameParams(3, 8)
+        level = cdf(tie, 5, EXACT)
+        for cap in (60, 1000, 4000):
             monkeypatch.setattr(moments, "NEAR_TIE_BITS", cap)
-            with pytest.raises(ValueError, match="near-tie at y=300 for n=100, s=100"):
-                quantile(params, prob)
-        # s**y alone would take about 8.6e19 bits here
+            assert quantile(params, prob) == quantile(params, prob, EXACT)
+            assert quantile(tie, level) == 5
+        monkeypatch.setattr(moments, "NEAR_TIE_BITS", 59)
+        for mode in (FLOAT, EXACT):
+            with pytest.raises(ValueError, match="quantile at y=5 for n=3, s=8 needs a cdf of 60 bits"):
+                quantile(tie, level, mode)
         monkeypatch.undo()
-        with pytest.raises(ValueError, match="past NEAR_TIE_BITS"):
-            quantile(GameParams(2, 2**60), 0.5)
+        assert quantile(GameParams(2, 2**60), 0.5) == 1_415_726_707_229_888_307
 
     def test_level_extremes_rejected(self):
         params = GameParams(2, 3)
         for prob in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 quantile(params, prob)
+
+
+def decimal_cdf(n: int, s: int, y: int) -> Decimal:
+    """(1 - q**y)**n at 60 significant digits, an oracle independent of moments.py."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return (1 - (1 - Decimal(1) / s) ** y) ** n
+
+
+class TestQuantileAtScale:
+    """Quantiles past exact mode's reach, checked against decimal_cdf."""
+
+    @staticmethod
+    def assert_inverse(params, prob, y):
+        assert decimal_cdf(params.n, params.s, y) >= prob
+        assert y == 1 or decimal_cdf(params.n, params.s, y - 1) < prob
+
+    @pytest.mark.parametrize("last", "789")
+    def test_levels_where_the_float_cdf_misses_by_more_than_8u(self, last):
+        params = GameParams(10**6, 10**9)
+        prob = float.fromhex(f"0x1.e0d3f2cdabb1{last}p-2")
+        assert quantile(params, prob) == 14_095_274_640
+        self.assert_inverse(params, prob, 14_095_274_640)
+
+    @pytest.mark.parametrize("n", [10**4, 3 * 10**4])
+    def test_median_round_trip(self, n):
+        params = GameParams(n, n)
+        prob = cdf(params, quantile(params, 0.5))
+        y = quantile(params, prob)
+        self.assert_inverse(params, prob, y)
+
+    def test_two_dice_past_the_float_q(self):
+        params = GameParams(2, 2**60)
+        y = quantile(params, 0.5)
+        assert y == 1_415_726_707_229_888_307
+        self.assert_inverse(params, 0.5, y)
+
+    @pytest.mark.parametrize(
+        "prob,expected", [(Fraction(1, 10**400), 1), (Fraction(10**30 - 1, 10**30), 383)]
+    )
+    def test_levels_past_the_doubles_seed_a_finite_walk(self, prob, expected):
+        # float(prob) is 0.0 and 1.0 here
+        params = GameParams(2, 6)
+        for mode in (FLOAT, EXACT):
+            assert quantile(params, prob, mode) == expected
+        self.assert_inverse(params, prob, expected)
+
+
+class TestBracketPower:
+    def test_brackets_the_exact_power(self):
+        # every k-bit bracket [lo, lo] and [lo, lo + 1] of x in [0, 1]
+        for k in (1, 3, 6):
+            one = 1 << k
+            for lo in range(one + 1):
+                for hi in {lo, min(lo + 1, one)}:
+                    for m in range(9):
+                        low, high = _bracket_power(lo, hi, m, k)
+                        assert low <= Fraction(lo, one) ** m * one, (lo, m, k)
+                        assert Fraction(hi, one) ** m * one <= high, (hi, m, k)
+
+    def test_zeroth_and_first_powers_are_exact(self):
+        for lo, hi in ((0, 0), (3, 5), (256, 256)):
+            assert _bracket_power(lo, hi, 0, 8) == (256, 256)
+            assert _bracket_power(lo, hi, 1, 8) == (lo, hi)
+
+    def test_dyadic_powers_round_nowhere(self):
+        # x = 2**-j with j m <= k: every product is a k-bit integer
+        for j, m in ((1, 8), (2, 4), (4, 2), (0, 100)):
+            x = 1 << (8 - j)
+            assert _bracket_power(x, x, m, 8) == (1 << (8 - j * m),) * 2
+
+    def test_rounds_down_below_and_up_above(self):
+        # (3/4)**5 * 2**8 = 60.75
+        assert _bracket_power(192, 192, 5, 8) == (60, 61)
 
 
 class TestRelaxedParameters:
