@@ -53,10 +53,12 @@ def _log_q(params: GameParams) -> float:
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count <= y). Zero below 1, else (1 - q**y)**n.
 
-    Float mode takes exp(n log1p(-q**y)) with q**y = exp(y log1p(-1/s)):
-    never a power of the rounded q, and no n-th power of a rounded base.
-    Where q**y rounds to 1 (s past about 2**53, small y), log1p(-q**y)
-    becomes log(-expm1(y log1p(-1/s))).
+    Float mode takes exp(n log(1 - q**y)) with q**y = exp(y lam),
+    lam = log1p(-1/s): never a power of the rounded q, and no n-th power
+    of a rounded base. log(1 - q**y) is log1p(-q**y) where q**y <= 1/2 and
+    log(-expm1(y lam)) where q**y > 1/2 (Maechler's log1mexp), so nothing
+    cancels: by _closed_form_terms' analysis it errs by at most
+    (7 + 2|log(1 - q**y)|)u, and the cdf P by (7n + 3|ln P| + 2)u relative.
     """
     y = operator.index(y)
     if y < 1:
@@ -65,9 +67,8 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return (1 - params.q_exact**y) ** params.n
     if params.s == 1:
         return 1.0
-    exponent = y * _log_q(params)
-    q_y = math.exp(exponent)
-    log_u = math.log1p(-q_y) if q_y < 1.0 else math.log(-math.expm1(exponent))
+    lam_y = y * _log_q(params)  # log q**y
+    log_u = math.log(-math.expm1(lam_y)) if lam_y > -math.log(2) else math.log1p(-math.exp(lam_y))
     return math.exp(params.n * log_u)
 
 

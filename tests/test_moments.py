@@ -192,6 +192,19 @@ class TestDistribution:
             exact = cdf(params, y, EXACT)
             assert abs(Fraction(cdf(params, y)) - exact) <= exact * Fraction(1, 10**13), y
 
+    @pytest.mark.parametrize("s", [6, 2000, 2**30, 2**60])
+    def test_float_cdf_relative_error_in_the_lower_tail(self, s):
+        # cdf's bound from _closed_form_terms' analysis: fl(y lam) carries 5u
+        # and expm1 or exp 2u, which log(1 - q**y) passes on at most once, so
+        # it errs by (7 + 2|log(1 - q**y)|)u; the product with n and exp add
+        # u|ln P| and 2u, so P errs by at most (7n + 3|ln P| + 2)u relative
+        n = 2
+        params = GameParams(n, s)
+        for y in (1, 3, 10, 30, 100, 300, 1000, 3000, 10**4):
+            exact = cdf(params, y, EXACT)
+            bound = Fraction((7 * n + 3 * abs(math.log(exact)) + 2) * _U)
+            assert abs(Fraction(cdf(params, y)) - exact) <= bound * exact, (s, y)
+
     @pytest.mark.parametrize("s", [2**1030, 2**1100])
     def test_float_points_refuse_a_subnormal_one_over_s(self, s):
         # 1/s below the smallest normal double carries too few bits for the
