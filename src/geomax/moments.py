@@ -273,8 +273,7 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
     return tuple(sums)
 
 
-#: Largest integer, in bits, that the quantile's exact fallback may build
-#: (8 MiB): the Fraction cdf at y, of n y bit_length(s) bits.
+#: Largest Fraction cdf, in bits (8 MiB), that quantile's exact fallback may build.
 NEAR_TIE_BITS = 1 << 26
 
 
@@ -295,11 +294,10 @@ def _bracket_power(lo: int, hi: int, m: int, k: int) -> tuple[int, int]:
 def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     """cdf(params, y, EXACT) >= prob, decided on k-bit brackets while they can.
 
-    q = (s-1)/s is bracketed, raised to the y-th power, taken from 1 and
-    raised to the n-th power by _bracket_power: a bracket of
-    cdf = (1 - q**y)**n. k doubles from 64 until prob falls outside. Once
-    k passes the Fraction cdf's n y bit_length(s) bits, as at an exact tie,
-    that cdf decides; it raises ValueError past NEAR_TIE_BITS.
+    _bracket_power raises a bracket of q = (s-1)/s to the y-th power, and
+    1 - q**y to the n-th: a bracket of cdf = (1 - q**y)**n. k doubles from 64
+    until prob falls outside. Past the Fraction cdf's n y bit_length(s) bits,
+    as at an exact tie, that cdf decides; it raises ValueError past NEAR_TIE_BITS.
     """
     n, s = params.n, params.s
     bits = n * y * s.bit_length()
@@ -307,11 +305,9 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     while k <= bits:
         q_lo, q_hi = _bracket_power(((s - 1) << k) // s, -(-((s - 1) << k) // s), y, k)
         lo, hi = _bracket_power((1 << k) - q_hi, (1 << k) - q_lo, n, k)
-        scaled = prob.numerator << k
-        if lo * prob.denominator >= scaled:
-            return True
-        if hi * prob.denominator < scaled:
-            return False
+        a, b = prob.numerator << k, prob.denominator
+        if lo * b >= a or hi * b < a:
+            return lo * b >= a
         k *= 2
     if bits > NEAR_TIE_BITS:
         raise ValueError(
@@ -324,10 +320,11 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     """Smallest y with cdf(y) >= prob, for 0 < prob < 1, the same in either mode.
 
-    The inverted law ceil(log(-expm1(log(prob)/n)) / log q) seeds the walk,
-    with prob clamped into the doubles for the seed only; _cdf_reaches decides
-    each step exactly, so mode does not change the answer. A decision that
-    needs the Fraction cdf past NEAR_TIE_BITS raises ValueError.
+    The inverted law ceil(log(-expm1(log(prob)/n)) / log q), with prob
+    clamped into the doubles, seeds a search that steps away from the seed,
+    doubling its step, as a seed past 2**53 can be far off, then bisects.
+    _cdf_reaches decides each step exactly, so mode does not change the
+    answer; past NEAR_TIE_BITS it raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -336,8 +333,12 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     level = min(max(float(prob), sys.float_info.min), 1 - _U)
     y = max(1, math.ceil(math.log(-math.expm1(math.log(level) / params.n)) / _log_q(params)))
     prob = Fraction(prob)
-    while not _cdf_reaches(params, y, prob):
-        y += 1
-    while y > 1 and _cdf_reaches(params, y - 1, prob):
-        y -= 1
-    return y
+    lo, hi = y - 1, y  # until cdf(lo) < prob <= cdf(hi); cdf(0) = 0
+    while not _cdf_reaches(params, hi, prob):
+        lo, hi = hi, 3 * hi - 2 * lo
+    while _cdf_reaches(params, lo, prob):
+        lo, hi = max(0, 3 * lo - 2 * hi), lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _cdf_reaches(params, mid, prob) else (mid, hi)
+    return hi
