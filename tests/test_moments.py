@@ -621,7 +621,7 @@ class TestQuantileAtScale:
 
     @pytest.mark.parametrize("s", [2**60, 2**80])
     def test_two_dice_past_the_float_q(self, s):
-        # the float seed misses y by about y * 2**-50, so the walk must gallop
+        # past y = 2**53 the float seed can miss by many turns; the search gallops
         params = GameParams(2, s)
         self.assert_inverse(params, 0.5, quantile(params, 0.5))
 
