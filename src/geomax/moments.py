@@ -306,7 +306,7 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
         q_lo, q_hi = _bracket_power(((s - 1) << k) // s, -(-((s - 1) << k) // s), y, k)
         lo, hi = _bracket_power((1 << k) - q_hi, (1 << k) - q_lo, n, k)
         a, b = prob.numerator << k, prob.denominator
-        if lo * b >= a or hi * b < a:
+        if lo * b >= a or hi * b < a:  # prob lies outside [lo, hi] / 2**k
             return lo * b >= a
         k *= 2
     if bits > NEAR_TIE_BITS:
