@@ -6,7 +6,8 @@ multiple threads. The pieces:
 * the unit roundoff _U of a double,
 * public closed forms for the power-weighted geometric series, checked
   against partial sums by acceptance criterion 10,
-* geometric tail bounds used to truncate the positive survival sums.
+* geometric tail bounds that truncate the matrix-power route's survival
+  sums (the series sums its tail in closed form instead).
 """
 
 from __future__ import annotations

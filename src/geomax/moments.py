@@ -12,10 +12,12 @@ and the second moment:
   returned value. Both read the integer terms of _closed_terms, which,
   like the exact pmf, takes powers and C(n, k) from _binomial_powers;
 * _survival_sums, the positive survival sums for the mean (weight 1)
-  and the second moment (weight 2t+1), float only, truncated by
-  geometric tail bounds. It reads the terms P(Y > t) from a source: the
-  closed form here (_closed_form_terms, the "series" route) or the
-  chain's absorption probabilities (chain._survival_terms, the
+  and the second moment (weight 2t+1), float only. It reads the terms
+  P(Y > t) from a source and ends them by a tail: the closed form here
+  up to the first t with n q**t <= SERIES_SPLIT, then the closed
+  alternating tail past it (_closed_form_terms and _closed_tail, the
+  "series" route), or the chain's absorption probabilities up to a
+  geometric tail bound (chain._survival_terms and _geometric_tail, the
   "matrix-power" route).
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
@@ -204,6 +206,9 @@ def _first_at_most(bound, eps: float) -> int:
 def _closed_form_terms(params: GameParams):
     """Survival-term source for _survival_sums: P(Y > t) = 1 - (1 - q**t)**n.
 
+    The series sums these terms for t < T, the head, and _closed_tail
+    sums the rest.
+
     Each term is -expm1(n * log1p(-q**t)) with q**t = exp(t * lam),
     lam = log1p(-1/s), never a power of the rounded q. Error bound, with
     u = 2**-53 and libm's exp, log1p and expm1 within one ulp (2u):
@@ -230,7 +235,99 @@ def _closed_form_terms(params: GameParams):
     return terms_of
 
 
-def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float, float], ...]:
+def _geometric_tail(params: GameParams, eps: float):
+    """Truncation of each survival sum: ((stop, 0.0, tail bound), ...), mean first.
+
+    Each sum stops before the first t >= 1 whose geometric tail bound
+    (tail_bound_max_geom, or tail_bound_weighted_max_geom for the second
+    moment) is <= eps, and leaves out a tail of at most that bound.
+    """
+    n, q = params.n, params.q
+    tails = []
+    for bound in (tail_bound_max_geom, tail_bound_weighted_max_geom):
+        stop = _first_at_most(lambda t: bound(n, q, t), eps)
+        tails.append((stop, 0.0, bound(n, q, stop)))
+    return tails
+
+
+#: The series sums its terms up to the first t >= 1 with n q**t <= SERIES_SPLIT
+#: and the rest in closed form, whose terms then fall by this factor or more.
+SERIES_SPLIT = 0.5
+
+
+def _closed_tail(params: GameParams, eps: float):
+    """The series' tails sum_{t>=T} in closed form: ((T, value, bound), ...), mean first.
+
+    T is the first t >= 1 with n q**T <= SERIES_SPLIT. Expanding
+    P(Y > t) = sum_j (-1)**(j+1) C(n,j) q**(jt), j = 1..n, and summing
+    each geometric series over t >= T, with c_j = C(n,j) q**(jT),
+    x = q**j and d = 1 - x:
+
+    * mean tail: sum_j (-1)**(j+1) c_j / d;
+    * second-moment tail: sum_j (-1)**(j+1) c_j ((2T+1) d + 2x) / d**2,
+      computed as the mean term times (2T+1) + 2x / d.
+
+    c_j / c_{j-1} = (n-j+1) q**T / j <= n q**T <= 1/2, and d grows with j,
+    so each |term| is at most half the one before: the alternating sum's
+    condition number is at most 3, and its remainder after the last term
+    kept is at most the first term left out. Each sum keeps its terms up to
+    the first whose computed magnitude is <= eps, or to j = n.
+
+    Error bound, to first order, with u = 2**-53 and the roundings of
+    _closed_form_terms: fl(j lam) errs by at most 5u relative, so q**T =
+    exp(T lam) by (5T|lam| + 2)u, and c_j, built as c_{j-1} times
+    fl(fl((n-j+1)/j) q**T) (Python's int division rounds once), by
+    j (5T|lam| + 5)u; a spare u per step, j (5T|lam| + 6)u, covers the
+    second-order terms. d = -expm1(j lam) errs by at most 5u + 2u, as
+    expm1's relative condition number is at most 1 for a negative
+    argument, so the mean term, after the division, by j (5T|lam| + 6)u + 8u.
+    x = exp(j lam) errs by (5j|lam| + 2)u, so x / d by (5j|lam| + 10)u, the
+    positive factor (2T+1) + 2x / d by (5j|lam| + 11)u, and the
+    second-moment term by the mean term's error plus (5j|lam| + 12)u. Each
+    sum's bound is these relative bounds times the |terms| kept, plus u
+    |value| for its fsum, plus the first term left out times one plus its
+    relative bound for the truncation. A term below the smallest normal
+    double errs by less than 2**-1000, far below the 2u |total| >= 2u that
+    _survival_sums adds.
+
+    Where the float q rounds to 1 (s past about 2**53) the sums before T
+    would take about s ln(2n) terms, so that raises ValueError.
+    """
+    n, s = params.n, params.s
+    if params.q == 1.0:
+        raise ValueError(f"the series at s={s} needs about s ln(2n) terms: the float q rounds to 1")
+    lam = _log_q(params)
+    split = _first_at_most(lambda t: n * math.exp(t * lam), SERIES_SPLIT)
+    q_split = math.exp(split * lam)
+    step = (5 * split * abs(lam) + 6) * _U  # c_j's relative error per j
+    kept, errors, left_out = ([], []), ([], []), [None, None]
+    c, j = 1.0, 0
+    while j < n and None in left_out:
+        j += 1
+        c *= (n - j + 1) / j * q_split
+        d = -math.expm1(j * lam)
+        mean = c / d
+        terms = (mean, mean * ((2 * split + 1) + 2 * math.exp(j * lam) / d))
+        relative = (j * step + 8 * _U, j * step + (5 * j * abs(lam) + 20) * _U)
+        for k in (0, 1):
+            if left_out[k] is not None:
+                continue
+            if terms[k] <= eps:
+                left_out[k] = terms[k] * (1 + relative[k])
+            else:
+                kept[k].append(terms[k] if j % 2 else -terms[k])
+                errors[k].append(terms[k] * relative[k])
+    tails = []
+    for terms, term_errors, truncation in zip(kept, errors, left_out):
+        value = math.fsum(terms)
+        bound = math.fsum(term_errors) + _U * abs(value) + (truncation or 0.0)
+        tails.append((split, value, bound))
+    return tails
+
+
+def _survival_sums(
+    params: GameParams, eps: float, source, tail=_geometric_tail
+) -> tuple[tuple[float, float], ...]:
     """((mean, bound), (second moment, bound)) from the survival terms P(Y > t).
 
     E(Y) = sum_{t>=0} P(Y > t) and E(Y**2) = sum_{t>=0} (2t+1) P(Y > t).
@@ -240,20 +337,19 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
     its weight w, as rounded, errs by at most relative * (w term) +
     w absolute. The t = 0 term is 1 for both sums.
 
-    Each sum stops before the first t >= 1 whose geometric tail bound
-    (tail_bound_max_geom, or tail_bound_weighted_max_geom for the second
-    moment) is <= eps. Both run over the same numpy blocks of SERIES_BLOCK
-    terms, each block summed by math.fsum and the block sums fsum'd
-    again; the two fsum levels err by at most 2u |total|, u = 2**-53.
-    Each bound is the weighted per-term error bounds plus 2u |total| plus
-    the tail bound at the stop.
+    tail(params, eps) gives, per sum, where its terms stop and the value
+    and error bound of what it leaves out: _geometric_tail (a value of 0
+    and the geometric tail bound) or the series' _closed_tail. It runs
+    before any term is evaluated. Both sums run over the same numpy blocks
+    of SERIES_BLOCK terms, each block summed by math.fsum, and the block
+    sums and the tail's value fsum'd again; the two fsum levels err by at
+    most 2u |total|, u = 2**-53. Each bound is the weighted per-term error
+    bounds plus 2u |total| plus the tail's bound.
     """
-    n, s = params.n, params.s
-    if s == 1:  # every die is removed on the first turn
+    if params.s == 1:  # every die is removed on the first turn
         return (1.0, 0.0), (1.0, 0.0)
-    q = params.q
-    tails = (tail_bound_max_geom, tail_bound_weighted_max_geom)
-    stops = [_first_at_most(lambda t: tail(n, q, t), eps) for tail in tails]
+    tails = tail(params, eps)
+    stops = [stop for stop, _, _ in tails]
     terms_of = source(params)
     block_sums = ([1.0], [1.0])  # t = 0
     evaluation = [0.0, 0.0]  # the summed per-term error bounds
@@ -267,9 +363,9 @@ def _survival_sums(params: GameParams, eps: float, source) -> tuple[tuple[float,
             block_sums[k].append(math.fsum(memoryview(values[:size])))  # Python floats, no list
             evaluation[k] += float(np.sum(bounds[:size]))
     sums = []
-    for parts, evaluated, tail, stop in zip(block_sums, evaluation, tails, stops):
-        total = math.fsum(parts)
-        sums.append((total, evaluated + 2 * _U * abs(total) + tail(n, q, stop)))
+    for parts, evaluated, (_, value, bound) in zip(block_sums, evaluation, tails):
+        total = math.fsum([*parts, value])
+        sums.append((total, evaluated + 2 * _U * abs(total) + bound))
     return tuple(sums)
 
 

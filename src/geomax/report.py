@@ -64,9 +64,13 @@ def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> Mom
     return _survival_report(params, mode, "series")
 
 
-#: Where each survival-sum route reads its terms P(Y > t): the closed
-#: form, or the chain's absorption probabilities.
-SURVIVAL_SOURCES = {"series": moments._closed_form_terms, "matrix-power": chain._survival_terms}
+#: Where each survival-sum route reads its terms P(Y > t), and how it ends
+#: its sums: the closed form up to the closed tail, or the chain's
+#: absorption probabilities up to the geometric tail bound.
+SURVIVAL_SOURCES = {
+    "series": (moments._closed_form_terms, moments._closed_tail),
+    "matrix-power": (chain._survival_terms, moments._geometric_tail),
+}
 
 
 def _survival_report(params: GameParams, mode: NumericMode, method: str) -> MomentReport:
@@ -76,7 +80,7 @@ def _survival_report(params: GameParams, mode: NumericMode, method: str) -> Mome
             raise ValueError("matrix-power moments are float-only")
         return _closed_report(params, mode, fallback=False)
     (mean, mean_err), (m2, m2_err) = moments._survival_sums(
-        params, mode.truncation_epsilon, SURVIVAL_SOURCES[method]
+        params, mode.truncation_epsilon, *SURVIVAL_SOURCES[method]
     )
     return _pack(mean, m2, mean_err, m2_err, method)
 

@@ -317,7 +317,8 @@ class TestClosedMoments:
 #: Every pair n <= s <= 40, plus the points where powers of the rounded q
 #: broke the series bound most, (35, 48), the fallback cliff and large s,
 #: which also broke the recursion's bound while it took 1 - q**k by
-#: subtraction, and (50, 50), the benchmark's heaviest matrix-power point.
+#: subtraction, (50, 50), the benchmark's heaviest matrix-power point, and
+#: (200, 300), where the series' closed tail starts past a long head.
 SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (35, 48),
     (60, 10**4),
@@ -326,12 +327,18 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (6, 2 * 10**4),
     (5, 10**5),
     (50, 50),
+    (200, 300),
 ]
 
 #: The O(t n**2) matrix-power route joins the gate up to this face count,
 #: and at the largest points where the benchmark runs it.
 POWER_BOUND_S_MAX = 12
 POWER_BOUND_EXTRA = ((6, 40), (50, 50))
+
+
+@lru_cache
+def exact_report(n: int, s: int):
+    return moment_report(GameParams(n, s), EXACT)
 
 
 class TestSeriesAgreement:
@@ -376,6 +383,32 @@ class TestSeriesAgreement:
             assert total == math.fsum([1.0, *(exact_terms(t)[0] * weight).tolist()])
             parts = error * float(np.sum(weight)) + 2 * _U * total
             assert bound == pytest.approx(parts + tail(params.n, params.q, stop), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, s, split", [(1, 2, 1), (1, 3, 2), (4, 20_000, 41_588), (60, 10**4, 47_873), (200, 300, 1_795)]
+    )
+    @pytest.mark.parametrize("eps", [1e-13, 1e-6])
+    def test_series_splits_into_head_and_closed_tail(self, n, s, split, eps):
+        # the head stops at the first t >= 1 with n q**t <= 1/2 ((1, 2) has
+        # no head), the closed tail sums the rest, and the series stays
+        # within its bound of EXACT at a fine and at a coarse truncation
+        params = GameParams(n, s)
+        lam = math.log1p(-1 / s)
+        assert n * math.exp(split * lam) <= moments.SERIES_SPLIT
+        assert split == 1 or n * math.exp((split - 1) * lam) > moments.SERIES_SPLIT
+        assert [stop for stop, _, _ in moments._closed_tail(params, eps)] == [split, split]
+        exact = exact_report(n, s)
+        got = moment_report(params, NumericMode("float", truncation_epsilon=eps), "series")
+        for quantity in ("mean", "second_moment", "variance"):
+            gap = abs(Fraction(getattr(got, quantity)) - getattr(exact, quantity))
+            assert gap <= Fraction(got.error_bound), (quantity, float(gap), got.error_bound)
+
+    def test_series_refuses_where_q_rounds_to_one(self):
+        # the head would take about s ln(2n) terms; auto still has the closed sums
+        params = GameParams(2, 2**60)
+        with pytest.raises(ValueError, match=f"series at s={2**60}"):
+            moment_report(params, method="series")
+        assert moment_report(params).method == "closed-alternating"
 
     def test_series_error_bound_holds(self, monkeypatch):
         # every route of report.ROUTES against its own error_bound, EXACT the
