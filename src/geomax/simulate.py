@@ -258,15 +258,24 @@ def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
     """Signature counts of the games whose exit turns are the rows of exits.
 
     Games are grouped by their packed tie pattern (which sorted dice start
-    a tie group); one row per pattern is decoded, position i showing n
-    minus the position of its group's first die.
+    a tie group), read as one big-endian integer of 1, 2, 4 or 8 bytes when
+    it fits (zero-padded on the right, so the integers sort as the bytes
+    do) and as raw bytes past that; one row per pattern is decoded,
+    position i showing n minus the position of its group's first die.
     """
     games, n = exits.shape
     exits = np.sort(exits, axis=1)
     starts = np.ones((games, n), dtype=bool)
     np.not_equal(exits[:, 1:], exits[:, :-1], out=starts[:, 1:])
     packed = np.packbits(starts, axis=1)
-    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    width = packed.shape[1]
+    if width <= 8:
+        size = 1 << (width - 1).bit_length()
+        codes = np.zeros((games, size), np.uint8)
+        codes[:, :width] = packed
+        codes = codes.view(f">u{size}").ravel()
+    else:
+        codes = packed.view(np.dtype((np.void, width))).ravel()
     _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     levels = n - np.maximum.accumulate(np.where(starts[first], np.arange(n), 0), axis=1)
     return dict(zip(map(tuple, levels.tolist()), counts.tolist()))

@@ -10,6 +10,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
@@ -38,7 +39,7 @@ from geomax import (
     turn_count_histogram,
     variance_closed,
 )
-from geomax.simulate import TURN_CAP, _signature_chunk, _turn_counts
+from geomax.simulate import TURN_CAP, _signature_chunk, _signature_counts, _turn_counts
 
 
 def check_record(record: GameRecord) -> None:
@@ -214,6 +215,17 @@ class TestMonteCarlo:
                 alive -= removed
             expected[tuple(signature)] += 1
         assert sigs == expected
+
+    @pytest.mark.parametrize("n", [6, 17, 64, 65])
+    def test_signature_counts_match_each_row(self, n):
+        # the tie patterns group as integer codes up to 64 dice (17 pads
+        # three bytes to four) and as raw bytes past that; each die's entry
+        # is the number of dice still in play on its exit turn
+        exits = np.random.default_rng(n).geometric(1 / 4, size=(2000, n))
+        expected = Counter()
+        for row in map(sorted, exits.tolist()):
+            expected[tuple(n - bisect_left(row, turn) for turn in row)] += 1
+        assert _signature_counts(exits) == expected
 
     def test_chunk_memory_does_not_grow_with_the_draws(self):
         # one (count x n) int64 draw would take 13 MB here; the returned
