@@ -112,6 +112,7 @@ CLI_CALLS = (
     "geomax compute --n 5 --s 2 --quantity mean --relaxed",
     "geomax compute --n 5 --s 2 --quantity mean --relaxed --mode exact",
     "geomax compute --n 2..3 --s 4 --quantity variance",
+    "geomax compute --n 1..40 --s 40 --quantity mean --method recursive",
     "geomax compute --n 2 --s 2 --quantity mean --precision 4",
     "GEOMAX_PRECISION=5 geomax compute --n 2 --s 2 --quantity mean",
     "GEOMAX_PRECISION=5 geomax compute --n 2 --s 2 --quantity mean --precision 3",
@@ -126,16 +127,31 @@ CLI_CALLS = (
     "geomax frobnicate",
     "geomax compare --n-max 3 --s-max 5",
     "geomax compare --n-max 3 --s-max 6 --mode exact",
+    "geomax compare --n-max 3 --s-max 5 --format json",
+    "geomax compare --n-max 3 --s-max 6 --mode exact --format json",
     "geomax compare --n-max 6 --s-max 3",
     "geomax compare --n-max 2 --s-max 2 --tolerance nan",
-    "geomax figures --figure ev-bounds --panel fixed-s",
-    "geomax simulate --n 2 --s 2 --trials 4000 --seed 1",
-    "geomax simulate --n 2 --s 3 --trials 2000 --seed 2 --report histogram",
-    "geomax simulate --n 4 --s 4 --trials 500 --seed 3 --report signatures",
+    *(
+        f"geomax figures --figure {f} --panel {p}"
+        for f in ("ev-bounds", "var-bounds")
+        for p in ("fixed-s", "fixed-n")
+    ),
+    "geomax figures --figure var-bounds --panel fixed-n --precision 7",
+    "geomax figures --figure ev-bounds --panel fixed-n --format json",
+    *(
+        f"geomax simulate {call}{fmt}"
+        for fmt in ("", " --format json")
+        for call in (
+            "--n 2 --s 2 --trials 4000 --seed 1",
+            "--n 2 --s 3 --trials 2000 --seed 2 --report histogram",
+            "--n 4 --s 4 --trials 500 --seed 3 --report signatures",
+        )
+    ),
     "geomax simulate --n 2 --s 2 --trials 0",
     "geomax simulate --n 2 --s 2 --seed -4",
     "geomax simulate --n 3 --s 2",
     "geomax signatures --n 3",
+    "geomax signatures --n 3 --format json",
     "geomax signatures --n 4",
     *(
         f"geomax signatures --n {n} --count-only{fmt}"
