@@ -171,9 +171,14 @@ CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity cdf --y -1 --method matrix-power",
     "geomax compute --n 2 --s 2 --quantity quantile --prob 0.5 --method recursive",
     "geomax compute --n 2 --s 2 --quantity quantile --prob 1.5",
+    f"geomax compute --n 2 --s {2**40} --quantity mean --method series",
+    f"geomax compute --n 40 --s {2**35} --quantity mean",
+    f"geomax compute --n 2 --s {2**35} --quantity mean --method matrix-power",
+    f"geomax compute --n 2 --s {2**1100} --quantity mean --method recursive",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
     "geomax simulate --n 2",
+    f"geomax simulate --n 2 --s {2**1100}",
     "geomax signatures --n 0",
     "geomax --help",
     *(f"geomax {c} --help" for c in ("compute", "compare", "figures", "simulate", "signatures")),

@@ -18,9 +18,10 @@ Examples::
     geomax signatures --n 4
 
 Exit codes: 0 success, 1 verification failure (compare), 2 usage error,
-3 numeric failure (cancellation with fallback disabled). The environment
-variable GEOMAX_PRECISION overrides the default 12 significant digits of
-rendered output; --precision beats both.
+3 numeric failure (an ArithmeticError, such as a cancellation with fallback
+disabled, or a simulated game past the turn cap). The environment variable
+GEOMAX_PRECISION overrides the default 12 significant digits of rendered
+output; --precision beats both.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
-from .params import CancellationError, GameParams, NumericMode
+from .params import GameNotFinishedError, GameParams, NumericMode
 from .report import MOMENTS, ROUTES, moment_report
 
 DEFAULT_PRECISION = 12
@@ -109,13 +110,14 @@ def _resolve_precision(args) -> int:
     return value
 
 
-def _emit(rows: list[dict], fields: tuple[str, ...], fmt: str) -> None:
+def _emit(rows: list[tuple], fields: tuple[str, ...], fmt: str) -> None:
+    """Print rows, each a tuple in the order of fields, as CSV or as a JSON list of objects."""
     if fmt == "json":
-        print(json.dumps([{f: row[f] for f in fields} for row in rows], indent=2))
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
     else:
         print(",".join(fields))
         for row in rows:
-            print(",".join(str(row[f]) for f in fields))
+            print(",".join(map(str, row)))
 
 
 def _compute_pairs(args) -> list[GameParams]:
@@ -159,7 +161,7 @@ def _cmd_compute(args) -> int:
     for params in pairs:
         value, err, tag = evaluate(params, mode, point)
         value, err = format_value(value, precision), format_value(err, precision)
-        rows.append(dict(zip(COMPUTE_FIELDS, (params.n, params.s, quantity, tag, value, err))))
+        rows.append((params.n, params.s, quantity, tag, value, err))
     _emit(rows, COMPUTE_FIELDS, args.format)
     return 0
 
@@ -175,46 +177,25 @@ def _cmd_compare(args) -> int:
     if not tolerance >= 0:  # also refuses nan
         raise UsageError("--tolerance must be nonnegative")
     rows = []
-    worst_overall = -1.0
-    failures = 0
     for n in range(1, args.n_max + 1):
         for s in range(n, args.s_max + 1):
             params = GameParams(n=n, s=s)
-            gaps = {}
             closed = moment_report(params, mode, "closed")
-            others = [moment_report(params, mode, "series")]
-            others.append(moment_report(params, mode, "recursive"))
-            for other in others:
+            gaps = {}
+            for method in ("series", "recursive"):
+                other = moment_report(params, mode, method)
                 gaps[f"mean:{other.method}"] = abs(closed.mean - other.mean)
-                gaps[f"second-moment:{other.method}"] = abs(
-                    closed.second_moment - other.second_moment
-                )
+                gaps[f"second-moment:{other.method}"] = abs(closed.second_moment - other.second_moment)
             profile = chain.absorption_cdf_profile(params, max(CDF_SPOT_TURNS), mode)
             for t in CDF_SPOT_TURNS:
                 gaps[f"cdf:power:t={t}"] = abs(profile[t] - moments.cdf(params, t, mode))
             check, gap = max(gaps.items(), key=lambda item: item[1])
-            ok = gap <= tolerance
-            if not ok:
-                failures += 1
-            if float(gap) > worst_overall:
-                worst_overall = float(gap)
-            rows.append(
-                {
-                    "n": n,
-                    "s": s,
-                    "max_discrepancy": format_value(
-                        gap if mode.exact else float(gap), precision
-                    ),
-                    "worst_check": check,
-                    "status": "ok" if ok else "fail",
-                }
-            )
+            shown = format_value(gap if mode.exact else float(gap), precision)
+            rows.append((n, s, shown, check, "ok" if gap <= tolerance else "fail"))
     _emit(rows, ("n", "s", "max_discrepancy", "worst_check", "status"), args.format)
+    failures = sum(row[-1] == "fail" for row in rows)
     if failures:
-        print(
-            f"compare: {failures} pair(s) beyond tolerance {tolerance}",
-            file=sys.stderr,
-        )
+        print(f"compare: {failures} pair(s) beyond tolerance {tolerance}", file=sys.stderr)
         return 1
     return 0
 
@@ -245,14 +226,8 @@ def figure_rows(figure: str, panel: str) -> list[tuple[int, int, float, float, f
 def _cmd_figures(args) -> int:
     precision = _resolve_precision(args)
     rows = [
-        {
-            "n": n,
-            "s": s,
-            "exact": format_value(exact, precision),
-            "elementary_bound": format_value(elementary, precision),
-            "improved_bound": format_value(improved, precision),
-        }
-        for n, s, exact, elementary, improved in figure_rows(args.figure, args.panel)
+        (n, s, *(format_value(value, precision) for value in values))
+        for n, s, *values in figure_rows(args.figure, args.panel)
     ]
     _emit(rows, ("n", "s", "exact", "elementary_bound", "improved_bound"), args.format)
     return 0
@@ -271,34 +246,22 @@ def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
     params = GameParams(n=args.n, s=args.s, relaxed=True)  # the simulator refuses n > s itself
-    base = {"n": params.n, "s": params.s, "trials": args.trials, "seed": args.seed}
+    base = (params.n, params.s, args.trials, args.seed)
     if args.report == "moments":
         est = simulate.monte_carlo_moments(params, args.trials, args.seed)
-        rows = [
-            {
-                **base,
-                "mean": format_value(est.mean, precision),
-                "variance": format_value(est.variance, precision),
-                "std_error_mean": format_value(est.std_error_mean, precision),
-            }
-        ]
-        fields = (*base, "mean", "variance", "std_error_mean")
+        values = (est.mean, est.variance, est.std_error_mean)
+        rows = [(*base, *(format_value(value, precision) for value in values))]
+        fields = ("mean", "variance", "std_error_mean")
     elif args.report == "histogram":
         hist = simulate.turn_count_histogram(params, args.trials, args.seed)
-        rows = [
-            {**base, "turn_count": y, "count": int(hist[y])}
-            for y in range(1, hist.size)
-        ]
-        fields = (*base, "turn_count", "count")
+        rows = [(*base, y, int(hist[y])) for y in range(1, hist.size)]
+        fields = ("turn_count", "count")
     else:
         freq = simulate.signature_frequencies(params, args.trials, args.seed)
         ordered = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
-        rows = [
-            {**base, "signature": _signature_label(sig, params.n), "count": count}
-            for sig, count in ordered
-        ]
-        fields = (*base, "signature", "count")
-    _emit(rows, fields, args.format)
+        rows = [(*base, _signature_label(sig, params.n), count) for sig, count in ordered]
+        fields = ("signature", "count")
+    _emit(rows, ("n", "s", "trials", "seed", *fields), args.format)
     return 0
 
 
@@ -307,11 +270,10 @@ def _cmd_signatures(args) -> int:
         raise UsageError("--n must be at least 1")
     if args.count_only:
         count = format_value(2 ** (args.n - 1), DEFAULT_PRECISION)
-        _emit([{"count": count}], ("count",), args.format)
+        _emit([(count,)], ("count",), args.format)
         return 0
     sigs = simulate.enumerate_signatures(args.n)
-    rows = [{"signature": _signature_label(sig, args.n)} for sig in sigs]
-    _emit(rows, ("signature",), args.format)
+    _emit([(_signature_label(sig, args.n),) for sig in sigs], ("signature",), args.format)
     return 0
 
 
@@ -401,7 +363,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CancellationError as exc:
+    except (ArithmeticError, GameNotFinishedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
-from .params import EXACT, FLOAT, GameParams, NumericMode
+from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
 
 
 #: Printed error bound of a float closed pmf or cdf point against EXACT, 8u =
@@ -240,12 +240,17 @@ def _geometric_tail(params: GameParams, eps: float):
 
     Each sum stops before the first t >= 1 whose geometric tail bound
     (tail_bound_max_geom, or tail_bound_weighted_max_geom for the second
-    moment) is <= eps, and leaves out a tail of at most that bound.
+    moment) is <= eps, and leaves out a tail of at most that bound. A stop
+    past TURN_CAP chain steps raises ValueError.
     """
     n, q = params.n, params.q
     tails = []
     for bound in (tail_bound_max_geom, tail_bound_weighted_max_geom):
         stop = _first_at_most(lambda t: bound(n, q, t), eps)
+        if stop > TURN_CAP:
+            raise ValueError(
+                f"matrix-power at s={params.s} needs {stop} chain steps, past TURN_CAP = {TURN_CAP}"
+            )
         tails.append((stop, 0.0, bound(n, q, stop)))
     return tails
 
@@ -290,14 +295,14 @@ def _closed_tail(params: GameParams, eps: float):
     double errs by less than 2**-1000, far below the 2u |total| >= 2u that
     _survival_sums adds.
 
-    Where the float q rounds to 1 (s past about 2**53) the sums before T
-    would take about s ln(2n) terms, so that raises ValueError.
+    The terms before T number about s ln(2n); a T past TURN_CAP raises
+    ValueError, which covers every s where the float q rounds to 1.
     """
     n, s = params.n, params.s
-    if params.q == 1.0:
-        raise ValueError(f"the series at s={s} needs about s ln(2n) terms: the float q rounds to 1")
     lam = _log_q(params)
     split = _first_at_most(lambda t: n * math.exp(t * lam), SERIES_SPLIT)
+    if split > TURN_CAP:
+        raise ValueError(f"the series at s={s} needs {split} head terms, past TURN_CAP = {TURN_CAP}")
     q_split = math.exp(split * lam)
     step = (5 * split * abs(lam) + 6) * _U  # c_j's relative error per j
     kept, errors, left_out = ([], []), ([], []), [None, None]

@@ -25,6 +25,12 @@ class GameNotFinishedError(RuntimeError):
     """A simulated game hit the iteration cap before all dice were removed."""
 
 
+#: Most turns a walk over turns may take: a simulated game past it raises
+#: GameNotFinishedError, and a float survival sum that would need more
+#: terms or chain steps raises ValueError before it starts.
+TURN_CAP = 10**9
+
+
 def plain_int(value, message: str) -> int:
     """value as a plain int if operator.index takes it (bool excepted), else ValueError(message)."""
     if isinstance(value, bool):

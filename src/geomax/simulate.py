@@ -34,12 +34,9 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .moments import cdf
-from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, plain_int
+from .params import FLOAT, TURN_CAP, GameNotFinishedError, GameParams, NumericMode, plain_int
 
 T = TypeVar("T")
-
-#: A game exceeding this many turns aborts with GameNotFinishedError.
-TURN_CAP = 10**9
 
 #: Trials per RNG substream in the Monte Carlo drivers.
 CHUNK_TRIALS = 1 << 16

@@ -12,6 +12,7 @@ import pytest
 from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
 from geomax.cli import (
     CDF_SPOT_TURNS,
+    FIGURE_GRIDS,
     UsageError,
     figure_rows,
     format_value,
@@ -281,6 +282,30 @@ class TestExitCodes:
         assert err.startswith("error:") and "smallest normal double" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "n, s, method",
+        [(2, 2**40, ("--method", "series")), (40, 2**35, ()), (2, 2**35, ("--method", "matrix-power"))],
+    )
+    def test_walks_past_the_turn_cap_are_refused(self, capsys, n, s, method):
+        code, out, err = run(capsys, "compute", "--n", str(n), "--s", str(s), "--quantity", "mean", *method)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past TURN_CAP" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--n", "2", "--s", str(2**1100)), "game still running"),
+            (
+                ("compute", "--n", "2", "--s", str(2**1100), "--quantity", "mean", "--method", "recursive"),
+                "degenerate diagonal",
+            ),
+        ],
+    )
+    def test_library_failures_are_numeric_failures(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and message in err
+
     def test_cancellation_exit_code(self, capsys):
         # compare forces the closed path without fallback; at the 30,30
         # corner its derived error bound crosses the refusal threshold
@@ -340,6 +365,30 @@ class TestFigures:
         assert float(first["exact"]) == pytest.approx(280 / 19, rel=1e-11)
         assert float(first["elementary_bound"]) == 20.0
         assert float(first["improved_bound"]) == pytest.approx(280 / 19, rel=1e-11)
+
+    def test_every_panel_through_main_matches_figure_rows(self, capsys, monkeypatch):
+        # CSV at the default precision and at --precision 7, and JSON, with
+        # the header's and the keys' order
+        monkeypatch.delenv("GEOMAX_PRECISION", raising=False)
+        fields = ["n", "s", "exact", "elementary_bound", "improved_bound"]
+        for figure, panel in FIGURE_GRIDS:
+            argv = ("figures", "--figure", figure, "--panel", panel)
+            rows = {
+                precision: [
+                    [n, s, *(format_value(value, precision) for value in values)]
+                    for n, s, *values in figure_rows(figure, panel)
+                ]
+                for precision in (12, 7)
+            }
+            for precision, flags in ((12, ()), (7, ("--precision", "7"))):
+                lines = [fields, *rows[precision]]
+                expected = "".join(",".join(map(str, line)) + "\n" for line in lines)
+                assert run(capsys, *argv, *flags) == (0, expected, "")
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            assert [list(obj.items()) for obj in json.loads(out)] == [
+                list(zip(fields, row)) for row in rows[12]
+            ]
 
     def test_figure_rows_ordering_invariant(self):
         for figure in ("ev-bounds", "var-bounds"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import decimal
 import math
 import runpy
+import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -409,6 +410,18 @@ class TestSeriesAgreement:
         with pytest.raises(ValueError, match=f"series at s={2**60}"):
             moment_report(params, method="series")
         assert moment_report(params).method == "closed-alternating"
+
+    @pytest.mark.parametrize(
+        "n, s, method, walk",
+        [(2, 2**40, "series", "series"), (40, 2**35, "auto", "series"), (2, 2**35, "matrix-power", "matrix-power")],
+    )
+    def test_walks_past_the_turn_cap_are_refused_at_once(self, n, s, method, walk):
+        # the head or the chain would take 10**11 or more steps; auto at
+        # (40, 2**35) falls back from the closed sums to the series
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{walk} at s={s} needs \\d+ .* past TURN_CAP"):
+            moment_report(GameParams(n, s), method=method)
+        assert time.perf_counter() - start < 1.0
 
     def test_series_error_bound_holds(self, monkeypatch):
         # every route of report.ROUTES against its own error_bound, EXACT the

@@ -21,17 +21,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_make_figure_data_writes_every_panel(tmp_path):
-    result = run_script("make_figure_data.py", "--out-dir", str(tmp_path))
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "ev-bounds-fixed-n.csv",
-        "ev-bounds-fixed-s.csv",
-        "var-bounds-fixed-n.csv",
-        "var-bounds-fixed-s.csv",
-    ]
-
-
 def test_route_snapshot_is_repeatable_and_covers_every_route(tmp_path):
     outputs = []
     for name in ("first.txt", "second.txt"):
