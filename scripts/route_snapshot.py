@@ -21,7 +21,10 @@ the exception's type name, and a missing bound as "-". The routes:
   the quantile at fixed levels and at each rounded exact cdf value and
   its two float neighbours (the near-ties);
 * float quantiles at scale (SCALE_QUANTILES), past exact mode's reach;
-* the cliffs benchmark points, under the routes above.
+* the cliffs benchmark points, under the routes above;
+* the chain profile past t = 40 (LONG_PROFILES), in both modes, and the
+  float-matrix-power moments at (200, 200), where the float chain walks
+  far enough to step a block of turns per matrix product.
 
 The default run (s-max 40) takes about 3 s on a 2-vCPU Xeon VM.
 
@@ -85,6 +88,10 @@ SCALE_QUANTILES = (
     *((10**6, 10**9, float.fromhex(f"0x1.e0d3f2cdabb1{d}p-2")) for d in (7, 8, 9)),
 )
 
+#: Chain profile points past TURNS, as (n, s) pairs and turns: both sides of
+#: t = 64 and t = 128, and a longer walk.
+LONG_PROFILES = ((3, 20), (12, 12))
+LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
 
 #: Terminal width the --cli transcript's --help pages wrap to.
 HELP_COLUMNS = 80
@@ -105,6 +112,7 @@ CLI_CALLS = (
         for q in ("cdf", "pmf")
         for m in ("closed", "matrix-power")
     ),
+    "geomax compute --n 12 --s 12 --quantity cdf --y 200 --method matrix-power --precision 17",
     "geomax compute --n 40 --s 40 --quantity cdf --y 170 --mode exact",
     "geomax compute --n 2 --s 6 --quantity quantile --prob 0.99",
     "geomax compute --n 2 --s 2 --quantity mean --mode exact --format json",
@@ -209,12 +217,16 @@ def moment_lines(params: GameParams, mode, method: str):
         yield route, params, point, fmt(getattr(report, point)), fmt(report.error_bound)
 
 
+def profile_lines(params: GameParams, mode, turns):
+    profile = absorption_cdf_profile(params, max(turns), mode)
+    for t in turns:
+        bound = fmt(Fraction(0)) if mode.exact else fmt(absorption_step_bound(params, t))
+        yield f"{mode.kind}-profile", params, f"t={t}", fmt(profile[t]), bound
+
+
 def point_lines(params: GameParams, mode):
     kind = mode.kind
-    profile = absorption_cdf_profile(params, TURNS, mode)
-    for t in range(TURNS + 1):
-        bound = fmt(Fraction(0)) if mode.exact else fmt(absorption_step_bound(params, t))
-        yield f"{kind}-profile", params, f"t={t}", fmt(profile[t]), bound
+    yield from profile_lines(params, mode, range(TURNS + 1))
     for y in range(TURNS + 1):
         yield f"{kind}-cdf", params, f"y={y}", fmt(cdf(params, y, mode)), "-"
         if y >= 1:
@@ -243,6 +255,10 @@ def snapshot(s_max: int):
     for n, s, prob in SCALE_QUANTILES:
         params = GameParams(n, s)
         yield "float-quantile", params, f"p={prob.hex()}", fmt(quantile(params, prob)), "-"
+    for n, s in LONG_PROFILES:
+        for mode in (FLOAT, EXACT):
+            yield from profile_lines(GameParams(n, s), mode, LONG_TURNS)
+    yield from moment_lines(GameParams(200, 200), FLOAT, "matrix-power")
 
 
 def cli_transcript():
