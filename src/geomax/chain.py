@@ -8,9 +8,11 @@ s**k, so no C(k, j) is ever converted to float and exact mode builds a
 Fraction only for a value it returns.
 The rows feed the transition matrix, the one-step recursions for the
 first and second moments of the absorption time from every start state,
-and, as an independent route, the chain step that pushes the start state
-through one turn at a time to get P(T <= t), whose survival terms
-moments._survival_sums turns into the moments.
+and, as an independent route, the chain walk that pushes the start state
+through the turns to get P(T <= t), whose survival terms
+moments._survival_sums turns into the moments. A float walk long enough
+to pay for M**64 advances 64 turns per pair of matrix products; exact mode
+and short walks step one turn per product.
 """
 
 from __future__ import annotations
@@ -181,12 +183,24 @@ def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
     return first.item(-1), second.item(-1)
 
 
-def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
-    """P(T <= t) for t = 0, 1, 2, ..., one chain step per item, without end.
+#: Turns per block of a long float chain walk: a block costs one product with
+#: M**BLOCK_TURNS and one with the BLOCK_TURNS columns M**i e_0. A power of
+#: two, so M**BLOCK_TURNS is squarings only.
+BLOCK_TURNS = 64
 
-    The state is a numpy vector over dice counts, started with all n dice
-    on the table. Float mode steps it by the float64 matrix. Exact mode
-    steps an integer state by the integer matrix s**n P, so after t steps
+
+def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Iterator:
+    """P(T <= t) for t = 0, 1, ..., length - 1, a block of turns per matrix product.
+
+    The state is a numpy row vector over dice counts, started at e_n with
+    all n dice on the table, so P(T <= t) = e_n M**t e_0. A float walk of
+    at least 2(n+1) + B turns, B = BLOCK_TURNS, pays for squaring M up to
+    M**B, which costs about as much as n single steps: it builds
+    columns[i] = M**i e_0, i < B, by B - 1 matrix-vector products, and
+    each block yields the B values columns @ state from the state's turn
+    on and moves the state on by state @ M**B. Any other walk takes blocks
+    of one turn: it reads state[0] and steps the state by M. Exact mode
+    steps an integer state by the integer matrix s**n M, so after t steps
     the state is s**(n*t) times the law, and item t is the integer
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
     it returns.
@@ -194,32 +208,62 @@ def _absorption_steps(params: GameParams, mode: NumericMode) -> Iterator:
     rows = _stacked_rows(params, mode)
     state = np.zeros(params.n + 1, dtype=rows.dtype)
     state[-1] = 1
-    while True:
-        yield state.item(0)
-        state = state @ rows
+    block, jump = 1, rows
+    if not mode.exact and length >= 2 * (params.n + 1) + BLOCK_TURNS:
+        block, jump = BLOCK_TURNS, np.linalg.matrix_power(rows, BLOCK_TURNS)
+        columns = np.zeros((block, params.n + 1))
+        columns[0, 0] = 1.0
+        for i in range(1, block):
+            columns[i] = rows @ columns[i - 1]
+    for t in range(0, length, block):
+        if t:
+            state = state @ jump
+        if block > 1:
+            yield from (columns @ state)[: length - t].tolist()
+        else:
+            yield state.item(0)
 
 
 def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:
     """[P(T <= t) for t in first..last]; exact mode reduces a Fraction for these t only."""
-    window = list(islice(_absorption_steps(params, mode), first, last + 1))
+    window = list(islice(_absorption_steps(params, mode, last + 1), first, None))
     if mode.exact:
         unit = params.s**params.n
         window = [Fraction(value, unit**t) for t, value in enumerate(window, start=first)]
     return window
 
 
-def absorption_step_bound(params: GameParams, t: int) -> float:
-    """Bound on |P(T <= t) - exact| for the float chain: m u / (1 - m u), m = t(5n+1).
+def absorption_step_bound(params: GameParams, t):
+    """Bound on |P(T <= t) - exact| for the float chain: m u / (1 - m u), for an int or array t.
+
+    m = t(5n+1), except past the first block of B = BLOCK_TURNS turns,
+    where m = t(5n-1) + max(2t, n+3).
 
     A rounding is a factor (1 + d), |d| <= u = 2**-53: fl(1/s) has one,
-    fl(1 - p) two (p/q <= 1), a Pascal level two more, so row k carries at
-    most 4k - 2, and a step's dot products of nonnegative terms n + 1. A
-    step so errs by at most (5n-1)u / (1 - (5n-1)u) times the state's
-    1-norm, which the stochastic matrix never grows, and t steps by that
-    compounded (Higham 2002, lemma 3.3). The 2t spare factors cover this
-    formula's two roundings; twice the bound at t covers a pmf point.
+    fl(1 - p) two (p/q <= 1), a Pascal level two more, so row k of M
+    carries at most 4k - 2, and a product of nonnegative arrays over the
+    n + 1 dice counts adds n + 1 to each of its terms. Every value is such
+    a sum of nonnegative products, so one whose terms carry at most k
+    factors errs by at most k u / (1 - k u) times its exact value, which
+    is at most 1 (Higham 2002, lemmas 3.1 and 3.3). Counted per walk:
+
+    * a one-turn step, state @ M, adds 5n - 1, so the state after t turns,
+      and the value state[0], carry t(5n - 1);
+    * M**B by squaring carries B(4n - 2) + (B - 1)(n + 1), so a block's
+      state @ M**B adds at most B(5n - 1), and the state after t0 turns
+      again carries t0(5n - 1);
+    * columns[i] = M**i e_0 carries i(5n - 1), and the value
+      columns[i] @ state at t = t0 + i carries t(5n - 1) + n + 1, but in the
+      first block, where the state is e_n, the product is exact: t(5n - 1).
+
+    This formula rounds twice, 1 - m u and the division, which two more
+    factors cover. The spare 2t of t(5n+1) covers them, and past the first
+    block the extra n + 1 too while n + 3 <= 2t; where it does not, m is
+    t(5n - 1) + n + 3. Twice the bound at t covers a pmf point.
     """
-    count = t * (5 * params.n + 1) * _U
+    floor = (t >= BLOCK_TURNS) * (params.n + 3)
+    spare = np.maximum(2 * t, floor) if isinstance(t, np.ndarray) else max(2 * t, floor)
+    count = (t * (5 * params.n - 1) + spare) * _U
     return count / (1 - count)
 
 
@@ -230,8 +274,8 @@ def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = F
     return _absorption_window(params, 0, t_max, mode)
 
 
-def _survival_terms(params: GameParams):
-    """Survival-term source for moments._survival_sums: P(T > t) = 1 - P(T <= t).
+def _survival_terms(params: GameParams, stop: int):
+    """Survival-term source for moments._survival_sums: P(T > t) = 1 - P(T <= t), t < stop.
 
     Each call reads the next block of float chain steps. A term errs by at
     most the step's absorption_step_bound b_t, plus u for the subtraction
@@ -239,7 +283,7 @@ def _survival_terms(params: GameParams):
     products u b_t are second order and fall inside the step bound's
     spare factors.
     """
-    steps = islice(_absorption_steps(params, FLOAT), 1, None)
+    steps = islice(_absorption_steps(params, FLOAT, stop), 1, None)
 
     def terms_of(t: np.ndarray):
         absorbed = np.fromiter(steps, np.float64, count=t.size)

@@ -28,9 +28,11 @@ either mode on the integer brackets of _bracket_power.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -203,11 +205,11 @@ def _first_at_most(bound, eps: float) -> int:
     return hi
 
 
-def _closed_form_terms(params: GameParams):
+def _closed_form_terms(params: GameParams, stop: int | None = None):
     """Survival-term source for _survival_sums: P(Y > t) = 1 - (1 - q**t)**n.
 
     The series sums these terms for t < T, the head, and _closed_tail
-    sums the rest.
+    sums the rest; each term stands alone, so the stop T is not read.
 
     Each term is -expm1(n * log1p(-q**t)) with q**t = exp(t * lam),
     lam = log1p(-1/s), never a power of the rounded q. Error bound, with
@@ -336,11 +338,13 @@ def _survival_sums(
     """((mean, bound), (second moment, bound)) from the survival terms P(Y > t).
 
     E(Y) = sum_{t>=0} P(Y > t) and E(Y**2) = sum_{t>=0} (2t+1) P(Y > t).
-    source(params) gives a function that maps each next block of turns t
-    (a float64 array, the blocks in order from t = 1) to the terms and two
-    error bounds, relative and absolute (arrays or scalars): a term times
-    its weight w, as rounded, errs by at most relative * (w term) +
-    w absolute. The t = 0 term is 1 for both sums.
+    source(params, stop) gives a function that maps each next block of
+    turns t (a float64 array, the blocks in order from t = 1 to stop - 1,
+    stop the larger of the tail's stops, which the chain's walk reads to
+    size its steps) to the terms and two error bounds, relative and
+    absolute (arrays or scalars): a term times its weight w, as rounded,
+    errs by at most relative * (w term) + w absolute. The t = 0 term is 1
+    for both sums.
 
     tail(params, eps) gives, per sum, where its terms stop and the value
     and error bound of what it leaves out: _geometric_tail (a value of 0
@@ -355,7 +359,7 @@ def _survival_sums(
         return (1.0, 0.0), (1.0, 0.0)
     tails = tail(params, eps)
     stops = [stop for stop, _, _ in tails]
-    terms_of = source(params)
+    terms_of = source(params, max(stops))
     block_sums = ([1.0], [1.0])  # t = 0
     evaluation = [0.0, 0.0]  # the summed per-term error bounds
     for start in range(1, max(stops), SERIES_BLOCK):
@@ -418,22 +422,59 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     return cdf(params, y, EXACT) >= prob
 
 
+#: quantile refines a float seed of this many turns or more in decimal: the
+#: float inversion errs by about y 2**-50, more than a turn or two.
+DECIMAL_SEED_FROM = 1 << 50
+
+
+def _decimal_seed(params: GameParams, prob: Fraction, digits: int) -> int:
+    """ceil(ln(1 - prob**(1/n)) / ln(1 - 1/s)) in decimal, at the given significant digits.
+
+    ln(1 - 1/s) is taken as -sum_k s**-k / k, whose terms fall by 1/s:
+    the log of 1 - 1/s rounded to the working digits would lose the
+    digits of s.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x = 1 / Decimal(params.s)
+        lam, power, k = Decimal(0), x, 1
+        while power > x.scaleb(-digits):  # power = x**k
+            lam -= power / k
+            power, k = power * x, k + 1
+        level = Decimal(prob.numerator) / prob.denominator
+        root = (level.ln() / params.n).exp()  # prob**(1/n)
+        y = ((1 - root).ln() / lam).to_integral_value(rounding=decimal.ROUND_CEILING)
+    return max(1, int(y))
+
+
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     """Smallest y with cdf(y) >= prob, for 0 < prob < 1, the same in either mode.
 
     The inverted law ceil(log(-expm1(log(prob)/n)) / log q), with prob
     clamped into the doubles, seeds a search that steps away from the seed,
-    doubling its step, as a seed past 2**53 can be far off, then bisects.
-    _cdf_reaches decides each step exactly, so mode does not change the
-    answer; past NEAR_TIE_BITS it raises ValueError.
+    doubling its step, then bisects. A seed of DECIMAL_SEED_FROM turns or
+    more, sized by log1p(-root) where the root prob**(1/n) is below 1/2, is
+    recomputed by _decimal_seed at its digits plus 20, plus the leading
+    zeros of root and of 1 - root, where 1 - root and its log cancel, so
+    that it lands within a turn or two. _cdf_reaches decides each step
+    exactly, so mode does not change the answer; past NEAR_TIE_BITS it
+    raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
     if params.s == 1:
         return 1
     level = min(max(float(prob), sys.float_info.min), 1 - _U)
-    y = max(1, math.ceil(math.log(-math.expm1(math.log(level) / params.n)) / _log_q(params)))
+    log_root = math.log(level) / params.n  # log prob**(1/n)
+    lam = _log_q(params)
+    y = max(1, math.ceil(math.log(-math.expm1(log_root)) / lam))
+    # the seed's size, from log(1 - root) without 1 - root's cancellation where root < 1/2
+    small = log_root < -math.log(2)
+    reach = (math.log1p(-math.exp(log_root)) if small else math.log(-math.expm1(log_root))) / lam
     prob = Fraction(prob)
+    if reach >= DECIMAL_SEED_FROM:
+        zeros = -math.floor(math.log10(min(math.exp(log_root), -math.expm1(log_root))))
+        y = _decimal_seed(params, prob, math.ceil(math.log10(reach)) + 20 + max(0, zeros))
     lo, hi = y - 1, y  # until cdf(lo) < prob <= cdf(hi); cdf(0) = 0
     while not _cdf_reaches(params, hi, prob):
         lo, hi = hi, 3 * hi - 2 * lo

@@ -27,12 +27,39 @@ from geomax import (
     second_moment_closed,
     second_moments_recursive,
 )
-from geomax.chain import absorption_step_bound
+from geomax.chain import BLOCK_TURNS, absorption_step_bound
+from geomax.kernels import _U
 from geomax.report import ROUTES
 
 playable = st.integers(1, 12).flatmap(
     lambda s: st.integers(1, s).map(lambda n: GameParams(n=n, s=s))
 )
+
+
+def assert_profile_within_step_bound(params: GameParams, turns, worst: dict) -> None:
+    """Float P(T <= t), t in turns, within absorption_step_bound(t) of EXACT, a pmf point within twice that.
+
+    The profile runs to max(turns) in one walk; worst keeps the largest
+    gap / bound ratio per point kind. Each comparison cross-multiplies
+    integers, as reducing Fractions of a million bits takes seconds.
+    """
+    profile = absorption_cdf_profile(params, max(turns), FLOAT)
+    needed = {*turns, *(t - 1 for t in turns if t >= 1)}
+    exact = {t: cdf(params, t, EXACT).as_integer_ratio() for t in needed}
+    for t in turns:
+        bound = absorption_step_bound(params, t)
+        points = [("cdf", profile[t], exact[t], bound)]
+        if t >= 1:
+            (num, den), (before, below) = exact[t], exact[t - 1]
+            pmf = (num * below - before * den, den * below)
+            points.append(("pmf", profile[t] - profile[t - 1], pmf, 2 * bound))
+        for kind, value, (num, den), allowed in points:
+            a, b = value.as_integer_ratio()
+            c, d = allowed.as_integer_ratio()
+            gap, scaled_bound = abs(a * den - num * b) * d, c * den * b  # over one denominator
+            assert gap <= scaled_bound, (kind, params, t, gap / (b * den * d))
+            if scaled_bound:
+                worst[kind] = max(worst[kind], gap / scaled_bound)
 
 
 class TestTransitionMatrix:
@@ -164,21 +191,24 @@ class TestAbsorptionByPower:
         worst = {"cdf": 0.0, "pmf": 0.0}
         for s in range(1, 13):
             for n in range(1, s + 1):
-                params = GameParams(n, s)
-                profile = absorption_cdf_profile(params, 40, FLOAT)
-                exact = [cdf(params, t, EXACT) for t in range(41)]
-                for t in range(41):
-                    bound = Fraction(absorption_step_bound(params, t))
-                    gap = abs(Fraction(profile[t]) - exact[t])
-                    assert gap <= bound, ("cdf", n, s, t, float(gap))
-                    if bound:
-                        worst["cdf"] = max(worst["cdf"], float(gap / bound))
-                    if t >= 1:
-                        pmf_gap = abs(
-                            Fraction(profile[t] - profile[t - 1]) - (exact[t] - exact[t - 1])
-                        )
-                        assert pmf_gap <= 2 * bound, ("pmf", n, s, t, float(pmf_gap))
-                        worst["pmf"] = max(worst["pmf"], float(pmf_gap / (2 * bound)))
+                assert_profile_within_step_bound(GameParams(n, s), range(41), worst)
+        print(f"worst |value - EXACT| / bound: {worst}")
+
+    def test_blocked_float_profile_within_its_step_bound(self):
+        # a 201-turn walk steps BLOCK_TURNS = 64 turns per product on every
+        # n <= s <= 12, across the block boundaries at t = 64, 128 and 192;
+        # at (130, 130) the values at t = 64 and 65, past the first block,
+        # need the bound's n + 3 in place of 2t
+        assert BLOCK_TURNS == 64
+        worst = {"cdf": 0.0, "pmf": 0.0}
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                assert_profile_within_step_bound(GameParams(n, s), range(201), worst)
+        params = GameParams(130, 130)
+        assert_profile_within_step_bound(params, (63, 64, 65, 200, 1000), worst)
+        # m = t(5n+1) in the first block and once 2t >= n + 3, else t(5n-1) + n + 3
+        for t, m in ((63, 63 * 651), (64, 64 * 649 + 133), (66, 66 * 649 + 133), (67, 67 * 651)):
+            assert absorption_step_bound(params, t) == m * _U / (1 - m * _U), t
         print(f"worst |value - EXACT| / bound: {worst}")
 
     def test_profile_is_monotone_and_bounded(self):

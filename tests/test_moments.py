@@ -318,8 +318,9 @@ class TestClosedMoments:
 #: Every pair n <= s <= 40, plus the points where powers of the rounded q
 #: broke the series bound most, (35, 48), the fallback cliff and large s,
 #: which also broke the recursion's bound while it took 1 - q**k by
-#: subtraction, (50, 50), the benchmark's heaviest matrix-power point, and
-#: (200, 300), where the series' closed tail starts past a long head.
+#: subtraction, (50, 50), the benchmark's heaviest matrix-power point,
+#: (200, 300), where the series' closed tail starts past a long head, and
+#: (200, 200), where the chain's blocks start past the step bound's n + 3.
 SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (35, 48),
     (60, 10**4),
@@ -329,12 +330,13 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (5, 10**5),
     (50, 50),
     (200, 300),
+    (200, 200),
 ]
 
-#: The O(t n**2) matrix-power route joins the gate up to this face count,
-#: and at the largest points where the benchmark runs it.
-POWER_BOUND_S_MAX = 12
-POWER_BOUND_EXTRA = ((6, 40), (50, 50))
+#: The matrix-power route joins the gate up to this face count, at the
+#: largest points where the benchmark runs it, and at (200, 200).
+POWER_BOUND_S_MAX = 40
+POWER_BOUND_EXTRA = ((6, 40), (50, 50), (200, 200))
 
 
 @lru_cache
@@ -370,7 +372,7 @@ class TestSeriesAgreement:
         params, eps, error = GameParams(4, 9), 1e-13, 2.0**-60
         exact_terms = _closed_form_terms(params)
 
-        def source(_):
+        def source(_, stop):
             return lambda t: (exact_terms(t)[0], 0.0, np.full(t.size, error))
 
         sums = _survival_sums(params, eps, source)
@@ -636,20 +638,30 @@ class TestQuantile:
                 quantile(params, prob)
 
 
-def decimal_cdf(n: int, s: int, y: int) -> Decimal:
-    """(1 - q**y)**n at 60 significant digits, an oracle independent of moments.py."""
+def decimal_cdf(n: int, s: int, y: int, prec: int = 60) -> Decimal:
+    """(1 - q**y)**n at prec significant digits, an oracle independent of moments.py."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = prec
         return (1 - (1 - Decimal(1) / s) ** y) ** n
+
+
+#: quantile(GameParams(2, 2**e), 0.5) by the float seed's gallop and bisection.
+HUGE_S_MEDIANS = {
+    200: 1973235035543031306671858901082634163387662810654532925224007,
+    400: int(
+        "31708664488788378913383841333420612995335630044937666172877001531863495976"
+        "96411087998980695162550751243348701939230062265"
+    ),
+}
 
 
 class TestQuantileAtScale:
     """Quantiles past exact mode's reach, checked against decimal_cdf."""
 
     @staticmethod
-    def assert_inverse(params, prob, y):
-        assert decimal_cdf(params.n, params.s, y) >= prob
-        assert y == 1 or decimal_cdf(params.n, params.s, y - 1) < prob
+    def assert_inverse(params, prob, y, prec=60):
+        assert decimal_cdf(params.n, params.s, y, prec) >= prob
+        assert y == 1 or decimal_cdf(params.n, params.s, y - 1, prec) < prob
 
     @pytest.mark.parametrize("last", "789")
     def test_levels_where_the_float_cdf_misses_by_more_than_8u(self, last):
@@ -670,6 +682,26 @@ class TestQuantileAtScale:
         # past y = 2**53 the float seed can miss by many turns; the search gallops
         params = GameParams(2, s)
         self.assert_inverse(params, 0.5, quantile(params, 0.5))
+
+    @pytest.mark.parametrize("e", [200, 400, 1000])
+    def test_huge_s_takes_a_few_decisions(self, monkeypatch, e):
+        # the decimal seed lands within a turn or two, where the float seed
+        # missed by about y 2**-50 turns and the search took two decisions
+        # per missing bit: 292 and 692 at e = 200 and 400, whose answers are
+        # pinned here; at e = 1000 a decimal cdf of 2 digits(s) + 40 digits,
+        # past pmf ~ 1/s, checks the answer
+        decisions = []
+        reaches = moments._cdf_reaches
+        monkeypatch.setattr(moments, "_cdf_reaches", lambda *args: decisions.append(args) or reaches(*args))
+        params = GameParams(2, 2**e)
+        start = time.perf_counter()
+        y = quantile(params, 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert len(decisions) <= 10
+        if e == 1000:
+            self.assert_inverse(params, 0.5, y, prec=2 * len(str(params.s)) + 40)
+        else:
+            assert y == HUGE_S_MEDIANS[e]
 
     @pytest.mark.parametrize(
         "prob,expected", [(Fraction(1, 10**400), 1), (Fraction(10**30 - 1, 10**30), 383)]
