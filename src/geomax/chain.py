@@ -261,8 +261,8 @@ def absorption_step_bound(params: GameParams, t):
     block the extra n + 1 too while n + 3 <= 2t; where it does not, m is
     t(5n - 1) + n + 3. Twice the bound at t covers a pmf point.
     """
-    floor = (t >= BLOCK_TURNS) * (params.n + 3)
-    spare = np.maximum(2 * t, floor) if isinstance(t, np.ndarray) else max(2 * t, floor)
+    least = (t >= BLOCK_TURNS) * (params.n + 3)  # the spare past the first block
+    spare = np.maximum(2 * t, least) if isinstance(t, np.ndarray) else max(2 * t, least)
     count = (t * (5 * params.n - 1) + spare) * _U
     return count / (1 - count)
 

@@ -452,13 +452,14 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
 
     The inverted law ceil(log(-expm1(log(prob)/n)) / log q), with prob
     clamped into the doubles, seeds a search that steps away from the seed,
-    doubling its step, then bisects. A seed of DECIMAL_SEED_FROM turns or
-    more, sized by log1p(-root) where the root prob**(1/n) is below 1/2, is
-    recomputed by _decimal_seed at its digits plus 20, plus the leading
-    zeros of root and of 1 - root, where 1 - root and its log cancel, so
-    that it lands within a turn or two. _cdf_reaches decides each step
-    exactly, so mode does not change the answer; past NEAR_TIE_BITS it
-    raises ValueError.
+    doubling its step, then bisects. The seed's size is taken in logs
+    first, by log1p(-root) where the root prob**(1/n) is below 1/2; a seed
+    of DECIMAL_SEED_FROM turns or more, even one past the doubles, comes
+    from _decimal_seed at its digits plus 20, plus the leading zeros of
+    root and of 1 - root, where 1 - root and its log cancel, so that it
+    lands within a turn or two. _cdf_reaches decides each step exactly, so
+    mode does not change the answer; past NEAR_TIE_BITS it raises
+    ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -467,14 +468,17 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     level = min(max(float(prob), sys.float_info.min), 1 - _U)
     log_root = math.log(level) / params.n  # log prob**(1/n)
     lam = _log_q(params)
-    y = max(1, math.ceil(math.log(-math.expm1(log_root)) / lam))
-    # the seed's size, from log(1 - root) without 1 - root's cancellation where root < 1/2
+    # log(1 - root) without 1 - root's cancellation where root < 1/2, and
+    # the log10 of the seed's turns, which may pass the doubles
     small = log_root < -math.log(2)
-    reach = (math.log1p(-math.exp(log_root)) if small else math.log(-math.expm1(log_root))) / lam
+    log_gap = math.log1p(-math.exp(log_root)) if small else math.log(-math.expm1(log_root))
+    digits = math.log10(-log_gap) - math.log10(-lam)
     prob = Fraction(prob)
-    if reach >= DECIMAL_SEED_FROM:
+    if digits < math.log10(DECIMAL_SEED_FROM):
+        y = max(1, math.ceil(math.log(-math.expm1(log_root)) / lam))
+    else:
         zeros = -math.floor(math.log10(min(math.exp(log_root), -math.expm1(log_root))))
-        y = _decimal_seed(params, prob, math.ceil(math.log10(reach)) + 20 + max(0, zeros))
+        y = _decimal_seed(params, prob, math.ceil(digits) + 20 + max(0, zeros))
     lo, hi = y - 1, y  # until cdf(lo) < prob <= cdf(hi); cdf(0) = 0
     while not _cdf_reaches(params, hi, prob):
         lo, hi = hi, 3 * hi - 2 * lo

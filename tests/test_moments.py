@@ -683,25 +683,26 @@ class TestQuantileAtScale:
         params = GameParams(2, s)
         self.assert_inverse(params, 0.5, quantile(params, 0.5))
 
-    @pytest.mark.parametrize("e", [200, 400, 1000])
-    def test_huge_s_takes_a_few_decisions(self, monkeypatch, e):
+    @pytest.mark.parametrize("e, prob", [(200, 0.5), (400, 0.5), (1000, 0.5), (1021, 0.999999)])
+    def test_huge_s_takes_a_few_decisions(self, monkeypatch, e, prob):
         # the decimal seed lands within a turn or two, where the float seed
         # missed by about y 2**-50 turns and the search took two decisions
         # per missing bit: 292 and 692 at e = 200 and 400, whose answers are
-        # pinned here; at e = 1000 a decimal cdf of 2 digits(s) + 40 digits,
-        # past pmf ~ 1/s, checks the answer
+        # pinned here; past them a decimal cdf of 2 digits(s) + 40 digits,
+        # finer than pmf ~ 1/s, checks the answer. At e = 1021 the seed
+        # passes the doubles, where the float seed raised OverflowError.
         decisions = []
         reaches = moments._cdf_reaches
         monkeypatch.setattr(moments, "_cdf_reaches", lambda *args: decisions.append(args) or reaches(*args))
         params = GameParams(2, 2**e)
         start = time.perf_counter()
-        y = quantile(params, 0.5)
+        y = quantile(params, prob)
         assert time.perf_counter() - start < 1.0
         assert len(decisions) <= 10
-        if e == 1000:
-            self.assert_inverse(params, 0.5, y, prec=2 * len(str(params.s)) + 40)
-        else:
+        if e in HUGE_S_MEDIANS:
             assert y == HUGE_S_MEDIANS[e]
+        else:
+            self.assert_inverse(params, prob, y, prec=2 * len(str(params.s)) + 40)
 
     @pytest.mark.parametrize(
         "prob,expected", [(Fraction(1, 10**400), 1), (Fraction(10**30 - 1, 10**30), 383)]
