@@ -10,7 +10,8 @@ the parent commit and on the change, then comparing the two files:
 
 Each line is "route n s point value bound". Floats are written with
 float.hex, exact values as num/den in hex, quantiles as integers, a refusal as
-the exception's type name, and a missing bound as "-". The routes:
+the exception's type name (ValueError or an ArithmeticError), and a missing
+bound as "-". The routes:
 
 * float-auto, -closed, -series, -recursive (ANALYTIC_METHODS): moments for
   n <= s <= s-max; float-closed writes the refusal where its sums fail;
@@ -24,7 +25,9 @@ the exception's type name, and a missing bound as "-". The routes:
 * the cliffs benchmark points, under the routes above;
 * the chain profile past t = 40 (LONG_PROFILES), in both modes, and the
   float-matrix-power moments at (200, 200), where the float chain walks
-  far enough to step a block of turns per matrix product.
+  far enough to step a block of turns per matrix product;
+* the float moments at the edges of the double range and of TURN_CAP
+  (REFUSALS), where a route answers or refuses.
 
 The default run (s-max 40) takes about 3 s on a 2-vCPU Xeon VM.
 
@@ -48,7 +51,6 @@ from fractions import Fraction
 from geomax import (
     EXACT,
     FLOAT,
-    CancellationError,
     GameParams,
     absorption_cdf_profile,
     cdf,
@@ -92,6 +94,17 @@ SCALE_QUANTILES = (
 #: t = 64 and t = 128, and a longer walk.
 LONG_PROFILES = ((3, 20), (12, 12))
 LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
+
+#: Float moment requests at the edges of the double range and of TURN_CAP,
+#: as (n, s, method): the series' stop search at s = 2**1022 (directly and
+#: as auto's fallback), the matrix-power tail where the float q rounds to
+#: 1, and a recursion whose values pass the doubles.
+REFUSALS = (
+    (60, 2**1022, "series"),
+    (60, 2**1022, "auto"),
+    (3, 2**60, "matrix-power"),
+    (3, 2**600, "recursive"),
+)
 
 #: Terminal width the --cli transcript's --help pages wrap to.
 HELP_COLUMNS = 80
@@ -183,6 +196,7 @@ CLI_CALLS = (
     f"geomax compute --n 40 --s {2**35} --quantity mean",
     f"geomax compute --n 2 --s {2**35} --quantity mean --method matrix-power",
     f"geomax compute --n 2 --s {2**1100} --quantity mean --method recursive",
+    f"geomax compute --n 60 --s {2**1022} --quantity mean",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
     "geomax simulate --n 2",
@@ -209,7 +223,7 @@ def moment_lines(params: GameParams, mode, method: str):
     route = f"{mode.kind}-{method}"
     try:
         report = moment_report(params, mode, method)
-    except CancellationError as exc:
+    except (ArithmeticError, ValueError) as exc:
         yield route, params, "report", type(exc).__name__, "-"
         return
     yield route, params, "method", report.method, "-"
@@ -259,6 +273,8 @@ def snapshot(s_max: int):
         for mode in (FLOAT, EXACT):
             yield from profile_lines(GameParams(n, s), mode, LONG_TURNS)
     yield from moment_lines(GameParams(200, 200), FLOAT, "matrix-power")
+    for n, s, method in REFUSALS:
+        yield from moment_lines(GameParams(n, s), FLOAT, method)
 
 
 def cli_transcript():
