@@ -36,6 +36,15 @@ def weighted_geom_sum_second(x):
     return x * (1 + x) / (1 - x) ** 3
 
 
+def _check_tail(n: int, q, start: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    if not 0 <= q < 1:
+        raise ValueError(f"tail bound needs 0 <= q < 1, got {q!r}")
+
+
 def tail_bound_max_geom(n: int, q, start: int):
     """Upper bound on sum_{k >= start} (1 - (1 - q**k)**n).
 
@@ -43,12 +52,7 @@ def tail_bound_max_geom(n: int, q, start: int):
     n * q**start / (1 - q). Valid for 0 <= q < 1; q may be a float or a
     Fraction and the bound comes back in the same arithmetic.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if start < 0:
-        raise ValueError("start must be nonnegative")
-    if not 0 <= q < 1:
-        raise ValueError(f"tail bound needs 0 <= q < 1, got {q!r}")
+    _check_tail(n, q, start)
     return n * q**start / (1 - q)
 
 
@@ -61,10 +65,5 @@ def tail_bound_weighted_max_geom(n: int, q, start: int):
     small start; it decays geometrically once 2*start + 5 > 2/(1 - q),
     which is all the truncation logic needs.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if start < 0:
-        raise ValueError("start must be nonnegative")
-    if not 0 <= q < 1:
-        raise ValueError(f"tail bound needs 0 <= q < 1, got {q!r}")
+    _check_tail(n, q, start)
     return (2 * start + 3) * n * q**start * (1 + 2 * q / (1 - q)) / (1 - q)

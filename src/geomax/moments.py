@@ -54,13 +54,17 @@ def _log_q(params: GameParams) -> float:
     return math.log1p(-params.p)
 
 
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(x)) for x < 0, switching at x = -ln 2 so nothing cancels (Maechler's log1mexp)."""
+    return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
+
+
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count <= y). Zero below 1, else (1 - q**y)**n.
 
     Float mode takes exp(n log(1 - q**y)) with q**y = exp(y lam),
     lam = log1p(-1/s): never a power of the rounded q, and no n-th power
-    of a rounded base. log(1 - q**y) is log1p(-q**y) where q**y <= 1/2 and
-    log(-expm1(y lam)) where q**y > 1/2 (Maechler's log1mexp), so nothing
+    of a rounded base. log(1 - q**y) is _log1mexp(y lam), so nothing
     cancels: by _closed_form_terms' analysis it errs by at most
     (7 + 2|log(1 - q**y)|)u, and the cdf P by (7n + 3|ln P| + 2)u relative.
     """
@@ -71,9 +75,7 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return (1 - params.q_exact**y) ** params.n
     if params.s == 1:
         return 1.0
-    lam_y = y * _log_q(params)  # log q**y
-    log_u = math.log(-math.expm1(lam_y)) if lam_y > -math.log(2) else math.log1p(-math.exp(lam_y))
-    return math.exp(params.n * log_u)
+    return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
 
 
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -185,23 +187,26 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
 SERIES_BLOCK = 1 << 14
 
 
-def _first_at_most(bound, eps: float) -> int:
+def _first_at_most(bound, eps: float, walk: str) -> int:
     """Smallest t >= 1 with bound(t) <= eps, for a bound unimodal in t.
 
     If bound(1) > eps, the bound stays above eps until it crosses eps
     once on its decreasing side, so doubling brackets the crossing and
-    bisection finds it.
+    bisection finds it. A stop past TURN_CAP raises ValueError naming the
+    walk, at once if the doubling reaches TURN_CAP with the bound above eps.
     """
     hi = 1
-    while bound(hi) > eps:
+    while (above := bound(hi) > eps) and hi < TURN_CAP:
         hi *= 2
-    lo = hi // 2  # 0, or a t with bound(t) > eps
+    lo = hi if above else hi // 2  # above: the stop lies past hi; else lo is 0 or above eps
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bound(mid) <= eps:
             hi = mid
         else:
             lo = mid
+    if above or hi > TURN_CAP:
+        raise ValueError(f"{walk} needs {hi} turns or more, past TURN_CAP = {TURN_CAP}")
     return hi
 
 
@@ -242,17 +247,14 @@ def _geometric_tail(params: GameParams, eps: float):
 
     Each sum stops before the first t >= 1 whose geometric tail bound
     (tail_bound_max_geom, or tail_bound_weighted_max_geom for the second
-    moment) is <= eps, and leaves out a tail of at most that bound. A stop
-    past TURN_CAP chain steps raises ValueError.
+    moment) is <= eps, and leaves out a tail of at most that bound. Where q
+    rounds to 1 (s > 2**53) the bound is inf, which _first_at_most refuses.
     """
     n, q = params.n, params.q
+    walk = f"matrix-power at s={params.s}"
     tails = []
     for bound in (tail_bound_max_geom, tail_bound_weighted_max_geom):
-        stop = _first_at_most(lambda t: bound(n, q, t), eps)
-        if stop > TURN_CAP:
-            raise ValueError(
-                f"matrix-power at s={params.s} needs {stop} chain steps, past TURN_CAP = {TURN_CAP}"
-            )
+        stop = _first_at_most(lambda t: bound(n, q, t) if q < 1 else math.inf, eps, walk)
         tails.append((stop, 0.0, bound(n, q, stop)))
     return tails
 
@@ -297,14 +299,12 @@ def _closed_tail(params: GameParams, eps: float):
     double errs by less than 2**-1000, far below the 2u |total| >= 2u that
     _survival_sums adds.
 
-    The terms before T number about s ln(2n); a T past TURN_CAP raises
-    ValueError, which covers every s where the float q rounds to 1.
+    The terms before T number about s ln(2n); _first_at_most refuses a T
+    past TURN_CAP, which covers every s where the float q rounds to 1.
     """
-    n, s = params.n, params.s
-    lam = _log_q(params)
-    split = _first_at_most(lambda t: n * math.exp(t * lam), SERIES_SPLIT)
-    if split > TURN_CAP:
-        raise ValueError(f"the series at s={s} needs {split} head terms, past TURN_CAP = {TURN_CAP}")
+    n, lam = params.n, _log_q(params)
+    walk = f"the series at s={params.s}"
+    split = _first_at_most(lambda t: n * math.exp(t * lam), SERIES_SPLIT, walk)
     q_split = math.exp(split * lam)
     step = (5 * split * abs(lam) + 6) * _U  # c_j's relative error per j
     kept, errors, left_out = ([], []), ([], []), [None, None]
@@ -450,16 +450,16 @@ def _decimal_seed(params: GameParams, prob: Fraction, digits: int) -> int:
 def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     """Smallest y with cdf(y) >= prob, for 0 < prob < 1, the same in either mode.
 
-    The inverted law ceil(log(-expm1(log(prob)/n)) / log q), with prob
-    clamped into the doubles, seeds a search that steps away from the seed,
-    doubling its step, then bisects. The seed's size is taken in logs
-    first, by log1p(-root) where the root prob**(1/n) is below 1/2; a seed
-    of DECIMAL_SEED_FROM turns or more, even one past the doubles, comes
-    from _decimal_seed at its digits plus 20, plus the leading zeros of
-    root and of 1 - root, where 1 - root and its log cancel, so that it
-    lands within a turn or two. _cdf_reaches decides each step exactly, so
-    mode does not change the answer; past NEAR_TIE_BITS it raises
-    ValueError.
+    The inverted law ceil(log(1 - root) / log q), root = prob**(1/n) with
+    prob clamped into the doubles, seeds a search that steps away from the
+    seed, doubling its step, then bisects. log(1 - root) is _log1mexp's,
+    so a root below 2**-53 does not seed at 1, and it sizes the seed in
+    logs first: a seed of DECIMAL_SEED_FROM turns or more, even one past
+    the doubles, comes from _decimal_seed at its digits plus 20, plus the
+    leading zeros of root and of 1 - root, where 1 - root and its log
+    cancel, so that it lands within a turn or two. _cdf_reaches decides
+    each step exactly, so mode does not change the answer; past
+    NEAR_TIE_BITS it raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -468,14 +468,11 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     level = min(max(float(prob), sys.float_info.min), 1 - _U)
     log_root = math.log(level) / params.n  # log prob**(1/n)
     lam = _log_q(params)
-    # log(1 - root) without 1 - root's cancellation where root < 1/2, and
-    # the log10 of the seed's turns, which may pass the doubles
-    small = log_root < -math.log(2)
-    log_gap = math.log1p(-math.exp(log_root)) if small else math.log(-math.expm1(log_root))
-    digits = math.log10(-log_gap) - math.log10(-lam)
+    log_gap = _log1mexp(log_root)  # log(1 - root)
+    digits = math.log10(-log_gap) - math.log10(-lam)  # log10 of the seed, maybe past the doubles
     prob = Fraction(prob)
     if digits < math.log10(DECIMAL_SEED_FROM):
-        y = max(1, math.ceil(math.log(-math.expm1(log_root)) / lam))
+        y = max(1, math.ceil(log_gap / lam))
     else:
         zeros = -math.floor(math.log10(min(math.exp(log_root), -math.expm1(log_root))))
         y = _decimal_seed(params, prob, math.ceil(digits) + 20 + max(0, zeros))

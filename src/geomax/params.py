@@ -7,7 +7,9 @@ n independent geometric variables with success probability 1/s, which is
 what every evaluator in this package computes.
 
 Exact mode returns ``fractions.Fraction`` values; float mode returns IEEE
-doubles.
+doubles, finite and with a finite bound, or raises ValueError naming the
+limit it passed, CancellationError (method "closed" only) or
+GameNotFinishedError (the simulator).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ they follow the same policy and always agree with the report's fields.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -55,7 +56,7 @@ def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> Mom
         (mean, mean_err), (m2, m2_err) = sums = moments._closed_sums(params)
         # <= is False for an overflowed sum, (nan, inf), so it is refused too
         if all(err <= CANCELLATION_TOLERANCE * abs(value) for value, err in sums):
-            return _pack(mean, m2, mean_err, m2_err, "closed-alternating")
+            return _pack(params, mean, m2, mean_err, m2_err, "closed-alternating")
     if not fallback:
         raise CancellationError(
             f"closed alternating sums at n={params.n}, s={params.s} lost "
@@ -82,20 +83,22 @@ def _survival_report(params: GameParams, mode: NumericMode, method: str) -> Mome
     (mean, mean_err), (m2, m2_err) = moments._survival_sums(
         params, mode.truncation_epsilon, *SURVIVAL_SOURCES[method]
     )
-    return _pack(mean, m2, mean_err, m2_err, method)
+    return _pack(params, mean, m2, mean_err, m2_err, method)
 
 
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
     mean, m2 = chain._recursive_moments(params, mode)
     # heuristic, not derived: each of the recursion's n levels adds positive sums
     scale = Fraction(0) if mode.exact else 16 * params.n * _U
-    return _pack(mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
+    return _pack(params, mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
 
 
-def _pack(mean, m2, mean_err, m2_err, tag: str) -> MomentReport:
-    """Report with the variance and its bound; zero bounds stay Fraction(0) in exact mode."""
+def _pack(params: GameParams, mean, m2, mean_err, m2_err, tag: str) -> MomentReport:
+    """Report with the variance and its bound (Fraction(0) exact); ValueError on a float inf or nan."""
     variance = m2 - mean * mean
-    var_err = m2_err + 2 * abs(mean) * mean_err + mean_err * mean_err
+    var_err = m2_err + 2 * abs(mean) * mean_err + mean_err * mean_err  # finite only if both others are
+    if isinstance(mean, float) and not all(map(math.isfinite, (mean, m2, variance, var_err))):
+        raise ValueError(f"the {tag} route at s={params.s} leaves the double range")
     return MomentReport(
         mean=mean,
         second_moment=m2,

@@ -88,6 +88,11 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_turn_cap(longest) -> None:
+    if longest > TURN_CAP:
+        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+
+
 def play_game(
     params: GameParams,
     seed: int | None = None,
@@ -140,9 +145,8 @@ def play_game(
     while alive > 0:
         if len(block) - start < alive:
             block, start = block[start:] + fresh(alive), 0
+        _check_turn_cap(len(turns) + 1)  # the turn about to be played
         whole = min((len(block) - start) // alive, TURN_CAP - len(turns))
-        if whole == 0:
-            raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
         end = start + whole * alive
         try:  # all turns but the last, which is counted below in any case
             hit = block.index(alive, start, end - alive)
@@ -226,8 +230,7 @@ def _turn_counts(params: GameParams, count: int, rng: np.random.Generator) -> np
         np.log(turns, out=turns)
         turns /= log_q
     np.ceil(turns, out=turns)
-    if turns.max() > TURN_CAP:
-        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+    _check_turn_cap(turns.max())
     np.maximum(turns, 1, out=turns)
     return turns.astype(np.int64)
 
@@ -244,9 +247,7 @@ def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -
     signatures: Counter = Counter()
     for start in range(0, count, rows):
         exits = rng.geometric(params.p, size=(min(rows, count - start), n))
-        # numpy saturates a draw at 2**63 - 1 when 1/s is tiny; the cap catches it too
-        if exits.max() > TURN_CAP:
-            raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+        _check_turn_cap(exits.max())  # numpy saturates a draw at 2**63 - 1 when 1/s is tiny
         signatures.update(_signature_counts(exits))
     return signatures
 
@@ -306,8 +307,6 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
     estimate is a pure function of (params, trials, seed), and its memory
     does not grow with the longest game as a dense histogram's would.
     """
-    _require_playable(params)
-    seed = _check_seed(seed)
     trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
@@ -325,7 +324,7 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
         variance=variance,
         std_error_mean=math.sqrt(variance / trials),
         trials=trials,
-        seed=seed,
+        seed=int(seed),  # checked by _chunk_results
     )
 
 

@@ -284,7 +284,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "n, s, method",
-        [(2, 2**40, ("--method", "series")), (40, 2**35, ()), (2, 2**35, ("--method", "matrix-power"))],
+        [
+            (2, 2**40, ("--method", "series")),
+            (40, 2**35, ()),
+            (2, 2**35, ("--method", "matrix-power")),
+            (60, 2**1022, ()),
+        ],
     )
     def test_walks_past_the_turn_cap_are_refused(self, capsys, n, s, method):
         code, out, err = run(capsys, "compute", "--n", str(n), "--s", str(s), "--quantity", "mean", *method)

@@ -53,6 +53,7 @@ from geomax.moments import (
     _exact_closed_moments,
     _survival_sums,
 )
+from geomax.params import TURN_CAP
 from geomax.report import MOMENTS, ROUTES
 
 #: The quantile levels of scripts/route_snapshot.py.
@@ -415,15 +416,43 @@ class TestSeriesAgreement:
 
     @pytest.mark.parametrize(
         "n, s, method, walk",
-        [(2, 2**40, "series", "series"), (40, 2**35, "auto", "series"), (2, 2**35, "matrix-power", "matrix-power")],
+        [
+            (2, 2**40, "series", "series"),
+            (40, 2**35, "auto", "series"),
+            (2, 2**35, "matrix-power", "matrix-power"),
+            (60, 2**1022, "series", "series"),
+            (60, 2**1022, "auto", "series"),
+            (3, 2**60, "matrix-power", "matrix-power"),
+        ],
     )
     def test_walks_past_the_turn_cap_are_refused_at_once(self, n, s, method, walk):
         # the head or the chain would take 10**11 or more steps; auto at
-        # (40, 2**35) falls back from the closed sums to the series
+        # (40, 2**35) and (60, 2**1022) falls back from the closed sums to
+        # the series; at s = 2**1022 the stop search must refuse before t
+        # lam overflows, and at (3, 2**60) the float q rounds to 1
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"{walk} at s={s} needs \\d+ .* past TURN_CAP"):
             moment_report(GameParams(n, s), method=method)
         assert time.perf_counter() - start < 1.0
+
+    def test_stop_search_refuses_past_the_turn_cap(self):
+        # a stop past 2**30 is refused once the doubling reaches 2**30, with
+        # no bound taken past it; a stop in (TURN_CAP, 2**30] after the
+        # bisection, by its exact value; one within the cap is returned
+        for stop, needs in ((math.inf, 2**30), (TURN_CAP + 5, TURN_CAP + 5)):
+            points = []
+            with pytest.raises(ValueError, match=f"walk needs {needs} turns or more, past TURN_CAP"):
+                moments._first_at_most(lambda t: points.append(t) or t < stop, 0.5, "walk")
+            assert max(points) == 2**30
+        assert moments._first_at_most(lambda t: t < TURN_CAP, 0.5, "walk") == TURN_CAP
+
+    @pytest.mark.parametrize("e", [511, 600])
+    def test_float_reports_past_the_double_range_are_refused(self, e):
+        # the recursion's E(Y**2) overflows to inf at s = 2**511 and to nan
+        # at 2**600, and its bound with it
+        message = f"recursive route at s={2**e} leaves the double range"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            moment_report(GameParams(3, 2**e), method="recursive")
 
     def test_series_error_bound_holds(self, monkeypatch):
         # every route of report.ROUTES against its own error_bound, EXACT the
@@ -703,6 +732,16 @@ class TestQuantileAtScale:
             assert y == HUGE_S_MEDIANS[e]
         else:
             self.assert_inverse(params, prob, y, prec=2 * len(str(params.s)) + 40)
+
+    @pytest.mark.parametrize("n, s, expected", [(2, 2**100 + 7, 12_676_506_003), (1, 2**150 + 7, 142_725)])
+    def test_roots_below_the_double_epsilon_seed_near_the_answer(self, monkeypatch, n, s, expected):
+        # prob**(1/n) is below 2**-53 here, where log(-expm1(log root))
+        # rounds to 0 and seeded the search at 1: 68 and 36 decisions
+        decisions = []
+        reaches = moments._cdf_reaches
+        monkeypatch.setattr(moments, "_cdf_reaches", lambda *args: decisions.append(args) or reaches(*args))
+        assert quantile(GameParams(n, s), Fraction(1, 10**40)) == expected
+        assert len(decisions) <= 4
 
     @pytest.mark.parametrize(
         "prob,expected", [(Fraction(1, 10**400), 1), (Fraction(10**30 - 1, 10**30), 383)]
