@@ -27,7 +27,10 @@ bound as "-". The routes:
   float-matrix-power moments at (200, 200), where the float chain walks
   far enough to step a block of turns per matrix product;
 * the float moments at the edges of the double range and of TURN_CAP
-  (REFUSALS), where a route answers or refuses.
+  (REFUSALS), where a route answers or refuses;
+* the float chain profile and matrix-power cdf (point "cdf-y=40") where
+  the float 1/s is subnormal (SUBNORMAL_CHAIN), and the float points of
+  the relaxed (3, 1), where q = 0.
 
 The default run (s-max 40) takes about 3 s on a 2-vCPU Xeon VM.
 
@@ -60,7 +63,7 @@ from geomax import (
 )
 from geomax.chain import absorption_step_bound
 from geomax.cli import main as cli_main
-from geomax.report import ANALYTIC_METHODS
+from geomax.report import ANALYTIC_METHODS, ROUTES
 
 #: The cliffs workload's size classes at their nominal sizes:
 #: (n, s, mode, method).
@@ -98,13 +101,18 @@ LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
 #: Float moment requests at the edges of the double range and of TURN_CAP,
 #: as (n, s, method): the series' stop search at s = 2**1022 (directly and
 #: as auto's fallback), the matrix-power tail where the float q rounds to
-#: 1, and a recursion whose values pass the doubles.
+#: 1, a recursion whose values pass the doubles, and one where the float
+#: 1/s rounds to 0.
 REFUSALS = (
     (60, 2**1022, "series"),
     (60, 2**1022, "auto"),
     (3, 2**60, "matrix-power"),
     (3, 2**600, "recursive"),
+    (3, 2**1080, "recursive"),
 )
+
+#: Float chain points, as (n, s), where the float 1/s is subnormal.
+SUBNORMAL_CHAIN = ((2, 2**1030),)
 
 #: Terminal width the --cli transcript's --help pages wrap to.
 HELP_COLUMNS = 80
@@ -238,6 +246,15 @@ def profile_lines(params: GameParams, mode, turns):
         yield f"{mode.kind}-profile", params, f"t={t}", fmt(profile[t]), bound
 
 
+def refusable_line(route: str, params: GameParams, point: str, evaluate):
+    """The line of evaluate()'s (value, bound), or of its refusal's type name."""
+    try:
+        value, bound = evaluate()
+    except (ArithmeticError, ValueError) as exc:
+        return route, params, point, type(exc).__name__, "-"
+    return route, params, point, fmt(value), fmt(bound)
+
+
 def point_lines(params: GameParams, mode):
     kind = mode.kind
     yield from profile_lines(params, mode, range(TURNS + 1))
@@ -275,6 +292,21 @@ def snapshot(s_max: int):
     yield from moment_lines(GameParams(200, 200), FLOAT, "matrix-power")
     for n, s, method in REFUSALS:
         yield from moment_lines(GameParams(n, s), FLOAT, method)
+    for n, s in SUBNORMAL_CHAIN:
+        params = GameParams(n, s)
+        yield refusable_line(
+            "float-profile",
+            params,
+            f"t={TURNS}",
+            lambda: (absorption_cdf_profile(params, TURNS)[TURNS], absorption_step_bound(params, TURNS)),
+        )
+        yield refusable_line(
+            "float-matrix-power",
+            params,
+            f"cdf-y={TURNS}",
+            lambda: ROUTES[("cdf", "matrix-power")](params, FLOAT, TURNS)[:2],
+        )
+    yield from point_lines(GameParams(3, 1, relaxed=True), FLOAT)
 
 
 def cli_transcript():
