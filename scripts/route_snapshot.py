@@ -198,6 +198,7 @@ CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity pmf --y 0",
     "geomax compute --n 2 --s 2 --quantity cdf --y 3 --method series",
     "geomax compute --n 2 --s 2 --quantity cdf --y -1 --method matrix-power",
+    f"geomax compute --n 2 --s 2 --quantity cdf --y {10**12} --method matrix-power",
     "geomax compute --n 2 --s 2 --quantity quantile --prob 0.5 --method recursive",
     "geomax compute --n 2 --s 2 --quantity quantile --prob 1.5",
     f"geomax compute --n 2 --s {2**40} --quantity mean --method series",

@@ -24,8 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import _U
-from .params import EXACT, FLOAT, GameParams, NumericMode
+from .kernels import _U, _float_p
+from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ class AbsorptionProfile:
 
 
 def _arithmetic(params: GameParams, mode: NumericMode):
-    """(p, q, zero, dtype): doubles, or in exact mode s p = 1 and s q = s-1 on object arrays."""
+    """(p, q, zero, dtype): doubles, p by _float_p, or exact s p = 1 and s q = s-1 on objects."""
     if mode.exact:
         return 1, params.s - 1, 0, object
-    return params.p, params.q, 0.0, np.float64
+    return _float_p(params), params.q, 0.0, np.float64
 
 
 def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
@@ -122,9 +122,7 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
     for k, row in enumerate(islice(_survivor_rows(params, EXACT), 1, None), start=1):
         row = row.tolist()
         power = params.s**k
-        complement = sum(row[:k])  # d_k, a positive sum
-        if not complement > 0:
-            raise ArithmeticError(f"degenerate diagonal at state {k}")
+        complement = sum(row[:k])  # d_k = s**k - (s-1)**k >= 1, so never 0
         first = second = 0
         for j in range(1, k):
             first = first * complements[j] + row[j] * numerators[j]
@@ -143,14 +141,13 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
 def _float_recursion(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments from every state, in doubles, as two arrays."""
     first, second = np.zeros((2, params.n + 1))
-    for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
-        # 1 - P[k][k], the chance of losing a die this turn, as a positive sum:
-        # no cancellation when q is near 1, and positive since params has p > 0
-        complement = row[:k].sum()
-        if not complement > 0:
-            raise ArithmeticError(f"degenerate diagonal at state {k}")
-        first[k] = (1 + row[1:k] @ first[1:k]) / complement
-        second[k] = (row[1:k] @ second[1:k] - 1 + 2 * first[k]) / complement
+    with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
+        for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
+            # 1 - P[k][k] sums nonnegative entries, so nothing cancels. It is exactly
+            # 1 - q**k >= p, so its largest entry is at least p/k: never 0 for a normal p
+            complement = row[:k].sum()
+            first[k] = (1 + row[1:k] @ first[1:k]) / complement
+            second[k] = (row[1:k] @ second[1:k] - 1 + 2 * first[k]) / complement
     return first, second
 
 
@@ -203,8 +200,10 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
     steps an integer state by the integer matrix s**n M, so after t steps
     the state is s**(n*t) times the law, and item t is the integer
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
-    it returns.
+    it returns. A walk past TURN_CAP turns raises ValueError before M is built.
     """
+    if length - 1 > TURN_CAP:
+        raise ValueError(f"the chain walk needs {length - 1} turns, past TURN_CAP = {TURN_CAP}")
     rows = _stacked_rows(params, mode)
     state = np.zeros(params.n + 1, dtype=rows.dtype)
     state[-1] = 1

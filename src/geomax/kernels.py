@@ -4,6 +4,7 @@ Everything here is a constant or a pure function, safe to call from
 multiple threads. The pieces:
 
 * the unit roundoff _U of a double,
+* _float_p, the float 1/s that every float route reads,
 * public closed forms for the power-weighted geometric series, checked
   against partial sums by acceptance criterion 10,
 * geometric tail bounds that truncate the matrix-power route's survival
@@ -14,6 +15,13 @@ from __future__ import annotations
 
 #: Unit roundoff of a double, u = 2**-53.
 _U = 2.0**-53
+
+
+def _float_p(params) -> float:
+    """params.p, the float 1/s; ValueError once it is subnormal, too coarse for the float bounds."""
+    if params.p < 2.0**-1022:  # the smallest normal double
+        raise ValueError(f"s={params.s} puts the float 1/s below the smallest normal double")
+    return params.p
 
 
 def _check_open_unit(x) -> None:

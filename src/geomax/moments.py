@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
+from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
 
 
@@ -48,10 +48,9 @@ CLOSED_POINT_BOUND = 8 * _U
 
 
 def _log_q(params: GameParams) -> float:
-    """ln q = log1p(-p), p = params.p; ValueError once p is subnormal, too coarse for the bounds."""
-    if params.p < sys.float_info.min:
-        raise ValueError(f"s={params.s} puts the float 1/s below the smallest normal double")
-    return math.log1p(-params.p)
+    """ln q = log1p(-p) for the float p = 1/s of kernels._float_p; -inf at s = 1, where q = 0."""
+    p = _float_p(params)
+    return math.log1p(-p) if p < 1 else -math.inf
 
 
 def _log1mexp(x: float) -> float:
@@ -73,8 +72,6 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return Fraction(0) if mode.exact else 0.0
     if mode.exact:
         return (1 - params.q_exact**y) ** params.n
-    if params.s == 1:
-        return 1.0
     return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
 
 
@@ -104,9 +101,7 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
             total = total * big_s + (term if k % 2 == 1 else -term)
         return Fraction(total, big_s**n)
     if y == 1:
-        return params.p**n
-    if s == 1:
-        return 0.0
+        return _float_p(params) ** n
     lam = _log_q(params)
     x = params.p * math.exp((y - 1) * lam) / -math.expm1((y - 1) * lam)
     return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
@@ -463,8 +458,6 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
-    if params.s == 1:
-        return 1
     level = min(max(float(prob), sys.float_info.min), 1 - _U)
     log_root = math.log(level) / params.n  # log prob**(1/n)
     lam = _log_q(params)

@@ -28,8 +28,8 @@ class GameNotFinishedError(RuntimeError):
 
 
 #: Most turns a walk over turns may take: a simulated game past it raises
-#: GameNotFinishedError, and a float survival sum that would need more
-#: terms or chain steps raises ValueError before it starts.
+#: GameNotFinishedError, and a float survival sum or chain walk that would
+#: need more terms or steps raises ValueError before it starts.
 TURN_CAP = 10**9
 
 
@@ -101,7 +101,7 @@ class GameParams:
 
     @property
     def p(self) -> float:
-        """Per-turn removal probability of a single die, as a double."""
+        """Per-turn removal probability of a single die, as a double; see kernels._float_p."""
         return 1 / self.s  # int division rounds once and never overflows
 
     @property

@@ -8,6 +8,7 @@ which share no code with the chain builders.
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -27,8 +28,9 @@ from geomax import (
     second_moment_closed,
     second_moments_recursive,
 )
-from geomax.chain import BLOCK_TURNS, absorption_step_bound
+from geomax.chain import BLOCK_TURNS, _absorption_steps, absorption_step_bound
 from geomax.kernels import _U
+from geomax.params import TURN_CAP
 from geomax.report import ROUTES
 
 playable = st.integers(1, 12).flatmap(
@@ -156,6 +158,36 @@ class TestRecursiveMoments:
             for a, b in zip(approx[1:], exact[1:]):
                 assert a == pytest.approx(float(b), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "params, mode, method",
+        [(GameParams(3, 2**500), EXACT, "closed"), (GameParams(2000, 2, relaxed=True), FLOAT, "series")],
+    )
+    def test_float_recursion_at_the_edges_of_a_positive_complement(self, params, mode, method):
+        # at s = 2**500 the complements are about k/s, far from 0 yet far
+        # below 1; at (2000, 2) the diagonal q**k underflows past k = 1074
+        # and the complement is the sum of the entries that do not
+        recursive = moment_report(params, method="recursive")
+        reference = moment_report(params, mode, method)
+        allowed = recursive.error_bound + reference.error_bound
+        assert abs(recursive.mean - reference.mean) <= allowed
+        assert abs(recursive.second_moment - reference.second_moment) <= allowed
+
+    @pytest.mark.parametrize("e", [1030, 1100])
+    def test_float_chain_refuses_a_subnormal_one_over_s(self, e):
+        # the float 1/s is subnormal at s = 2**1030 and rounds to 0 at
+        # 2**1100; the chain reads it from kernels._float_p, as the float
+        # points do
+        params = GameParams(3, 2**e)
+        for evaluate in (
+            lambda: absorption_cdf_profile(params, 5),
+            lambda: second_moments_recursive(params),
+            lambda: build_transition_matrix(params),
+            lambda: moment_report(params, method="recursive"),
+        ):
+            with pytest.raises(ValueError, match="smallest normal double"):
+                evaluate()
+        assert absorption_cdf_profile(params, 1, EXACT)[1] == cdf(params, 1, EXACT)
+
     def test_large_n_agrees_with_the_series(self):
         params = GameParams(1100, 2000)
         recursive = moment_report(params, method="recursive")
@@ -233,6 +265,21 @@ class TestAbsorptionByPower:
         assert value == cdf(params, y, EXACT) and bound == 0
         pmf, _, _ = ROUTES[("pmf", "matrix-power")](params, EXACT, y)
         assert pmf == value - cdf(params, y - 1, EXACT)
+
+    def test_walks_past_the_turn_cap_are_refused_at_once(self):
+        params = GameParams(2, 2)
+        start = time.perf_counter()
+        for mode in (FLOAT, EXACT):
+            with pytest.raises(ValueError, match=f"walk needs {10**10} turns, past TURN_CAP"):
+                absorption_cdf_profile(params, 10**10, mode)
+            for quantity in ("pmf", "cdf"):
+                with pytest.raises(ValueError, match=f"needs {10**12} turns, past TURN_CAP"):
+                    ROUTES[(quantity, "matrix-power")](params, mode, 10**12)
+        assert time.perf_counter() - start < 1
+        # a walk of TURN_CAP turns starts; one more turn is refused
+        assert next(_absorption_steps(params, FLOAT, TURN_CAP + 1)) == 0.0
+        with pytest.raises(ValueError, match="past TURN_CAP"):
+            next(_absorption_steps(params, FLOAT, TURN_CAP + 2))
 
     def test_profile_zero_steps(self):
         assert absorption_cdf_profile(GameParams(3, 5), 0, EXACT) == [Fraction(0)]

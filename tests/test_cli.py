@@ -296,15 +296,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past TURN_CAP" in err
 
+    def test_recursion_past_the_double_range_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--n", "2", "--s", str(2**1100), "--quantity", "mean", "--method", "recursive"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "smallest normal double" in err
+
+    def test_chain_walk_past_the_turn_cap_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--n", "2", "--s", "2", "--quantity", "cdf", "--y", str(10**12),
+            "--method", "matrix-power",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past TURN_CAP" in err
+
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (("simulate", "--n", "2", "--s", str(2**1100)), "game still running"),
-            (
-                ("compute", "--n", "2", "--s", str(2**1100), "--quantity", "mean", "--method", "recursive"),
-                "degenerate diagonal",
-            ),
-        ],
+        [(("simulate", "--n", "2", "--s", str(2**1100)), "game still running")],
     )
     def test_library_failures_are_numeric_failures(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -94,3 +94,12 @@ class TestTailBounds:
                 tail_bound_max_geom(2, q, 0)
             with pytest.raises(ValueError):
                 tail_bound_weighted_max_geom(2, q, 0)
+
+
+@pytest.mark.parametrize("bound", [tail_bound_max_geom, tail_bound_weighted_max_geom])
+@pytest.mark.parametrize(
+    "n, start, message", [(0, 1, "n must be at least 1"), (2, -1, "start must be nonnegative")]
+)
+def test_tail_bound_sizes_are_checked(bound, n, start, message):
+    with pytest.raises(ValueError, match=message):
+        bound(n, 0.5, start)

@@ -12,6 +12,7 @@ import decimal
 import math
 import runpy
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,7 @@ from geomax import (
     FLOAT,
     CancellationError,
     GameParams,
+    MomentReport,
     NumericMode,
     cdf,
     expected_value_closed,
@@ -212,9 +214,19 @@ class TestDistribution:
         # 1/s below the smallest normal double carries too few bits for the
         # float bounds; at 2**1100 it rounds to 0
         params = GameParams(2, s)
-        for evaluate, point in ((cdf, 5), (pmf, 5), (quantile, 0.5)):
+        for evaluate, point in ((cdf, 5), (pmf, 1), (pmf, 5), (quantile, 0.5)):
             with pytest.raises(ValueError, match="smallest normal double"):
                 evaluate(params, point)
+
+    @pytest.mark.parametrize("params", [GameParams(1, 1), GameParams(3, 1, relaxed=True)])
+    def test_float_points_at_one_face_equal_exact(self, params):
+        # q = 0 exactly, so log q is -inf and every game ends on turn 1
+        for y in range(4):
+            assert cdf(params, y) == cdf(params, y, EXACT)
+        for y in range(1, 4):
+            assert pmf(params, y) == pmf(params, y, EXACT)
+        for prob in (1e-300, 0.42, 1 - 2**-53):
+            assert quantile(params, prob) == quantile(params, prob, EXACT) == 1
 
     def test_float_points_at_the_last_normal_powers(self):
         params = GameParams(2, 2**1000)
@@ -449,10 +461,12 @@ class TestSeriesAgreement:
     @pytest.mark.parametrize("e", [511, 600])
     def test_float_reports_past_the_double_range_are_refused(self, e):
         # the recursion's E(Y**2) overflows to inf at s = 2**511 and to nan
-        # at 2**600, and its bound with it
+        # at 2**600, and its bound with it; numpy warns of neither
         message = f"recursive route at s={2**e} leaves the double range"
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
-            moment_report(GameParams(3, 2**e), method="recursive")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                moment_report(GameParams(3, 2**e), method="recursive")
 
     def test_series_error_bound_holds(self, monkeypatch):
         # every route of report.ROUTES against its own error_bound, EXACT the
@@ -804,3 +818,18 @@ class TestRelaxedParameters:
                 GameParams(n, s)
         with pytest.raises(ValueError):
             GameParams(2.0, 3)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: moment_report(GameParams(2, 2), method="nope"), "unknown method 'nope'"),
+        (lambda: NumericMode("bogus"), "unknown numeric mode kind 'bogus'"),
+        (lambda: NumericMode(truncation_epsilon=0), "truncation_epsilon must be positive"),
+        (lambda: MomentReport(1.0, 1.0, 0.0, "bogus", 0.0), "unknown method tag 'bogus'"),
+        (lambda: MomentReport(1.0, 1.0, 0.0, "series", -1.0), "error_bound must be nonnegative"),
+    ],
+)
+def test_report_and_mode_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -413,3 +413,18 @@ class TestKolmogorovSmirnov:
         assert ks_critical_value(250_000, alpha=0.05) == pytest.approx(
             math.sqrt(-math.log(0.025) / 2) / 500, rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: turn_count_histogram(GameParams(2, 3), trials=0, seed=1), "trials must be positive"),
+        (lambda: ks_statistic(np.zeros(4, dtype=np.int64), GameParams(2, 2)), "empty histogram"),
+        (lambda: ks_critical_value(0), "trials must be positive"),
+        (lambda: ks_critical_value(100, alpha=0.0), r"alpha must lie in \(0, 1\)"),
+        (lambda: ks_critical_value(100, alpha=1.0), r"alpha must lie in \(0, 1\)"),
+    ],
+)
+def test_histogram_and_ks_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
