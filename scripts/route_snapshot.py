@@ -24,8 +24,10 @@ bound as "-". The routes:
 * float quantiles at scale (SCALE_QUANTILES), past exact mode's reach;
 * the cliffs benchmark points, under the routes above;
 * the chain profile past t = 40 (LONG_PROFILES), in both modes, and the
-  float-matrix-power moments at (200, 200), where the float chain walks
-  far enough to step a block of turns per matrix product;
+  float-matrix-power moments at LONG_WALKS: (200, 200), where the float
+  chain walks far enough to step a block of turns per matrix product, and
+  (2, 4000), whose walk spans many numpy blocks of survival terms, some
+  of them negative;
 * the float moments at the edges of the double range and of TURN_CAP
   (REFUSALS), where a route answers or refuses;
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
@@ -97,6 +99,12 @@ SCALE_QUANTILES = (
 #: t = 64 and t = 128, and a longer walk.
 LONG_PROFILES = ((3, 20), (12, 12))
 LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
+
+#: Float matrix-power moments, as (n, s): (200, 200) stops at 11,281 turns,
+#: inside one block of moments.SERIES_BLOCK survival terms; (2, 4000) walks
+#: 243,994 turns over 15 blocks, where 1 - P(T <= t) rounds below 0 on
+#: about half the turns.
+LONG_WALKS = ((200, 200), (2, 4000))
 
 #: Float moment requests at the edges of the double range and of TURN_CAP,
 #: as (n, s, method): the series' stop search at s = 2**1022 (directly and
@@ -290,7 +298,8 @@ def snapshot(s_max: int):
     for n, s in LONG_PROFILES:
         for mode in (FLOAT, EXACT):
             yield from profile_lines(GameParams(n, s), mode, LONG_TURNS)
-    yield from moment_lines(GameParams(200, 200), FLOAT, "matrix-power")
+    for n, s in LONG_WALKS:
+        yield from moment_lines(GameParams(n, s), FLOAT, "matrix-power")
     for n, s, method in REFUSALS:
         yield from moment_lines(GameParams(n, s), FLOAT, method)
     for n, s in SUBNORMAL_CHAIN:
