@@ -18,7 +18,9 @@ and the second moment:
   alternating tail past it (_closed_form_terms and _closed_tail, the
   "series" route), or the chain's absorption probabilities up to a
   geometric tail bound (chain._survival_terms and _geometric_tail, the
-  "matrix-power" route).
+  "matrix-power" route). Each numpy block of terms is summed exactly by
+  error-free extraction in a few vectorized rounds (_exact_sum) and
+  rounded once, bit for bit as math.fsum would round it.
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
@@ -178,8 +180,45 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
     return Fraction(p, q), Fraction(r, q2), Fraction(r - p * p, q2)
 
 
-#: Terms per numpy block of the positive series; no array spans more.
+#: Terms per numpy block of the positive series; no array spans more, and
+#: _exact_sum's rounds rely on it: at most 2**14 terms keep each round's
+#: partial sums exact and shrink the residual by 2**37 or more.
 SERIES_BLOCK = 1 << 14
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values), bit for bit, for at most SERIES_BLOCK finite doubles.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008), in vectorized rounds over the N values. With top the
+    largest |x| left, unit = 2**(E - 52) for the least E with
+    2**E > fl(N top) (never below 2**-1074), and high = trunc(x / unit) unit:
+
+    * x / unit is exact unless it is subnormal, and then below 1, so its
+      trunc k is exact, |k| < 2**52, and high = k unit is exact too;
+    * every partial sum of the highs, in any order, is a multiple of unit
+      below N top < 2**52 unit, so np.sum adds them exactly (as integers k,
+      scaled by unit after);
+    * high has x's sign and |high| <= |x|, so the residual x - high, x's
+      bits below unit, is exact and below unit in magnitude: the next top
+      is at most about 2**-37 times this one (N <= 2**14). At unit = 2**-1074
+      every x is a multiple of it and nothing is left.
+
+    The rounds stop when the residual is all zero, so the exact partial
+    sums add up to the exact sum, and their fsum is that sum correctly
+    rounded, as math.fsum's is. The domain is finite values with N top
+    finite; a block of survival terms lies far inside it. Truncation, not
+    floor: for a negative x, as the chain's terms 1 - P(T <= t) can be,
+    floor gives |high| > |x|, and x - high rounds.
+    """
+    size = values.size
+    parts, high, rest = [], np.empty_like(values), values.copy()
+    while size and (top := max(-rest.min(), rest.max())):
+        unit = math.ldexp(1.0, max(math.frexp(size * top)[1] - 52, -1074))
+        np.trunc(np.divide(rest, unit, out=high), out=high)  # integers below 2**52
+        parts.append(float(np.sum(high)) * unit)
+        rest -= np.multiply(high, unit, out=high)
+    return math.fsum(parts)
 
 
 def _first_at_most(bound, eps: float, walk: str) -> int:
@@ -345,9 +384,11 @@ def _survival_sums(
     and error bound of what it leaves out: _geometric_tail (a value of 0
     and the geometric tail bound) or the series' _closed_tail. It runs
     before any term is evaluated. Both sums run over the same numpy blocks
-    of SERIES_BLOCK terms, each block summed by math.fsum, and the block
-    sums and the tail's value fsum'd again; the two fsum levels err by at
-    most 2u |total|, u = 2**-53. Each bound is the weighted per-term error
+    of SERIES_BLOCK terms, each block's sum rounded once by _exact_sum (its
+    math.fsum, bit for bit: a weighted term is at most about
+    2t + 1 <= 2 TURN_CAP + 1 in magnitude, far inside its domain), and the
+    block sums and the tail's value fsum'd again; the two rounding levels
+    err by at most 2u |total|, u = 2**-53. Each bound is the weighted per-term error
     bounds plus 2u |total| plus the tail's bound.
     """
     if params.s == 1:  # every die is removed on the first turn
@@ -364,7 +405,7 @@ def _survival_sums(
             size = max(0, stops[k] - start)
             values = terms * weight
             bounds = relative * values + absolute * weight
-            block_sums[k].append(math.fsum(memoryview(values[:size])))  # Python floats, no list
+            block_sums[k].append(_exact_sum(values[:size]))
             evaluation[k] += float(np.sum(bounds[:size]))
     sums = []
     for parts, evaluated, (_, value, bound) in zip(block_sums, evaluation, tails):

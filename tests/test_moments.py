@@ -53,6 +53,7 @@ from geomax.moments import (
     _closed_form_terms,
     _closed_sums,
     _exact_closed_moments,
+    _exact_sum,
     _survival_sums,
 )
 from geomax.params import TURN_CAP
@@ -350,6 +351,77 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
 #: largest points where the benchmark runs it, and at (200, 200).
 POWER_BOUND_S_MAX = 40
 POWER_BOUND_EXTRA = ((6, 40), (50, 50), (200, 200))
+
+
+def weighted_head_block(n: int, s: int, start: int = 1) -> np.ndarray:
+    """The series' (2t+1)-weighted terms for one block of SERIES_BLOCK turns from start."""
+    t = np.arange(start, start + moments.SERIES_BLOCK, dtype=np.float64)
+    return _closed_form_terms(GameParams(n, s))(t)[0] * (2 * t + 1)
+
+
+def small_negatives_block(rng: np.random.Generator) -> np.ndarray:
+    # as in the chain's terms at (2, 4000): terms up to 10**4 falling away,
+    # and about half of them replaced by -1e-20 to -1e-5, whose total matters
+    block = 1e4 * np.exp(-np.arange(moments.SERIES_BLOCK) / 2000.0)
+    negative = rng.random(block.size) < 0.5
+    block[negative] = -(10.0 ** rng.uniform(-20, -5, negative.sum()))
+    return block
+
+
+def near_top_block(top: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    # every partial sum of the same-signed values runs up to size * top
+    block = top * (1 - rng.random(size) * 2.0**-30)
+    block[0] = top
+    return block
+
+
+#: Blocks for _exact_sum, each built from a seeded generator.
+EXACT_SUM_BLOCKS = {
+    "empty": lambda rng: np.zeros(0),
+    "one": lambda rng: rng.standard_normal(1),
+    "two": lambda rng: rng.standard_normal(2),
+    "full block": lambda rng: rng.standard_normal(moments.SERIES_BLOCK),
+    "zeros": lambda rng: np.zeros(moments.SERIES_BLOCK),
+    "smallest subnormal": lambda rng: np.full(moments.SERIES_BLOCK, 5e-324),
+    "subnormals": lambda rng: rng.integers(-(2**52), 2**52, moments.SERIES_BLOCK) * 5e-324,
+    "normals and subnormals": lambda rng: np.concatenate(
+        [rng.integers(-(2**52), 2**52, 100) * 5e-324, np.ldexp(rng.random(100), -1000)]
+    ),
+    "over 2000 binades": lambda rng: rng.choice([-1.0, 1.0], moments.SERIES_BLOCK)
+    * np.ldexp(1 + rng.random(moments.SERIES_BLOCK), rng.integers(-1074, 1000, moments.SERIES_BLOCK)),
+    "N top at a power of two": lambda rng: near_top_block(2.0**-3, moments.SERIES_BLOCK, rng),
+    "N top just below a power of two": lambda rng: near_top_block(
+        math.nextafter(2.0**-3, 0), moments.SERIES_BLOCK, rng
+    ),
+    "N top rounding up to a power of two": lambda rng: near_top_block(2 / 3, 3, rng),  # fl(3 top) = 2
+    "negative N top at a power of two": lambda rng: -near_top_block(1.0, moments.SERIES_BLOCK - 1, rng),
+    "weighted head": lambda rng: weighted_head_block(4, 20_000),
+    "weighted head, later block": lambda rng: weighted_head_block(6, 20_000, 1 + 2 * moments.SERIES_BLOCK),
+    "small negatives": small_negatives_block,
+    # 1 + 2**-52 + 2**-53 is a tie, rounded to even; the tiny negative sends
+    # the exact sum below it, to 1 + 2**-52, only if it is not rounded away
+    "tie broken by a tiny negative": lambda rng: np.array([1 + 2.0**-52, 2.0**-53, -(2.0**-200)]),
+}
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("name", EXACT_SUM_BLOCKS)
+    def test_equals_fsum(self, name):
+        block = EXACT_SUM_BLOCKS[name](np.random.default_rng(2308))
+        assert block.size <= moments.SERIES_BLOCK
+        got, want = _exact_sum(block), math.fsum(block.tolist())
+        assert got == want, (got.hex(), want.hex())
+
+    def test_leaves_its_input_alone(self):
+        block = small_negatives_block(np.random.default_rng(5))
+        before = block.copy()
+        _exact_sum(block)
+        assert np.array_equal(block, before)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), max_size=64))
+    def test_equals_fsum_on_drawn_values(self, values):
+        assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
 
 
 @lru_cache
