@@ -28,8 +28,8 @@ bound as "-". The routes:
   chain walks far enough to step a block of turns per matrix product, and
   (2, 4000), whose walk spans many numpy blocks of survival terms, some
   of them negative;
-* the float moments at the edges of the double range and of TURN_CAP
-  (REFUSALS), where a route answers or refuses;
+* the float moments at the edges of the double range, of TURN_CAP and of
+  MEMORY_BUDGET (REFUSALS), where a route answers or refuses;
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
   the float 1/s is subnormal (SUBNORMAL_CHAIN), and the float points of
   the relaxed (3, 1), where q = 0.
@@ -106,17 +106,19 @@ LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
 #: about half the turns.
 LONG_WALKS = ((200, 200), (2, 4000))
 
-#: Float moment requests at the edges of the double range and of TURN_CAP,
-#: as (n, s, method): the series' stop search at s = 2**1022 (directly and
-#: as auto's fallback), the matrix-power tail where the float q rounds to
-#: 1, a recursion whose values pass the doubles, and one where the float
-#: 1/s rounds to 0.
+#: Float moment requests at the edges of the double range, of TURN_CAP and
+#: of MEMORY_BUDGET, as (n, s, method): the series' stop search at
+#: s = 2**1022 (directly and as auto's fallback), the matrix-power tail
+#: where the float q rounds to 1, a recursion whose values pass the
+#: doubles, one where the float 1/s rounds to 0, and a chain whose
+#: matrices pass the budget.
 REFUSALS = (
     (60, 2**1022, "series"),
     (60, 2**1022, "auto"),
     (3, 2**60, "matrix-power"),
     (3, 2**600, "recursive"),
     (3, 2**1080, "recursive"),
+    (10**6, 10**6, "matrix-power"),
 )
 
 #: Float chain points, as (n, s), where the float 1/s is subnormal.
@@ -214,6 +216,8 @@ CLI_CALLS = (
     f"geomax compute --n 2 --s {2**35} --quantity mean --method matrix-power",
     f"geomax compute --n 2 --s {2**1100} --quantity mean --method recursive",
     f"geomax compute --n 60 --s {2**1022} --quantity mean",
+    f"geomax compute --n {10**6} --s {10**6} --quantity mean --method matrix-power",
+    f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
     "geomax simulate --n 2",

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .kernels import _U, _float_p
-from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
+from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode, check_memory
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,36 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     yield row
 
 
+#: (n+1) x (n+1) float64 arrays a float chain walk holds at once: M, and a
+#: power of M and its square while np.linalg.matrix_power squares M up to
+#: M**BLOCK_TURNS.
+WALK_MATRICES = 3
+
+
+def _matrix_bytes(params: GameParams, mode: NumericMode) -> int:
+    """Bytes of the (n+1) x (n+1) arrays a chain walk holds at once, from n and s alone.
+
+    Float mode holds WALK_MATRICES float64 arrays. Exact mode holds one
+    object array, 8 bytes a reference, whose lower triangle holds ints of
+    at most n bit_length(s) bits (each entry is below s**n), in 30-bit
+    digits of 4 bytes after a 24-byte header; its state vectors hold n + 1.
+    """
+    n = params.n
+    if not mode.exact:
+        return WALK_MATRICES * 8 * (n + 1) ** 2
+    digits = -(-n * params.s.bit_length() // 30)
+    return 8 * (n + 1) ** 2 + (n + 1) * (n + 2) // 2 * (24 + 4 * digits)
+
+
 def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
     """The transition matrix as one (n+1) x (n+1) array, zero above the diagonal.
 
     Exact mode gives the integer matrix s**n times it: row k is the
-    integer row k times s**(n-k).
+    integer row k times s**(n-k). Where _matrix_bytes passes
+    MEMORY_BUDGET, it raises ValueError before it allocates anything.
     """
     n = params.n
+    check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={params.s}")
     _, _, zero, dtype = _arithmetic(params, mode)
     matrix = np.full((n + 1, n + 1), zero, dtype=dtype)
     for k, row in enumerate(_survivor_rows(params, mode)):
@@ -96,7 +119,11 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
 
 
 def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> TransitionMatrix:
-    """Survival-count transition matrix for one turn."""
+    """Survival-count transition matrix for one turn.
+
+    Refused as a chain walk's matrices are (_stacked_rows); its rows of
+    Python floats take about 40 bytes an entry, 5/3 of a float walk's.
+    """
     rows = _stacked_rows(params, mode).tolist()  # plain floats or ints
     if mode.exact:
         unit = params.s**params.n

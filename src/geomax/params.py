@@ -9,7 +9,9 @@ what every evaluator in this package computes.
 Exact mode returns ``fractions.Fraction`` values; float mode returns IEEE
 doubles, finite and with a finite bound, or raises ValueError naming the
 limit it passed, CancellationError (method "closed" only) or
-GameNotFinishedError (the simulator).
+GameNotFinishedError (the simulator). In both modes, walks over turns stop
+at TURN_CAP and the arrays that grow with the input at MEMORY_BUDGET,
+each refused with ValueError before the work or the array starts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ class GameNotFinishedError(RuntimeError):
 #: GameNotFinishedError, and a float survival sum or chain walk that would
 #: need more terms or steps raises ValueError before it starts.
 TURN_CAP = 10**9
+
+#: Most bytes (1 GiB) an array that grows with the input may take: the
+#: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
+#: (chain._stacked_rows), and a dense turn-count histogram
+#: (simulate.turn_count_histogram). An estimate past it raises ValueError
+#: before the array is allocated.
+MEMORY_BUDGET = 1 << 30
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError naming MEMORY_BUDGET if `what` would take more bytes than it."""
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{what} would take about {need} bytes, past MEMORY_BUDGET = {MEMORY_BUDGET}")
 
 
 def plain_int(value, message: str) -> int:

@@ -8,6 +8,7 @@ which share no code with the chain builders.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -28,9 +29,10 @@ from geomax import (
     second_moment_closed,
     second_moments_recursive,
 )
-from geomax.chain import BLOCK_TURNS, _absorption_steps, absorption_step_bound
+from geomax import params as params_module
+from geomax.chain import BLOCK_TURNS, _absorption_steps, _matrix_bytes, _stacked_rows, absorption_step_bound
 from geomax.kernels import _U
-from geomax.params import TURN_CAP
+from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.report import ROUTES
 
 playable = st.integers(1, 12).flatmap(
@@ -280,6 +282,56 @@ class TestAbsorptionByPower:
         assert next(_absorption_steps(params, FLOAT, TURN_CAP + 1)) == 0.0
         with pytest.raises(ValueError, match="past TURN_CAP"):
             next(_absorption_steps(params, FLOAT, TURN_CAP + 2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: moment_report(p, method="matrix-power"),
+            lambda p: absorption_cdf_profile(p, 3),
+            lambda p: absorption_cdf_profile(p, 3, EXACT),
+            lambda p: ROUTES[("cdf", "matrix-power")](p, FLOAT, 3),
+            lambda p: ROUTES[("pmf", "matrix-power")](p, EXACT, 3),
+            lambda p: build_transition_matrix(p),
+            lambda p: build_transition_matrix(p, EXACT),
+        ],
+    )
+    def test_matrices_past_the_memory_budget_are_refused_at_once(self, call):
+        # at n = 10**6 the (n+1)**2 matrix alone would take 7.28 TiB
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=1000000, s=1000000 would take about .* past MEMORY_BUDGET"):
+                call(GameParams(10**6, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 1e6
+
+    def test_the_budget_admits_the_float_chain_at_2000_dice(self):
+        params = GameParams(2000, 2000)
+        assert _matrix_bytes(params, FLOAT) == 3 * 8 * 2001**2 <= MEMORY_BUDGET
+        assert absorption_cdf_profile(params, 3) == [0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="past MEMORY_BUDGET"):  # its integer entries take 5.96 GB
+            absorption_cdf_profile(params, 3, EXACT)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_the_budget_is_compared_before_the_matrix_is_built(self, monkeypatch, mode):
+        params = GameParams(30, 40)
+        need = _matrix_bytes(params, mode)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
+        assert _stacked_rows(params, mode).shape == (31, 31)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(ValueError, match=f"would take about {need} bytes, past MEMORY_BUDGET = {need - 1}"):
+            _stacked_rows(params, mode)
+
+    @pytest.mark.parametrize("n, s", [(1, 2), (12, 12), (30, 40), (60, 3)])
+    def test_exact_estimate_covers_the_integer_matrix(self, n, s):
+        # one 8-byte reference per entry and the lower triangle's ints
+        params = GameParams(n, s, relaxed=True)
+        matrix = _stacked_rows(params, EXACT)
+        held = 8 * matrix.size + sum(sys.getsizeof(entry) for entry in matrix.ravel().tolist() if entry)
+        assert held <= _matrix_bytes(params, EXACT)
 
     def test_profile_zero_steps(self):
         assert absorption_cdf_profile(GameParams(3, 5), 0, EXACT) == [Fraction(0)]

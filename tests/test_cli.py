@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -310,6 +311,20 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past TURN_CAP" in err
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ("--quantity", "mean", "--method", "matrix-power"),
+            ("--quantity", "cdf", "--y", "3", "--method", "matrix-power", "--mode", "exact"),
+        ],
+    )
+    def test_chain_matrices_past_the_memory_budget_are_a_usage_error(self, capsys, options):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--n", str(10**6), "--s", str(10**6), *options)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past MEMORY_BUDGET" in err
 
     @pytest.mark.parametrize(
         "argv, message",
