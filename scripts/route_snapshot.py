@@ -222,6 +222,7 @@ CLI_CALLS = (
     "geomax figures --figure ev-bounds --panel sideways",
     "geomax simulate --n 2",
     f"geomax simulate --n 2 --s {2**1100}",
+    f"geomax simulate --n 1 --s {2 * 10**8} --trials 3 --seed 0 --report histogram",
     "geomax signatures --n 0",
     "geomax --help",
     *(f"geomax {c} --help" for c in ("compute", "compare", "figures", "simulate", "signatures")),

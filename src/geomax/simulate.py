@@ -34,7 +34,15 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .moments import cdf
-from .params import FLOAT, TURN_CAP, GameNotFinishedError, GameParams, NumericMode, plain_int
+from .params import (
+    FLOAT,
+    TURN_CAP,
+    GameNotFinishedError,
+    GameParams,
+    NumericMode,
+    check_memory,
+    plain_int,
+)
 
 T = TypeVar("T")
 
@@ -329,9 +337,16 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
 
 
 def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarray:
-    """Counts of observed turn counts; index y holds how many games took y turns."""
+    """Counts of observed turn counts; index y holds how many games took y turns.
+
+    The array is as long as the longest game, so a chunk whose longest game
+    would take it past MEMORY_BUDGET raises ValueError, checked after the
+    chunk's draws (the seeded streams do not depend on the budget).
+    """
     hist = np.zeros(1, dtype=np.int64)
     for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
+        longest = int(turn_counts.max())
+        check_memory(8 * (longest + 1), f"a histogram of games up to {longest} turns")
         bc = np.bincount(turn_counts)
         if bc.size > hist.size:
             bc[: hist.size] += hist

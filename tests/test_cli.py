@@ -326,6 +326,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past MEMORY_BUDGET" in err
 
+    def test_histogram_past_the_memory_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--n", "1", "--s", str(2 * 10**8), "--trials", "3", "--seed", "0",
+            "--report", "histogram",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past MEMORY_BUDGET" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [(("simulate", "--n", "2", "--s", str(2**1100)), "game still running")],

@@ -39,6 +39,8 @@ from geomax import (
     turn_count_histogram,
     variance_closed,
 )
+from geomax import params as params_module
+from geomax.params import MEMORY_BUDGET
 from geomax.simulate import TURN_CAP, _signature_chunk, _signature_counts, _turn_counts
 
 
@@ -262,6 +264,28 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_histogram_past_the_memory_budget_is_refused(self):
+        # the longest of these games takes 202,649,381 turns, within TURN_CAP:
+        # its dense histogram would take 1.6 GB
+        assert 8 * 202_649_382 > MEMORY_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="games up to 202649381 turns would take .* past MEMORY_BUDGET"):
+                turn_count_histogram(GameParams(1, 2 * 10**8), trials=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_histogram_budget_is_compared_before_bincount(self, monkeypatch):
+        params = GameParams(3, 5)
+        hist = turn_count_histogram(params, trials=1000, seed=5)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", 8 * hist.size)
+        assert np.array_equal(turn_count_histogram(params, trials=1000, seed=5), hist)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", 8 * hist.size - 1)
+        with pytest.raises(ValueError, match=f"games up to {hist.size - 1} turns would take about {8 * hist.size} bytes"):
+            turn_count_histogram(params, trials=1000, seed=5)
 
     def test_turn_cap_stops_long_games_at_once(self):
         # 1/s = 1e-12 gives about 10**12 turns; 1e-300 saturates numpy's
