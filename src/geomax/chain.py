@@ -81,23 +81,19 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     yield row
 
 
-#: (n+1) x (n+1) float64 arrays a float chain walk holds at once: M, and a
-#: power of M and its square while np.linalg.matrix_power squares M up to
-#: M**BLOCK_TURNS.
-WALK_MATRICES = 3
-
-
 def _matrix_bytes(params: GameParams, mode: NumericMode) -> int:
     """Bytes of the (n+1) x (n+1) arrays a chain walk holds at once, from n and s alone.
 
-    Float mode holds WALK_MATRICES float64 arrays. Exact mode holds one
-    object array, 8 bytes a reference, whose lower triangle holds ints of
-    at most n bit_length(s) bits (each entry is below s**n), in 30-bit
-    digits of 4 bytes after a 24-byte header; its state vectors hold n + 1.
+    Float mode holds three float64 arrays: M, and a power of M and its
+    square while np.linalg.matrix_power squares M up to M**BLOCK_TURNS.
+    Exact mode holds one object array, 8 bytes a reference, whose lower
+    triangle holds ints of at most n bit_length(s) bits (each entry is
+    below s**n), in 30-bit digits of 4 bytes after a 24-byte header. The
+    walk's state vectors, of n + 1 entries, are left out.
     """
     n = params.n
     if not mode.exact:
-        return WALK_MATRICES * 8 * (n + 1) ** 2
+        return 3 * 8 * (n + 1) ** 2
     digits = -(-n * params.s.bit_length() // 30)
     return 8 * (n + 1) ** 2 + (n + 1) * (n + 2) // 2 * (24 + 4 * digits)
 

@@ -185,14 +185,19 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
 #: partial sums exact and shrink the residual by 2**37 or more.
 SERIES_BLOCK = 1 << 14
 
+#: _exact_sum hands blocks shorter than this to math.fsum, whose 20-30 ns a
+#: term cost less there than the extraction's fixed cost of about 25 us.
+EXTRACT_FROM = 1 << 10
+
 
 def _exact_sum(values: np.ndarray) -> float:
     """math.fsum(values), bit for bit, for at most SERIES_BLOCK finite doubles.
 
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    31(1), 2008), in vectorized rounds over the N values. With top the
-    largest |x| left, unit = 2**(E - 52) for the least E with
-    2**E > fl(N top) (never below 2**-1074), and high = trunc(x / unit) unit:
+    A block of N >= EXTRACT_FROM values is summed by error-free extraction
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008), in
+    vectorized rounds. With top the largest |x| left, unit = 2**(E - 52)
+    for the least E with 2**E > fl(N top) (never below 2**-1074), and
+    high = trunc(x / unit) unit:
 
     * x / unit is exact unless it is subnormal, and then below 1, so its
       trunc k is exact, |k| < 2**52, and high = k unit is exact too;
@@ -201,8 +206,8 @@ def _exact_sum(values: np.ndarray) -> float:
       scaled by unit after);
     * high has x's sign and |high| <= |x|, so the residual x - high, x's
       bits below unit, is exact and below unit in magnitude: the next top
-      is at most about 2**-37 times this one (N <= 2**14). At unit = 2**-1074
-      every x is a multiple of it and nothing is left.
+      is at most about 2**-37 times this one (N <= 2**14). At
+      unit = 2**-1074 every x is a multiple of it and nothing is left.
 
     The rounds stop when the residual is all zero, so the exact partial
     sums add up to the exact sum, and their fsum is that sum correctly
@@ -212,8 +217,10 @@ def _exact_sum(values: np.ndarray) -> float:
     floor gives |high| > |x|, and x - high rounds.
     """
     size = values.size
+    if size < EXTRACT_FROM:
+        return math.fsum(memoryview(values))
     parts, high, rest = [], np.empty_like(values), values.copy()
-    while size and (top := max(-rest.min(), rest.max())):
+    while top := max(-rest.min(), rest.max()):
         unit = math.ldexp(1.0, max(math.frexp(size * top)[1] - 52, -1074))
         np.trunc(np.divide(rest, unit, out=high), out=high)  # integers below 2**52
         parts.append(float(np.sum(high)) * unit)

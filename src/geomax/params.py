@@ -45,7 +45,9 @@ MEMORY_BUDGET = 1 << 30
 def check_memory(need: int, what: str) -> None:
     """Raise ValueError naming MEMORY_BUDGET if `what` would take more bytes than it."""
     if need > MEMORY_BUDGET:
-        raise ValueError(f"{what} would take about {need} bytes, past MEMORY_BUDGET = {MEMORY_BUDGET}")
+        raise ValueError(
+            f"{what} would take about {need} bytes, past MEMORY_BUDGET = {MEMORY_BUDGET}"
+        )
 
 
 def plain_int(value, message: str) -> int:

@@ -405,8 +405,11 @@ EXACT_SUM_BLOCKS = {
 
 
 class TestExactSum:
+    # every block but the empty one is also extracted below EXTRACT_FROM
+    @pytest.mark.parametrize("extract_from", [1, moments.EXTRACT_FROM])
     @pytest.mark.parametrize("name", EXACT_SUM_BLOCKS)
-    def test_equals_fsum(self, name):
+    def test_equals_fsum(self, monkeypatch, name, extract_from):
+        monkeypatch.setattr(moments, "EXTRACT_FROM", extract_from)
         block = EXACT_SUM_BLOCKS[name](np.random.default_rng(2308))
         assert block.size <= moments.SERIES_BLOCK
         got, want = _exact_sum(block), math.fsum(block.tolist())
@@ -420,8 +423,10 @@ class TestExactSum:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), max_size=64))
-    def test_equals_fsum_on_drawn_values(self, values):
-        assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+    def test_extraction_equals_fsum_on_drawn_values(self, values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(moments, "EXTRACT_FROM", 1)
+            assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
 
 
 @lru_cache
