@@ -191,7 +191,7 @@ EXTRACT_FROM = 1 << 10
 
 
 def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values), bit for bit, for at most SERIES_BLOCK finite doubles.
+    """math.fsum(values), bit for bit (or its error), for at most SERIES_BLOCK doubles.
 
     A block of N >= EXTRACT_FROM values is summed by error-free extraction
     (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008), in
@@ -212,15 +212,18 @@ def _exact_sum(values: np.ndarray) -> float:
     The rounds stop when the residual is all zero, so the exact partial
     sums add up to the exact sum, and their fsum is that sum correctly
     rounded, as math.fsum's is. The domain is finite values with N top
-    finite; a block of survival terms lies far inside it. Truncation, not
-    floor: for a negative x, as the chain's terms 1 - P(T <= t) can be,
-    floor gives |high| > |x|, and x - high rounds.
+    finite, and a block of survival terms lies far inside it; past it (an
+    inf or nan, or N top past the doubles) math.fsum sums the block.
+    Truncation, not floor: for a negative x, as the chain's terms
+    1 - P(T <= t) can be, floor gives |high| > |x|, and x - high rounds.
     """
     size = values.size
     if size < EXTRACT_FROM:
         return math.fsum(memoryview(values))
     parts, high, rest = [], np.empty_like(values), values.copy()
-    while top := max(-rest.min(), rest.max()):
+    while top := float(max(-rest.min(), rest.max())):  # nan is true
+        if not math.isfinite(size * top):  # past the domain, in the first round only
+            return math.fsum(memoryview(values))
         unit = math.ldexp(1.0, max(math.frexp(size * top)[1] - 52, -1074))
         np.trunc(np.divide(rest, unit, out=high), out=high)  # integers below 2**52
         parts.append(float(np.sum(high)) * unit)

@@ -415,6 +415,21 @@ class TestExactSum:
         got, want = _exact_sum(block), math.fsum(block.tolist())
         assert got == want, (got.hex(), want.hex())
 
+    @pytest.mark.parametrize(
+        "values", [[math.inf, 1.0], [math.nan, 1.0], [math.inf, -math.inf], [1e308, 1e308, -1e308]]
+    )
+    def test_past_its_domain_does_what_fsum_does(self, monkeypatch, values):
+        # fsum returns inf or nan, or raises on inf - inf and on an overflow
+        # it cannot undo; the extraction would never end on these
+        monkeypatch.setattr(moments, "EXTRACT_FROM", 1)
+        outcomes = []
+        for call in (lambda: _exact_sum(np.array(values)), lambda: math.fsum(values)):
+            try:
+                outcomes.append(repr(call()))
+            except (OverflowError, ValueError) as exc:
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_leaves_its_input_alone(self):
         block = small_negatives_block(np.random.default_rng(5))
         before = block.copy()
