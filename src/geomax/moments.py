@@ -182,7 +182,7 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
 
 #: Terms per numpy block of the positive series; no array spans more, and
 #: _exact_sum's rounds rely on it: at most 2**14 terms keep each round's
-#: partial sums exact and shrink the residual by 2**37 or more.
+#: partial sums exact and shrink the residual by about 2**37 or more.
 SERIES_BLOCK = 1 << 14
 
 #: _exact_sum hands blocks shorter than this to math.fsum, whose 20-30 ns a
@@ -222,9 +222,10 @@ def _exact_sum(values: np.ndarray) -> float:
         return math.fsum(memoryview(values))
     parts, high, rest = [], np.empty_like(values), values.copy()
     while top := float(max(-rest.min(), rest.max())):  # nan is true
-        if not math.isfinite(size * top):  # past the domain, in the first round only
+        reach = size * top
+        if not math.isfinite(reach):  # past the domain, in the first round only
             return math.fsum(memoryview(values))
-        unit = math.ldexp(1.0, max(math.frexp(size * top)[1] - 52, -1074))
+        unit = math.ldexp(1.0, max(math.frexp(reach)[1] - 52, -1074))
         np.trunc(np.divide(rest, unit, out=high), out=high)  # integers below 2**52
         parts.append(float(np.sum(high)) * unit)
         rest -= np.multiply(high, unit, out=high)
@@ -395,11 +396,10 @@ def _survival_sums(
     and the geometric tail bound) or the series' _closed_tail. It runs
     before any term is evaluated. Both sums run over the same numpy blocks
     of SERIES_BLOCK terms, each block's sum rounded once by _exact_sum (its
-    math.fsum, bit for bit: a weighted term is at most about
-    2t + 1 <= 2 TURN_CAP + 1 in magnitude, far inside its domain), and the
-    block sums and the tail's value fsum'd again; the two rounding levels
-    err by at most 2u |total|, u = 2**-53. Each bound is the weighted per-term error
-    bounds plus 2u |total| plus the tail's bound.
+    math.fsum, bit for bit), and the block sums and the tail's value
+    fsum'd again; the two rounding levels err by at most 2u |total|,
+    u = 2**-53. Each bound is the weighted per-term error bounds plus
+    2u |total| plus the tail's bound.
     """
     if params.s == 1:  # every die is removed on the first turn
         return (1.0, 0.0), (1.0, 0.0)
