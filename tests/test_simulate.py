@@ -284,7 +284,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", 8 * hist.size)
         assert np.array_equal(turn_count_histogram(params, trials=1000, seed=5), hist)
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", 8 * hist.size - 1)
-        with pytest.raises(ValueError, match=f"games up to {hist.size - 1} turns would take about {8 * hist.size} bytes"):
+        message = f"games up to {hist.size - 1} turns would take about {8 * hist.size} bytes"
+        with pytest.raises(ValueError, match=message):
             turn_count_histogram(params, trials=1000, seed=5)
 
     def test_turn_cap_stops_long_games_at_once(self):
