@@ -13,6 +13,8 @@ through the turns to get P(T <= t), whose survival terms
 moments._survival_sums turns into the moments. A float walk long enough
 to pay for M**64 advances 64 turns per pair of matrix products; exact mode
 and short walks step one turn per product.
+Each function that runs numpy imports it itself, so importing geomax,
+and every call that never reaches the chain, leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
-
-import numpy as np
 
 from .kernels import _U, _float_p
 from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode, check_memory
@@ -59,6 +59,7 @@ class AbsorptionProfile:
 
 def _arithmetic(params: GameParams, mode: NumericMode):
     """(p, q, zero, dtype): doubles, p by _float_p, or exact s p = 1 and s q = s-1 on objects."""
+    import numpy as np
     if mode.exact:
         return 1, params.s - 1, 0, object
     return _float_p(params), params.q, 0.0, np.float64
@@ -72,6 +73,7 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     positive terms. Exact mode runs the rule on 1 and s-1, so row k is
     the integer row C(k, j) (s-1)**j, the law times s**k.
     """
+    import numpy as np
     p, q, zero, dtype = _arithmetic(params, mode)
     pad = np.array([zero], dtype=dtype)
     row = pad + 1  # row 0: [1]
@@ -105,6 +107,7 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
     integer row k times s**(n-k). Where _matrix_bytes passes
     MEMORY_BUDGET, it raises ValueError before it allocates anything.
     """
+    import numpy as np
     n = params.n
     check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={params.s}")
     _, _, zero, dtype = _arithmetic(params, mode)
@@ -163,6 +166,7 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
 
 def _float_recursion(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments from every state, in doubles, as two arrays."""
+    import numpy as np
     first, second = np.zeros((2, params.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
         for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
@@ -225,6 +229,7 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
     it returns. A walk past TURN_CAP turns raises ValueError before M is built.
     """
+    import numpy as np
     if length - 1 > TURN_CAP:
         raise ValueError(f"the chain walk needs {length - 1} turns, past TURN_CAP = {TURN_CAP}")
     rows = _stacked_rows(params, mode)
@@ -283,6 +288,7 @@ def absorption_step_bound(params: GameParams, t):
     block the extra n + 1 too while n + 3 <= 2t; where it does not, m is
     t(5n - 1) + n + 3. Twice the bound at t covers a pmf point.
     """
+    import numpy as np
     least = (t >= BLOCK_TURNS) * (params.n + 3)  # the spare past the first block
     spare = np.maximum(2 * t, least) if isinstance(t, np.ndarray) else max(2 * t, least)
     count = (t * (5 * params.n - 1) + spare) * _U
@@ -305,6 +311,7 @@ def _survival_terms(params: GameParams, stop: int):
     products u b_t are second order and fall inside the step bound's
     spare factors.
     """
+    import numpy as np
     steps = islice(_absorption_steps(params, FLOAT, stop), 1, None)
 
     def terms_of(t: np.ndarray):

@@ -25,7 +25,9 @@ and the second moment:
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
 This module also holds pmf, cdf and quantile, which decides each step in
-either mode on the integer brackets of _bracket_power.
+either mode on the integer brackets of _bracket_power. Only the survival
+sums run numpy, and each function of theirs imports it itself, so the
+closed sums, the points and the quantile run without loading it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
@@ -217,6 +217,7 @@ def _exact_sum(values: np.ndarray) -> float:
     Truncation, not floor: for a negative x, as the chain's terms
     1 - P(T <= t) can be, floor gives |high| > |x|, and x - high rounds.
     """
+    import numpy as np
     size = values.size
     if size < EXTRACT_FROM:
         return math.fsum(memoryview(values))
@@ -279,6 +280,7 @@ def _closed_form_terms(params: GameParams, stop: int | None = None):
     * So each weighted term errs by at most (5 t |lam| + 8) u times it,
       a relative bound with no factor of n.
     """
+    import numpy as np
     n, lam = params.n, _log_q(params)
 
     def terms_of(t: np.ndarray):
@@ -401,6 +403,7 @@ def _survival_sums(
     u = 2**-53. Each bound is the weighted per-term error bounds plus
     2u |total| plus the tail's bound.
     """
+    import numpy as np
     if params.s == 1:  # every die is removed on the first turn
         return (1.0, 0.0), (1.0, 0.0)
     tails = tail(params, eps)

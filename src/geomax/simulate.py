@@ -22,6 +22,8 @@ order (ties within a turn in ascending original die order; they all show
 the same value, so the signature itself is unaffected). A die leaving at
 turn t shows n minus the number of dice that left before t, so a drawn
 game's signature is fixed by which of its sorted exit turns tie.
+Each function that runs numpy imports it itself, so enumerating
+signatures, and importing this module at all, leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
-
-import numpy as np
 
 from .moments import cdf
 from .params import (
@@ -115,6 +115,7 @@ def play_game(
     feeding it a non-integer or out-of-range face raises ValueError; no
     face past the game's end is read from it.
     """
+    import numpy as np
     _require_playable(params)
     n, s = params.n, params.s
     if roll_source is not None:
@@ -226,6 +227,7 @@ def _turn_counts(params: GameParams, count: int, rng: np.random.Generator) -> np
     A game's turn count is the smallest y with (1 - q**y)**n >= U, that is
     ceil(log(1 - U**(1/n)) / log q), with 1 - U**(1/n) = -expm1(log(U)/n).
     """
+    import numpy as np
     turns = rng.random(count)
     # log q = -inf at s = 1 and log(U) = -inf at U = 0 both give one turn;
     # a subnormal 1/s overflows the quotient past the cap
@@ -269,6 +271,7 @@ def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
     do) and as raw bytes past that; one row per pattern is decoded,
     position i showing n minus the position of its group's first die.
     """
+    import numpy as np
     games, n = exits.shape
     exits = np.sort(exits, axis=1)
     starts = np.ones((games, n), dtype=bool)
@@ -295,6 +298,7 @@ def _chunk_results(
     Yields kernel(params, size, rng) per chunk, rng being the substream
     of (seed, chunk index). Chunk sizes depend only on the trial count.
     """
+    import numpy as np
     _require_playable(params)
     seed = _check_seed(seed)
     trials = plain_int(trials, "trials must be a positive integer")
@@ -315,6 +319,7 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
     estimate is a pure function of (params, trials, seed), and its memory
     does not grow with the longest game as a dense histogram's would.
     """
+    import numpy as np
     trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
@@ -343,6 +348,7 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
     would take it past MEMORY_BUDGET raises ValueError, checked after the
     chunk's draws (the seeded streams do not depend on the budget).
     """
+    import numpy as np
     hist = np.zeros(1, dtype=np.int64)
     for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
         longest = int(turn_counts.max())
@@ -366,6 +372,7 @@ def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter
 
 def ks_statistic(histogram: np.ndarray, params: GameParams, mode: NumericMode = FLOAT) -> float:
     """Sup distance between the empirical turn-count CDF and the model CDF."""
+    import numpy as np
     trials = int(histogram.sum())
     if trials < 1:
         raise ValueError("empty histogram")
