@@ -110,14 +110,15 @@ LONG_WALKS = ((200, 200), (2, 4000))
 #: of MEMORY_BUDGET, as (n, s, method): the series' stop search at
 #: s = 2**1022 (directly and as auto's fallback), the matrix-power tail
 #: where the float q rounds to 1, a recursion whose values pass the
-#: doubles, one where the float 1/s rounds to 0, and a chain whose
-#: matrices pass the budget.
+#: doubles, one where the float 1/s rounds to 0, one whose rows pass
+#: TURN_CAP entries, and a chain whose matrices pass the budget.
 REFUSALS = (
     (60, 2**1022, "series"),
     (60, 2**1022, "auto"),
     (3, 2**60, "matrix-power"),
     (3, 2**600, "recursive"),
     (3, 2**1080, "recursive"),
+    (10**6, 10**6, "recursive"),
     (10**6, 10**6, "matrix-power"),
 )
 
@@ -217,6 +218,7 @@ CLI_CALLS = (
     f"geomax compute --n 2 --s {2**1100} --quantity mean --method recursive",
     f"geomax compute --n 60 --s {2**1022} --quantity mean",
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method matrix-power",
+    f"geomax compute --n {10**6} --s {10**6} --quantity mean --method recursive",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
