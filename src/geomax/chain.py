@@ -71,8 +71,13 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     Row k is the Binomial(k, q) law of the survivors, built from row k-1
     by Pascal's rule p * [row, 0] + q * [0, row]. Every entry is a sum of
     positive terms. Exact mode runs the rule on 1 and s-1, so row k is
-    the integer row C(k, j) (s-1)**j, the law times s**k.
+    the integer row C(k, j) (s-1)**j, the law times s**k. Rows holding
+    more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
+    before the first row.
     """
+    entries = (params.n + 1) * (params.n + 2) // 2
+    if entries > TURN_CAP:
+        raise ValueError(f"the transition rows at n={params.n} hold {entries} entries, past TURN_CAP = {TURN_CAP}")
     import numpy as np
     p, q, zero, dtype = _arithmetic(params, mode)
     pad = np.array([zero], dtype=dtype)
@@ -167,9 +172,11 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
 def _float_recursion(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments from every state, in doubles, as two arrays."""
     import numpy as np
+    rows = _survivor_rows(params, FLOAT)
+    next(rows)  # row 0, read before the arrays: rows past TURN_CAP refuse here
     first, second = np.zeros((2, params.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
-        for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
+        for k, row in enumerate(rows, start=1):
             # 1 - P[k][k] sums nonnegative entries, so nothing cancels. It is exactly
             # 1 - q**k >= p, so its largest entry is at least p/k: never 0 for a normal p
             complement = row[:k].sum()

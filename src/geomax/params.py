@@ -31,7 +31,10 @@ class GameNotFinishedError(RuntimeError):
 
 #: Most turns a walk over turns may take: a simulated game past it raises
 #: GameNotFinishedError, and a float survival sum or chain walk that would
-#: need more terms or steps raises ValueError before it starts.
+#: need more terms or steps raises ValueError before it starts. The
+#: recursion's O(n**2) work is held to it too: transition rows 0..n of
+#: more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
+#: before the first row (n = 44,719 is the largest n that passes).
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the

@@ -29,6 +29,7 @@ from geomax import (
     second_moment_closed,
     second_moments_recursive,
 )
+from geomax import chain as chain_module
 from geomax import params as params_module
 from geomax.chain import BLOCK_TURNS, _absorption_steps, _matrix_bytes, _stacked_rows, absorption_step_bound
 from geomax.kernels import _U
@@ -189,6 +190,26 @@ class TestRecursiveMoments:
             with pytest.raises(ValueError, match="smallest normal double"):
                 evaluate()
         assert absorption_cdf_profile(params, 1, EXACT)[1] == cdf(params, 1, EXACT)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_recursions_past_the_turn_cap_are_refused_at_once(self, mode):
+        # rows 0..10**6 hold 500,001,500,001 entries: about 40 minutes of float recursion
+        params = GameParams(10**6, 10**6)
+        start = time.perf_counter()
+        for call in (lambda: moment_report(params, mode, "recursive"), lambda: second_moments_recursive(params, mode)):
+            with pytest.raises(ValueError, match="n=1000000 hold 500001500001 entries, past TURN_CAP = 1000000000"):
+                call()
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_the_turn_cap_is_compared_with_the_rows_entries(self, monkeypatch, mode):
+        params = GameParams(3, 5)  # rows 0..3 hold 1 + 2 + 3 + 4 = 10 entries
+        expected = moment_report(params, mode, "recursive")
+        monkeypatch.setattr(chain_module, "TURN_CAP", 10)
+        assert moment_report(params, mode, "recursive") == expected
+        monkeypatch.setattr(chain_module, "TURN_CAP", 9)
+        with pytest.raises(ValueError, match="n=3 hold 10 entries, past TURN_CAP = 9"):
+            moment_report(params, mode, "recursive")
 
     def test_large_n_agrees_with_the_series(self):
         params = GameParams(1100, 2000)
