@@ -88,21 +88,45 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     yield row
 
 
+def _triangle_ints_bytes(params: GameParams) -> int:
+    """Bytes of (n+1)(n+2)/2 ints, one per entry of a lower triangle, each at most s**n.
+
+    Such an int has at most n bit_length(s) bits, in 30-bit digits of 4
+    bytes after a 24-byte header.
+    """
+    digits = -(-params.n * params.s.bit_length() // 30)
+    return (params.n + 1) * (params.n + 2) // 2 * (24 + 4 * digits)
+
+
 def _matrix_bytes(params: GameParams, mode: NumericMode) -> int:
     """Bytes of the (n+1) x (n+1) arrays a chain walk holds at once, from n and s alone.
 
     Float mode holds three float64 arrays: M, and a power of M and its
     square while np.linalg.matrix_power squares M up to M**BLOCK_TURNS.
     Exact mode holds one object array, 8 bytes a reference, whose lower
-    triangle holds ints of at most n bit_length(s) bits (each entry is
-    below s**n), in 30-bit digits of 4 bytes after a 24-byte header. The
-    walk's state vectors, of n + 1 entries, are left out.
+    triangle holds ints below s**n (_triangle_ints_bytes). The walk's
+    state vectors, of n + 1 entries, are left out.
     """
-    n = params.n
     if not mode.exact:
-        return 3 * 8 * (n + 1) ** 2
-    digits = -(-n * params.s.bit_length() // 30)
-    return 8 * (n + 1) ** 2 + (n + 1) * (n + 2) // 2 * (24 + 4 * digits)
+        return 3 * 8 * (params.n + 1) ** 2
+    return 8 * (params.n + 1) ** 2 + _triangle_ints_bytes(params)
+
+
+def _rows_bytes(params: GameParams, mode: NumericMode) -> int:
+    """Bytes build_transition_matrix holds at its peak, from n and s alone.
+
+    An entry is a 24-byte Python float, or a 48-byte Fraction in exact
+    mode, and two 8-byte references to it (from the array and a row list,
+    or from a row list and a row tuple): 40 bytes. Exact mode adds up to
+    8 bytes of the slack a list built by appends keeps, 72 in all, and per
+    entry of the lower triangle three ints below s**n: the integer entry,
+    and the Fraction's numerator and denominator. A row adds at most two
+    56-byte list or tuple headers and 32 bytes of the outer references,
+    and 1 KiB covers what does not grow with n (traced at 0.8 KiB at n = 1).
+    """
+    size = params.n + 1
+    per_entry, ints = (72, 3 * _triangle_ints_bytes(params)) if mode.exact else (40, 0)
+    return per_entry * size**2 + ints + 144 * size + 1024
 
 
 def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
@@ -125,9 +149,10 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
 def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> TransitionMatrix:
     """Survival-count transition matrix for one turn.
 
-    Refused as a chain walk's matrices are (_stacked_rows); its rows of
-    Python floats take about 40 bytes an entry, 5/3 of a float walk's.
+    Where _rows_bytes, the peak of its Python rows, passes MEMORY_BUDGET,
+    it raises ValueError before _stacked_rows allocates anything.
     """
+    check_memory(_rows_bytes(params, mode), f"the transition matrix rows at n={params.n}, s={params.s}")
     rows = _stacked_rows(params, mode).tolist()  # plain floats or ints
     if mode.exact:
         unit = params.s**params.n

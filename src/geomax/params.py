@@ -39,7 +39,8 @@ TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
 #: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
-#: (chain._stacked_rows), and a dense turn-count histogram
+#: (chain._stacked_rows), the Python rows of chain.build_transition_matrix
+#: (chain._rows_bytes), and a dense turn-count histogram
 #: (simulate.turn_count_histogram). An estimate past it raises ValueError
 #: before the array is allocated.
 MEMORY_BUDGET = 1 << 30

@@ -31,7 +31,14 @@ from geomax import (
 )
 from geomax import chain as chain_module
 from geomax import params as params_module
-from geomax.chain import BLOCK_TURNS, _absorption_steps, _matrix_bytes, _stacked_rows, absorption_step_bound
+from geomax.chain import (
+    BLOCK_TURNS,
+    _absorption_steps,
+    _matrix_bytes,
+    _rows_bytes,
+    _stacked_rows,
+    absorption_step_bound,
+)
 from geomax.kernels import _U
 from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.report import ROUTES
@@ -353,6 +360,35 @@ class TestAbsorptionByPower:
         matrix = _stacked_rows(params, EXACT)
         held = 8 * matrix.size + sum(sys.getsizeof(entry) for entry in matrix.ravel().tolist() if entry)
         assert held <= _matrix_bytes(params, EXACT)
+
+    @pytest.mark.parametrize(
+        "params, mode",
+        [
+            *((GameParams(n, n), FLOAT) for n in (1, 100, 300)),
+            *((GameParams(n, s), EXACT) for n, s in ((1, 1), (20, 20), (40, 40), (30, 2**40))),
+        ],
+    )
+    def test_rows_estimate_covers_the_traced_peak(self, params, mode):
+        build_transition_matrix(params, mode)  # warm: the first call's one-off allocations are not the rows'
+        tracemalloc.start()
+        try:
+            build_transition_matrix(params, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _rows_bytes(params, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_the_rows_budget_is_compared_before_the_matrix_is_built(self, monkeypatch, mode):
+        params = GameParams(30, 40)
+        need = _rows_bytes(params, mode)
+        assert need > _matrix_bytes(params, mode)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
+        assert len(build_transition_matrix(params, mode).rows) == 31
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
+        monkeypatch.setattr(chain_module, "_stacked_rows", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=f"rows at n=30, s=40 would take about {need} bytes, past MEMORY_BUDGET"):
+            build_transition_matrix(params, mode)
 
     def test_profile_zero_steps(self):
         assert absorption_cdf_profile(GameParams(3, 5), 0, EXACT) == [Fraction(0)]
