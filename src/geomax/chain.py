@@ -75,14 +75,17 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
     before the first row.
     """
-    entries = (params.n + 1) * (params.n + 2) // 2
+    n = params.n
+    entries = (n + 1) * (n + 2) // 2
     if entries > TURN_CAP:
-        raise ValueError(f"the transition rows at n={params.n} hold {entries} entries, past TURN_CAP = {TURN_CAP}")
+        raise ValueError(
+            f"the transition rows at n={n} hold {entries} entries, past TURN_CAP = {TURN_CAP}"
+        )
     import numpy as np
     p, q, zero, dtype = _arithmetic(params, mode)
     pad = np.array([zero], dtype=dtype)
     row = pad + 1  # row 0: [1]
-    for _ in range(params.n):
+    for _ in range(n):
         yield row
         row = np.concatenate((p * row, pad)) + np.concatenate((pad, q * row))
     yield row
@@ -152,7 +155,8 @@ def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> Tr
     Where _rows_bytes, the peak of its Python rows, passes MEMORY_BUDGET,
     it raises ValueError before _stacked_rows allocates anything.
     """
-    check_memory(_rows_bytes(params, mode), f"the transition matrix rows at n={params.n}, s={params.s}")
+    what = f"the transition matrix rows at n={params.n}, s={params.s}"
+    check_memory(_rows_bytes(params, mode), what)
     rows = _stacked_rows(params, mode).tolist()  # plain floats or ints
     if mode.exact:
         unit = params.s**params.n

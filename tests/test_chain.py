@@ -202,9 +202,13 @@ class TestRecursiveMoments:
     def test_recursions_past_the_turn_cap_are_refused_at_once(self, mode):
         # rows 0..10**6 hold 500,001,500,001 entries: about 40 minutes of float recursion
         params = GameParams(10**6, 10**6)
+        message = "n=1000000 hold 500001500001 entries, past TURN_CAP = 1000000000"
         start = time.perf_counter()
-        for call in (lambda: moment_report(params, mode, "recursive"), lambda: second_moments_recursive(params, mode)):
-            with pytest.raises(ValueError, match="n=1000000 hold 500001500001 entries, past TURN_CAP = 1000000000"):
+        for call in (
+            lambda: moment_report(params, mode, "recursive"),
+            lambda: second_moments_recursive(params, mode),
+        ):
+            with pytest.raises(ValueError, match=message):
                 call()
         assert time.perf_counter() - start < 1
 
@@ -369,7 +373,7 @@ class TestAbsorptionByPower:
         ],
     )
     def test_rows_estimate_covers_the_traced_peak(self, params, mode):
-        build_transition_matrix(params, mode)  # warm: the first call's one-off allocations are not the rows'
+        build_transition_matrix(params, mode)  # the first call's one-off allocations are not the rows'
         tracemalloc.start()
         try:
             build_transition_matrix(params, mode)
@@ -387,7 +391,8 @@ class TestAbsorptionByPower:
         assert len(build_transition_matrix(params, mode).rows) == 31
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
         monkeypatch.setattr(chain_module, "_stacked_rows", None)  # a call would raise TypeError
-        with pytest.raises(ValueError, match=f"rows at n=30, s=40 would take about {need} bytes, past MEMORY_BUDGET"):
+        message = f"rows at n=30, s=40 would take about {need} bytes, past MEMORY_BUDGET"
+        with pytest.raises(ValueError, match=message):
             build_transition_matrix(params, mode)
 
     def test_profile_zero_steps(self):

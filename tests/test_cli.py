@@ -300,7 +300,8 @@ class TestExitCodes:
     def test_recursion_past_the_turn_cap_is_a_usage_error(self, capsys):
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "compute", "--n", str(10**6), "--s", str(10**6), "--quantity", "mean", "--method", "recursive"
+            capsys, "compute", "--n", str(10**6), "--s", str(10**6), "--quantity", "mean",
+            "--method", "recursive",
         )
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")

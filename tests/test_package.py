@@ -30,7 +30,7 @@ NUMPY_FREE_CALLS = (
     *(
         f"compute --n 5 --s 6 {point}{mode}"
         for mode in ("", " --mode exact")
-        for point in ("--quantity pmf --y 4", "--quantity cdf --y 4", "--quantity quantile --prob 0.9")
+        for point in ("--quantity pmf --y 4", "--quantity cdf --y 4", "--quantity quantile --prob .9")
     ),
     "compute --n 5 --s 6 --quantity mean --mode exact",
     "figures --figure ev-bounds --panel fixed-s",
