@@ -17,6 +17,9 @@ bound as "-". The routes:
   n <= s <= s-max; float-closed writes the refusal where its sums fail;
 * float-matrix-power and the chain profile (float-profile,
   exact-profile, t <= 40) for s <= min(12, s-max);
+* every entry of build_transition_matrix (float-matrix, exact-matrix,
+  point "P[k][j]") for s <= min(8, s-max), and its refusal past
+  MEMORY_BUDGET in each mode (MATRIX_REFUSALS, point "rows");
 * exact-closed, exact-recursive: moments for n <= s <= min(20, s-max);
 * float-/exact- pmf, cdf and quantile points for s <= min(12, s-max),
   the quantile at fixed levels and at each rounded exact cdf value and
@@ -58,6 +61,7 @@ from geomax import (
     FLOAT,
     GameParams,
     absorption_cdf_profile,
+    build_transition_matrix,
     cdf,
     moment_report,
     pmf,
@@ -121,6 +125,10 @@ REFUSALS = (
     (10**6, 10**6, "recursive"),
     (10**6, 10**6, "matrix-power"),
 )
+
+#: Transition matrices whose Python rows pass MEMORY_BUDGET, as (n, mode),
+#: at n = s.
+MATRIX_REFUSALS = ((8000, FLOAT), (1000, EXACT))
 
 #: Float chain points, as (n, s), where the float 1/s is subnormal.
 SUBNORMAL_CHAIN = ((2, 2**1030),)
@@ -271,6 +279,12 @@ def refusable_line(route: str, params: GameParams, point: str, evaluate):
     return route, params, point, fmt(value), fmt(bound)
 
 
+def matrix_lines(params: GameParams, mode):
+    for k, row in enumerate(build_transition_matrix(params, mode).rows):
+        for j, entry in enumerate(row):
+            yield f"{mode.kind}-matrix", params, f"P[{k}][{j}]", fmt(entry), "-"
+
+
 def point_lines(params: GameParams, mode):
     kind = mode.kind
     yield from profile_lines(params, mode, range(TURNS + 1))
@@ -294,6 +308,9 @@ def snapshot(s_max: int):
         yield from moment_lines(params, FLOAT, "matrix-power")
         for mode in (FLOAT, EXACT):
             yield from point_lines(params, mode)
+    for params in pairs(min(8, s_max)):
+        for mode in (FLOAT, EXACT):
+            yield from matrix_lines(params, mode)
     for params in pairs(min(20, s_max)):
         for method in ("closed", "recursive"):
             yield from moment_lines(params, EXACT, method)
@@ -309,6 +326,14 @@ def snapshot(s_max: int):
         yield from moment_lines(GameParams(n, s), FLOAT, "matrix-power")
     for n, s, method in REFUSALS:
         yield from moment_lines(GameParams(n, s), FLOAT, method)
+    for n, mode in MATRIX_REFUSALS:
+        params = GameParams(n, n)
+        yield refusable_line(
+            f"{mode.kind}-matrix",
+            params,
+            "rows",
+            lambda: (len(build_transition_matrix(params, mode).rows), "-"),
+        )
     for n, s in SUBNORMAL_CHAIN:
         params = GameParams(n, s)
         yield refusable_line(

@@ -31,7 +31,7 @@ def test_route_snapshot_is_repeatable_and_covers_every_route(tmp_path):
     routes = {line.split(" ", 1)[0] for line in outputs[0].decode().splitlines()}
     assert routes == {
         "float-auto", "float-closed", "float-series", "float-recursive", "float-matrix-power",
-        "exact-closed", "exact-recursive",
+        "exact-closed", "exact-recursive", "float-matrix", "exact-matrix",
         *(f"{kind}-{point}" for kind in ("float", "exact") for point in ("profile", "cdf", "pmf", "quantile")),
     }
 
