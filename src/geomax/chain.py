@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 from .kernels import _U, _float_p
@@ -57,14 +57,6 @@ class AbsorptionProfile:
     second_moments: tuple[float | Fraction, ...]
 
 
-def _arithmetic(params: GameParams, mode: NumericMode):
-    """(p, q, zero, dtype): doubles, p by _float_p, or exact s p = 1 and s q = s-1 on objects."""
-    import numpy as np
-    if mode.exact:
-        return 1, params.s - 1, 0, object
-    return _float_p(params), params.q, 0.0, np.float64
-
-
 def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
     """Rows k = 0..n of the transition matrix, row k holding its entries j = 0..k.
 
@@ -73,7 +65,7 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     positive terms. Exact mode runs the rule on 1 and s-1, so row k is
     the integer row C(k, j) (s-1)**j, the law times s**k. Rows holding
     more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
-    before the first row.
+    when it is called, before any row is built.
     """
     n = params.n
     entries = (n + 1) * (n + 2) // 2
@@ -82,23 +74,23 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
             f"the transition rows at n={n} hold {entries} entries, past TURN_CAP = {TURN_CAP}"
         )
     import numpy as np
-    p, q, zero, dtype = _arithmetic(params, mode)
-    pad = np.array([zero], dtype=dtype)
-    row = pad + 1  # row 0: [1]
-    for _ in range(n):
-        yield row
-        row = np.concatenate((p * row, pad)) + np.concatenate((pad, q * row))
-    yield row
+    p, q, dtype = (1, params.s - 1, object) if mode.exact else (_float_p(params), params.q, float)
+    pad = np.zeros(1, dtype)
+    return accumulate(
+        range(n),
+        lambda row, _: np.concatenate((p * row, pad)) + np.concatenate((pad, q * row)),
+        initial=pad + 1,  # row 0: [1]
+    )
+
+
+def _digits(params: GameParams, power: int) -> int:
+    """30-bit digits of an int below s**power, which has at most power bit_length(s) bits."""
+    return -(-power * params.s.bit_length() // 30)
 
 
 def _triangle_ints_bytes(params: GameParams) -> int:
-    """Bytes of (n+1)(n+2)/2 ints, one per entry of a lower triangle, each at most s**n.
-
-    Such an int has at most n bit_length(s) bits, in 30-bit digits of 4
-    bytes after a 24-byte header.
-    """
-    digits = -(-params.n * params.s.bit_length() // 30)
-    return (params.n + 1) * (params.n + 2) // 2 * (24 + 4 * digits)
+    """Bytes of (n+1)(n+2)/2 ints below s**n, each a 24-byte header and 4 bytes a digit."""
+    return (params.n + 1) * (params.n + 2) // 2 * (24 + 4 * _digits(params, params.n))
 
 
 def _matrix_bytes(params: GameParams, mode: NumericMode) -> int:
@@ -118,18 +110,22 @@ def _matrix_bytes(params: GameParams, mode: NumericMode) -> int:
 def _rows_bytes(params: GameParams, mode: NumericMode) -> int:
     """Bytes build_transition_matrix holds at its peak, from n and s alone.
 
-    An entry is a 24-byte Python float, or a 48-byte Fraction in exact
-    mode, and two 8-byte references to it (from the array and a row list,
-    or from a row list and a row tuple): 40 bytes. Exact mode adds up to
-    8 bytes of the slack a list built by appends keeps, 72 in all, and per
-    entry of the lower triangle three ints below s**n: the integer entry,
-    and the Fraction's numerator and denominator. A row adds at most two
-    56-byte list or tuple headers and 32 bytes of the outer references,
-    and 1 KiB covers what does not grow with n (traced at 0.8 KiB at n = 1).
+    It keeps an 8-byte reference per entry and, per entry of the lower
+    triangle, a 24-byte float, or a 48-byte Fraction and two ints below
+    s**n. A row keeps a 40-byte tuple header and 17 bytes of references
+    (from the list of rows, with its 1/8 slack, and the tuple it becomes).
+    Building a row takes at most six 8-byte slots per entry of the row (four
+    numpy rows of Pascal's step, and a list with its slack) and in exact
+    mode four integer rows and two ints (s**k and a gcd). What does not
+    grow with n stays under 2 KiB: six numpy headers with their shapes
+    (768 bytes), the step function and its closure (376), the iterators
+    (232), the TransitionMatrix and its dict (352), other headers (< 300).
     """
-    size = params.n + 1
-    per_entry, ints = (72, 3 * _triangle_ints_bytes(params)) if mode.exact else (40, 0)
-    return per_entry * size**2 + ints + 144 * size + 1024
+    n, size = params.n, params.n + 1
+    common, triangle = 8 * size**2 + (57 + 48) * size + 2048, size * (n + 2) // 2
+    if not mode.exact:
+        return common + 24 * triangle
+    return common + 48 * triangle + (2 * triangle + 4 * size + 2) * (24 + 4 * _digits(params, n))
 
 
 def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
@@ -142,26 +138,28 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
     import numpy as np
     n = params.n
     check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={params.s}")
-    _, _, zero, dtype = _arithmetic(params, mode)
-    matrix = np.full((n + 1, n + 1), zero, dtype=dtype)
+    matrix = np.zeros((n + 1, n + 1), object if mode.exact else float)
     for k, row in enumerate(_survivor_rows(params, mode)):
         matrix[k, : k + 1] = row * params.s ** (n - k) if mode.exact else row
     return matrix
 
 
 def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> TransitionMatrix:
-    """Survival-count transition matrix for one turn.
+    """Survival-count transition matrix for one turn, built row by row from _survivor_rows.
 
-    Where _rows_bytes, the peak of its Python rows, passes MEMORY_BUDGET,
-    it raises ValueError before _stacked_rows allocates anything.
+    Where _rows_bytes passes MEMORY_BUDGET, it raises ValueError before
+    the first row is built.
     """
-    what = f"the transition matrix rows at n={params.n}, s={params.s}"
-    check_memory(_rows_bytes(params, mode), what)
-    rows = _stacked_rows(params, mode).tolist()  # plain floats or ints
-    if mode.exact:
-        unit = params.s**params.n
-        rows = [[Fraction(entry, unit) for entry in row] for row in rows]
-    return TransitionMatrix(n=params.n, rows=tuple(map(tuple, rows)))
+    n = params.n
+    check_memory(_rows_bytes(params, mode), f"the transition matrix rows at n={n}, s={params.s}")
+    zero = Fraction(0) if mode.exact else 0.0  # shared by every entry above the diagonal
+    rows = []
+    for k, row in enumerate(_survivor_rows(params, mode)):
+        entries = row.tolist()  # plain floats, or the integer row: the law times s**k
+        if mode.exact:
+            entries = map(Fraction, entries, repeat(params.s**k))
+        rows.append((*entries, *(zero,) * (n - k)))
+    return TransitionMatrix(n=n, rows=tuple(rows))
 
 
 def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
@@ -201,8 +199,7 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
 def _float_recursion(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments from every state, in doubles, as two arrays."""
     import numpy as np
-    rows = _survivor_rows(params, FLOAT)
-    next(rows)  # row 0, read before the arrays: rows past TURN_CAP refuse here
+    rows = islice(_survivor_rows(params, FLOAT), 1, None)  # rows past TURN_CAP refuse here
     first, second = np.zeros((2, params.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
         for k, row in enumerate(rows, start=1):

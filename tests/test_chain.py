@@ -368,8 +368,8 @@ class TestAbsorptionByPower:
     @pytest.mark.parametrize(
         "params, mode",
         [
-            *((GameParams(n, n), FLOAT) for n in (1, 100, 300)),
-            *((GameParams(n, s), EXACT) for n, s in ((1, 1), (20, 20), (40, 40), (30, 2**40))),
+            *((GameParams(n, n), FLOAT) for n in (1, 10, 100, 1000)),
+            *((GameParams(n, s), EXACT) for n, s in ((1, 1), (5, 5), (40, 40), (120, 120), (30, 2**40))),
         ],
     )
     def test_rows_estimate_covers_the_traced_peak(self, params, mode):
@@ -386,14 +386,31 @@ class TestAbsorptionByPower:
     def test_the_rows_budget_is_compared_before_the_matrix_is_built(self, monkeypatch, mode):
         params = GameParams(30, 40)
         need = _rows_bytes(params, mode)
-        assert need > _matrix_bytes(params, mode)
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
         assert len(build_transition_matrix(params, mode).rows) == 31
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
-        monkeypatch.setattr(chain_module, "_stacked_rows", None)  # a call would raise TypeError
+
+        def no_rows(*args):
+            raise AssertionError("the rows were asked for before the budget was checked")
+
+        monkeypatch.setattr(chain_module, "_survivor_rows", no_rows)
         message = f"rows at n=30, s=40 would take about {need} bytes, past MEMORY_BUDGET"
         with pytest.raises(ValueError, match=message):
             build_transition_matrix(params, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_matrix_rows_equal_the_walks_matrix(self, mode):
+        # the walk's _stacked_rows is the only other construction of the matrix;
+        # in exact mode it holds s**n times it
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                stacked = _stacked_rows(params, mode).tolist()
+                if mode.exact:
+                    stacked = [[Fraction(entry, s**n) for entry in row] for row in stacked]
+                rows = build_transition_matrix(params, mode).rows
+                assert [list(row) for row in rows] == stacked, (n, s)
+                assert all(type(entry) is type(rows[0][0]) for row in rows for entry in row)
 
     def test_profile_zero_steps(self):
         assert absorption_cdf_profile(GameParams(3, 5), 0, EXACT) == [Fraction(0)]
