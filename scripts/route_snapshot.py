@@ -32,7 +32,8 @@ bound as "-". The routes:
   (2, 4000), whose walk spans many numpy blocks of survival terms, some
   of them negative;
 * the float moments at the edges of the double range, of TURN_CAP and of
-  MEMORY_BUDGET (REFUSALS), where a route answers or refuses;
+  MEMORY_BUDGET (REFUSALS), where a route answers or refuses, and the
+  exact ones past TURN_CAP digit products (EXACT_REFUSALS);
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
   the float 1/s is subnormal (SUBNORMAL_CHAIN), and the float points of
   the relaxed (3, 1), where q = 0.
@@ -129,6 +130,10 @@ REFUSALS = (
 #: Transition matrices whose Python rows pass MEMORY_BUDGET, as (n, mode),
 #: at n = s.
 MATRIX_REFUSALS = ((8000, FLOAT), (1000, EXACT))
+
+#: Exact moment requests past TURN_CAP digit products, as (n, s, method):
+#: the recursion's Horner sums at n = s = 10**4.
+EXACT_REFUSALS = ((10**4, 10**4, "recursive"),)
 
 #: Float chain points, as (n, s), where the float 1/s is subnormal.
 SUBNORMAL_CHAIN = ((2, 2**1030),)
@@ -227,6 +232,7 @@ CLI_CALLS = (
     f"geomax compute --n 60 --s {2**1022} --quantity mean",
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method matrix-power",
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method recursive",
+    f"geomax compute --n {10**4} --s {10**4} --quantity mean --method recursive --mode exact",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
@@ -326,6 +332,8 @@ def snapshot(s_max: int):
         yield from moment_lines(GameParams(n, s), FLOAT, "matrix-power")
     for n, s, method in REFUSALS:
         yield from moment_lines(GameParams(n, s), FLOAT, method)
+    for n, s, method in EXACT_REFUSALS:
+        yield from moment_lines(GameParams(n, s), EXACT, method)
     for n, mode in MATRIX_REFUSALS:
         params = GameParams(n, n)
         yield refusable_line(

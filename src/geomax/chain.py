@@ -162,6 +162,34 @@ def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> Tr
     return TransitionMatrix(n=n, rows=tuple(rows))
 
 
+def _check_digit_products(products: int, what: str) -> None:
+    """Raise ValueError naming TURN_CAP if `what` takes more 30-bit digit products than it."""
+    if products > TURN_CAP:
+        raise ValueError(
+            f"{what} takes up to {products} digit products, past TURN_CAP = {TURN_CAP}"
+        )
+
+
+def _recursion_products(params: GameParams) -> int:
+    """Bound on the digit products of _integer_recursion's Horner sums, from n and bit_length(s).
+
+    Step j < k of row k multiplies the accumulators, within D_k and D_k**2
+    with D_k = d_1 ... d_k below s**(k(k+1)/2), by d_j < s**j and d_j**2,
+    and r_k[j] < s**k by N_j and Q_j, within D_j and D_j**2. Schoolbook
+    multiplication of an a-digit int by a b-digit one takes a b digit
+    products, and squaring at most doubles the digits, so with c_m and a_m
+    the digits of s**m and s**(m(m+1)/2) (_digits) the step takes at most
+    5 a_k c_j + 3 c_k a_j.
+    """
+    products = digits_below = triangle_digits_below = 0  # sums of c_j and a_j over j < k
+    for k in range(1, params.n + 1):
+        digits, triangle_digits = _digits(params, k), _digits(params, k * (k + 1) // 2)
+        products += 5 * triangle_digits * digits_below + 3 * digits * triangle_digits_below
+        digits_below += digits
+        triangle_digits_below += triangle_digits
+    return products
+
+
 def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
     """(N_k, Q_k, D_k) for k = 1..n: E(T_k) = N_k / D_k and E(T_k**2) = Q_k / D_k**2.
 
@@ -173,11 +201,16 @@ def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
     N_k = s**k D_{k-1} + sum_{j<k} r_k[j] N_j prod_{j<i<k} d_i and
     Q_k = d_k (sum_{j<k} r_k[j] Q_j prod_{j<i<k} d_i**2 - s**k D_{k-1}**2)
           + 2 s**k N_k D_{k-1},
-    both sums taken by Horner's rule; nothing is reduced.
+    both sums taken by Horner's rule; nothing is reduced. Before the
+    first row, sums past TURN_CAP digit products (_recursion_products)
+    raise ValueError.
     """
+    rows = islice(_survivor_rows(params, EXACT), 1, None)  # rows past TURN_CAP refuse here
+    what = f"the exact recursion at n={params.n}, s={params.s}"
+    _check_digit_products(_recursion_products(params), what)
     numerators, squares, complements, complement_squares = [0], [0], [1], [1]  # state 0
     denominator = 1  # D_{k-1}
-    for k, row in enumerate(islice(_survivor_rows(params, EXACT), 1, None), start=1):
+    for k, row in enumerate(rows, start=1):
         row = row.tolist()
         power = params.s**k
         complement = sum(row[:k])  # d_k = s**k - (s-1)**k >= 1, so never 0

@@ -34,7 +34,10 @@ class GameNotFinishedError(RuntimeError):
 #: need more terms or steps raises ValueError before it starts. The
 #: recursion's O(n**2) work is held to it too: transition rows 0..n of
 #: more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
-#: before the first row (n = 44,719 is the largest n that passes).
+#: before the first row (n = 44,719 is the largest n that passes). Exact
+#: mode's big-int work is held to it as a count of 30-bit digit products:
+#: the recursion's Horner sums (n = s = 130 passes, in about 1 s) raise
+#: ValueError before the first row.
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the

@@ -35,8 +35,10 @@ from geomax.chain import (
     BLOCK_TURNS,
     _absorption_steps,
     _matrix_bytes,
+    _recursion_products,
     _rows_bytes,
     _stacked_rows,
+    _survivor_rows,
     absorption_step_bound,
 )
 from geomax.kernels import _U
@@ -214,13 +216,44 @@ class TestRecursiveMoments:
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     def test_the_turn_cap_is_compared_with_the_rows_entries(self, monkeypatch, mode):
+        # the exact recursion's digit products pass a cap this small, so the
+        # rows are read directly; the recursion shows the rows are refused first
         params = GameParams(3, 5)  # rows 0..3 hold 1 + 2 + 3 + 4 = 10 entries
-        expected = moment_report(params, mode, "recursive")
         monkeypatch.setattr(chain_module, "TURN_CAP", 10)
-        assert moment_report(params, mode, "recursive") == expected
+        assert len(list(_survivor_rows(params, mode))) == 4
         monkeypatch.setattr(chain_module, "TURN_CAP", 9)
         with pytest.raises(ValueError, match="n=3 hold 10 entries, past TURN_CAP = 9"):
             moment_report(params, mode, "recursive")
+
+    def test_exact_recursion_past_the_turn_cap_in_digit_products_is_refused_at_once(self):
+        # at n = 150 the exact recursion took about 2 s, at 300 about 50 s
+        params = GameParams(10**4, 10**4)
+        message = "exact recursion at n=10000, s=10000 takes up to [0-9]+ digit products, past TURN_CAP"
+        start = time.perf_counter()
+        for call in (
+            lambda: moment_report(params, EXACT, "recursive"),
+            lambda: second_moments_recursive(params, EXACT),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert time.perf_counter() - start < 1
+        assert _recursion_products(GameParams(130, 130)) <= TURN_CAP < _recursion_products(GameParams(131, 131))
+
+    def test_the_turn_cap_is_compared_with_the_recursions_digit_products(self, monkeypatch):
+        params = GameParams(5, 7)
+        products = _recursion_products(params)
+        expected = moment_report(params, EXACT, "recursive")
+        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        assert moment_report(params, EXACT, "recursive") == expected
+        assert second_moments_recursive(params, EXACT).first_moments[-1] == expected.mean
+        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
+            moment_report(params, EXACT, "recursive")
+
+    @pytest.mark.parametrize("s", [60, 61, 62])
+    def test_exact_recursion_answers_at_the_benchmarks_sizes(self, s):
+        params = GameParams(60, s)
+        assert moment_report(params, EXACT, "recursive").mean == expected_value_closed(params, EXACT)
 
     def test_large_n_agrees_with_the_series(self):
         params = GameParams(1100, 2000)

@@ -307,6 +307,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "entries, past TURN_CAP" in err
 
+    def test_exact_recursion_past_the_turn_cap_is_a_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "compute", "--n", str(10**4), "--s", str(10**4), "--quantity", "mean",
+            "--method", "recursive", "--mode", "exact",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "digit products, past TURN_CAP" in err
+
     def test_recursion_past_the_double_range_is_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "compute", "--n", "2", "--s", str(2**1100), "--quantity", "mean", "--method", "recursive"
