@@ -33,7 +33,8 @@ bound as "-". The routes:
   of them negative;
 * the float moments at the edges of the double range, of TURN_CAP and of
   MEMORY_BUDGET (REFUSALS), where a route answers or refuses, and the
-  exact ones past TURN_CAP digit products (EXACT_REFUSALS);
+  exact ones past TURN_CAP digit products (EXACT_REFUSALS), and the exact
+  chain profile past them (EXACT_WALK_REFUSALS);
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
   the float 1/s is subnormal (SUBNORMAL_CHAIN), and the float points of
   the relaxed (3, 1), where q = 0.
@@ -135,6 +136,9 @@ MATRIX_REFUSALS = ((8000, FLOAT), (1000, EXACT))
 #: the recursion's Horner sums at n = s = 10**4.
 EXACT_REFUSALS = ((10**4, 10**4, "recursive"),)
 
+#: Exact chain profiles past TURN_CAP digit products, as (n, s, turns).
+EXACT_WALK_REFUSALS = ((10, 10, 10**5),)
+
 #: Float chain points, as (n, s), where the float 1/s is subnormal.
 SUBNORMAL_CHAIN = ((2, 2**1030),)
 
@@ -233,6 +237,7 @@ CLI_CALLS = (
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method matrix-power",
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method recursive",
     f"geomax compute --n {10**4} --s {10**4} --quantity mean --method recursive --mode exact",
+    f"geomax compute --n 10 --s 10 --quantity cdf --y {10**5} --method matrix-power --mode exact",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
@@ -334,6 +339,14 @@ def snapshot(s_max: int):
         yield from moment_lines(GameParams(n, s), FLOAT, method)
     for n, s, method in EXACT_REFUSALS:
         yield from moment_lines(GameParams(n, s), EXACT, method)
+    for n, s, turns in EXACT_WALK_REFUSALS:
+        params = GameParams(n, s)
+        yield refusable_line(
+            "exact-profile",
+            params,
+            f"t={turns}",
+            lambda: (absorption_cdf_profile(params, turns, EXACT)[turns], Fraction(0)),
+        )
     for n, mode in MATRIX_REFUSALS:
         params = GameParams(n, n)
         yield refusable_line(

@@ -132,12 +132,11 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
     """The transition matrix as one (n+1) x (n+1) array, zero above the diagonal.
 
     Exact mode gives the integer matrix s**n times it: row k is the
-    integer row k times s**(n-k). Where _matrix_bytes passes
-    MEMORY_BUDGET, it raises ValueError before it allocates anything.
+    integer row k times s**(n-k). _absorption_steps checks its
+    _matrix_bytes against MEMORY_BUDGET first.
     """
     import numpy as np
     n = params.n
-    check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={params.s}")
     matrix = np.zeros((n + 1, n + 1), object if mode.exact else float)
     for k, row in enumerate(_survivor_rows(params, mode)):
         matrix[k, : k + 1] = row * params.s ** (n - k) if mode.exact else row
@@ -188,6 +187,19 @@ def _recursion_products(params: GameParams) -> int:
         digits_below += digits
         triangle_digits_below += triangle_digits
     return products
+
+
+def _walk_products(params: GameParams, length: int) -> int:
+    """Bound on the digit products of an exact walk of length - 1 turns, from n and bit_length(s).
+
+    Turn t multiplies the (n+1)(n+2)/2 entries of s**n M, each below s**n,
+    by state entries below s**(n t). Summed over t < length, the digits
+    of those (_digits) are at most those of s**(n length (length-1)/2)
+    plus length - 1.
+    """
+    n = params.n
+    state_digits = _digits(params, n * length * (length - 1) // 2) + length - 1
+    return (n + 1) * (n + 2) // 2 * _digits(params, n) * state_digits
 
 
 def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
@@ -293,11 +305,18 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
     steps an integer state by the integer matrix s**n M, so after t steps
     the state is s**(n*t) times the law, and item t is the integer
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
-    it returns. A walk past TURN_CAP turns raises ValueError before M is built.
+    it returns. Before M is built, a walk past TURN_CAP turns, matrices
+    past MEMORY_BUDGET (_matrix_bytes) and an exact walk past TURN_CAP
+    digit products (_walk_products) raise ValueError, in that order.
     """
     import numpy as np
+    n, s = params.n, params.s
     if length - 1 > TURN_CAP:
         raise ValueError(f"the chain walk needs {length - 1} turns, past TURN_CAP = {TURN_CAP}")
+    check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={s}")
+    if mode.exact:
+        what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
+        _check_digit_products(_walk_products(params, length), what)
     rows = _stacked_rows(params, mode)
     state = np.zeros(params.n + 1, dtype=rows.dtype)
     state[-1] = 1

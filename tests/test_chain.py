@@ -39,6 +39,7 @@ from geomax.chain import (
     _rows_bytes,
     _stacked_rows,
     _survivor_rows,
+    _walk_products,
     absorption_step_bound,
 )
 from geomax.kernels import _U
@@ -48,6 +49,10 @@ from geomax.report import ROUTES
 playable = st.integers(1, 12).flatmap(
     lambda s: st.integers(1, s).map(lambda n: GameParams(n=n, s=s))
 )
+
+
+def not_called(*args):
+    raise AssertionError("called before its budget was checked")
 
 
 def assert_profile_within_step_bound(params: GameParams, turns, worst: dict) -> None:
@@ -348,6 +353,30 @@ class TestAbsorptionByPower:
         with pytest.raises(ValueError, match="past TURN_CAP"):
             next(_absorption_steps(params, FLOAT, TURN_CAP + 2))
 
+    def test_exact_walks_past_the_turn_cap_in_digit_products_are_refused_at_once(self):
+        # extrapolated from 2.4 s at y = 4,000, the point at y = 10**5 would take about 25 minutes
+        params = GameParams(10, 10)
+        message = "exact chain walk of 100000 turns at n=10, s=10 takes up to [0-9]+ digit products"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            absorption_cdf_profile(params, 10**5, EXACT)
+        for quantity in ("pmf", "cdf"):
+            with pytest.raises(ValueError, match=message):
+                ROUTES[(quantity, "matrix-power")](params, EXACT, 10**5)
+        assert time.perf_counter() - start < 1
+        assert _walk_products(params, 3370) <= TURN_CAP < _walk_products(params, 3371)
+
+    def test_the_turn_cap_is_compared_with_the_walks_digit_products(self, monkeypatch):
+        params, y = GameParams(4, 9), 30
+        products = _walk_products(params, y + 1)
+        expected = cdf(params, y, EXACT)
+        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        assert ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0] == expected
+        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(chain_module, "_stacked_rows", not_called)
+        with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
+            ROUTES[("cdf", "matrix-power")](params, EXACT, y)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -385,10 +414,11 @@ class TestAbsorptionByPower:
         params = GameParams(30, 40)
         need = _matrix_bytes(params, mode)
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
-        assert _stacked_rows(params, mode).shape == (31, 31)
+        assert len(absorption_cdf_profile(params, 3, mode)) == 4
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
+        monkeypatch.setattr(chain_module, "_stacked_rows", not_called)
         with pytest.raises(ValueError, match=f"would take about {need} bytes, past MEMORY_BUDGET = {need - 1}"):
-            _stacked_rows(params, mode)
+            absorption_cdf_profile(params, 3, mode)
 
     @pytest.mark.parametrize("n, s", [(1, 2), (12, 12), (30, 40), (60, 3)])
     def test_exact_estimate_covers_the_integer_matrix(self, n, s):
@@ -422,11 +452,7 @@ class TestAbsorptionByPower:
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
         assert len(build_transition_matrix(params, mode).rows) == 31
         monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
-
-        def no_rows(*args):
-            raise AssertionError("the rows were asked for before the budget was checked")
-
-        monkeypatch.setattr(chain_module, "_survivor_rows", no_rows)
+        monkeypatch.setattr(chain_module, "_survivor_rows", not_called)
         message = f"rows at n=30, s=40 would take about {need} bytes, past MEMORY_BUDGET"
         with pytest.raises(ValueError, match=message):
             build_transition_matrix(params, mode)

@@ -332,6 +332,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past TURN_CAP" in err
 
+    def test_exact_chain_walk_past_the_turn_cap_is_a_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "compute", "--n", "10", "--s", "10", "--quantity", "cdf", "--y", str(10**5),
+            "--method", "matrix-power", "--mode", "exact",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "digit products, past TURN_CAP" in err
+
     @pytest.mark.parametrize(
         "options",
         [
