@@ -6,13 +6,17 @@ generator builds these transition rows by Pascal's rule, on float64
 arrays or, in exact mode, on integer object arrays holding the rows times
 s**k, so no C(k, j) is ever converted to float and exact mode builds a
 Fraction only for a value it returns.
-The rows feed the transition matrix, the one-step recursions for the
-first and second moments of the absorption time from every start state,
-and, as an independent route, the chain walk that pushes the start state
-through the turns to get P(T <= t), whose survival terms
+The rows feed the transition matrix, whose Python rows are built straight
+from them, the one-step recursions for the first and second moments of
+the absorption time from every start state, and, as an independent route,
+the chain walk that pushes the start state through the turns to get
+P(T <= t) on the rows stacked into one array, whose survival terms
 moments._survival_sums turns into the moments. A float walk long enough
 to pay for M**64 advances 64 turns per pair of matrix products; exact mode
-and short walks step one turn per product.
+and short walks step one turn per product. Each entry point checks its
+limits before its work starts: TURN_CAP rows or turns, MEMORY_BUDGET bytes,
+and in exact mode TURN_CAP 30-bit digit products of its big-int work, a
+count bounded from n and bit_length(s) alone.
 Each function that runs numpy imports it itself, so importing geomax,
 and every call that never reaches the chain, leaves numpy unloaded.
 """
@@ -318,12 +322,12 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
         what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
         _check_digit_products(_walk_products(params, length), what)
     rows = _stacked_rows(params, mode)
-    state = np.zeros(params.n + 1, dtype=rows.dtype)
+    state = np.zeros(n + 1, dtype=rows.dtype)
     state[-1] = 1
     block, jump = 1, rows
-    if not mode.exact and length >= 2 * (params.n + 1) + BLOCK_TURNS:
+    if not mode.exact and length >= 2 * (n + 1) + BLOCK_TURNS:
         block, jump = BLOCK_TURNS, np.linalg.matrix_power(rows, BLOCK_TURNS)
-        columns = np.zeros((block, params.n + 1))
+        columns = np.zeros((block, n + 1))
         columns[0, 0] = 1.0
         for i in range(1, block):
             columns[i] = rows @ columns[i - 1]
