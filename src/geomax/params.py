@@ -38,12 +38,12 @@ class GameNotFinishedError(RuntimeError):
 #: mode's big-int work is held to it as a count of 30-bit digit products:
 #: the recursion's Horner sums (n = s = 130 passes, in about 1 s) raise
 #: ValueError before the first row, and an exact chain walk (3,369 turns
-#: pass at n = s = 10, in about 1.2 s) before its matrix is built.
+#: pass at n = s = 10, in about 1 s) before its matrix is built.
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
 #: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
-#: (chain._stacked_rows), the Python rows of chain.build_transition_matrix
+#: (chain._matrix_bytes), the Python rows of chain.build_transition_matrix
 #: (chain._rows_bytes), and a dense turn-count histogram
 #: (simulate.turn_count_histogram). An estimate past it raises ValueError
 #: before the array is allocated.
