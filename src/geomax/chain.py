@@ -193,17 +193,24 @@ def _recursion_products(params: GameParams) -> int:
     return products
 
 
-def _walk_products(params: GameParams, length: int) -> int:
+def _walk_products(params: GameParams, length: int, first: int) -> int:
     """Bound on the digit products of an exact walk of length - 1 turns, from n and bit_length(s).
 
     Turn t multiplies the (n+1)(n+2)/2 entries of s**n M, each below s**n,
     by state entries below s**(n t). Summed over t < length, the digits
     of those (_digits) are at most those of s**(n length (length-1)/2)
-    plus length - 1.
+    plus length - 1. _absorption_window then reduces item t, for t from
+    first on, to a Fraction over s**(n t): a gcd of two ints of at most
+    c_t digits, counted as c_t**2 products (at (10, 10) a profile took
+    about 1.1 ns per such product, a walk about 1 ns per digit product).
+    With c the digits of the last item, these sum to at most c times the
+    digits of s**(n (first + ... + last)) plus the count of items.
     """
-    n = params.n
-    state_digits = _digits(params, n * length * (length - 1) // 2) + length - 1
-    return (n + 1) * (n + 2) // 2 * _digits(params, n) * state_digits
+    n, last = params.n, length - 1
+    walk = _digits(params, n * length * last // 2) + last
+    items = length - first
+    reduced = _digits(params, n * (first + last) * items // 2) + items
+    return (n + 1) * (n + 2) // 2 * _digits(params, n) * walk + _digits(params, n * last) * reduced
 
 
 def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
@@ -295,7 +302,9 @@ def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
 BLOCK_TURNS = 64
 
 
-def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Iterator:
+def _absorption_steps(
+    params: GameParams, mode: NumericMode, length: int, first: int = 0
+) -> Iterator:
     """P(T <= t) for t = 0, 1, ..., length - 1, a block of turns per matrix product.
 
     The state is a numpy row vector over dice counts, started at e_n with
@@ -309,9 +318,10 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
     steps an integer state by the integer matrix s**n M, so after t steps
     the state is s**(n*t) times the law, and item t is the integer
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
-    it returns. Before M is built, a walk past TURN_CAP turns, matrices
-    past MEMORY_BUDGET (_matrix_bytes) and an exact walk past TURN_CAP
-    digit products (_walk_products) raise ValueError, in that order.
+    it returns, those from turn first on. Before M is built, a walk past
+    TURN_CAP turns, matrices past MEMORY_BUDGET (_matrix_bytes) and an
+    exact walk and reductions past TURN_CAP digit products (_walk_products)
+    raise ValueError, in that order.
     """
     import numpy as np
     n, s = params.n, params.s
@@ -320,7 +330,7 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
     check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={s}")
     if mode.exact:
         what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
-        _check_digit_products(_walk_products(params, length), what)
+        _check_digit_products(_walk_products(params, length, first), what)
     rows = _stacked_rows(params, mode)
     state = np.zeros(n + 1, dtype=rows.dtype)
     state[-1] = 1
@@ -342,7 +352,7 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int) -> Ite
 
 def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:
     """[P(T <= t) for t in first..last]; exact mode reduces a Fraction for these t only."""
-    window = list(islice(_absorption_steps(params, mode, last + 1), first, None))
+    window = list(islice(_absorption_steps(params, mode, last + 1, first), first, None))
     if mode.exact:
         unit = params.s**params.n
         window = [Fraction(value, unit**t) for t, value in enumerate(window, start=first)]

@@ -366,18 +366,37 @@ class TestAbsorptionByPower:
             with pytest.raises(ValueError, match=message):
                 ROUTES[(quantity, "matrix-power")](params, EXACT, 10**5)
         assert time.perf_counter() - start < 1
-        assert _walk_products(params, 3370) <= TURN_CAP < _walk_products(params, 3371)
+        assert _walk_products(params, 3337, 3336) <= TURN_CAP < _walk_products(params, 3338, 3337)
+        # a profile reduces a Fraction for each of its turns: about 1 s at y = 1,000
+        assert _walk_products(params, 1008, 0) <= TURN_CAP < _walk_products(params, 1009, 0)
 
-    def test_the_turn_cap_is_compared_with_the_walks_digit_products(self, monkeypatch):
+    def test_exact_profiles_count_their_fraction_reductions(self):
+        # at (1, 2) the walk's products admit a point up to y = 97,833, but a profile's
+        # reductions grow as y**3 (2.7 s at y = 32,000, 9.3 s at 64,000): it passes to 7,635
+        params, y = GameParams(1, 2), 10**4
+        assert ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0] == cdf(params, y, EXACT)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exact chain walk of {y} turns at n=1, s=2 takes up to"):
+            absorption_cdf_profile(params, y, EXACT)
+        assert time.perf_counter() - start < 1
+        assert _walk_products(params, 7636, 0) <= TURN_CAP < _walk_products(params, 7637, 0)
+
+    @pytest.mark.parametrize("quantity, first", [("cdf", 30), ("pmf", 29), ("profile", 0)])
+    def test_the_turn_cap_is_compared_with_the_walks_digit_products(self, monkeypatch, quantity, first):
         params, y = GameParams(4, 9), 30
-        products = _walk_products(params, y + 1)
-        expected = cdf(params, y, EXACT)
+        products = _walk_products(params, y + 1, first)
+        call = {
+            "profile": lambda: absorption_cdf_profile(params, y, EXACT)[y],
+            "cdf": lambda: ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0],
+            "pmf": lambda: ROUTES[("pmf", "matrix-power")](params, EXACT, y)[0],
+        }[quantity]
+        expected = call()
         monkeypatch.setattr(chain_module, "TURN_CAP", products)
-        assert ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0] == expected
+        assert call() == expected
         monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
         monkeypatch.setattr(chain_module, "_stacked_rows", not_called)
         with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
-            ROUTES[("cdf", "matrix-power")](params, EXACT, y)
+            call()
 
     @pytest.mark.parametrize(
         "call",
