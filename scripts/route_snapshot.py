@@ -26,15 +26,14 @@ bound as "-". The routes:
   its two float neighbours (the near-ties);
 * float quantiles at scale (SCALE_QUANTILES), past exact mode's reach;
 * the cliffs benchmark points, under the routes above;
-* the chain profile past t = 40 (LONG_PROFILES), in both modes, and the
+* the chain profile past t = 40 (LONG_PROFILES), in both modes, the exact
+  one at (10, 10) to t = 10**5, past TURN_CAP digit products, and the
   float-matrix-power moments at LONG_WALKS: (200, 200), where the float
   chain walks far enough to step a block of turns per matrix product, and
   (2, 4000), whose walk spans many numpy blocks of survival terms, some
   of them negative;
-* the float moments at the edges of the double range, of TURN_CAP and of
-  MEMORY_BUDGET (REFUSALS), where a route answers or refuses, and the
-  exact ones past TURN_CAP digit products (EXACT_REFUSALS), and the exact
-  chain profile past them (EXACT_WALK_REFUSALS);
+* the moments at the edges of the double range, of TURN_CAP and of
+  MEMORY_BUDGET (REFUSALS), where a route answers or refuses;
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
   the float 1/s is subnormal (SUBNORMAL_CHAIN), and the float points of
   the relaxed (3, 1), where q = 0.
@@ -112,32 +111,27 @@ LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
 #: about half the turns.
 LONG_WALKS = ((200, 200), (2, 4000))
 
-#: Float moment requests at the edges of the double range, of TURN_CAP and
-#: of MEMORY_BUDGET, as (n, s, method): the series' stop search at
+#: Moment requests at the edges of the double range, of TURN_CAP and of
+#: MEMORY_BUDGET, as (n, s, mode, method): the series' stop search at
 #: s = 2**1022 (directly and as auto's fallback), the matrix-power tail
 #: where the float q rounds to 1, a recursion whose values pass the
 #: doubles, one where the float 1/s rounds to 0, one whose rows pass
-#: TURN_CAP entries, and a chain whose matrices pass the budget.
+#: TURN_CAP entries, a chain whose matrices pass the budget, and an exact
+#: recursion whose Horner sums pass TURN_CAP digit products.
 REFUSALS = (
-    (60, 2**1022, "series"),
-    (60, 2**1022, "auto"),
-    (3, 2**60, "matrix-power"),
-    (3, 2**600, "recursive"),
-    (3, 2**1080, "recursive"),
-    (10**6, 10**6, "recursive"),
-    (10**6, 10**6, "matrix-power"),
+    (60, 2**1022, FLOAT, "series"),
+    (60, 2**1022, FLOAT, "auto"),
+    (3, 2**60, FLOAT, "matrix-power"),
+    (3, 2**600, FLOAT, "recursive"),
+    (3, 2**1080, FLOAT, "recursive"),
+    (10**6, 10**6, FLOAT, "recursive"),
+    (10**6, 10**6, FLOAT, "matrix-power"),
+    (10**4, 10**4, EXACT, "recursive"),
 )
 
 #: Transition matrices whose Python rows pass MEMORY_BUDGET, as (n, mode),
 #: at n = s.
 MATRIX_REFUSALS = ((8000, FLOAT), (1000, EXACT))
-
-#: Exact moment requests past TURN_CAP digit products, as (n, s, method):
-#: the recursion's Horner sums at n = s = 10**4.
-EXACT_REFUSALS = ((10**4, 10**4, "recursive"),)
-
-#: Exact chain profiles past TURN_CAP digit products, as (n, s, turns).
-EXACT_WALK_REFUSALS = ((10, 10, 10**5),)
 
 #: Float chain points, as (n, s), where the float 1/s is subnormal.
 SUBNORMAL_CHAIN = ((2, 2**1030),)
@@ -333,20 +327,17 @@ def snapshot(s_max: int):
     for n, s in LONG_PROFILES:
         for mode in (FLOAT, EXACT):
             yield from profile_lines(GameParams(n, s), mode, LONG_TURNS)
+    params = GameParams(10, 10)
+    yield refusable_line(
+        "exact-profile",
+        params,
+        f"t={10**5}",
+        lambda: (absorption_cdf_profile(params, 10**5, EXACT)[10**5], Fraction(0)),
+    )
     for n, s in LONG_WALKS:
         yield from moment_lines(GameParams(n, s), FLOAT, "matrix-power")
-    for n, s, method in REFUSALS:
-        yield from moment_lines(GameParams(n, s), FLOAT, method)
-    for n, s, method in EXACT_REFUSALS:
-        yield from moment_lines(GameParams(n, s), EXACT, method)
-    for n, s, turns in EXACT_WALK_REFUSALS:
-        params = GameParams(n, s)
-        yield refusable_line(
-            "exact-profile",
-            params,
-            f"t={turns}",
-            lambda: (absorption_cdf_profile(params, turns, EXACT)[turns], Fraction(0)),
-        )
+    for n, s, mode, method in REFUSALS:
+        yield from moment_lines(GameParams(n, s), mode, method)
     for n, mode in MATRIX_REFUSALS:
         params = GameParams(n, n)
         yield refusable_line(
