@@ -140,7 +140,9 @@ SUBNORMAL_CHAIN = ((2, 2**1030),)
 HELP_COLUMNS = 80
 
 #: The --cli transcript's calls, as shell lines: every command of
-#: tests/test_cli.py, then the error paths, then each --help page.
+#: tests/test_cli.py and long exact outputs (a cdf of 64,083 digits a side,
+#: a signature count of 6,021 digits), then the error paths, then each
+#: --help page.
 CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity mean --mode exact",
     "geomax compute --n 2 --s 2 --quantity mean",
@@ -157,6 +159,7 @@ CLI_CALLS = (
     ),
     "geomax compute --n 12 --s 12 --quantity cdf --y 200 --method matrix-power --precision 17",
     "geomax compute --n 40 --s 40 --quantity cdf --y 170 --mode exact",
+    "geomax compute --n 40 --s 40 --quantity cdf --y 1000 --mode exact",
     "geomax compute --n 2 --s 6 --quantity quantile --prob 0.99",
     "geomax compute --n 2 --s 2 --quantity mean --mode exact --format json",
     "geomax compute --n 5 --s 2 --quantity mean",
