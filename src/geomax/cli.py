@@ -31,7 +31,6 @@ import functools
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
@@ -54,6 +53,12 @@ FIGURE_GRIDS = {
 #: turn indices at which compare spot-checks the matrix-power cdf
 CDF_SPOT_TURNS = (1, 2, 5, 10, 25, 50)
 
+#: decimal digits of a leaf of _decimal, one str call: below 640, the least
+#: int-to-str limit sys.set_int_max_str_digits accepts, so output never
+#: depends on the interpreter's limit
+_LEAF_DIGITS = 512
+_LEAF_POWER = 10**_LEAF_DIGITS
+
 
 class UsageError(Exception):
     pass
@@ -64,17 +69,44 @@ def format_value(value, precision: int) -> str:
 
     Rationals print as numerator/denominator (plain integer when the
     denominator is 1) and round-trip exactly; floats print with the
-    configured number of significant digits.
+    configured number of significant digits. Every digit of an int is
+    written, by _decimal, whatever the interpreter's int-to-str limit.
     """
-    # str(Decimal(i)) prints every digit of i; str(i) refuses integers
-    # longer than the interpreter's int-to-str limit (4300 digits)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(Decimal(value.numerator))
-        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
     if isinstance(value, int):
-        return str(Decimal(value))
-    return f"{value:.{precision}g}"
+        num, den = value, 1
+    elif isinstance(value, Fraction):
+        num, den = value.numerator, value.denominator
+    else:
+        return f"{value:.{precision}g}"
+    powers = [_LEAF_POWER]  # the split powers, squared once and shared by both ints
+    while 2 * powers[-1].bit_length() - 1 <= max(-num, num, den).bit_length():
+        powers.append(powers[-1] ** 2)
+    text = "-" * (num < 0) + _decimal(abs(num), powers)
+    return text if den == 1 else f"{text}/{_decimal(den, powers)}"
+
+
+def _decimal(i: int, powers: list[int], level: int = -1) -> str:
+    """The decimal digits of i >= 0, zero-padded to _LEAF_DIGITS 2**level digits if level >= 0.
+
+    powers[k] is 10**(_LEAF_DIGITS 2**k). Unpadded, i splits at the largest
+    power not above it; padded, at the power half its width. Below those a
+    leaf is one str call of at most _LEAF_DIGITS digits. The divisions take
+    about c**2/2 30-bit digit products for an int of c such digits (the
+    split of c digits at b costs (c - b) b, and (c - b) b + (c - b)**2/2 +
+    b**2/2 = c**2/2), as str(i) would, but with no str call past the limit.
+    """
+    if level < 0:
+        if i < powers[0]:
+            return str(i)
+        level = len(powers) - 1
+        while powers[level] > i:
+            level -= 1
+        high, low = divmod(i, powers[level])
+        return _decimal(high, powers) + _decimal(low, powers, level)
+    if level == 0:
+        return str(i).zfill(_LEAF_DIGITS)
+    high, low = divmod(i, powers[level - 1])
+    return _decimal(high, powers, level - 1) + _decimal(low, powers, level - 1)
 
 
 def parse_range(text: str) -> tuple[int, int]:

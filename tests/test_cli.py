@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -37,7 +39,54 @@ def csv_rows(out: str) -> list[dict]:
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def digit_cases() -> list[int]:
+    """Ints whose digits format_value must write as str(Decimal(i)) does.
+
+    0 and +-1; 10**m - 1, 10**m and 10**m + 1 at every split point
+    m = _LEAF_DIGITS 2**k up to past 40,000 digits, where the writer's
+    padding and its choice of split change; and seeded random ints up to
+    200,000 bits, with their negatives.
+    """
+    cases = [0, 1, -1]
+    m = cli._LEAF_DIGITS
+    while m < 2 * 40_000:
+        cases += [10**m - 1, 10**m, 10**m + 1]
+        m *= 2
+    rng = random.Random(20260)
+    for bits in (31, 1_700, 1_701, 5_000, 33_333, 80_000, 200_000):
+        i = rng.getrandbits(bits)
+        cases += [i, -i]
+    return cases
+
+
+@pytest.fixture(params=[None, 640], ids=["default-limit", "limit-640"])
+def int_str_limit(request):
+    """Run under the interpreter's limit, then under the least one it accepts, restored after."""
+    before = sys.get_int_max_str_digits()
+    if request.param is not None:
+        sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(before)
+
+
 class TestFormatting:
+    def test_ints_print_every_digit_whatever_the_limit(self, int_str_limit):
+        if int_str_limit is not None:
+            with pytest.raises(ValueError):
+                str(10**int_str_limit)
+        for i in digit_cases():
+            assert format_value(i, 12) == str(Decimal(i)), i.bit_length()
+
+    def test_fractions_print_every_digit_whatever_the_limit(self, int_str_limit):
+        rng = random.Random(7)
+        for bits in (10, 3_000, 40_000, 120_000):
+            num, den = rng.getrandbits(bits), rng.getrandbits(bits // 2) | 1
+            value = -Fraction(num, den)
+            expected = f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+            assert format_value(value, 12) == expected
+        assert format_value(Fraction(-10**5000, 3), 12) == f"-{Decimal(10**5000)}/3"
+        assert format_value(Fraction(-(10**5000)), 12) == str(Decimal(-(10**5000)))
+
     def test_fractions_render_as_ratios(self):
         assert format_value(Fraction(8, 3), 12) == "8/3"
         assert format_value(Fraction(6, 3), 12) == "2"
