@@ -69,8 +69,12 @@ def format_value(value, precision: int) -> str:
 
     Rationals print as numerator/denominator (plain integer when the
     denominator is 1) and round-trip exactly; floats print with the
-    configured number of significant digits. Every digit of an int is
-    written, by _decimal, whatever the interpreter's int-to-str limit.
+    configured number of significant digits. _decimal writes every digit
+    of an int, whatever the interpreter's int-to-str limit, in about c**2/2
+    30-bit digit products for an int of c such digits (about 1.7 ns each on
+    a 2-vCPU Xeon VM). An int whose count passes TURN_CAP raises ValueError
+    before any digit is written: ints of up to 1,341,630 bits (403,871
+    digits) print, the largest in about 1.7 s.
     """
     if isinstance(value, int):
         num, den = value, 1
@@ -78,6 +82,10 @@ def format_value(value, precision: int) -> str:
         num, den = value.numerator, value.denominator
     else:
         return f"{value:.{precision}g}"
+    for i in (num, den):
+        digits = -(-i.bit_length() // 30)
+        what = f"writing the digits of a {i.bit_length()}-bit integer"
+        chain._check_digit_products(digits * digits // 2, what)
     powers = [_LEAF_POWER]  # the split powers, squared once and shared by both ints
     while 2 * powers[-1].bit_length() - 1 <= max(-num, num, den).bit_length():
         powers.append(powers[-1] ** 2)
@@ -301,7 +309,7 @@ def _cmd_signatures(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.count_only:
-        count = format_value(2 ** (args.n - 1), DEFAULT_PRECISION)
+        count = format_value(1 << (args.n - 1), DEFAULT_PRECISION)
         _emit([(count,)], ("count",), args.format)
         return 0
     sigs = simulate.enumerate_signatures(args.n)

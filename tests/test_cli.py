@@ -578,6 +578,22 @@ class TestSignaturesCommand:
             assert code == 0
             assert json.loads(out) == [{"count": count}]
 
+    def test_count_past_the_printing_limit_is_refused_at_once(self, capsys):
+        # 2**(n - 1) has n bits, c = ceil(n / 30) digits and c**2 // 2 digit
+        # products to write: 999,983,920 at n = 1,341,630, past TURN_CAP one bit on
+        n = 1_341_630
+        code, out, _ = run(capsys, "signatures", "--n", str(n), "--count-only")
+        assert code == 0
+        count = out.splitlines()[1]
+        assert len(count) == (Decimal(2) ** (n - 1)).adjusted() + 1
+        assert count[-40:] == f"{pow(2, n - 1, 10**40):040d}"
+        for n in (n + 1, 10**8):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "signatures", "--n", str(n), "--count-only")
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert "TURN_CAP" in err
+
     def test_refuses_oversized_enumeration(self, capsys):
         code, _, err = run(capsys, "signatures", "--n", "25")
         assert code == 2
