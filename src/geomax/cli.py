@@ -82,12 +82,11 @@ def format_value(value, precision: int) -> str:
         num, den = value.numerator, value.denominator
     else:
         return f"{value:.{precision}g}"
-    for i in (num, den):
-        digits = -(-i.bit_length() // 30)
-        what = f"writing the digits of a {i.bit_length()}-bit integer"
-        chain._check_digit_products(digits * digits // 2, what)
+    bits = max(num.bit_length(), den.bit_length())
+    digits = -(-bits // 30)
+    chain._check_digit_products(digits * digits // 2, f"writing the digits of a {bits}-bit integer")
     powers = [_LEAF_POWER]  # the split powers, squared once and shared by both ints
-    while 2 * powers[-1].bit_length() - 1 <= max(-num, num, den).bit_length():
+    while 2 * powers[-1].bit_length() - 1 <= bits:  # the square may not pass 2**bits
         powers.append(powers[-1] ** 2)
     text = "-" * (num < 0) + _decimal(abs(num), powers)
     return text if den == 1 else f"{text}/{_decimal(den, powers)}"
@@ -98,10 +97,12 @@ def _decimal(i: int, powers: list[int], level: int = -1) -> str:
 
     powers[k] is 10**(_LEAF_DIGITS 2**k). Unpadded, i splits at the largest
     power not above it; padded, at the power half its width. Below those a
-    leaf is one str call of at most _LEAF_DIGITS digits. The divisions take
-    about c**2/2 30-bit digit products for an int of c such digits (the
-    split of c digits at b costs (c - b) b, and (c - b) b + (c - b)**2/2 +
-    b**2/2 = c**2/2), as str(i) would, but with no str call past the limit.
+    leaf is one str call of at most _LEAF_DIGITS digits. Dividing an
+    a-digit int by a b-digit one takes about (a - b) b 30-bit digit
+    products, so by induction an int of c such digits takes about c**2/2:
+    its split at b digits costs (c - b) b, and (c - b) b + (c - b)**2/2 +
+    b**2/2 = c**2/2. That is quadratic, as str(i) is, but no str call
+    passes the interpreter's limit.
     """
     if level < 0:
         if i < powers[0]:
