@@ -17,11 +17,13 @@ Examples::
     geomax simulate --n 4 --s 6 --trials 100000 --seed 7 --report moments
     geomax signatures --n 4
 
-Exit codes: 0 success, 1 verification failure (compare), 2 usage error,
-3 numeric failure (an ArithmeticError, such as a cancellation with fallback
-disabled, or a simulated game past the turn cap). The environment variable
-GEOMAX_PRECISION overrides the default 12 significant digits of rendered
-output; --precision beats both.
+Exit codes: 0 success, 1 verification failure (compare), 2 usage error or
+refused input (a ValueError naming the limit it passed, such as TURN_CAP
+or MEMORY_BUDGET), 3 numeric failure (an ArithmeticError, such as a
+cancellation with fallback disabled, or a simulated game past its turn
+cap). Exact values print every digit, as numerator/denominator. The
+environment variable GEOMAX_PRECISION overrides the default 12 significant
+digits of rendered output; --precision beats both.
 """
 
 from __future__ import annotations

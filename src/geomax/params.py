@@ -40,7 +40,8 @@ class GameNotFinishedError(RuntimeError):
 #: ValueError before the first row, and an exact chain walk with the
 #: Fractions it returns (at n = s = 10 a point passes to 3,336 turns and a
 #: profile to 1,007, each in about 1 s on a 2-vCPU Xeon VM) before its
-#: matrix is built.
+#: matrix is built. The CLI holds writing the digits of an exact int to it
+#: the same way (cli.format_value).
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
