@@ -88,7 +88,7 @@ def format_value(value, precision: int) -> str:
     digits = -(-bits // 30)
     chain._check_digit_products(digits * digits // 2, f"writing the digits of a {bits}-bit integer")
     powers = [_LEAF_POWER]  # the split powers, squared once and shared by both ints
-    while 2 * powers[-1].bit_length() - 1 <= bits:  # the square may not pass 2**bits
+    while 2 * powers[-1].bit_length() - 1 <= bits:  # its square may still lie below 2**bits
         powers.append(powers[-1] ** 2)
     text = "-" * (num < 0) + _decimal(abs(num), powers)
     return text if den == 1 else f"{text}/{_decimal(den, powers)}"

@@ -580,7 +580,8 @@ class TestSignaturesCommand:
 
     def test_count_past_the_printing_limit_is_refused_at_once(self, capsys):
         # 2**(n - 1) has n bits, c = ceil(n / 30) digits and c**2 // 2 digit
-        # products to write: 999,983,920 at n = 1,341,630, past TURN_CAP one bit on
+        # products to write: 999,983,920 at n = 1,341,630; one bit more
+        # passes TURN_CAP
         n = 1_341_630
         code, out, _ = run(capsys, "signatures", "--n", str(n), "--count-only")
         assert code == 0
