@@ -16,20 +16,22 @@ to pay for M**64 advances 64 turns per pair of matrix products; exact mode
 and short walks step one turn per product. Each entry point checks its
 limits before its work starts: TURN_CAP rows or turns, MEMORY_BUDGET bytes,
 and in exact mode TURN_CAP 30-bit digit products of its big-int work, a
-count bounded from n and bit_length(s) alone.
+count bounded from n and s alone.
 Each function that runs numpy imports it itself, so importing geomax,
 and every call that never reaches the chain, leaves numpy unloaded.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 from .kernels import _U, _float_p
-from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode, check_memory
+from .params import FLOAT, TURN_CAP, GameParams, NumericMode, check_memory
 
 
 @dataclass(frozen=True)
@@ -173,23 +175,47 @@ def _check_digit_products(products: int, what: str) -> None:
         )
 
 
-def _recursion_products(params: GameParams) -> int:
-    """Bound on the digit products of _integer_recursion's Horner sums, from n and bit_length(s).
+def _lcm_bits(params: GameParams) -> int:
+    """Bound on the bits of L = lcm(d_1, ..., d_n), d_k = s**k - (s-1)**k, in O(1) for any n and s.
 
-    Step j < k of row k multiplies the accumulators, within D_k and D_k**2
-    with D_k = d_1 ... d_k below s**(k(k+1)/2), by d_j < s**j and d_j**2,
-    and r_k[j] < s**k by N_j and Q_j, within D_j and D_j**2. Schoolbook
-    multiplication of an a-digit int by a b-digit one takes a b digit
-    products, and squaring at most doubles the digits, so with c_m and a_m
-    the digits of s**m and s**(m(m+1)/2) (_digits) the step takes at most
-    5 a_k c_j + 3 c_k a_j.
+    d_k is the product over m | k of Phi_m(s, s-1), phi(m) factors s - z (s-1)
+    with z a root of unity, and Phi_1 = 1, so L divides their product over
+    2 <= m <= n: log2 L <= F log2(2s-1), F = sum_{2<=m<=n} phi(m). F < n**2/2,
+    and F < 3n**2/pi**2 + n ln n + n/2, as 2F + 1 is the sum over d <= n of
+    mu(d) floor(n/d)**2, each floor squared within 2n/d of (n/d)**2. And
+    log2(2s-1) < t + bit_length(h**16) / 16, for 2s-1 shifted right by t
+    bits to keep its top 64 bits and h one more than those.
     """
-    products = digits_below = triangle_digits_below = 0  # sums of c_j and a_j over j < k
-    for k in range(1, params.n + 1):
-        digits, triangle_digits = _digits(params, k), _digits(params, k * (k + 1) // 2)
-        products += 5 * triangle_digits * digits_below + 3 * digits * triangle_digits_below
-        digits_below += digits
-        triangle_digits_below += triangle_digits
+    n, odd = params.n, 2 * params.s - 1
+    totients = (3040 * n * n + 6932 * n * n.bit_length() + 5000 * n) // 10000 + 1
+    shift = max(odd.bit_length() - 64, 0)
+    sixteenths = 16 * shift + (((odd >> shift) + 1) ** 16).bit_length()
+    return min(n * (n - 1) // 2, totients) * sixteenths // 16 + 1
+
+
+def _recursion_products(params: GameParams) -> int:
+    """Bound on the digit products of _moment_recursion in exact mode, from n and s.
+
+    Schoolbook arithmetic takes x y digit products to multiply x digits by
+    y or to divide x + y digits by y, and x**2 for a gcd of x digits. With
+    c_k, l, a and b the digits of s**k (_digits), of L (_lcm_bits), of
+    A_j < L n s and of B_j < 2 L**2 n**2 s**2 (T_j is at most j turn counts
+    summed, of mean s and second moment 2s**2 - s), and e_k those of row
+    k's entries C(k, j) (s-1)**j < 2**(k + j bit_length(s)), 0 < j < k, in
+    all: L takes, per k, s**k, (s-1)**k and an lcm step
+    (c_k (2 c_1 + c_k + 3l)), then L**2 (l**2); row k takes s**k, s**k L
+    and s**k L**2 (c_k (c_1 + 3l)), two dot products and exact divisions
+    by d_k ((e_k + c_k) (a + b)), and s**k L A_k ((c_k + l) a).
+    """
+    n, s = params.n, params.s
+    lcm_bits, size = _lcm_bits(params), n.bit_length() + s.bit_length()
+    lcm, a, b = (-(-bits // 30) for bits in (lcm_bits, lcm_bits + size, 2 * (lcm_bits + size) + 1))
+    one, products = _digits(params, 1), lcm * lcm
+    for k in range(1, n + 1):
+        digits = _digits(params, k)
+        entries = (s.bit_length() * k * (k - 1) // 2 + k * k) // 30 + k
+        products += digits * (3 * one + digits + 6 * lcm) + (digits + lcm) * a
+        products += (entries + digits) * (a + b)
     return products
 
 
@@ -214,87 +240,60 @@ def _walk_products(params: GameParams, length: int, first: int) -> int:
     return (n + 1) * (n + 2) // 2 * _digits(params, n) * walk + _digits(params, n * last) * reduced
 
 
-def _integer_recursion(params: GameParams) -> Iterator[tuple[int, int, int]]:
-    """(N_k, Q_k, D_k) for k = 1..n: E(T_k) = N_k / D_k and E(T_k**2) = Q_k / D_k**2.
+def _moment_recursion(params: GameParams, mode: NumericMode) -> tuple[np.ndarray, np.ndarray, int]:
+    """(first, second, L): L E(T_k) and L**2 E(T_k**2) for k = 0..n, in two arrays.
 
-    With r_k the integer row k and d_k = s**k - (s-1)**k = sum_{j<k} r_k[j],
-    multiplying second_moments_recursive's recursions by s**k gives
-    E(T_k) = (s**k + sum_j r_k[j] E(T_j)) / d_k and
-    E(T_k**2) = (sum_j r_k[j] E(T_j**2) - s**k + 2 s**k E(T_k)) / d_k.
-    Over D_k = d_1 ... d_k they become integer recursions,
-    N_k = s**k D_{k-1} + sum_{j<k} r_k[j] N_j prod_{j<i<k} d_i and
-    Q_k = d_k (sum_{j<k} r_k[j] Q_j prod_{j<i<k} d_i**2 - s**k D_{k-1}**2)
-          + 2 s**k N_k D_{k-1},
-    both sums taken by Horner's rule; nothing is reduced. Before the
-    first row, sums past TURN_CAP digit products (_recursion_products)
-    raise ValueError.
+    With r_k row k of _survivor_rows, d_k = sum_{j<k} r_k[j] and w_k its
+    weight (1 for the law, s**k for the integer row), from state 0 on,
+    E(T_k) = (w_k + sum_{j<k} r_k[j] E(T_j)) / d_k and
+    E(T_k**2) = (sum_{j<k} r_k[j] E(T_j**2) - w_k + 2 w_k E(T_k)) / d_k.
+    Float mode runs them on the law, with L = 1; exact mode on the integer
+    rows, times L = lcm(d_1, ..., d_n) and L**2, which by the closed sums
+    make every state an integer, so it divides exactly. Before L and the
+    first row, work past TURN_CAP digit products raises ValueError.
     """
-    rows = islice(_survivor_rows(params, EXACT), 1, None)  # rows past TURN_CAP refuse here
-    what = f"the exact recursion at n={params.n}, s={params.s}"
-    _check_digit_products(_recursion_products(params), what)
-    numerators, squares, complements, complement_squares = [0], [0], [1], [1]  # state 0
-    denominator = 1  # D_{k-1}
-    for k, row in enumerate(rows, start=1):
-        row = row.tolist()
-        power = params.s**k
-        complement = sum(row[:k])  # d_k = s**k - (s-1)**k >= 1, so never 0
-        first = second = 0
-        for j in range(1, k):
-            first = first * complements[j] + row[j] * numerators[j]
-            second = second * complement_squares[j] + row[j] * squares[j]
-        numerator = power * denominator + first
-        square = complement * (second - power * denominator**2)
-        square += 2 * power * numerator * denominator
-        denominator *= complement
-        numerators.append(numerator)
-        squares.append(square)
-        complements.append(complement)
-        complement_squares.append(complement * complement)
-        yield numerator, square, denominator
-
-
-def _float_recursion(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments from every state, in doubles, as two arrays."""
     import numpy as np
-    rows = islice(_survivor_rows(params, FLOAT), 1, None)  # rows past TURN_CAP refuse here
-    first, second = np.zeros((2, params.n + 1))
+    n, s = params.n, params.s
+    rows = islice(_survivor_rows(params, mode), 1, None)  # rows past TURN_CAP refuse here
+    if mode.exact:
+        _check_digit_products(_recursion_products(params), f"the exact recursion at n={n}, s={s}")
+        tops, lows = (accumulate(repeat(base, n), operator.mul) for base in (s, s - 1))
+        base, unit, divide = s, math.lcm(*map(operator.sub, tops, lows)), operator.floordiv
+    else:
+        base, unit, divide = 1, 1, operator.truediv
+    weight, square = 1, unit * unit
+    first, second = np.zeros((2, n + 1), object if mode.exact else float)
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
         for k, row in enumerate(rows, start=1):
-            # 1 - P[k][k] sums nonnegative entries, so nothing cancels. It is exactly
-            # 1 - q**k >= p, so its largest entry is at least p/k: never 0 for a normal p
+            # d_k sums nonnegative entries, so nothing cancels; in floats the largest is >= p/k
             complement = row[:k].sum()
-            first[k] = (1 + row[1:k] @ first[1:k]) / complement
-            second[k] = (row[1:k] @ second[1:k] - 1 + 2 * first[k]) / complement
-    return first, second
+            weight *= base
+            lead = weight * unit
+            first[k] = divide(lead + row[1:k] @ first[1:k], complement)
+            top = row[1:k] @ second[1:k] - weight * square + 2 * (lead * first[k])
+            second[k] = divide(top, complement)
+    return first, second, unit
 
 
 def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
-    """First and second moments of the absorption time, bottom-up.
+    """First and second moments of the absorption time from every state, bottom-up.
 
-    E(T_k) = (1 + sum_{j<k} P[k][j] * E(T_j)) / (1 - P[k][k]) and
-    E(T_k**2) = (sum_{j<k} P[k][j] * E(T_j**2) - 1 + 2 E(T_k)) / (1 - P[k][k]),
-    both from E(T_0) = E(T_0**2) = 0, streaming the rows in O(n) memory.
-    Exact mode runs them on integers (_integer_recursion) and reduces
-    each state's Fractions once.
+    _moment_recursion runs the one-step recursions on the rows, streamed
+    in O(n) memory; exact mode reduces each state's Fractions once.
     """
+    first, second, unit = _moment_recursion(params, mode)
+    first, second = first.tolist(), second.tolist()
     if mode.exact:
-        states = [
-            (Fraction(num, den), Fraction(sq, den * den))
-            for num, sq, den in _integer_recursion(params)
-        ]
-        first, second = ((Fraction(0), *column) for column in zip(*states))
-    else:
-        first, second = (tuple(column.tolist()) for column in _float_recursion(params))
-    return AbsorptionProfile(params=params, first_moments=first, second_moments=second)
+        square = unit * unit
+        first, second = [Fraction(v, unit) for v in first], [Fraction(v, square) for v in second]
+    return AbsorptionProfile(params, tuple(first), tuple(second))
 
 
 def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
-    """(E(T_n), E(T_n**2)) by second_moments_recursive; exact mode reduces state n only."""
-    if mode.exact:
-        *_, (num, sq, den) = _integer_recursion(params)
-        return Fraction(num, den), Fraction(sq, den * den)
-    first, second = _float_recursion(params)
-    return first.item(-1), second.item(-1)
+    """(E(T_n), E(T_n**2)) by _moment_recursion; exact mode reduces state n only."""
+    first, second, unit = _moment_recursion(params, mode)
+    mean, m2 = first.item(-1), second.item(-1)
+    return (Fraction(mean, unit), Fraction(m2, unit * unit)) if mode.exact else (mean, m2)
 
 
 #: Turns per block of a long float chain walk: a block costs one product with

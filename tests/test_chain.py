@@ -151,14 +151,27 @@ class TestRecursiveMoments:
 
     def test_exact_recursion_equals_closed_moments_on_the_grid(self):
         # every n <= s <= 20, relaxed pairs with more dice than faces, and
-        # two pairs whose C(n, k) pass 2**53 and 2**64
+        # two pairs whose C(n, k) pass 2**53 and 2**64. State k of the (n, s)
+        # recursion is the game (k, s), so every state is checked, which
+        # catches a state over the wrong denominator; at the two large pairs
+        # spot states keep the test fast
+        closed = {}
+
+        def closed_moments(k, s):
+            if (k, s) not in closed:
+                report = moment_report(GameParams(k, s, relaxed=k > s), EXACT, "closed")
+                closed[k, s] = (report.mean, report.second_moment)
+            return closed[k, s]
+
         pairs = [(n, s) for s in range(1, 21) for n in range(1, s + 1)]
         for n, s in pairs + [(5, 3), (7, 2), (4, 1), (60, 61), (100, 102)]:
             params = GameParams(n, s, relaxed=n > s)
             profile = second_moments_recursive(params, EXACT)
-            closed = moment_report(params, EXACT, "closed")
-            assert profile.first_moments[n] == closed.mean, (n, s)
-            assert profile.second_moments[n] == closed.second_moment, (n, s)
+            states = range(1, n + 1) if n <= 20 else (1, 2, n // 2, n - 1, n)
+            for k in states:
+                state = (profile.first_moments[k], profile.second_moments[k])
+                assert state == closed_moments(k, s), (n, s, k)
+            assert profile.first_moments[0] == profile.second_moments[0] == 0
             assert all(type(value) is Fraction for value in profile.first_moments)
             assert all(type(value) is Fraction for value in profile.second_moments)
             # the report reduces state n only, to the profile's value
@@ -166,6 +179,20 @@ class TestRecursiveMoments:
             assert report.mean == profile.first_moments[n], (n, s)
             assert report.second_moment == profile.second_moments[n], (n, s)
             assert type(report.mean) is Fraction and type(report.second_moment) is Fraction
+
+    def test_float_profile_states_equal_the_smaller_games_bit_for_bit(self):
+        # row k is built by the same Pascal steps whatever n is, so state k
+        # of the (n, s) recursion is the (k, s) result, for every n <= s <= 40
+        reports = {}
+        for s in range(1, 41):
+            for k in range(1, s + 1):
+                report = moment_report(GameParams(k, s), method="recursive")
+                reports[k] = (report.mean.hex(), report.second_moment.hex())
+            for n in range(1, s + 1):
+                profile = second_moments_recursive(GameParams(n, s))
+                for k in range(1, n + 1):
+                    state = (profile.first_moments[k].hex(), profile.second_moments[k].hex())
+                    assert state == reports[k], (n, s, k)
 
     def test_float_recursion_close_to_exact(self):
         for n, s in [(2, 2), (5, 9), (12, 12)]:
