@@ -117,7 +117,7 @@ LONG_WALKS = ((200, 200), (2, 4000))
 #: where the float q rounds to 1, a recursion whose values pass the
 #: doubles, one where the float 1/s rounds to 0, one whose rows pass
 #: TURN_CAP entries, a chain whose matrices pass the budget, and an exact
-#: recursion whose Horner sums pass TURN_CAP digit products.
+#: recursion and exact closed sums that pass TURN_CAP digit products.
 REFUSALS = (
     (60, 2**1022, FLOAT, "series"),
     (60, 2**1022, FLOAT, "auto"),
@@ -127,6 +127,7 @@ REFUSALS = (
     (10**6, 10**6, FLOAT, "recursive"),
     (10**6, 10**6, FLOAT, "matrix-power"),
     (10**4, 10**4, EXACT, "recursive"),
+    (2000, 2000, EXACT, "closed"),
 )
 
 #: Transition matrices whose Python rows pass MEMORY_BUDGET, as (n, mode),
@@ -234,6 +235,7 @@ CLI_CALLS = (
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method matrix-power",
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method recursive",
     f"geomax compute --n {10**4} --s {10**4} --quantity mean --method recursive --mode exact",
+    "geomax compute --n 2000 --s 2000 --quantity mean --mode exact",
     f"geomax compute --n 10 --s 10 --quantity cdf --y {10**5} --method matrix-power --mode exact",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",

@@ -9,8 +9,9 @@ and the second moment:
   sum's condition number;
 * _exact_closed_moments, the same sums in exact mode: integers merged
   over the lcm of the terms' denominators, one Fraction built per
-  returned value. Both read the integer terms of _closed_terms, which,
-  like the exact pmf, takes powers and C(n, k) from _binomial_powers;
+  returned value, within TURN_CAP digit products. Both read the integer
+  terms of _closed_terms, which, like the exact pmf, takes powers and
+  C(n, k) from _binomial_powers;
 * _survival_sums, the positive survival sums for the mean (weight 1)
   and the second moment (weight 2t+1), float only. It reads the terms
   P(Y > t) from a source and ends them by a tail: the closed form here
@@ -39,6 +40,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+from .chain import _check_digit_products, _digits, _lcm_bits
 from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
 
@@ -156,6 +158,52 @@ def _closed_sums(params: GameParams) -> tuple[tuple[float, float], ...]:
         return ((math.nan, math.inf),) * 2
 
 
+def _closed_products(params: GameParams) -> int:
+    """Bound on the digit products of _exact_closed_moments, from n and s in O(log n).
+
+    Counted as chain._recursion_products counts; besides, a product whose
+    result has at most w digits takes at most (w + 1)**2 / 4, as its
+    factors' digits sum to at most w + 1. With c the digits of 2 s**n,
+    which bound s**k, (s-1)**k, their sum and Q_k, and e those of n bits,
+    which bound C(n, k) < 2**n, a term takes the steps of s**k and (s-1)**k
+    (2 c c_1), of C(n, k) (2 e times the digits of n), P_k (e c) and R_k
+    ((e + c) c). A node h levels up the merge tree holds the terms of at
+    most 2**h consecutive k <= n. Its Q is the lcm of their Q_k, below
+    their product, so below s**(2**h n), and dividing L, whose bits
+    chain._lcm_bits bounds: at most x_h digits. As Q_k >= s**(k-1),
+    |P_k| / Q_k <= C(n, k) s and |R_k| / Q_k**2 <= 2 C(n, k) s**2, so
+    |P| < Q s 2**n and |R| < 2 Q**2 s**2 2**n, of y and z digits when Q has
+    x. A merge into a node of x digits takes a gcd (x**2), two divisions
+    by it and Q1 f1 (3 (x + 1)**2 / 4), two P f, two f**2 and two R f**2
+    (((y + 1)**2 + (2x + 1)**2 + (z + 1)**2) / 2): a convex f(x), so at most
+    f(0) + x (f(x_h) - f(0)) / x_h, and the nodes of a level hold at most
+    as many digits as all Q_k. The root reduces P / Q, R / Q**2 and
+    (R - P**2) / Q**2, each a gcd and two divisions, after Q**2 and P**2.
+    """
+    n, one = params.n, params.s.bit_length()
+    c, e, lcm_bits = _digits(params, n) + 1, -(-n // 30), _lcm_bits(params)
+    p_more, r_more = -(-(one + n) // 30), -(-(2 * one + n + 1) // 30)  # y - x, z - 2x
+    total = one * n * (n + 1) // 60 + n  # digits of all Q_k
+
+    def merge(x: int) -> int:  # four times f(x)
+        y, z = x + p_more, 2 * x + r_more
+        return 4 * x * x + 3 * (x + 1) ** 2 + 2 * ((y + 1) ** 2 + (2 * x + 1) ** 2 + (z + 1) ** 2)
+
+    terms = c * (2 * _digits(params, 1) + 2 * e + c) + 2 * e * -(-n.bit_length() // 30)
+    quarters, count, h = 4 * n * terms, n, 0
+    x = -(-min(n * one, lcm_bits) // 30)  # a lone term's Q_k
+    while count > 1:
+        merges, h = count // 2, h + 1
+        count -= merges
+        x = -(-min((n << h) * one, lcm_bits) // 30)
+        rise = merge(x) - merge(0)
+        quarters += merges * merge(0) + (min(merges * x, total) * rise + x - 1) // x
+    y, z = x + p_more, 2 * x + r_more
+    quarters += (2 * x + 1) ** 2 + (2 * y + 1) ** 2 + 4 * x * y + (x + 1) ** 2 + (y + 1) ** 2
+    quarters += 2 * (8 * x * z + (2 * x + 1) ** 2 + (z + 1) ** 2)
+    return -(-quarters // 4)
+
+
 def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fraction]:
     """(mean, second moment, variance) of the closed sums, as Fractions.
 
@@ -163,8 +211,12 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
     their lcm: with g = gcd(Q1, Q2), f1 = Q2 / g and f2 = Q1 / g,
     Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The balanced
     tree keeps the products even, and each returned value is reduced
-    once: P / Q, R / Q**2 and (R - P**2) / Q**2.
+    once: P / Q, R / Q**2 and (R - P**2) / Q**2. Sums past TURN_CAP
+    digit products (_closed_products) raise ValueError before the first
+    term.
     """
+    what = f"the exact closed sums at n={params.n}, s={params.s}"
+    _check_digit_products(_closed_products(params), what)
     level = list(_closed_terms(params))
     while len(level) > 1:
         merged = []

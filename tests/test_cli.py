@@ -366,6 +366,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "digit products, past TURN_CAP" in err
 
+    @pytest.mark.parametrize("n, s", [(2000, 2000), (16, 10**4299)])
+    def test_exact_closed_sums_past_the_turn_cap_are_a_usage_error(self, capsys, n, s):
+        # at n = s = 2000 the sums would run for about 40 minutes, at
+        # (16, 10**4299), about the largest s the CLI parses, for about 16 s
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "compute", "--n", str(n), "--s", str(s), "--quantity", "mean", "--mode", "exact"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the exact closed sums at n=")
+        assert "digit products, past TURN_CAP" in err
+
     def test_recursion_past_the_double_range_is_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "compute", "--n", "2", "--s", str(2**1100), "--quantity", "mean", "--method", "recursive"

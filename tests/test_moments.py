@@ -47,10 +47,13 @@ from geomax import (
     var_bounds_elementary,
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
+from geomax import chain as chain_module
+from geomax import moments as moments_module
 from geomax.moments import (
     _binomial_powers,
     _bracket_power,
     _closed_form_terms,
+    _closed_products,
     _closed_sums,
     _exact_closed_moments,
     _exact_sum,
@@ -58,6 +61,10 @@ from geomax.moments import (
 )
 from geomax.params import TURN_CAP
 from geomax.report import MOMENTS, ROUTES
+
+def not_called(*args):
+    raise AssertionError("called before its budget was checked")
+
 
 #: The quantile levels of scripts/route_snapshot.py.
 SNAPSHOT_LEVELS = runpy.run_path(
@@ -293,6 +300,37 @@ class TestClosedMoments:
                 for term in CLOSED_SUM_TERMS
             )
             assert _exact_closed_moments(params) == (mean, m2, m2 - mean**2), params
+
+    def test_exact_closed_sums_past_the_turn_cap_are_refused_before_the_terms(self, monkeypatch):
+        # n = s = 220 passes (about 0.3 s on a 2-vCPU Xeon VM), and at
+        # 2000, about 40 minutes of sums, the count is refused at once
+        assert _closed_products(GameParams(220, 220)) <= TURN_CAP < _closed_products(GameParams(221, 221))
+        monkeypatch.setattr(moments_module, "_closed_terms", not_called)
+        for params in (GameParams(221, 221), GameParams(2000, 2000), GameParams(16, 10**4299)):
+            message = f"exact closed sums at n={params.n}, s={params.s} takes up to [0-9]+ digit products"
+            start = time.perf_counter()
+            for call in (lambda: _exact_closed_moments(params), lambda: moment_report(params, EXACT)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            assert time.perf_counter() - start < 1
+
+    def test_the_turn_cap_is_compared_with_the_closed_sums_digit_products(self, monkeypatch):
+        params = GameParams(5, 7)
+        products = _closed_products(params)
+        expected = _exact_closed_moments(params)
+        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        assert _exact_closed_moments(params) == expected
+        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
+            moment_report(params, EXACT, "closed")
+
+    @pytest.mark.parametrize("s", range(150, 155))
+    def test_exact_closed_sums_answer_at_the_benchmarks_sizes(self, s):
+        # cliffs' exact closed class, well inside TURN_CAP digit products
+        params = GameParams(150, s)
+        report = moment_report(params, EXACT, "closed")
+        series = moment_report(params, method="series")
+        assert abs(report.mean - Fraction(series.mean)) <= series.error_bound
 
     def test_float_kernel_matches_the_rounded_terms_bit_for_bit(self):
         # each term rounded once from its reduced Fraction, each sum an fsum,
