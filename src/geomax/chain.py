@@ -240,8 +240,8 @@ def _walk_products(params: GameParams, length: int, first: int) -> int:
     return (n + 1) * (n + 2) // 2 * _digits(params, n) * walk + _digits(params, n * last) * reduced
 
 
-def _moment_recursion(params: GameParams, mode: NumericMode) -> tuple[np.ndarray, np.ndarray, int]:
-    """(first, second, L): L E(T_k) and L**2 E(T_k**2) for k = 0..n, in two arrays.
+def _moment_recursion(params: GameParams, mode: NumericMode) -> tuple:
+    """(first, second, L): L E(T_k) and L**2 E(T_k**2) for k = 0..n, as float arrays or int lists.
 
     With r_k row k of _survivor_rows, d_k = sum_{j<k} r_k[j] and w_k its
     weight (1 for the law, s**k for the integer row), from state 0 on,
@@ -259,18 +259,21 @@ def _moment_recursion(params: GameParams, mode: NumericMode) -> tuple[np.ndarray
         _check_digit_products(_recursion_products(params), f"the exact recursion at n={n}, s={s}")
         tops, lows = (accumulate(repeat(base, n), operator.mul) for base in (s, s - 1))
         base, unit, divide = s, math.lcm(*map(operator.sub, tops, lows)), operator.floordiv
+        rows, total = map(np.ndarray.tolist, rows), sum  # plain lists skip numpy's per-call cost
+        dot = lambda row, states: sum(map(operator.mul, row, states))
+        first, second = [0] * (n + 1), [0] * (n + 1)
     else:
-        base, unit, divide = 1, 1, operator.truediv
+        base, unit, divide, total, dot = 1, 1, operator.truediv, np.ndarray.sum, operator.matmul
+        first, second = np.zeros((2, n + 1))
     weight, square = 1, unit * unit
-    first, second = np.zeros((2, n + 1), object if mode.exact else float)
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
         for k, row in enumerate(rows, start=1):
             # d_k sums nonnegative entries, so nothing cancels; in floats the largest is >= p/k
-            complement = row[:k].sum()
+            complement = total(row[:k])
             weight *= base
             lead = weight * unit
-            first[k] = divide(lead + row[1:k] @ first[1:k], complement)
-            top = row[1:k] @ second[1:k] - weight * square + 2 * (lead * first[k])
+            first[k] = divide(lead + dot(row[1:k], first[1:k]), complement)
+            top = dot(row[1:k], second[1:k]) - weight * square + 2 * (lead * first[k])
             second[k] = divide(top, complement)
     return first, second, unit
 
@@ -282,18 +285,20 @@ def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> A
     in O(n) memory; exact mode reduces each state's Fractions once.
     """
     first, second, unit = _moment_recursion(params, mode)
-    first, second = first.tolist(), second.tolist()
     if mode.exact:
         square = unit * unit
         first, second = [Fraction(v, unit) for v in first], [Fraction(v, square) for v in second]
+    else:
+        first, second = first.tolist(), second.tolist()
     return AbsorptionProfile(params, tuple(first), tuple(second))
 
 
 def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
     """(E(T_n), E(T_n**2)) by _moment_recursion; exact mode reduces state n only."""
     first, second, unit = _moment_recursion(params, mode)
-    mean, m2 = first.item(-1), second.item(-1)
-    return (Fraction(mean, unit), Fraction(m2, unit * unit)) if mode.exact else (mean, m2)
+    if mode.exact:
+        return Fraction(first[-1], unit), Fraction(second[-1], unit * unit)
+    return first.item(-1), second.item(-1)
 
 
 #: Turns per block of a long float chain walk: a block costs one product with

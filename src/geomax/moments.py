@@ -190,14 +190,13 @@ def _closed_products(params: GameParams) -> int:
         return 4 * x * x + 3 * (x + 1) ** 2 + 2 * ((y + 1) ** 2 + (2 * x + 1) ** 2 + (z + 1) ** 2)
 
     terms = c * (2 * _digits(params, 1) + 2 * e + c) + 2 * e * -(-n.bit_length() // 30)
-    quarters, count, h = 4 * n * terms, n, 0
+    quarters, count, h, least = 4 * n * terms, n, 0, merge(0)
     x = -(-min(n * one, lcm_bits) // 30)  # a lone term's Q_k
     while count > 1:
         merges, h = count // 2, h + 1
         count -= merges
         x = -(-min((n << h) * one, lcm_bits) // 30)
-        rise = merge(x) - merge(0)
-        quarters += merges * merge(0) + (min(merges * x, total) * rise + x - 1) // x
+        quarters += merges * least + (min(merges * x, total) * (merge(x) - least) + x - 1) // x
     y, z = x + p_more, 2 * x + r_more
     quarters += (2 * x + 1) ** 2 + (2 * y + 1) ** 2 + 4 * x * y + (x + 1) ** 2 + (y + 1) ** 2
     quarters += 2 * (8 * x * z + (2 * x + 1) ** 2 + (z + 1) ** 2)
