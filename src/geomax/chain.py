@@ -207,13 +207,12 @@ def _recursion_products(params: GameParams) -> int:
     and s**k L**2 (c_k (c_1 + 3l)), two dot products and exact divisions
     by d_k ((e_k + c_k) (a + b)), and s**k L A_k ((c_k + l) a).
     """
-    n, s = params.n, params.s
-    lcm_bits, size = _lcm_bits(params), n.bit_length() + s.bit_length()
+    n, width = params.n, params.s.bit_length()
+    lcm_bits, size = _lcm_bits(params), n.bit_length() + width
     lcm, a, b = (-(-bits // 30) for bits in (lcm_bits, lcm_bits + size, 2 * (lcm_bits + size) + 1))
     one, products = _digits(params, 1), lcm * lcm
     for k in range(1, n + 1):
-        digits = _digits(params, k)
-        entries = (s.bit_length() * k * (k - 1) // 2 + k * k) // 30 + k
+        digits, entries = -(-k * width // 30), (width * k * (k - 1) // 2 + k * k) // 30 + k
         products += digits * (3 * one + digits + 6 * lcm) + (digits + lcm) * a
         products += (entries + digits) * (a + b)
     return products

@@ -175,28 +175,26 @@ def _closed_products(params: GameParams) -> int:
     |P| < Q s 2**n and |R| < 2 Q**2 s**2 2**n, of y and z digits when Q has
     x. A merge into a node of x digits takes a gcd (x**2), two divisions
     by it and Q1 f1 (3 (x + 1)**2 / 4), two P f, two f**2 and two R f**2
-    (((y + 1)**2 + (2x + 1)**2 + (z + 1)**2) / 2): a convex f(x), so at most
-    f(0) + x (f(x_h) - f(0)) / x_h, and the nodes of a level hold at most
-    as many digits as all Q_k. The root reduces P / Q, R / Q**2 and
-    (R - P**2) / Q**2, each a gcd and two divisions, after Q**2 and P**2.
+    (((y + 1)**2 + (2x + 1)**2 + (z + 1)**2) / 2), in all
+    (25 x**2 + beta x + gamma) / 4. So the m merges of a level take at most
+    (m gamma + X (25 x_h + beta)) / 4, where X, the digits of their nodes'
+    Q, is at most m x_h and at most the digits of all Q_k. The root reduces
+    P / Q, R / Q**2 and (R - P**2) / Q**2, each a gcd and two divisions,
+    after Q**2 and P**2.
     """
     n, one = params.n, params.s.bit_length()
     c, e, lcm_bits = _digits(params, n) + 1, -(-n // 30), _lcm_bits(params)
     p_more, r_more = -(-(one + n) // 30), -(-(2 * one + n + 1) // 30)  # y - x, z - 2x
+    beta, gamma = 26 + 4 * p_more + 8 * r_more, 5 + 2 * (p_more + 1) ** 2 + 2 * (r_more + 1) ** 2
     total = one * n * (n + 1) // 60 + n  # digits of all Q_k
-
-    def merge(x: int) -> int:  # four times f(x)
-        y, z = x + p_more, 2 * x + r_more
-        return 4 * x * x + 3 * (x + 1) ** 2 + 2 * ((y + 1) ** 2 + (2 * x + 1) ** 2 + (z + 1) ** 2)
-
     terms = c * (2 * _digits(params, 1) + 2 * e + c) + 2 * e * -(-n.bit_length() // 30)
-    quarters, count, h, least = 4 * n * terms, n, 0, merge(0)
+    quarters, count, h = 4 * n * terms, n, 0
     x = -(-min(n * one, lcm_bits) // 30)  # a lone term's Q_k
     while count > 1:
         merges, h = count // 2, h + 1
         count -= merges
         x = -(-min((n << h) * one, lcm_bits) // 30)
-        quarters += merges * least + (min(merges * x, total) * (merge(x) - least) + x - 1) // x
+        quarters += merges * gamma + min(merges * x, total) * (25 * x + beta)
     y, z = x + p_more, 2 * x + r_more
     quarters += (2 * x + 1) ** 2 + (2 * y + 1) ** 2 + 4 * x * y + (x + 1) ** 2 + (y + 1) ** 2
     quarters += 2 * (8 * x * z + (2 * x + 1) ** 2 + (z + 1) ** 2)
