@@ -7,13 +7,15 @@ arrays or, in exact mode, on integer object arrays holding the rows times
 s**k, so no C(k, j) is ever converted to float and exact mode builds a
 Fraction only for a value it returns.
 The rows feed the transition matrix, whose Python rows are built straight
-from them, the one-step recursions for the first and second moments of
-the absorption time from every start state, and, as an independent route,
-the chain walk that pushes the start state through the turns to get
+from them, the float one-step recursions for the first and second moments
+of the absorption time from every start state, and, as an independent
+route, the chain walk that pushes the start state through the turns to get
 P(T <= t) on the rows stacked into one array, whose survival terms
 moments._survival_sums turns into the moments. A float walk long enough
 to pay for M**64 advances 64 turns per pair of matrix products; exact mode
-and short walks step one turn per product. Each entry point checks its
+and short walks step one turn per product. Exact mode runs the same
+recursion body on no rows: it sums the earlier states by the binomial
+transform, in big-int additions. Each entry point checks its
 limits before its work starts: TURN_CAP rows or turns, MEMORY_BUDGET bytes,
 and in exact mode TURN_CAP 30-bit digit products of its big-int work, a
 count bounded from n and s alone.
@@ -63,6 +65,15 @@ class AbsorptionProfile:
     second_moments: tuple[float | Fraction, ...]
 
 
+def _check_entries(n: int) -> None:
+    """Raise ValueError naming TURN_CAP if rows 0..n hold more entries than it, (n+1)(n+2)/2."""
+    entries = (n + 1) * (n + 2) // 2
+    if entries > TURN_CAP:
+        raise ValueError(
+            f"the transition rows at n={n} hold {entries} entries, past TURN_CAP = {TURN_CAP}"
+        )
+
+
 def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
     """Rows k = 0..n of the transition matrix, row k holding its entries j = 0..k.
 
@@ -73,17 +84,12 @@ def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray
     more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
     when it is called, before any row is built.
     """
-    n = params.n
-    entries = (n + 1) * (n + 2) // 2
-    if entries > TURN_CAP:
-        raise ValueError(
-            f"the transition rows at n={n} hold {entries} entries, past TURN_CAP = {TURN_CAP}"
-        )
+    _check_entries(params.n)
     import numpy as np
     p, q, dtype = (1, params.s - 1, object) if mode.exact else (_float_p(params), params.q, float)
     pad = np.zeros(1, dtype)
     return accumulate(
-        range(n),
+        range(params.n),
         lambda row, _: np.concatenate((p * row, pad)) + np.concatenate((pad, q * row)),
         initial=pad + 1,  # row 0: [1]
     )
@@ -193,28 +199,33 @@ def _lcm_bits(params: GameParams) -> int:
     return min(n * (n - 1) // 2, totients) * sixteenths // 16 + 1
 
 
-def _recursion_products(params: GameParams) -> int:
-    """Bound on the digit products of _moment_recursion in exact mode, from n and s.
+def _recursion_products(params: GameParams, reduced: int) -> int:
+    """Bound on the digit products of _moment_recursion in exact mode, from n and bit_length(s).
 
     Schoolbook arithmetic takes x y digit products to multiply x digits by
-    y or to divide x + y digits by y, and x**2 for a gcd of x digits. With
-    c_k, l, a and b the digits of s**k (_digits), of L (_lcm_bits), of
-    A_j < L n s and of B_j < 2 L**2 n**2 s**2 (T_j is at most j turn counts
-    summed, of mean s and second moment 2s**2 - s), and e_k those of row
-    k's entries C(k, j) (s-1)**j < 2**(k + j bit_length(s)), 0 < j < k, in
-    all: L takes, per k, s**k, (s-1)**k and an lcm step
-    (c_k (2 c_1 + c_k + 3l)), then L**2 (l**2); row k takes s**k, s**k L
-    and s**k L**2 (c_k (c_1 + 3l)), two dot products and exact divisions
-    by d_k ((e_k + c_k) (a + b)), and s**k L A_k ((c_k + l) a).
+    y or to divide x + y digits by y, x**2 for a gcd of x digits, and an
+    addition of x digits is counted as x. With c_k, l, a and b the digits
+    of s**k (_digits), of L (_lcm_bits), of A_j < L n s and of
+    B_j < 2 L**2 n**2 s**2 (T_j is at most j turn counts summed, of mean s
+    and second moment 2s**2 - s): L takes, per k, s**k, (s-1)**k, d_k and
+    an lcm step (c_k (2 c_1 + c_k + 3l + 1)), then L**2 (l**2); row k
+    takes s**k L, s**k L**2 and s**k L A_k (3 c_k l + (c_k + l) a), the
+    two divisions by d_k (c_k (a + b)), the scaled states
+    (s-1)**(k-1) A_{k-1} and (s-1)**(k-1) B_{k-1} (c_k (a + b)), the
+    additions that assemble the two numerators (4 (c_k + b)), and 2k
+    additions on each anti-diagonal, whose entries are below s**k times
+    the largest state (2k (2 c_k + a + b)). Each of the `reduced` states
+    made a Fraction then takes a gcd of A_k and L and one of B_k and L**2
+    (a**2 + b**2).
     """
     n, width = params.n, params.s.bit_length()
     lcm_bits, size = _lcm_bits(params), n.bit_length() + width
     lcm, a, b = (-(-bits // 30) for bits in (lcm_bits, lcm_bits + size, 2 * (lcm_bits + size) + 1))
-    one, products = _digits(params, 1), lcm * lcm
+    one, products = _digits(params, 1), lcm * lcm + reduced * (a * a + b * b)
     for k in range(1, n + 1):
-        digits, entries = -(-k * width // 30), (width * k * (k - 1) // 2 + k * k) // 30 + k
-        products += digits * (3 * one + digits + 6 * lcm) + (digits + lcm) * a
-        products += (entries + digits) * (a + b)
+        digits = -(-k * width // 30)
+        products += digits * (2 * one + digits + 6 * lcm + 3 * a + 2 * b + 5) + lcm * a + 4 * b
+        products += 2 * k * (2 * digits + a + b)
     return products
 
 
@@ -239,51 +250,90 @@ def _walk_products(params: GameParams, length: int, first: int) -> int:
     return (n + 1) * (n + 2) // 2 * _digits(params, n) * walk + _digits(params, n * last) * reduced
 
 
-def _moment_recursion(params: GameParams, mode: NumericMode) -> tuple:
+def _law_sums(params: GameParams, first, second) -> Iterator[tuple]:
+    """(w_k, d_k, sum_{j<k} r_k[j] E(T_j), and of E(T_j**2)) on the law's rows r_k, w_k = 1.
+
+    Each row is read as k comes, in O(n) memory, and each sum is numpy's
+    dot with the states the recursion has written so far.
+    """
+    for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
+        yield 1, row[:k].sum(), row[1:k] @ first[1:k], row[1:k] @ second[1:k]
+
+
+def _binomial_sums(tops: list, lows: list, complements: list, first: list, second: list):
+    """(s**k, d_k, sum_{j<k} C(k, j) (s-1)**j A_j, and of B_j) for k = 1..n, by additions alone.
+
+    tops, lows and complements hold s**k, (s-1)**k and d_k, for k = 1..n.
+    With y_j = (s-1)**j A_j, the sum is S_k = sum_{j<k} C(k, j) y_j, the
+    binomial transform of y (Graham, Knuth and Patashnik, Concrete
+    Mathematics, 5.3). Its Pascal anti-diagonal
+    D_i = sum_m C(k-i, m) y_{i+m}, i = 0..k, obeys D_k = y_k and
+    D_i = D'_i + D_{i+1}, D' the anti-diagonal of k - 1. y_k enters every
+    D_i once, so with E_i the suffix sums of D' (E_k = 0), S_k = E_0 and
+    D_i = E_i + y_k. E is kept last entry first, and when state k - 1 has
+    been written, row k's E comes from row k - 1's in 2(k - 1) additions;
+    B_j works the same way.
+    """
+    sums = [[], []]
+    for k, (top, complement, scale) in enumerate(zip(tops, complements, (1, *lows)), start=1):
+        scaled = (scale * first[k - 1], scale * second[k - 1])  # y_{k-1} and z_{k-1}
+        # row k-1's D_{k-1} = y_{k-1}, then D_i = E_i + y_{k-1} for i = k-2..0, summed as they come
+        for moment, y in enumerate(scaled):
+            sums[moment] = list(accumulate(map(operator.add, sums[moment], repeat(y)), initial=y))
+        yield top, complement, sums[0][-1], sums[1][-1]
+
+
+def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tuple:
     """(first, second, L): L E(T_k) and L**2 E(T_k**2) for k = 0..n, as float arrays or int lists.
 
-    With r_k row k of _survivor_rows, d_k = sum_{j<k} r_k[j] and w_k its
-    weight (1 for the law, s**k for the integer row), from state 0 on,
+    With r_k row k of the transition rows times its weight w_k (1 for the
+    law, s**k for the integer row C(k, j) (s-1)**j), d_k = sum_{j<k} r_k[j],
+    from state 0 on,
     E(T_k) = (w_k + sum_{j<k} r_k[j] E(T_j)) / d_k and
     E(T_k**2) = (sum_{j<k} r_k[j] E(T_j**2) - w_k + 2 w_k E(T_k)) / d_k.
-    Float mode runs them on the law, with L = 1; exact mode on the integer
-    rows, times L = lcm(d_1, ..., d_n) and L**2, which by the closed sums
-    make every state an integer, so it divides exactly. Before L and the
-    first row, work past TURN_CAP digit products raises ValueError.
+    One body runs them; (w_k, d_k) and the two sums come from _law_sums in
+    float mode, with L = 1, and from _binomial_sums in exact mode, which
+    builds no rows: there every state is times L = lcm(d_1, ..., d_n) and
+    L**2, which by the closed sums make it an integer, so the body divides
+    exactly. Rows 0..n past TURN_CAP entries, as many as exact mode's
+    anti-diagonals hold, raise ValueError in either mode, and then in
+    exact mode work past TURN_CAP digit products (_recursion_products,
+    with the gcds of the `reduced` states the caller makes Fractions)
+    raises it, before L is built.
     """
     import numpy as np
     n, s = params.n, params.s
-    rows = islice(_survivor_rows(params, mode), 1, None)  # rows past TURN_CAP refuse here
+    _check_entries(n)
     if mode.exact:
-        _check_digit_products(_recursion_products(params), f"the exact recursion at n={n}, s={s}")
-        tops, lows = (accumulate(repeat(base, n), operator.mul) for base in (s, s - 1))
-        base, unit, divide = s, math.lcm(*map(operator.sub, tops, lows)), operator.floordiv
-        rows, total = map(np.ndarray.tolist, rows), sum  # plain lists skip numpy's per-call cost
-        dot = lambda row, states: sum(map(operator.mul, row, states))
+        what = f"the exact recursion at n={n}, s={s}"
+        _check_digit_products(_recursion_products(params, reduced), what)
+        tops, lows = (list(accumulate(repeat(base, n), operator.mul)) for base in (s, s - 1))
+        complements = list(map(operator.sub, tops, lows))
+        unit, divide = math.lcm(*complements), operator.floordiv
         first, second = [0] * (n + 1), [0] * (n + 1)
+        sums = _binomial_sums(tops, lows, complements, first, second)
     else:
-        base, unit, divide, total, dot = 1, 1, operator.truediv, np.ndarray.sum, operator.matmul
+        unit, divide = 1, operator.truediv
         first, second = np.zeros((2, n + 1))
-    weight, square = 1, unit * unit
+        sums = _law_sums(params, first, second)
+    square = unit * unit
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
-        for k, row in enumerate(rows, start=1):
-            # d_k sums nonnegative entries, so nothing cancels; in floats the largest is >= p/k
-            complement = total(row[:k])
-            weight *= base
+        # d_k sums nonnegative entries, so nothing cancels; in floats the largest is >= p/k
+        for k, (weight, complement, first_sum, second_sum) in enumerate(sums, start=1):
             lead = weight * unit
-            first[k] = divide(lead + dot(row[1:k], first[1:k]), complement)
-            top = dot(row[1:k], second[1:k]) - weight * square + 2 * (lead * first[k])
-            second[k] = divide(top, complement)
+            first[k] = divide(lead + first_sum, complement)
+            second[k] = divide(second_sum - weight * square + 2 * (lead * first[k]), complement)
     return first, second, unit
 
 
 def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
     """First and second moments of the absorption time from every state, bottom-up.
 
-    _moment_recursion runs the one-step recursions on the rows, streamed
-    in O(n) memory; exact mode reduces each state's Fractions once.
+    _moment_recursion runs the one-step recursions in O(n) memory; exact
+    mode reduces each state's Fractions once, and its count of digit
+    products holds those n + 1 reductions.
     """
-    first, second, unit = _moment_recursion(params, mode)
+    first, second, unit = _moment_recursion(params, mode, params.n + 1)
     if mode.exact:
         square = unit * unit
         first, second = [Fraction(v, unit) for v in first], [Fraction(v, square) for v in second]
@@ -294,7 +344,7 @@ def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> A
 
 def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
     """(E(T_n), E(T_n**2)) by _moment_recursion; exact mode reduces state n only."""
-    first, second, unit = _moment_recursion(params, mode)
+    first, second, unit = _moment_recursion(params, mode, 1)
     if mode.exact:
         return Fraction(first[-1], unit), Fraction(second[-1], unit * unit)
     return first.item(-1), second.item(-1)

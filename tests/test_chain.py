@@ -153,8 +153,8 @@ class TestRecursiveMoments:
         # every n <= s <= 20, relaxed pairs with more dice than faces, and
         # two pairs whose C(n, k) pass 2**53 and 2**64. State k of the (n, s)
         # recursion is the game (k, s), so every state is checked, which
-        # catches a state over the wrong denominator; at the two large pairs
-        # spot states keep the test fast
+        # catches a state over the wrong denominator; at (100, 102) spot
+        # states keep the test fast
         closed = {}
 
         def closed_moments(k, s):
@@ -167,7 +167,7 @@ class TestRecursiveMoments:
         for n, s in pairs + [(5, 3), (7, 2), (4, 1), (60, 61), (100, 102)]:
             params = GameParams(n, s, relaxed=n > s)
             profile = second_moments_recursive(params, EXACT)
-            states = range(1, n + 1) if n <= 20 else (1, 2, n // 2, n - 1, n)
+            states = range(1, n + 1) if n <= 60 else (1, 2, n // 2, n - 1, n)
             for k in states:
                 state = (profile.first_moments[k], profile.second_moments[k])
                 assert state == closed_moments(k, s), (n, s, k)
@@ -260,7 +260,9 @@ class TestRecursiveMoments:
             moment_report(params, mode, "recursive")
 
     def test_exact_recursion_past_the_turn_cap_in_digit_products_is_refused_at_once(self):
-        # at n = 150 the exact recursion took about 2 s, at 300 about 50 s
+        # the report reduces state n only and the profile every state, so the
+        # largest admitted n = s are 151 and 112 (each about 0.7 s on a 2-vCPU
+        # Xeon VM); at (10**4, 10**4) the count is refused at once
         params = GameParams(10**4, 10**4)
         message = "exact recursion at n=10000, s=10000 takes up to [0-9]+ digit products, past TURN_CAP"
         start = time.perf_counter()
@@ -271,18 +273,36 @@ class TestRecursiveMoments:
             with pytest.raises(ValueError, match=message):
                 call()
         assert time.perf_counter() - start < 1
-        assert _recursion_products(GameParams(130, 130)) <= TURN_CAP < _recursion_products(GameParams(131, 131))
+        for n, reduced in ((151, lambda n: 1), (112, lambda n: n + 1)):
+            within, past = (_recursion_products(GameParams(m, m), reduced(m)) for m in (n, n + 1))
+            assert within <= TURN_CAP < past, n
 
     def test_the_turn_cap_is_compared_with_the_recursions_digit_products(self, monkeypatch):
+        # the report's count holds the gcds of one state's Fractions, the
+        # profile's those of all n + 1 states
         params = GameParams(5, 7)
-        products = _recursion_products(params)
         expected = moment_report(params, EXACT, "recursive")
-        monkeypatch.setattr(chain_module, "TURN_CAP", products)
-        assert moment_report(params, EXACT, "recursive") == expected
-        assert second_moments_recursive(params, EXACT).first_moments[-1] == expected.mean
-        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
-        with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
-            moment_report(params, EXACT, "recursive")
+        for reduced, call in (
+            (1, lambda: moment_report(params, EXACT, "recursive").mean),
+            (6, lambda: second_moments_recursive(params, EXACT).first_moments[-1]),
+        ):
+            products = _recursion_products(params, reduced)
+            monkeypatch.setattr(chain_module, "TURN_CAP", products)
+            assert call() == expected.mean
+            monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+            with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
+                call()
+
+    def test_exact_recursion_builds_no_transition_rows(self, monkeypatch):
+        # exact mode sums the earlier states by the binomial transform
+        params = GameParams(12, 15)
+        closed = moment_report(params, EXACT, "closed")
+        expected = (closed.mean, closed.second_moment)
+        monkeypatch.setattr(chain_module, "_survivor_rows", not_called)
+        report = moment_report(params, EXACT, "recursive")
+        assert (report.mean, report.second_moment) == expected
+        profile = second_moments_recursive(params, EXACT)
+        assert (profile.first_moments[-1], profile.second_moments[-1]) == expected
 
     @pytest.mark.parametrize("s", [60, 61, 62])
     def test_exact_recursion_answers_at_the_benchmarks_sizes(self, s):
