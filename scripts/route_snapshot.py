@@ -236,6 +236,7 @@ CLI_CALLS = (
     f"geomax compute --n {10**6} --s {10**6} --quantity mean --method recursive",
     f"geomax compute --n {10**4} --s {10**4} --quantity mean --method recursive --mode exact",
     "geomax compute --n 2000 --s 2000 --quantity mean --mode exact",
+    f"geomax compute --n 40 --s 40 --quantity cdf --y {10**5} --mode exact",
     f"geomax compute --n 10 --s 10 --quantity cdf --y {10**5} --method matrix-power --mode exact",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
     "geomax compare --n-max 3 --s-max 5 --tolerance 0",

@@ -70,11 +70,15 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     of a rounded base. log(1 - q**y) is _log1mexp(y lam), so nothing
     cancels: by _closed_form_terms' analysis it errs by at most
     (7 + 2|log(1 - q**y)|)u, and the cdf P by (7n + 3|ln P| + 2)u relative.
+    Exact mode raises ValueError before its first power where its powers
+    take more than TURN_CAP digit products (_cdf_products).
     """
     y = operator.index(y)
     if y < 1:
         return Fraction(0) if mode.exact else 0.0
     if mode.exact:
+        what = f"the exact cdf at y={y} for n={params.n}, s={params.s}"
+        _check_digit_products(_cdf_products(params, y), what)
         return (1 - params.q_exact**y) ** params.n
     return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
 
@@ -88,7 +92,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     check. Its terms are (A**k - B**k) / S**k with A = s (s-1)**(y-1),
     B = (s-1)**y and S = s**y, so it runs on integers over the shared
     denominator S**n, by Horner's rule in S, and one Fraction is built at
-    the end; _binomial_powers carries the powers and C(n, k). Float mode takes
+    the end; _binomial_powers carries the powers and C(n, k). Past TURN_CAP
+    digit products (_pmf_products) it raises ValueError before the first
+    power. Float mode takes
     the positive form u_y**n (1 - (1 + x)**-n), from
     u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
@@ -98,6 +104,7 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         raise ValueError("pmf support starts at y = 1")
     n, s = params.n, params.s
     if mode.exact:
+        _check_digit_products(_pmf_products(params, y), f"the exact pmf at y={y} for n={n}, s={s}")
         big_a, big_b, big_s = s * (s - 1) ** (y - 1), (s - 1) ** y, s**y
         total = 0
         for k, (a_k, b_k, c) in enumerate(_binomial_powers(n, big_a, big_b), 1):
@@ -109,6 +116,55 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     lam = _log_q(params)
     x = params.p * math.exp((y - 1) * lam) / -math.expm1((y - 1) * lam)
     return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
+
+
+def _power_products(params: GameParams, power: int, exponent: int) -> int:
+    """Bound on the digit products of x**exponent for an int x below s**power, from bit_length(s).
+
+    Python raises to a power left to right: per bit of the exponent past
+    the first, it squares x**e, and where the bit is set it multiplies the
+    square by x. A square of c digits (chain._digits of e power) takes
+    c (c + 1) / 2 digit products, as it forms each cross product once.
+    """
+    base, products, reached = _digits(params, power), 0, 1
+    for bit in bin(exponent)[3:]:
+        square = _digits(params, reached * power)
+        products += square * (square + 1) // 2
+        reached *= 2
+        if bit == "1":
+            products += _digits(params, reached * power) * base
+            reached += 1
+    return products
+
+
+def _cdf_products(params: GameParams, y: int) -> int:
+    """Bound on the digit products of the exact cdf at y >= 1, from n, y and bit_length(s).
+
+    Counted as chain._recursion_products counts: (s-1)**y and s**y, then
+    1 - their ratio (three steps of at most the digits c_y of s**y), and its
+    numerator and denominator, both below s**y, to the n-th power.
+    """
+    powers = _power_products(params, 1, y)
+    return 2 * powers + 3 * _digits(params, y) + 2 * _power_products(params, y, params.n)
+
+
+def _pmf_products(params: GameParams, y: int) -> int:
+    """Bound on the digit products of the exact pmf at y >= 1, from n, y and bit_length(s).
+
+    Counted as chain._recursion_products counts, with c_m the digits of
+    s**m (chain._digits) and e those of 2**n: A = s (s-1)**(y-1), B and S
+    (_power_products); then per k, A**k and B**k (2 c_(ky) c_y), C(n, k)
+    (2e), the term C(n, k) (A**k - B**k) ((e + 1) c_(ky)) and Horner's
+    step total S + term, with |total| < 2**n S**(k-1)
+    ((c_(ky) + e) (c_y + 1)), where the c_(ky) sum to at most X, the
+    digits of s**(y n (n+1) / 2) plus n; then S**n and the gcd of total
+    and S**n, each below 2**n s**(n y) ((c_(ny) + e)**2).
+    """
+    n, c, e = params.n, _digits(params, y), -(-(params.n + 1) // 30)
+    powers = _power_products(params, 1, y - 1) + _digits(params, 1) * c
+    powers += 2 * _power_products(params, 1, y)
+    steps = (3 * c + e + 2) * (_digits(params, y * n * (n + 1) // 2) + n) + n * e * (c + 3)
+    return powers + steps + _power_products(params, y, n) + (_digits(params, n * y) + e) ** 2
 
 
 def _binomial_powers(n: int, a: int, b: int):
@@ -500,7 +556,8 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     _bracket_power raises a bracket of q = (s-1)/s to the y-th power, and
     1 - q**y to the n-th: a bracket of cdf = (1 - q**y)**n. k doubles from 64
     until prob falls outside. Past the Fraction cdf's n y bit_length(s) bits,
-    as at an exact tie, that cdf decides; it raises ValueError past NEAR_TIE_BITS.
+    as at an exact tie, that cdf decides; it raises ValueError past
+    NEAR_TIE_BITS, and the cdf past TURN_CAP digit products.
     """
     n, s = params.n, params.s
     bits = n * y * s.bit_length()
@@ -557,7 +614,8 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     leading zeros of root and of 1 - root, where 1 - root and its log
     cancel, so that it lands within a turn or two. _cdf_reaches decides
     each step exactly, so mode does not change the answer; past
-    NEAR_TIE_BITS it raises ValueError.
+    NEAR_TIE_BITS, or where the exact cdf it falls back on takes more than
+    TURN_CAP digit products, it raises ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")

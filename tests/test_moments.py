@@ -52,11 +52,13 @@ from geomax import moments as moments_module
 from geomax.moments import (
     _binomial_powers,
     _bracket_power,
+    _cdf_products,
     _closed_form_terms,
     _closed_products,
     _closed_sums,
     _exact_closed_moments,
     _exact_sum,
+    _pmf_products,
     _survival_sums,
 )
 from geomax.params import TURN_CAP
@@ -133,6 +135,31 @@ class TestDistribution:
         assert cdf(params, -5, EXACT) == 0
         with pytest.raises(ValueError):
             pmf(params, 0)
+
+    def test_exact_points_past_the_turn_cap_are_refused_before_the_first_power(self, monkeypatch):
+        # at (40, 40) the exact pmf at y = 10**4 took about 7 s and the cdf
+        # at y = 10**5 about 7 s; y = 2,400 and 6,814 are the largest admitted
+        params = GameParams(40, 40)
+        assert _pmf_products(params, 2400) <= TURN_CAP < _pmf_products(params, 2401)
+        assert _cdf_products(params, 6814) <= TURN_CAP < _cdf_products(params, 6815)
+        monkeypatch.setattr(moments_module, "_binomial_powers", not_called)
+        start = time.perf_counter()
+        for point, y in ((pmf, 10**4), (cdf, 10**5)):
+            message = f"exact {point.__name__} at y={y} for n=40, s=40 takes up to [0-9]+ digit products"
+            with pytest.raises(ValueError, match=message):
+                point(params, y, EXACT)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("point, count", [(pmf, "_pmf_products"), (cdf, "_cdf_products")])
+    def test_the_turn_cap_is_compared_with_the_points_digit_products(self, monkeypatch, point, count):
+        params = GameParams(5, 7)
+        products = getattr(moments_module, count)(params, 9)
+        expected = point(params, 9, EXACT)
+        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        assert point(params, 9, EXACT) == expected
+        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
+            point(params, 9, EXACT)
 
     @given(small_params, st.integers(1, 60))
     # the grid's heaviest exact pmf points, y = 1, one face, and n > s
