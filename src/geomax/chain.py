@@ -257,6 +257,7 @@ def _law_sums(params: GameParams, first, second) -> Iterator[tuple]:
     dot with the states the recursion has written so far.
     """
     for k, row in enumerate(islice(_survivor_rows(params, FLOAT), 1, None), start=1):
+        # d_k sums nonnegative entries, so nothing cancels, and the largest is >= p/k
         yield 1, row[:k].sum(), row[1:k] @ first[1:k], row[1:k] @ second[1:k]
 
 
@@ -318,7 +319,6 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
         sums = _law_sums(params, first, second)
     square = unit * unit
     with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
-        # d_k sums nonnegative entries, so nothing cancels; in floats the largest is >= p/k
         for k, (weight, complement, first_sum, second_sum) in enumerate(sums, start=1):
             lead = weight * unit
             first[k] = divide(lead + first_sum, complement)

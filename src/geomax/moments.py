@@ -94,8 +94,7 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     denominator S**n, by Horner's rule in S, and one Fraction is built at
     the end; _binomial_powers carries the powers and C(n, k). Past TURN_CAP
     digit products (_pmf_products) it raises ValueError before the first
-    power. Float mode takes
-    the positive form u_y**n (1 - (1 + x)**-n), from
+    power. Float mode takes the positive form u_y**n (1 - (1 + x)**-n), from
     u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
     """
@@ -144,8 +143,8 @@ def _cdf_products(params: GameParams, y: int) -> int:
     1 - their ratio (three steps of at most the digits c_y of s**y), and its
     numerator and denominator, both below s**y, to the n-th power.
     """
-    powers = _power_products(params, 1, y)
-    return 2 * powers + 3 * _digits(params, y) + 2 * _power_products(params, y, params.n)
+    powers = _power_products(params, 1, y) + _power_products(params, y, params.n)
+    return 2 * powers + 3 * _digits(params, y)
 
 
 def _pmf_products(params: GameParams, y: int) -> int:

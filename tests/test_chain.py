@@ -295,10 +295,13 @@ class TestRecursiveMoments:
 
     def test_exact_recursion_builds_no_transition_rows(self, monkeypatch):
         # exact mode sums the earlier states by the binomial transform
+        def no_rows(*args):
+            raise AssertionError("the exact recursion built transition rows")
+
         params = GameParams(12, 15)
         closed = moment_report(params, EXACT, "closed")
         expected = (closed.mean, closed.second_moment)
-        monkeypatch.setattr(chain_module, "_survivor_rows", not_called)
+        monkeypatch.setattr(chain_module, "_survivor_rows", no_rows)
         report = moment_report(params, EXACT, "recursive")
         assert (report.mean, report.second_moment) == expected
         profile = second_moments_recursive(params, EXACT)
