@@ -36,14 +36,17 @@ class GameNotFinishedError(RuntimeError):
 #: more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
 #: before the first row (n = 44,719 is the largest n that passes). Exact
 #: mode's big-int work is held to it as a count of 30-bit digit products:
-#: the recursion over the lcm L of the complements s**k - (s-1)**k
-#: (n = s = 130 passes, in about 1 s) raises ValueError before L and the
-#: first row, the closed sums merged over the same L (n = s = 220 passes,
-#: in about 0.4 s) before the first term, and an exact chain walk with the
-#: Fractions it returns (at n = s = 10 a point passes to 3,336 turns and a
-#: profile to 1,007, each in about 1 s on a 2-vCPU Xeon VM) before its
-#: matrix is built. The CLI holds writing the digits of an exact int to it
-#: the same way (cli.format_value).
+#: the recursion over the lcm L of the complements s**k - (s-1)**k, with
+#: the gcds of the Fractions it returns (n = s = 151 passes for the
+#: moments, 112 for every state's, each in about 0.7 s) raises ValueError
+#: before L is built, the closed sums merged over the same L (n = s = 220
+#: passes, in about 0.4 s) before the first term, the exact cdf and pmf
+#: points (at n = s = 40 the cdf passes to y = 6,814, in about 0.15 s, and
+#: the pmf to 2,400, in about 0.8 s) before the first power, and an exact
+#: chain walk with the Fractions it returns (at n = s = 10 a point passes
+#: to 3,336 turns and a profile to 1,007, each in about 1 s; all timings
+#: on a 2-vCPU Xeon VM) before its matrix is built. The CLI holds writing
+#: the digits of an exact int to it the same way (cli.format_value).
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
