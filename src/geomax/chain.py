@@ -277,7 +277,7 @@ def _binomial_sums(tops: list, lows: list, complements: list, first: list, secon
     """
     sums = [[], []]
     for k, (top, complement, scale) in enumerate(zip(tops, complements, (1, *lows)), start=1):
-        scaled = (scale * first[k - 1], scale * second[k - 1])  # y_{k-1} and z_{k-1}
+        scaled = (scale * first[k - 1], scale * second[k - 1])  # y_{k-1} of each moment
         # row k-1's D_{k-1} = y_{k-1}, then D_i = E_i + y_{k-1} for i = k-2..0, summed as they come
         for moment, y in enumerate(scaled):
             sums[moment] = list(accumulate(map(operator.add, sums[moment], repeat(y)), initial=y))
