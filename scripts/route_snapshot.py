@@ -143,7 +143,9 @@ HELP_COLUMNS = 80
 #: The --cli transcript's calls, as shell lines: every command of
 #: tests/test_cli.py and long exact outputs (a cdf of 64,083 digits a side,
 #: a signature count of 6,021 digits), then the error paths, then each
-#: --help page.
+#: --help page. The argparse paths are among them: an abbreviated option, a
+#: "--" before the command, unrecognized options and words, and -h in the
+#: middle of a call.
 CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity mean --mode exact",
     "geomax compute --n 2 --s 2 --quantity mean",
@@ -177,6 +179,8 @@ CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity pmf",
     "geomax compute --n 2 --s 2 --quantity quantile",
     "geomax compute --n 2 --s 2 --quantity mean --method monte-carlo",
+    "geomax compute --n 2 --s 2 --quant mean",
+    "geomax -- compute --n 2 --s 2 --quantity mean",
     "geomax compare --n-max 30 --s-max 30",
     "geomax compare --n-max 45 --s-max 45",
     "geomax frobnicate",
@@ -216,6 +220,9 @@ CLI_CALLS = (
     "geomax signatures --n 25",
     "geomax",
     "geomax compute --n 2 --quantity bogus",
+    "geomax compute --n 2 --s 2 --quantity mean --bogus",
+    "geomax compute --n 2 --s 2 --quantity mean extra",
+    "geomax signatures --n 3 --bogus 4",
     "geomax compute --n x --s 2 --quantity mean",
     "geomax compute --n 3..2 --s 4 --quantity mean",
     "geomax compute --n 2 --s 2 --quantity mean --precision abc",
@@ -247,6 +254,7 @@ CLI_CALLS = (
     "geomax signatures --n 0",
     f"geomax signatures --n {10**8} --count-only",
     "geomax --help",
+    "geomax compute --n 2 -h",
     *(f"geomax {c} --help" for c in ("compute", "compare", "figures", "simulate", "signatures")),
 )
 
