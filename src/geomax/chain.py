@@ -302,10 +302,10 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
     with the gcds of the `reduced` states the caller makes Fractions)
     raises it, before L is built.
     """
-    import numpy as np
     n, s = params.n, params.s
     _check_entries(n)
     if mode.exact:
+        import contextlib
         what = f"the exact recursion at n={n}, s={s}"
         _check_digit_products(_recursion_products(params, reduced), what)
         tops, lows = (list(accumulate(repeat(base, n), operator.mul)) for base in (s, s - 1))
@@ -313,12 +313,15 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
         unit, divide = math.lcm(*complements), operator.floordiv
         first, second = [0] * (n + 1), [0] * (n + 1)
         sums = _binomial_sums(tops, lows, complements, first, second)
+        guard = contextlib.nullcontext()  # runs no numpy, so loads none
     else:
+        import numpy as np
         unit, divide = 1, operator.truediv
         first, second = np.zeros((2, n + 1))
         sums = _law_sums(params, first, second)
+        guard = np.errstate(over="ignore", invalid="ignore")  # report._pack refuses an inf or nan
     square = unit * unit
-    with np.errstate(over="ignore", invalid="ignore"):  # report._pack refuses an inf or nan
+    with guard:
         for k, (weight, complement, first_sum, second_sum) in enumerate(sums, start=1):
             lead = weight * unit
             first[k] = divide(lead + first_sum, complement)

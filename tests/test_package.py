@@ -23,8 +23,8 @@ def test_all_matches_the_public_names():
 
 
 #: CLI calls that run no numpy code: the float closed moments, points and
-#: quantile, the exact auto moment and points, a figure panel, an
-#: enumeration and a help page.
+#: quantile, the exact auto moment, recursion and points, a figure panel,
+#: an enumeration and a help page.
 NUMPY_FREE_CALLS = (
     *(f"compute --n 5 --s 6 --quantity {q}" for q in ("mean", "variance", "second-moment")),
     *(
@@ -33,6 +33,7 @@ NUMPY_FREE_CALLS = (
         for point in ("--quantity pmf --y 4", "--quantity cdf --y 4", "--quantity quantile --prob .9")
     ),
     "compute --n 5 --s 6 --quantity mean --mode exact",
+    "compute --n 5 --s 6 --quantity variance --mode exact --method recursive",
     "figures --figure ev-bounds --panel fixed-s",
     "signatures --n 6",
     "compute --help",
