@@ -117,18 +117,46 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
 
 
+#: digits of the largest int CPython squares by schoolbook; past it, by Karatsuba
+KARATSUBA_SQUARE_DIGITS = 140
+
+
+def _square_products(digits: int, counted: dict) -> int:
+    """Bound on the digit products of squaring an int of at most `digits` 30-bit digits, as CPython does.
+
+    Up to KARATSUBA_SQUARE_DIGITS it forms each cross product once, in
+    c (c + 1) / 2 products for c digits. Past that, Karatsuba's k_mul
+    splits the int into halves of at most h = ceil(c/2) digits and squares
+    both halves and their sum, of at most h + 1 digits. Its other work is
+    copies, additions and subtractions of at most c + 2 digits each: the
+    split, the result's two copies and fill, the two subtractions, the
+    halves' sum and the last addition, counted as 8c products. Just past
+    the cutoff that is less than a schoolbook square at it, which a
+    shorter int still takes, so the bound is the larger of the two.
+    counted holds the sizes already counted, so each is counted once.
+    """
+    if digits <= KARATSUBA_SQUARE_DIGITS:
+        return digits * (digits + 1) // 2
+    if digits not in counted:
+        half = -(-digits // 2)
+        squares = 2 * _square_products(half, counted) + _square_products(half + 1, counted)
+        schoolbook = _square_products(KARATSUBA_SQUARE_DIGITS, counted)
+        counted[digits] = max(squares + 8 * digits, schoolbook)
+    return counted[digits]
+
+
 def _power_products(params: GameParams, power: int, exponent: int) -> int:
     """Bound on the digit products of x**exponent for an int x below s**power, from bit_length(s).
 
     Python raises to a power left to right: per bit of the exponent past
     the first, it squares x**e, and where the bit is set it multiplies the
-    square by x. A square of c digits (chain._digits of e power) takes
-    c (c + 1) / 2 digit products, as it forms each cross product once.
+    square by x. The square of x**e, of at most chain._digits of e power
+    digits, takes _square_products; the product by x is counted as
+    schoolbook.
     """
-    base, products, reached = _digits(params, power), 0, 1
+    base, products, reached, counted = _digits(params, power), 0, 1, {}
     for bit in bin(exponent)[3:]:
-        square = _digits(params, reached * power)
-        products += square * (square + 1) // 2
+        products += _square_products(_digits(params, reached * power), counted)
         reached *= 2
         if bit == "1":
             products += _digits(params, reached * power) * base

@@ -41,8 +41,8 @@ class GameNotFinishedError(RuntimeError):
 #: moments, 112 for every state's, each in about 0.7 s) raises ValueError
 #: before L is built, the closed sums merged over the same L (n = s = 220
 #: passes, in about 0.4 s) before the first term, the exact cdf and pmf
-#: points (at n = s = 40 the cdf passes to y = 6,814, in about 0.15 s, and
-#: the pmf to 2,400, in about 0.8 s) before the first power, and an exact
+#: points (at n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and
+#: the pmf to 2,460, in about 0.6 s) before the first power, and an exact
 #: chain walk with the Fractions it returns (at n = s = 10 a point passes
 #: to 3,336 turns and a profile to 1,007, each in about 1 s; all timings
 #: on a 2-vCPU Xeon VM) before its matrix is built. The CLI holds writing

@@ -59,6 +59,7 @@ from geomax.moments import (
     _exact_closed_moments,
     _exact_sum,
     _pmf_products,
+    _square_products,
     _survival_sums,
 )
 from geomax.params import TURN_CAP
@@ -138,10 +139,12 @@ class TestDistribution:
 
     def test_exact_points_past_the_turn_cap_are_refused_before_the_first_power(self, monkeypatch):
         # at (40, 40) the exact pmf at y = 10**4 took about 7 s and the cdf
-        # at y = 10**5 about 7 s; y = 2,400 and 6,814 are the largest admitted
+        # at y = 10**5 about 7 s; y = 2,460 and 21,221 are the largest admitted
         params = GameParams(40, 40)
-        assert _pmf_products(params, 2400) <= TURN_CAP < _pmf_products(params, 2401)
-        assert _cdf_products(params, 6814) <= TURN_CAP < _cdf_products(params, 6815)
+        assert _pmf_products(params, 2460) <= TURN_CAP < _pmf_products(params, 2461)
+        assert _cdf_products(params, 21221) <= TURN_CAP < _cdf_products(params, 21222)
+        # the Karatsuba squares admit at (2, 2) every cdf whose digits the CLI writes
+        assert _cdf_products(GameParams(2, 2), 670_814) <= TURN_CAP
         monkeypatch.setattr(moments_module, "_binomial_powers", not_called)
         start = time.perf_counter()
         for point, y in ((pmf, 10**4), (cdf, 10**5)):
@@ -149,6 +152,14 @@ class TestDistribution:
             with pytest.raises(ValueError, match=message):
                 point(params, y, EXACT)
         assert time.perf_counter() - start < 1
+
+    def test_squares_past_the_karatsuba_cutoff_count_less_than_schoolbook(self):
+        counted = {}
+        squares = [_square_products(c, counted) for c in range(1, 3000)]
+        assert squares == sorted(squares)  # a bound for c digits holds for fewer
+        for c, products in enumerate(squares, start=1):
+            schoolbook = c * (c + 1) // 2
+            assert products == schoolbook if c <= 140 else products < schoolbook
 
     @pytest.mark.parametrize("point, count", [(pmf, "_pmf_products"), (cdf, "_cdf_products")])
     def test_the_turn_cap_is_compared_with_the_points_digit_products(self, monkeypatch, point, count):
