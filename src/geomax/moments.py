@@ -122,7 +122,7 @@ KARATSUBA_SQUARE_DIGITS = 140
 
 
 def _square_products(digits: int, counted: dict) -> int:
-    """Bound on the digit products of squaring an int of at most `digits` 30-bit digits, as CPython does.
+    """Bound on the digit products CPython takes to square an int of at most `digits` 30-bit digits.
 
     Up to KARATSUBA_SQUARE_DIGITS it forms each cross product once, in
     c (c + 1) / 2 products for c digits. Past that, Karatsuba's k_mul
