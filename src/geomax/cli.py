@@ -321,15 +321,17 @@ def _cmd_signatures(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first main() call and shared by later ones.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argparse tree and its command parsers by name, built on the first main() call.
 
-    The cache holds one parser of fixed size: it takes no arguments, so it
-    never grows, and parsing leaves the parser as it was, so no result
-    depends on the order of the calls. The tree holds only data; main()
-    picks the handler, and everything a call may change (GEOMAX_PRECISION,
-    the terminal width that --help wraps to, sys.stdout and sys.stderr) is
-    read when that call runs.
+    Later calls share them. The cache holds one tree of fixed size: it
+    takes no arguments, so it never grows, and parsing leaves the parsers
+    as they were, so no result depends on the order of the calls. The
+    tree holds only data; main() picks the handler, and everything a call
+    may change (GEOMAX_PRECISION, the terminal width that --help wraps
+    to, sys.stdout and sys.stderr) is read when that call runs. The
+    command parsers are the subparsers action's choices, the same objects
+    the tree hands a command's words to.
     """
     parser = argparse.ArgumentParser(
         prog="geomax",
@@ -385,12 +387,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sigs.add_argument("--count-only", action="store_true")
     add_common(sigs)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    """Run one command line (argv, else sys.argv[1:]) and return its exit code.
+
+    A call whose first word names a command is parsed by that command's
+    parser alone, which is all the full tree would do with it after
+    finding the name. The full tree parses every other call: the top-level
+    help, a missing or unknown command, and a call that leaves words its
+    command does not take, so argparse's usage lines and errors read as
+    the tree writes them. The handler is looked up per call.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if command is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # looked up per call, so a handler replaced after the parser was built runs

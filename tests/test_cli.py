@@ -5,10 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import runpy
+import shlex
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,9 @@ from geomax.cli import (
 from geomax.report import ROUTES
 
 HEADER = "n,s,quantity,method,value,error_bound"
+
+#: The command lines of scripts/route_snapshot.py's CLI transcript.
+CLI_CALLS = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "route_snapshot.py"))["CLI_CALLS"]
 
 
 def run(capsys, *argv):
@@ -658,3 +664,50 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "_cmd_signatures", lambda args: seen.append(args.n) or 0)
         assert run(capsys, "signatures", "--n", "3") == (0, "", "")
         assert seen == [3]
+
+
+class TestDispatch:
+    """main() parses a call with its command's parser alone, as the full tree would."""
+
+    def test_each_valid_call_parses_as_the_full_tree_parses_it(self, capsys):
+        parser, commands = cli._build_parser()
+        checked = 0
+        for call in CLI_CALLS:
+            words = shlex.split(call)
+            argv = words[words.index("geomax") + 1 :]
+            try:
+                full = parser.parse_args(argv)
+            except SystemExit:  # a usage error or a help page
+                continue
+            own, rest = commands[argv[0]].parse_known_args(argv[1:])
+            assert rest == []
+            # compared by repr, so a nan tolerance equals itself
+            fields = {name: repr(value) for name, value in vars(full).items()}
+            assert fields.pop("command") == repr(argv[0])
+            assert {name: repr(value) for name, value in vars(own).items()} == fields, call
+            checked += 1
+        capsys.readouterr()
+        assert checked > 80  # the valid calls of every command
+
+    def test_a_valid_call_runs_one_parse(self, capsys, monkeypatch):
+        run(capsys, "signatures", "--n", "3")  # the parser is built before counting
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        code, out, _ = run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean")
+        assert (code, out.splitlines()[0]) == (0, HEADER)
+        assert parses == ["geomax compute"]
+
+    def test_words_the_command_does_not_take_are_reported_by_the_full_tree(self, capsys):
+        for extra in ("--bogus", "extra"):
+            code, _, err = run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean", extra)
+            assert code == 2
+            assert err.splitlines() == [
+                "usage: geomax [-h] {compute,compare,figures,simulate,signatures} ...",
+                f"geomax: error: unrecognized arguments: {extra}",
+            ]
