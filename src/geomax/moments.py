@@ -10,8 +10,8 @@ and the second moment:
 * _exact_closed_moments, the same sums in exact mode: integers merged
   over the lcm of the terms' denominators, one Fraction built per
   returned value, within TURN_CAP digit products. Both read the integer
-  terms of _closed_terms, which, like the exact pmf, takes powers and
-  C(n, k) from _binomial_powers;
+  terms of _closed_terms, which carries the powers and C(n, k) from one
+  term to the next;
 * _survival_sums, the positive survival sums for the mean (weight 1)
   and the second moment (weight 2t+1), float only. It reads the terms
   P(Y > t) from a source and ends them by a tail: the closed form here
@@ -25,8 +25,10 @@ and the second moment:
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
-This module also holds pmf, cdf and quantile, which decides each step in
-either mode on the integer brackets of _bracket_power. Only the survival
+This module also holds pmf and cdf, whose exact forms are integer powers
+of s and s-1 (the pmf the difference of two cdfs over their common
+denominator), and quantile, which decides each step in either mode on the
+integer brackets of _bracket_power. Only the survival
 sums run numpy, and each function of theirs imports it itself, so the
 closed sums, the points and the quantile run without loading it.
 """
@@ -86,15 +88,12 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count == y) for y >= 1.
 
-    Exact mode sums the alternating subset sum
-    sum_k (-1)**(k+1) C(n,k) (q**((y-1)k) - q**(yk)), which telescopes to
-    cdf(y) - cdf(y-1), so the telescoping identity stays an independent
-    check. Its terms are (A**k - B**k) / S**k with A = s (s-1)**(y-1),
-    B = (s-1)**y and S = s**y, so it runs on integers over the shared
-    denominator S**n, by Horner's rule in S, and one Fraction is built at
-    the end; _binomial_powers carries the powers and C(n, k). Past TURN_CAP
-    digit products (_pmf_products) it raises ValueError before the first
-    power. Float mode takes the positive form u_y**n (1 - (1 + x)**-n), from
+    Exact mode takes cdf(y) - cdf(y-1) over the cdf's denominator s**(n y):
+    (U**n - V**n) / s**(n y), with U = s**y - (s-1)**y and
+    V = s (s**(y-1) - (s-1)**(y-1)), both built from s**(y-1) and
+    (s-1)**(y-1), and one Fraction built at the end. Past TURN_CAP digit
+    products (_pmf_products) it raises ValueError before the first power.
+    Float mode takes the positive form u_y**n (1 - (1 + x)**-n), from
     u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
     with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
     """
@@ -104,12 +103,8 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     n, s = params.n, params.s
     if mode.exact:
         _check_digit_products(_pmf_products(params, y), f"the exact pmf at y={y} for n={n}, s={s}")
-        big_a, big_b, big_s = s * (s - 1) ** (y - 1), (s - 1) ** y, s**y
-        total = 0
-        for k, (a_k, b_k, c) in enumerate(_binomial_powers(n, big_a, big_b), 1):
-            term = c * (a_k - b_k)
-            total = total * big_s + (term if k % 2 == 1 else -term)
-        return Fraction(total, big_s**n)
+        top, low = s ** (y - 1), (s - 1) ** (y - 1)
+        return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n)
     if y == 1:
         return _float_p(params) ** n
     lam = _log_q(params)
@@ -178,33 +173,16 @@ def _cdf_products(params: GameParams, y: int) -> int:
 def _pmf_products(params: GameParams, y: int) -> int:
     """Bound on the digit products of the exact pmf at y >= 1, from n, y and bit_length(s).
 
-    Counted as chain._recursion_products counts, with c_m the digits of
-    s**m (chain._digits) and e those of 2**n: A = s (s-1)**(y-1), B and S
-    (_power_products); then per k, A**k and B**k (2 c_(ky) c_y), C(n, k)
-    (2e), the term C(n, k) (A**k - B**k) ((e + 1) c_(ky)) and Horner's
-    step total S + term, with |total| < 2**n S**(k-1)
-    ((c_(ky) + e) (c_y + 1)), where the c_(ky) sum to at most X, the
-    digits of s**(y n (n+1) / 2) plus n; then S**n and the gcd of total
-    and S**n, each below 2**n s**(n y) ((c_(ny) + e)**2).
+    Counted as _cdf_products counts: s**(y-1) and (s-1)**(y-1), then U and
+    V (three products by s or s-1 and two differences, of at most the
+    digits c_y of s**y), U, V and s**y to the n-th power, U**n - V**n, and
+    the Fraction's reduction: a gcd of two ints below s**(n y), of at most
+    c_(ny) digits (c_(ny)**2), and two divisions by it, which is 1 (c_(ny)
+    each): a prime that divides s divides V, but U = -(-1)**y mod it.
     """
-    n, c, e = params.n, _digits(params, y), -(-(params.n + 1) // 30)
-    powers = _power_products(params, 1, y - 1) + _digits(params, 1) * c
-    powers += 2 * _power_products(params, 1, y)
-    steps = (3 * c + e + 2) * (_digits(params, y * n * (n + 1) // 2) + n) + n * e * (c + 3)
-    return powers + steps + _power_products(params, y, n) + (_digits(params, n * y) + e) ** 2
-
-
-def _binomial_powers(n: int, a: int, b: int):
-    """(a**k, b**k, C(n, k)) for k = 1..n, each from the one before.
-
-    C(n, k) = C(n, k-1) (n-k+1) / k, where the division is exact.
-    """
-    a_k = b_k = c = 1
-    for k in range(1, n + 1):
-        a_k *= a
-        b_k *= b
-        c = c * (n - k + 1) // k
-        yield a_k, b_k, c
+    c, last = _digits(params, y), _digits(params, params.n * y)
+    powers = 2 * _power_products(params, 1, y - 1) + 3 * _power_products(params, y, params.n)
+    return powers + c * (3 * _digits(params, 1) + 2) + last * (last + 3)
 
 
 def _closed_terms(params: GameParams):
@@ -212,8 +190,13 @@ def _closed_terms(params: GameParams):
 
     With a = s**k, b = (s-1)**k and c = (-1)**(k+1) C(n,k): Q_k = a - b, P_k = c a
     and R_k = P_k (a + b), so c / (1 - q**k) and c (1 + q**k) / (1 - q**k)**2.
+    Each of a, b and C(n, k) comes from the one before:
+    C(n, k) = C(n, k-1) (n-k+1) / k, where the division is exact.
     """
-    for k, (a, b, c) in enumerate(_binomial_powers(params.n, params.s, params.s - 1), 1):
+    n, s = params.n, params.s
+    a = b = c = 1
+    for k in range(1, n + 1):
+        a, b, c = a * s, b * (s - 1), c * (n - k + 1) // k
         p = c * a if k % 2 == 1 else -c * a
         yield a - b, p, p * (a + b)
 
@@ -559,10 +542,6 @@ def _survival_sums(
     return tuple(sums)
 
 
-#: Largest Fraction cdf, in bits (8 MiB), that quantile's exact fallback may build.
-NEAR_TIE_BITS = 1 << 26
-
-
 def _bracket_power(lo: int, hi: int, m: int, k: int) -> tuple[int, int]:
     """A bracket of x**m from one of x: lo <= x 2**k <= hi, for 0 <= x <= 1.
 
@@ -583,8 +562,11 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     _bracket_power raises a bracket of q = (s-1)/s to the y-th power, and
     1 - q**y to the n-th: a bracket of cdf = (1 - q**y)**n. k doubles from 64
     until prob falls outside. Past the Fraction cdf's n y bit_length(s) bits,
-    as at an exact tie, that cdf decides; it raises ValueError past
-    NEAR_TIE_BITS, and the cdf past TURN_CAP digit products.
+    as at an exact tie, that cdf decides, and raises ValueError past TURN_CAP
+    digit products (_cdf_products). That count also holds the cdf's size:
+    unless n = y = 1, where the cdf is 1/s, the x**m of its powers square
+    an int of a third of its bits or more, and past 2**26 bits that square
+    alone (_square_products) counts over 9 TURN_CAP.
     """
     n, s = params.n, params.s
     bits = n * y * s.bit_length()
@@ -596,11 +578,6 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
         if lo * b >= a or hi * b < a:  # prob lies outside [lo, hi] / 2**k
             return lo * b >= a
         k *= 2
-    if bits > NEAR_TIE_BITS:
-        raise ValueError(
-            f"deciding the quantile at y={y} for n={n}, s={s} needs a cdf of "
-            f"{bits} bits, past NEAR_TIE_BITS = {NEAR_TIE_BITS}"
-        )
     return cdf(params, y, EXACT) >= prob
 
 
@@ -640,9 +617,9 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     the doubles, comes from _decimal_seed at its digits plus 20, plus the
     leading zeros of root and of 1 - root, where 1 - root and its log
     cancel, so that it lands within a turn or two. _cdf_reaches decides
-    each step exactly, so mode does not change the answer; past
-    NEAR_TIE_BITS, or where the exact cdf it falls back on takes more than
-    TURN_CAP digit products, it raises ValueError.
+    each step exactly, so mode does not change the answer; where the exact
+    cdf it falls back on takes more than TURN_CAP digit products, it raises
+    ValueError.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")

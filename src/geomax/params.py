@@ -42,10 +42,11 @@ class GameNotFinishedError(RuntimeError):
 #: before L is built, the closed sums merged over the same L (n = s = 220
 #: passes, in about 0.4 s) before the first term, the exact cdf and pmf
 #: points (at n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and
-#: the pmf to 2,460, in about 0.6 s) before the first power, and an exact
-#: chain walk with the Fractions it returns (at n = s = 10 a point passes
-#: to 3,336 turns and a profile to 1,007, each in about 1 s; all timings
-#: on a 2-vCPU Xeon VM) before its matrix is built. The CLI holds writing
+#: the pmf to 3,764, in about 1 s, most of it the Fraction's gcd) before
+#: the first power, and an exact chain walk with the Fractions it returns
+#: (at n = s = 10 a point passes to 3,336 turns and a profile to 1,007,
+#: each in about 1 s; all timings on a 2-vCPU Xeon VM) before its matrix
+#: is built. The CLI holds writing
 #: the digits of an exact int to it the same way (cli.format_value).
 TURN_CAP = 10**9
 

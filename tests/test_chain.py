@@ -26,6 +26,7 @@ from geomax import (
     cdf,
     expected_value_closed,
     moment_report,
+    pmf,
     second_moment_closed,
     second_moments_recursive,
 )
@@ -334,6 +335,15 @@ class TestAbsorptionByPower:
                 profile = absorption_cdf_profile(params, 40, EXACT)
                 assert all(type(value) is Fraction for value in profile)
                 assert profile == [cdf(params, t, EXACT) for t in range(41)], (n, s)
+
+    def test_exact_pmf_equals_the_profiles_differences(self):
+        # the chain steps the game turn by turn and shares no formula with
+        # the pmf's integer powers of s and s - 1
+        pairs = [GameParams(n, s) for s in range(1, 9) for n in range(1, s + 1)]
+        for params in pairs + [GameParams(3, 1, relaxed=True), GameParams(7, 5, relaxed=True)]:
+            profile = absorption_cdf_profile(params, 40, EXACT)
+            differences = [high - low for low, high in zip(profile, profile[1:])]
+            assert [pmf(params, y, EXACT) for y in range(1, 41)] == differences, params
 
     def test_float_power_cdf_tracks_closed_cdf(self):
         params = GameParams(5, 8)

@@ -50,12 +50,12 @@ from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
 from geomax import chain as chain_module
 from geomax import moments as moments_module
 from geomax.moments import (
-    _binomial_powers,
     _bracket_power,
     _cdf_products,
     _closed_form_terms,
     _closed_products,
     _closed_sums,
+    _closed_terms,
     _exact_closed_moments,
     _exact_sum,
     _pmf_products,
@@ -137,15 +137,14 @@ class TestDistribution:
         with pytest.raises(ValueError):
             pmf(params, 0)
 
-    def test_exact_points_past_the_turn_cap_are_refused_before_the_first_power(self, monkeypatch):
+    def test_exact_points_past_the_turn_cap_are_refused_before_the_first_power(self):
         # at (40, 40) the exact pmf at y = 10**4 took about 7 s and the cdf
-        # at y = 10**5 about 7 s; y = 2,460 and 21,221 are the largest admitted
+        # at y = 10**5 about 7 s; y = 3,764 and 21,221 are the largest admitted
         params = GameParams(40, 40)
-        assert _pmf_products(params, 2460) <= TURN_CAP < _pmf_products(params, 2461)
+        assert _pmf_products(params, 3764) <= TURN_CAP < _pmf_products(params, 3765)
         assert _cdf_products(params, 21221) <= TURN_CAP < _cdf_products(params, 21222)
         # the Karatsuba squares admit at (2, 2) every cdf whose digits the CLI writes
         assert _cdf_products(GameParams(2, 2), 670_814) <= TURN_CAP
-        monkeypatch.setattr(moments_module, "_binomial_powers", not_called)
         start = time.perf_counter()
         for point, y in ((pmf, 10**4), (cdf, 10**5)):
             message = f"exact {point.__name__} at y={y} for n=40, s=40 takes up to [0-9]+ digit products"
@@ -204,8 +203,7 @@ class TestDistribution:
     def test_float_pmf_within_four_eps_of_exact(self):
         # the accuracy the CLI claims for pmf points, down to values far
         # below the double epsilon at y = 1. The exact law is taken as a cdf
-        # difference: cheaper than the exact alternating sum, and equal to it
-        # (see the telescoping test)
+        # difference, which the exact pmf equals (see the telescoping test)
         for s in range(1, 41):
             for n in range(1, s + 1):
                 params = GameParams(n, s)
@@ -318,8 +316,11 @@ class TestClosedMoments:
 
     @pytest.mark.parametrize("n", [1, 2, 12, 37, 150, 500, 1100])
     def test_carried_binomials_match_math_comb(self, n):
-        expected = [(n**k, (n - 1) ** k, math.comb(n, k)) for k in range(1, n + 1)]
-        assert list(_binomial_powers(n, n, n - 1)) == expected
+        expected = []
+        for k in range(1, n + 1):
+            a, b, p = n**k, (n - 1) ** k, (-1) ** (k + 1) * math.comb(n, k) * n**k
+            expected.append((a - b, p, p * (a + b)))
+        assert list(_closed_terms(GameParams(n, n))) == expected
 
     def test_exact_kernel_matches_the_fraction_sums(self):
         # the reference sums one reduced Fraction per term, as each closed
@@ -825,19 +826,21 @@ class TestQuantile:
     def test_near_tie_past_the_size_cap_is_refused(self, monkeypatch):
         # the cap guards only the Fraction cdf: brackets decide the round
         # trip at (100, 100), y = 300, under small caps, and at s = 2**60,
-        # while the exact tie at (3, 8), y = 5, whose Fraction cdf takes
-        # n y bit_length(s) = 3 * 5 * 4 = 60 bits, needs that cdf
+        # while the exact tie at (3, 8), y = 5 needs that cdf, of
+        # _cdf_products(tie, 5) digit products
         params = GameParams(100, 100)
         prob = cdf(params, 300)
         tie = GameParams(3, 8)
         level = cdf(tie, 5, EXACT)
-        for cap in (60, 1000, 4000):
-            monkeypatch.setattr(moments, "NEAR_TIE_BITS", cap)
+        products = _cdf_products(tie, 5)
+        for cap in (products, 1000, 4000):
+            monkeypatch.setattr(chain_module, "TURN_CAP", cap)
             assert quantile(params, prob) == quantile(params, prob, EXACT)
             assert quantile(tie, level) == 5
-        monkeypatch.setattr(moments, "NEAR_TIE_BITS", 59)
+        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        message = f"exact cdf at y=5 for n=3, s=8 takes up to {products} digit products, past TURN_CAP"
         for mode in (FLOAT, EXACT):
-            with pytest.raises(ValueError, match="quantile at y=5 for n=3, s=8 needs a cdf of 60 bits"):
+            with pytest.raises(ValueError, match=message):
                 quantile(tie, level, mode)
         monkeypatch.undo()
         assert quantile(GameParams(2, 2**60), 0.5) == 1_415_726_707_229_888_307
