@@ -85,13 +85,18 @@ def format_value(value, precision: int) -> str:
     else:
         return f"{value:.{precision}g}"
     bits = max(num.bit_length(), den.bit_length())
-    digits = -(-bits // 30)
-    chain._check_digit_products(digits * digits // 2, f"writing the digits of a {bits}-bit integer")
+    _check_printable(bits)
     powers = [_LEAF_POWER]  # the split powers, squared once and shared by both ints
     while 2 * powers[-1].bit_length() - 1 <= bits:  # its square may still lie below 2**bits
         powers.append(powers[-1] ** 2)
     text = "-" * (num < 0) + _decimal(abs(num), powers)
     return text if den == 1 else f"{text}/{_decimal(den, powers)}"
+
+
+def _check_printable(bits: int) -> None:
+    """Raise ValueError naming TURN_CAP if format_value's digits of a `bits`-bit int pass it."""
+    digits = -(-bits // 30)
+    chain._check_digit_products(digits * digits // 2, f"writing the digits of a {bits}-bit integer")
 
 
 def _decimal(i: int, powers: list[int], level: int = -1) -> str:
@@ -312,6 +317,7 @@ def _cmd_signatures(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.count_only:
+        _check_printable(args.n)  # 2**(n-1) has n bits; refused before it is built
         count = format_value(1 << (args.n - 1), DEFAULT_PRECISION)
         _emit([(count,)], ("count",), args.format)
         return 0

@@ -9,6 +9,7 @@ import runpy
 import shlex
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -613,6 +614,19 @@ class TestSignaturesCommand:
             assert time.perf_counter() - start < 1
             assert (code, out) == (2, "")
             assert "TURN_CAP" in err
+
+    def test_count_is_refused_before_it_is_built(self, capsys):
+        # 2**(n - 1) takes 50 MB at n = 400,000,000; from about n = 8.6e9 on
+        # it would pass MEMORY_BUDGET
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "signatures", "--n", "400000000", "--count-only")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "writing the digits of a 400000000-bit integer" in err
+        assert peak < 1e6
 
     def test_refuses_oversized_enumeration(self, capsys):
         code, _, err = run(capsys, "signatures", "--n", "25")
