@@ -128,9 +128,12 @@ def _square_products(digits: int, counted: dict) -> int:
     halves' sum and the last addition, counted as 8c products. Just past
     the cutoff that is less than a schoolbook square at it, which a
     shorter int still takes, so the bound is the larger of the two.
-    counted holds the sizes already counted, so each is counted once.
+    counted holds the sizes already counted, so each is counted once. Past
+    2**40 digits, far past any int that fits in memory, the schoolbook
+    count stands in: it bounds Karatsuba's, and keeps the recursion shallow
+    for the astronomic exponents an exact point may be asked for.
     """
-    if digits <= KARATSUBA_SQUARE_DIGITS:
+    if digits <= KARATSUBA_SQUARE_DIGITS or digits > 1 << 40:
         return digits * (digits + 1) // 2
     if digits not in counted:
         half = -(-digits // 2)
@@ -140,22 +143,23 @@ def _square_products(digits: int, counted: dict) -> int:
     return counted[digits]
 
 
-def _power_products(params: GameParams, power: int, exponent: int) -> int:
+def _power_products(params: GameParams, power: int, exponent: int, every_bit: bool = False) -> int:
     """Bound on the digit products of x**exponent for an int x below s**power, from bit_length(s).
 
     Python raises to a power left to right: per bit of the exponent past
     the first, it squares x**e, and where the bit is set it multiplies the
     square by x. The square of x**e, of at most chain._digits of e power
     digits, takes _square_products; the product by x is counted as
-    schoolbook.
+    schoolbook. With every_bit the product is counted at every bit, as if
+    each were set, so the count never falls as the exponent grows and a
+    limit on it is a threshold in the exponent, not a band.
     """
     base, products, reached, counted = _digits(params, power), 0, 1, {}
     for bit in bin(exponent)[3:]:
         products += _square_products(_digits(params, reached * power), counted)
-        reached *= 2
-        if bit == "1":
-            products += _digits(params, reached * power) * base
-            reached += 1
+        if bit == "1" or every_bit:
+            products += _digits(params, 2 * reached * power) * base
+        reached = 2 * reached + int(bit)
     return products
 
 
@@ -164,24 +168,27 @@ def _cdf_products(params: GameParams, y: int) -> int:
 
     Counted as chain._recursion_products counts: (s-1)**y and s**y, then
     1 - their ratio (three steps of at most the digits c_y of s**y), and its
-    numerator and denominator, both below s**y, to the n-th power.
+    numerator and denominator, both below s**y, to the n-th power. The
+    y-th powers count every bit of y as set, so the count grows with y.
     """
-    powers = _power_products(params, 1, y) + _power_products(params, y, params.n)
+    powers = _power_products(params, 1, y, every_bit=True) + _power_products(params, y, params.n)
     return 2 * powers + 3 * _digits(params, y)
 
 
 def _pmf_products(params: GameParams, y: int) -> int:
     """Bound on the digit products of the exact pmf at y >= 1, from n, y and bit_length(s).
 
-    Counted as _cdf_products counts: s**(y-1) and (s-1)**(y-1), then U and
-    V (three products by s or s-1 and two differences, of at most the
-    digits c_y of s**y), U, V and s**y to the n-th power, U**n - V**n, and
-    the Fraction's reduction: a gcd of two ints below s**(n y), of at most
-    c_(ny) digits (c_(ny)**2), and two divisions by it, which is 1 (c_(ny)
-    each): a prime that divides s divides V, but U = -(-1)**y mod it.
+    Counted as _cdf_products counts, every bit of y - 1 as set:
+    s**(y-1) and (s-1)**(y-1), then U and V (three products by s or s-1
+    and two differences, of at most the digits c_y of s**y), U, V and s**y
+    to the n-th power, U**n - V**n, and the Fraction's reduction: a gcd of
+    two ints below s**(n y), of at most c_(ny) digits (c_(ny)**2), and two
+    divisions by it, which is 1 (c_(ny) each): a prime that divides s
+    divides V, but U = -(-1)**y mod it.
     """
     c, last = _digits(params, y), _digits(params, params.n * y)
-    powers = 2 * _power_products(params, 1, y - 1) + 3 * _power_products(params, y, params.n)
+    powers = 2 * _power_products(params, 1, y - 1, every_bit=True)
+    powers += 3 * _power_products(params, y, params.n)
     return powers + c * (3 * _digits(params, 1) + 2) + last * (last + 3)
 
 
@@ -556,17 +563,38 @@ def _bracket_power(lo: int, hi: int, m: int, k: int) -> tuple[int, int]:
     return low, high
 
 
+def _bracket_products(params: GameParams, y: int, prob: Fraction, k: int) -> int:
+    """Bound on the digit products of one k-bit bracket of _cdf_reaches.
+
+    With c the digits of k + 1 bits, which hold every factor:
+    _bracket_power takes, per bit of its exponent (y, then n), two squares
+    and at most two products, each product counted as two squares
+    (_square_products), which bound it by schoolbook or Karatsuba alike;
+    q's bracket divides two ints of k + bit_length(s) bits by s, and
+    prob's test multiplies both ends of the bracket by prob's denominator,
+    of d digits (schoolbook).
+    """
+    c, one, d = -(-(k + 1) // 30), _digits(params, 1), -(-prob.denominator.bit_length() // 30)
+    steps = y.bit_length() + params.n.bit_length()
+    return 6 * steps * _square_products(c, {}) + 2 * (c + one) * one + 2 * c * d
+
+
 def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     """cdf(params, y, EXACT) >= prob, decided on k-bit brackets while they can.
 
     _bracket_power raises a bracket of q = (s-1)/s to the y-th power, and
     1 - q**y to the n-th: a bracket of cdf = (1 - q**y)**n. k doubles from 64
-    until prob falls outside. Past the Fraction cdf's n y bit_length(s) bits,
-    as at an exact tie, that cdf decides, and raises ValueError past TURN_CAP
-    digit products (_cdf_products). That count also holds the cdf's size:
-    unless n = y = 1, where the cdf is 1/s, the x**m of its powers square
-    an int of a third of its bits or more, and past 2**26 bits that square
-    alone (_square_products) counts over 9 TURN_CAP.
+    until prob falls outside. The Fraction cdf decides instead once k would
+    pass its n y bit_length(s) bits, as at an exact tie, or once the next
+    bracket would take more digit products (_bracket_products) than that
+    cdf (_cdf_products) or than TURN_CAP; it raises ValueError past
+    TURN_CAP. So a decision next to a cdf value takes about 2.5 TURN_CAP
+    digit products at most, as each bracket takes about three times the
+    one before. The first bracket, where nearly every decision ends, is not
+    counted. The cdf's count also holds its size: unless n = y = 1, where
+    the cdf is 1/s, the x**m of its powers square an int of a third of its
+    bits or more, and past 2**26 bits that square alone (_square_products)
+    counts over 9 TURN_CAP.
     """
     n, s = params.n, params.s
     bits = n * y * s.bit_length()
@@ -577,7 +605,11 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
         a, b = prob.numerator << k, prob.denominator
         if lo * b >= a or hi * b < a:  # prob lies outside [lo, hi] / 2**k
             return lo * b >= a
+        if k == 64:
+            limit = min(TURN_CAP, _cdf_products(params, y))
         k *= 2
+        if _bracket_products(params, y, prob, k) > limit:
+            break
     return cdf(params, y, EXACT) >= prob
 
 

@@ -143,14 +143,38 @@ class TestDistribution:
         params = GameParams(40, 40)
         assert _pmf_products(params, 3764) <= TURN_CAP < _pmf_products(params, 3765)
         assert _cdf_products(params, 21221) <= TURN_CAP < _cdf_products(params, 21222)
-        # the Karatsuba squares admit at (2, 2) every cdf whose digits the CLI writes
+        # the Karatsuba squares admit at (2, 2) every cdf whose digits the CLI
+        # writes, and the count of every bit of y as set ends them at 1,386,210
         assert _cdf_products(GameParams(2, 2), 670_814) <= TURN_CAP
+        assert _cdf_products(GameParams(2, 2), 1_386_210) <= TURN_CAP < _cdf_products(GameParams(2, 2), 1_386_211)
         start = time.perf_counter()
         for point, y in ((pmf, 10**4), (cdf, 10**5)):
             message = f"exact {point.__name__} at y={y} for n=40, s=40 takes up to [0-9]+ digit products"
             with pytest.raises(ValueError, match=message):
                 point(params, y, EXACT)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("count", [_cdf_products, _pmf_products])
+    def test_the_points_counts_never_fall_as_y_grows(self, count):
+        # so TURN_CAP ends each point at one y: counting the products by s of
+        # the set bits of y only, the cdf at (2, 2) was refused at
+        # y = 1,386,239 and admitted at 169 larger y up to 1,386,752
+        scans = {
+            (2, 2): range(1_385_000, 1_388_000),
+            (40, 40): range(20_000, 23_000),
+            (1, 2): range(1, 1 << 14),
+            (3, 7): range(1, 1 << 14),
+        }
+        for (n, s), ys in scans.items():
+            counts = [count(GameParams(n, s), y) for y in ys]
+            assert counts == sorted(counts), (n, s)
+
+    def test_points_at_astronomic_turns_are_refused(self):
+        # the count's Karatsuba recursion went one level deeper per bit of
+        # the int, past the interpreter's recursion limit at y = 2**1000
+        for point in (pmf, cdf):
+            with pytest.raises(ValueError, match="past TURN_CAP"):
+                point(GameParams(2, 4), 2**1000, EXACT)
 
     def test_squares_past_the_karatsuba_cutoff_count_less_than_schoolbook(self):
         counted = {}
@@ -844,6 +868,18 @@ class TestQuantile:
                 quantile(tie, level, mode)
         monkeypatch.undo()
         assert quantile(GameParams(2, 2**60), 0.5) == 1_415_726_707_229_888_307
+
+    def test_levels_next_to_a_cdf_value_hand_over_to_the_exact_cdf(self):
+        # at (1, 2) each decision near y = N needs brackets of about N bits;
+        # doubling them to 2N bits took 10 s at N = 400,000 (49 s at 1.6
+        # million), where the exact cdf takes milliseconds. Past that cdf's
+        # TURN_CAP the level is refused, where the brackets took 162 s
+        params = GameParams(1, 2)
+        start = time.perf_counter()
+        assert quantile(params, 1 - Fraction(1, 2**400_000)) == 400_000
+        with pytest.raises(ValueError, match="the exact cdf at y=[0-9]+ for n=1, s=2 takes up to"):
+            quantile(params, 1 - Fraction(1, 2**3_200_000))
+        assert time.perf_counter() - start < 3
 
     def test_level_extremes_rejected(self):
         params = GameParams(2, 3)
