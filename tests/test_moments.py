@@ -871,9 +871,10 @@ class TestQuantile:
 
     def test_levels_next_to_a_cdf_value_hand_over_to_the_exact_cdf(self):
         # at (1, 2) each decision near y = N needs brackets of about N bits;
-        # doubling them to 2N bits took 10 s at N = 400,000 (49 s at 1.6
-        # million), where the exact cdf takes milliseconds. Past that cdf's
-        # TURN_CAP the level is refused, where the brackets took 162 s
+        # doubling them to 2N bits took 10 s at N = 400,000 (52 s at 1.6
+        # million), where the exact cdf takes milliseconds. Where the search
+        # reaches a cdf past TURN_CAP the level is refused, where the
+        # brackets took 125 s
         params = GameParams(1, 2)
         start = time.perf_counter()
         assert quantile(params, 1 - Fraction(1, 2**400_000)) == 400_000
