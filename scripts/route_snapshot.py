@@ -206,6 +206,11 @@ CLI_CALLS = (
             "--n 4 --s 4 --trials 500 --seed 3 --report signatures",
         )
     ),
+    # tabulated turns with a tail of a game or two, then a law too spread
+    # for its games, every one of them inverted
+    "geomax simulate --n 4 --s 6 --trials 100000 --report moments",
+    "geomax simulate --n 10 --s 10 --trials 25000 --seed 5 --report histogram",
+    "geomax simulate --n 2 --s 100000 --trials 50 --seed 5",
     "geomax simulate --n 2 --s 2 --trials 0",
     "geomax simulate --n 2 --s 2 --seed -4",
     "geomax simulate --n 3 --s 2",

@@ -28,9 +28,10 @@ job; the public moment functions live there as views of moment_report.
 This module also holds pmf and cdf, whose exact forms are integer powers
 of s and s-1 (the pmf the difference of two cdfs over their common
 denominator), and quantile, which decides each step in either mode on the
-integer brackets of _bracket_power. Only the survival
-sums run numpy, and each function of theirs imports it itself, so the
-closed sums, the points and the quantile run without loading it.
+integer brackets of _bracket_power. Only the survival sums and
+_log1mexp_array, the simulator's twin of _log1mexp, run numpy, and each
+imports it itself, so the closed sums, the points and the quantile run
+without loading it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,25 @@ def _log_q(params: GameParams) -> float:
 def _log1mexp(x: float) -> float:
     """log(1 - exp(x)) for x < 0, switching at x = -ln 2 so nothing cancels (Maechler's log1mexp)."""
     return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
+
+
+def _log1mexp_array(x: np.ndarray) -> np.ndarray:
+    """_log1mexp over a float64 array of x <= 0, with the same switch, as a new array.
+
+    The near-side formula runs over every entry and the far side only over
+    the entries past the switch, if any, so an array with none of them
+    costs one reduction more than the near-side formula alone. x = -inf
+    gives 0, and x = 0 gives -inf with numpy's divide warning, which is
+    the caller's to silence.
+    """
+    import numpy as np
+    out = np.expm1(x)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    if x.min(initial=0.0) <= -math.log(2):
+        far = np.flatnonzero(x <= -math.log(2))
+        out[far] = np.log1p(-np.exp(x[far]))
+    return out
 
 
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
@@ -613,6 +633,24 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     return cdf(params, y, EXACT) >= prob
 
 
+def _last_admitted_cdf(params: GameParams, below: int) -> int:
+    """The largest y < below whose exact cdf passes its TURN_CAP check, or 0.
+
+    below's must fail it; as _cdf_products grows with y, the turns that
+    pass are the ones up to the answer, found by bisection.
+    """
+    lo, hi = 0, below
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _check_digit_products(_cdf_products(params, mid), "the exact cdf")
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 #: quantile refines a float seed of this many turns or more in decimal: the
 #: float inversion errs by about y 2**-50, more than a turn or two.
 DECIMAL_SEED_FROM = 1 << 50
@@ -643,15 +681,19 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
 
     The inverted law ceil(log(1 - root) / log q), root = prob**(1/n) with
     prob clamped into the doubles, seeds a search that steps away from the
-    seed, doubling its step, then bisects. log(1 - root) is _log1mexp's,
-    so a root below 2**-53 does not seed at 1, and it sizes the seed in
+    seed, doubling its step, then bisects. log(1 - root) is _log1mexp's
+    (the simulator's tail takes its numpy twin, _log1mexp_array), so a
+    root below 2**-53 does not seed at 1, and it sizes the seed in
     logs first: a seed of DECIMAL_SEED_FROM turns or more, even one past
     the doubles, comes from _decimal_seed at its digits plus 20, plus the
     leading zeros of root and of 1 - root, where 1 - root and its log
     cancel, so that it lands within a turn or two. _cdf_reaches decides
-    each step exactly, so mode does not change the answer; where the exact
-    cdf it falls back on takes more than TURN_CAP digit products, it raises
-    ValueError.
+    each step exactly, so mode does not change the answer. Where a
+    decision needs an exact cdf of more than TURN_CAP digit products it
+    raises ValueError, but a gallop probe past the answer does not: the
+    search goes on below the last turn whose exact cdf is admitted
+    (_last_admitted_cdf), so a level is refused only where its answer lies
+    past that turn, its own exact cdf refused.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -667,7 +709,16 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
         zeros = -math.floor(math.log10(min(math.exp(log_root), -math.expm1(log_root))))
         y = _decimal_seed(params, prob, math.ceil(digits) + 20 + max(0, zeros))
     lo, hi = y - 1, y  # until cdf(lo) < prob <= cdf(hi); cdf(0) = 0
-    while not _cdf_reaches(params, hi, prob):
+    while True:
+        try:
+            if _cdf_reaches(params, hi, prob):
+                break
+        except ValueError:  # hi's exact cdf is refused, and so is every one past it
+            last = _last_admitted_cdf(params, hi)
+            if last < 1 or not _cdf_reaches(params, last, prob):
+                raise
+            lo, hi = min(lo, last - 1), last
+            break
         lo, hi = hi, 3 * hi - 2 * lo
     while _cdf_reaches(params, lo, prob):
         lo, hi = max(0, 3 * lo - 2 * hi), lo

@@ -9,13 +9,19 @@ cost no Python step each. The Monte Carlo entry points never roll faces.
 A die meets the dice count with chance 1/s on every turn, whatever the
 count, so its exit turn is a Geometric(1/s) variable, independent of the
 other dice, and a game lasts the maximum Y of its n exit turns, with
-P(Y <= y) = (1 - q**y)**n. Turn counts invert that law, one uniform per
-game; only signatures draw each die's exit turn. Games are played in
-fixed-size chunks, vectorized across games, with an independent RNG
-substream per chunk derived from (seed, chunk index). Chunk boundaries
-depend only on the trial count, and chunk results merge by plain integer
-addition, so estimates are bit-identical across runs and across any
-parallel scheduling of chunks.
+P(Y <= y) = (1 - q**y)**n. A chunk's histogram of turn counts is then
+Multinomial(games, law) (Devroye 1986, Non-Uniform Random Variate
+Generation, XI.1): _turn_chunk draws it as one multinomial over the
+law's turns up to K, tabulated once per call by _turn_table, and inverts
+the law conditioned on Y > K for the few games past them, one uniform
+each, so a chunk's cost grows with the law's support rather than with
+its games. Where the law spreads over more turns than a chunk fills,
+K = 0 and every game inverts the law. Only signatures draw each die's
+exit turn. Games are played in fixed-size chunks, vectorized across
+games, with an independent RNG substream per chunk derived from (seed,
+chunk index). Chunk boundaries depend only on the trial count, and chunk
+results merge by plain integer addition, so estimates are bit-identical
+across runs and across any parallel scheduling of chunks.
 
 Signatures: the sequence of values shown by removed dice, in removal
 order (ties within a turn in ascending original die order; they all show
@@ -29,11 +35,13 @@ signatures, and importing this module at all, leaves numpy unloaded.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
-from .moments import cdf
+from .moments import _log1mexp, _log1mexp_array, _log_q, cdf
 from .params import (
     FLOAT,
     TURN_CAP,
@@ -43,8 +51,6 @@ from .params import (
     check_memory,
     plain_int,
 )
-
-T = TypeVar("T")
 
 #: Trials per RNG substream in the Monte Carlo drivers.
 CHUNK_TRIALS = 1 << 16
@@ -221,28 +227,116 @@ def is_valid_signature(values: Iterable[int]) -> bool:
     return idx == len(sig)
 
 
-def _turn_counts(params: GameParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Turn counts of `count` games, one uniform U per game.
+#: The chunk kernel tabulates turn y only while P(Y > y) stays at or above
+#: this (see _turn_table).
+TAIL_FLOOR = 2.0**-20
 
-    A game's turn count is the smallest y with (1 - q**y)**n >= U, that is
-    ceil(log(1 - U**(1/n)) / log q), with 1 - U**(1/n) = -expm1(log(U)/n).
+#: The chunk kernel tabulates no turn unless the law's turns up to
+#: TAIL_FLOOR average this many games each (see _turn_table): a tabulated
+#: turn costs a binomial draw and its survival, about what 4 inverted games
+#: cost (timed at (50, 50) and (20, 20) on a 2-vCPU Xeon VM).
+CELL_GAMES = 8
+
+
+def _turn_table(params: GameParams, trials: int) -> np.ndarray:
+    """Cells of the chunk kernel's multinomial: P(Y = y) for y = 1..K, then P(Y > K).
+
+    Each cell is a difference of survivals S(y) = P(Y > y) =
+    -expm1(n log(1 - q**y)), log(1 - q**y) taken by moments._log1mexp_array
+    at y log q, so no cell is a difference of cdfs near 1. The survivals are
+    made non-increasing first, so every cell is >= 0 and the cells up to K
+    sum to 1 - S(K) <= 1 within rounding, as numpy's multinomial requires
+    of all but the last.
+
+    K depends only on (params, trials): the largest y with S(y) >=
+    TAIL_FLOOR, or 0 where that y passes min(trials, CHUNK_TRIALS) //
+    CELL_GAMES. So the table never grows with the longest game, and a law
+    spread over more turns than a chunk's games can fill is drawn by
+    inversion alone. numpy draws cell y as a binomial of the games left,
+    at the ratio of its probability to the running remainder 1 - (the
+    cells before it). That remainder errs by at most about (K + 1) u,
+    u = 2**-53, while the true remainder S(y - 1) is at least TAIL_FLOOR,
+    so with K <= 2**13 the ratio is accurate to 2**-20 relative. Its true
+    value is the hazard P(Y = y | Y >= y): given Y >= y, m >= 1 dice are
+    still in play on turn y, and all of them leave on it with probability
+    p**m <= p = 1/s. So no ratio numpy forms passes (1/2)(1 + 2**-19) < 1
+    for s >= 2. At s = 1 every game takes one turn with no draw: S(1) = 0,
+    K = 0 and the table is the one cell [1.0].
     """
     import numpy as np
-    turns = rng.random(count)
-    # log q = -inf at s = 1 and log(U) = -inf at U = 0 both give one turn;
-    # a subnormal 1/s overflows the quotient past the cap
-    with np.errstate(divide="ignore", over="ignore"):
-        log_q = np.log1p(-params.p)
-        np.log(turns, out=turns)
-        turns *= 1 / params.n
-        np.expm1(turns, out=turns)
-        np.negative(turns, out=turns)
-        np.log(turns, out=turns)
-        turns /= log_q
-    np.ceil(turns, out=turns)
-    _check_turn_cap(turns.max())
-    np.maximum(turns, 1, out=turns)
-    return turns.astype(np.int64)
+    cap = min(trials, CHUNK_TRIALS) // CELL_GAMES
+    lam = _log_q(params)
+    # S(y) crosses TAIL_FLOOR near this y, by the inverse law; the
+    # survivals computed a turn or two past it decide K
+    stop = _log1mexp(math.log1p(-TAIL_FLOOR) / params.n) / lam
+    if not stop < cap + 1:  # S(cap + 1) >= TAIL_FLOOR: K = 0, no survival needed
+        return np.ones(1)
+    survival = np.empty(int(stop) + 3)
+    survival[0] = 1.0
+    rest = survival[1:]
+    np.multiply(_log1mexp_array(np.arange(1.0, rest.size + 1) * lam), params.n, out=rest)
+    np.expm1(rest, out=rest)
+    np.negative(rest, out=rest)
+    # rounding may lift a survival an ulp above the one before it
+    np.minimum.accumulate(survival, out=survival)
+    k = int(np.count_nonzero(survival >= TAIL_FLOOR)) - 1
+    if k > cap:
+        k = 0
+    cells = survival[: k + 1].copy()
+    cells[:-1] -= survival[1 : k + 1]
+    return cells
+
+
+def _turn_chunk(
+    params: GameParams, count: int, rng: np.random.Generator, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The turn counts of `count` games, ascending, and how many games took each.
+
+    The games' histogram is Multinomial(count, law), drawn by the
+    conditional binomials of one rng.multinomial over the cells of
+    _turn_table: turns 1..K, then Y > K (with the one cell of K = 0, numpy
+    draws nothing). The games past K invert the law conditioned on Y > K,
+    one uniform V in [0, 1) each: U = 1 - S(K) (1 - V) is uniform on
+    [cdf(K), 1), and the turn count is the smallest y with cdf(y) >= U,
+    ceil(log(1 - U**(1/n)) / log q), at least K + 1. log U is
+    log1p(-S(K) (1 - V)), which never rounds to 0, and log(1 - U**(1/n))
+    comes from moments._log1mexp_array, the switch quantile's seed takes.
+    At K = 0, S(0) = 1 and U = V: the plain inverse law, one uniform per
+    game. log q = -inf at s = 1 and U = 0 both give one turn. Every
+    returned value has games, except in a dense count of the tail (at
+    most 8 turns a tail game), which lists each turn from K + 1 to the
+    longest; the last value is always the longest game.
+    """
+    import numpy as np
+    k = cells.size - 1
+    games = rng.multinomial(count, cells)
+    values = np.flatnonzero(games)  # cell i holds turn i + 1; cell K, the tail, turns past K
+    games = games[values]
+    values += 1
+    if values[-1] > k:
+        turns = rng.random(games[-1])
+        np.subtract(1.0, turns, out=turns)
+        turns *= -cells[-1]
+        # log1p(-1) = -inf at U = 0; a tiny 1/s overflows the quotient past the cap
+        with np.errstate(divide="ignore", over="ignore"):
+            np.log1p(turns, out=turns)
+            turns *= 1 / params.n
+            turns = _log1mexp_array(turns)
+            turns /= _log_q(params)
+        np.ceil(turns, out=turns)
+        np.maximum(turns, k + 1, out=turns)
+        longest = turns.max()
+        _check_turn_cap(longest)
+        turns = turns.astype(np.int64)
+        if longest - k <= 8 * turns.size:  # a dense count of the tail takes at most 64 bytes a game
+            turns -= k + 1
+            counts = np.bincount(turns)
+            turns = np.arange(k + 1, int(longest) + 1)
+        else:
+            turns, counts = np.unique(turns, return_counts=True)
+        values = np.concatenate((values[:-1], turns))
+        games = np.concatenate((games[:-1], counts))
+    return values, games
 
 
 def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -> Counter:
@@ -290,13 +384,15 @@ def _signature_counts(exits: np.ndarray) -> dict[tuple[int, ...], int]:
     return dict(zip(map(tuple, levels.tolist()), counts.tolist()))
 
 
-def _chunk_results(
-    params: GameParams, trials: int, seed: int, kernel: Callable[..., T]
-) -> Iterator[T]:
-    """Validate a Monte Carlo request, then play it one chunk at a time.
+def _chunk_streams(
+    params: GameParams, trials: int, seed: int
+) -> Iterator[tuple[int, np.random.Generator]]:
+    """Validate a Monte Carlo request, then return each chunk's (size, rng), lazily.
 
-    Yields kernel(params, size, rng) per chunk, rng being the substream
-    of (seed, chunk index). Chunk sizes depend only on the trial count.
+    rng is the substream of (seed, chunk index); chunk sizes depend only
+    on the trial count. A 1/s below the smallest normal double raises
+    GameNotFinishedError: with p < 2**-1022, P(Y <= TURN_CAP) is below
+    TURN_CAP p < 10**-298 at any n.
     """
     import numpy as np
     _require_playable(params)
@@ -304,31 +400,44 @@ def _chunk_results(
     trials = plain_int(trials, "trials must be a positive integer")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if params.p == 0.0:  # 1/s underflows: not one game in 10**300 ends within the cap
+    if params.p < sys.float_info.min:
         raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
-    for index, done in enumerate(range(0, trials, CHUNK_TRIALS)):
-        size = min(CHUNK_TRIALS, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        yield kernel(params, size, rng)
+    return (
+        (min(CHUNK_TRIALS, trials - done), np.random.default_rng(np.random.SeedSequence((seed, index))))
+        for index, done in enumerate(range(0, trials, CHUNK_TRIALS))
+    )
+
+
+def _turn_chunks(params: GameParams, trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_turn_chunk's (turn values, games) per chunk, over one _turn_table for the call."""
+    streams = _chunk_streams(params, trials, seed)
+    cells = _turn_table(params, int(trials))  # an integer, as the streams checked
+    return (_turn_chunk(params, size, rng, cells) for size, rng in streams)
 
 
 def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimate:
     """Sample mean and variance of the turn count over seeded games.
 
-    Reads exact integer sums off each chunk's distinct turn counts, so the
+    Each chunk's histogram is one draw of _turn_chunk: a multinomial over
+    the law's tabulated turns and one uniform per game past them. The sums
+    are exact integers over the turn counts it returns (int64 while
+    y*y*games cannot overflow, Python ints past 2**23 turns), so the
     estimate is a pure function of (params, trials, seed), and its memory
     does not grow with the longest game as a dense histogram's would.
     """
-    import numpy as np
     trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
     total = total_sq = 0
-    for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
-        values, counts = np.unique(turn_counts, return_counts=True)
-        for y, count in zip(values.tolist(), counts.tolist()):
-            total += y * count
-            total_sq += y * y * count
+    for values, games in _turn_chunks(params, trials, seed):
+        if values[-1] < 1 << 23:  # then y*y*games sums to below 2**46 * CHUNK_TRIALS in int64
+            total += int(values @ games)
+            total_sq += int((values * values) @ games)
+        else:
+            values = values.tolist()
+            weighted = list(map(operator.mul, values, games.tolist()))
+            total += sum(weighted)
+            total_sq += sum(map(operator.mul, values, weighted))
     mean = total / trials
     # exact integer numerator: no cancellation between the two big sums
     variance = (trials * total_sq - total * total) / (trials * (trials - 1))
@@ -337,36 +446,35 @@ def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimat
         variance=variance,
         std_error_mean=math.sqrt(variance / trials),
         trials=trials,
-        seed=int(seed),  # checked by _chunk_results
+        seed=int(seed),  # checked by _chunk_streams
     )
 
 
 def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarray:
     """Counts of observed turn counts; index y holds how many games took y turns.
 
-    The array is as long as the longest game, so a chunk whose longest game
-    would take it past MEMORY_BUDGET raises ValueError, checked after the
-    chunk's draws (the seeded streams do not depend on the budget).
+    Drawn chunk by chunk by _turn_chunk, from the streams that
+    monte_carlo_moments draws. The array is as long as the longest game,
+    so a chunk whose longest game would take it past MEMORY_BUDGET raises
+    ValueError, checked after the chunk's draws (the seeded streams do not
+    depend on the budget).
     """
     import numpy as np
     hist = np.zeros(1, dtype=np.int64)
-    for turn_counts in _chunk_results(params, trials, seed, _turn_counts):
-        longest = int(turn_counts.max())
+    for values, games in _turn_chunks(params, trials, seed):
+        longest = int(values[-1])
         check_memory(8 * (longest + 1), f"a histogram of games up to {longest} turns")
-        bc = np.bincount(turn_counts)
-        if bc.size > hist.size:
-            bc[: hist.size] += hist
-            hist = bc
-        else:
-            hist[: bc.size] += bc
+        if longest >= hist.size:
+            hist = np.concatenate((hist, np.zeros(longest + 1 - hist.size, dtype=np.int64)))
+        hist[values] += games
     return hist
 
 
 def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter:
     """Observed signature counts over seeded games, keyed by tuple."""
     freq: Counter = Counter()
-    for signatures in _chunk_results(params, trials, seed, _signature_chunk):
-        freq.update(signatures)
+    for size, rng in _chunk_streams(params, trials, seed):
+        freq.update(_signature_chunk(params, size, rng))
     return freq
 
 

@@ -882,6 +882,28 @@ class TestQuantile:
             quantile(params, 1 - Fraction(1, 2**3_200_000))
         assert time.perf_counter() - start < 3
 
+    def test_a_refused_probe_past_the_answer_bounds_the_search(self, monkeypatch):
+        # the gallop from the seed at 53 probes y = 1075 past the answer
+        # 1000; under a cap that admits the answer's exact cdf but not the
+        # probe's, the search goes on below the probe instead of refusing,
+        # and under one that refuses the answer's too, the probe's refusal
+        # stands
+        params, prob = GameParams(1, 2), 1 - Fraction(1, 2**1000)
+        products = _cdf_products(params, 1000)
+        assert _cdf_products(params, 1075) > products
+        probes = []
+        reaches = moments._cdf_reaches
+        monkeypatch.setattr(moments, "_cdf_reaches", lambda *args: probes.append(args[1]) or reaches(*args))
+        for module in (moments, chain_module):
+            monkeypatch.setattr(module, "TURN_CAP", products)
+        assert quantile(params, prob) == quantile(params, prob, EXACT) == 1000
+        assert max(probes) == 1075
+        for module in (moments, chain_module):
+            monkeypatch.setattr(module, "TURN_CAP", products - 1)
+        message = f"at y=1075 for n=1, s=2 takes up to {_cdf_products(params, 1075)} digit products"
+        with pytest.raises(ValueError, match=message):
+            quantile(params, prob)
+
     def test_level_extremes_rejected(self):
         params = GameParams(2, 3)
         for prob in (0.0, 1.0, -0.2, 1.5):

@@ -40,8 +40,46 @@ from geomax import (
     variance_closed,
 )
 from geomax import params as params_module
+from geomax import simulate as simulate_module
+from geomax.moments import _cdf_reaches, pmf
 from geomax.params import MEMORY_BUDGET
-from geomax.simulate import TURN_CAP, _signature_chunk, _signature_counts, _turn_counts
+from geomax.simulate import (
+    CELL_GAMES,
+    TAIL_FLOOR,
+    TURN_CAP,
+    _signature_chunk,
+    _signature_counts,
+    _turn_chunk,
+    _turn_table,
+)
+
+
+def check_inversion(params: GameParams, cells: np.ndarray, count: int, seed: int) -> None:
+    """_turn_chunk's head is its multinomial draw and its tail the exact inverse law.
+
+    The tail's U = 1 - S(K) (1 - V) are replayed from the same stream and
+    sorted; as the turn count grows with U, the chunk's counts deal them
+    out in order, and each turn y must take U with cdf(y - 1) < U <= cdf(y)
+    in exact arithmetic.
+    """
+    k = cells.size - 1
+    values, games = _turn_chunk(params, count, np.random.default_rng(seed), cells)
+    rng = np.random.default_rng(seed)
+    head = rng.multinomial(count, cells)
+    survival = Fraction(cells[-1])
+    uniforms = sorted(1 - survival * (1 - Fraction(v)) for v in rng.random(head[-1]).tolist())
+    assert games.sum() == count and games[-1] > 0
+    assert (np.diff(values) > 0).all()
+    tail = values > k
+    assert values[~tail].tolist() == (np.flatnonzero(head[:-1]) + 1).tolist()
+    assert games[~tail].tolist() == head[:-1][head[:-1] > 0].tolist()
+    assert games[tail].sum() == len(uniforms)
+    start = 0
+    for y, drawn in zip(values[tail].tolist(), games[tail].tolist()):
+        if drawn:
+            low, high = uniforms[start], uniforms[start + drawn - 1]
+            assert not _cdf_reaches(params, y - 1, low) and _cdf_reaches(params, y, high), (params, y)
+            start += drawn
 
 
 def check_record(record: GameRecord) -> None:
@@ -195,7 +233,9 @@ class TestMonteCarlo:
         whole = turn_count_histogram(params, CHUNK_TRIALS + 17, seed)
         head = turn_count_histogram(params, CHUNK_TRIALS, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        tail = np.bincount(_turn_counts(params, 17, rng))
+        values, games = _turn_chunk(params, 17, rng, _turn_table(params, CHUNK_TRIALS + 17))
+        tail = np.zeros(values[-1] + 1, dtype=np.int64)
+        tail[values] = games
         size = max(head.size, tail.size)
         expected = np.pad(head, (0, size - head.size)) + np.pad(tail, (0, size - tail.size))
         assert np.array_equal(whole, expected)
@@ -242,18 +282,85 @@ class TestMonteCarlo:
         assert sum(sigs.values()) == 4096
         assert peak - held < 4e6
 
-    def test_turn_counts_invert_the_exact_law(self):
-        # each game's turn count T is the smallest y with cdf(y) >= U, U its
-        # uniform: cdf(T - 1) < U <= cdf(T) in exact arithmetic
+    @pytest.mark.parametrize(
+        "table_trials, floor",
+        # K = 0, so every game inverts the plain law; K > 0 with the tail
+        # floor raised so that a quarter of the games or more land past K
+        [(CELL_GAMES - 1, TAIL_FLOOR), (2000, 0.25)],
+        ids=["K=0", "K>0"],
+    )
+    def test_turn_counts_invert_the_exact_law(self, monkeypatch, table_trials, floor):
+        monkeypatch.setattr(simulate_module, "TAIL_FLOOR", floor)
         for s in range(1, 13):
             for n in range(1, s + 1):
-                params, seed = GameParams(n, s), 100 * n + s
-                turns = _turn_counts(params, 2000, np.random.default_rng(seed))
-                uniforms = np.random.default_rng(seed).random(2000)
-                for y in np.unique(turns).tolist():
-                    drawn = uniforms[turns == y]
-                    assert cdf(params, y - 1, EXACT) < Fraction(drawn.min()), (n, s, y)
-                    assert Fraction(drawn.max()) <= cdf(params, y, EXACT), (n, s, y)
+                check_inversion(GameParams(n, s), _turn_table(GameParams(n, s), table_trials), 2000, 100 * n + s)
+
+    @pytest.mark.parametrize("n, s, count", [(2, 5000, 20), (1, 10**6, 100)])
+    def test_sparse_tails_invert_the_exact_law(self, n, s, count):
+        # the tail spans more than 8 turns a game, so it is counted by
+        # np.unique rather than densely
+        params = GameParams(n, s)
+        check_inversion(params, _turn_table(params, count), count, 7)
+
+    @pytest.mark.parametrize("trials", [1, CELL_GAMES, 2000, CHUNK_TRIALS, 10 * CHUNK_TRIALS])
+    def test_turn_tables_hold_their_invariants(self, trials):
+        # numpy's multinomial needs cells >= 0 summing to at most 1 before the
+        # last; the last, S(K), stays at or above the floor, and each cell
+        # is its turn's probability
+        cases = [GameParams(n, s) for s in range(1, 13) for n in range(1, s + 1)]
+        cases += [GameParams(50, 50), GameParams(1, 10**6), GameParams(400, 400), GameParams(2, 10**12)]
+        for params in cases:
+            cells = _turn_table(params, trials)
+            k = cells.size - 1
+            assert k <= max(0, min(trials, CHUNK_TRIALS) // CELL_GAMES), (params, trials)
+            assert (cells >= 0).all() and math.fsum(cells[:-1]) <= 1, (params, trials)
+            assert cells[-1] >= TAIL_FLOOR, (params, trials)
+            if params.s <= 12:
+                assert cells[-1] == pytest.approx(float(1 - cdf(params, k, EXACT)), rel=1e-12, abs=1e-15)
+                for y in range(1, k + 1):
+                    assert cells[y - 1] == pytest.approx(float(pmf(params, y, EXACT)), rel=1e-12, abs=1e-15)
+        assert _turn_table(GameParams(4, 6), 100_000).size - 1 > 0  # a dense law tabulates
+        assert _turn_table(GameParams(50, 50), 1_500).size == 1  # 880 turns for 1,500 games do not
+
+    def test_histograms_follow_the_exact_law(self):
+        # chi-square over cells pooled to an expected count of at least 5,
+        # against the Wilson-Hilferty quantile, Bonferroni over the 78 games
+        trials, seed = 20_000, 29
+        cases = [GameParams(n, s) for s in range(1, 13) for n in range(1, s + 1)]
+        z = NormalDist().inv_cdf(1 - 0.001 / len(cases))
+        for params in cases:
+            hist = turn_count_histogram(params, trials, seed)
+            assert hist.sum() == trials and hist[0] == 0
+            bins, observed, expected = [], 0, 0.0
+            for y in range(1, hist.size):
+                observed += int(hist[y])
+                expected += trials * pmf(params, y)
+                if expected >= 5 and trials * (1 - cdf(params, y)) >= 5:
+                    bins.append((observed, expected))
+                    observed, expected = 0, 0.0
+            # the last bin runs from its first turn to infinity
+            expected = trials - sum(e for _, e in bins)
+            bins.append((observed, expected))
+            df = len(bins) - 1
+            if df == 0:  # s = 1: one turn, one bin
+                assert hist.tolist() == [0, trials]
+                continue
+            stat = sum((o - e) ** 2 / e for o, e in bins)
+            limit = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+            assert stat < limit, (params, stat, limit, df)
+
+    @pytest.mark.parametrize("n, s, trials", [(4, 6, 3000), (1, 10**5, 200), (1, 10**7, 40)])
+    def test_moments_read_exact_sums(self, n, s, trials):
+        # int64 sums below 2**23 turns, Python ints past them
+        params, seed = GameParams(n, s), 3
+        cells = _turn_table(params, trials)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        values, games = _turn_chunk(params, trials, rng, cells)
+        total = sum(y * c for y, c in zip(values.tolist(), games.tolist()))
+        total_sq = sum(y * y * c for y, c in zip(values.tolist(), games.tolist()))
+        est = monte_carlo_moments(params, trials, seed)
+        assert est.mean == total / trials
+        assert est.variance == (trials * total_sq - total * total) / (trials * (trials - 1))
 
     def test_moments_memory_does_not_grow_with_the_longest_game(self):
         # games of about 10**6 turns: a dense histogram would take megabytes
@@ -301,17 +408,25 @@ class TestMonteCarlo:
                     run(GameParams(2, s), 2, 1)
 
     def test_one_face_games_take_one_turn(self):
-        # so does a game whose uniform is 0, at any s; log(0) warns nothing
+        # so does a game whose uniform is 0, at any s, and one whose U is
+        # cdf(K) takes K + 1; log1p(-1) warns nothing
         class ZeroUniforms:
+            def multinomial(self, count, cells):
+                return np.array([0] * (cells.size - 1) + [count])
+
             def random(self, count):
                 return np.zeros(count)
 
         params = GameParams(1, 1)
+        cells = _turn_table(GameParams(3, 5), 2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert turn_count_histogram(params, 1000, 4).tolist() == [0, 1000]
             est = monte_carlo_moments(params, 1000, 4)
-            assert _turn_counts(GameParams(3, 5), 4, ZeroUniforms()).tolist() == [1] * 4
+            values, games = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), np.ones(1))
+            assert (values.tolist(), games.tolist()) == ([1], [4])
+            values, games = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), cells)
+            assert (values.tolist(), games.tolist()) == ([cells.size], [4])
         assert (est.mean, est.variance) == (1.0, 0.0)
         assert signature_frequencies(params, 1000, 4) == Counter({(1,): 1000})
 
