@@ -693,7 +693,8 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     raises ValueError, but a gallop probe past the answer does not: the
     search goes on below the last turn whose exact cdf is admitted
     (_last_admitted_cdf), so a level is refused only where its answer lies
-    past that turn, its own exact cdf refused.
+    past that turn, its own exact cdf refused, and the refusal names the
+    turn just past it.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -714,12 +715,15 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
             if _cdf_reaches(params, hi, prob):
                 break
         except ValueError:  # hi's exact cdf is refused, and so is every one past it
-            last = _last_admitted_cdf(params, hi)
-            if last < 1 or not _cdf_reaches(params, last, prob):
-                raise
-            lo, hi = min(lo, last - 1), last
-            break
-        lo, hi = hi, 3 * hi - 2 * lo
+            pass
+        else:
+            lo, hi = hi, 3 * hi - 2 * lo
+            continue
+        hi = _last_admitted_cdf(params, hi)
+        if not _cdf_reaches(params, hi, prob):  # the answer's own exact cdf is refused
+            cdf(params, hi + 1, EXACT)  # raises ValueError, naming the first turn refused
+        lo = min(lo, hi - 1)
+        break
     while _cdf_reaches(params, lo, prob):
         lo, hi = max(0, 3 * lo - 2 * hi), lo
     while hi - lo > 1:

@@ -290,9 +290,12 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
 def _turn_chunk(
     params: GameParams, count: int, rng: np.random.Generator, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The turn counts of `count` games, ascending, and how many games took each.
+    """Turn counts of `count` games: (head, tail).
 
-    The games' histogram is Multinomial(count, law), drawn by the
+    head[y - 1] games took y turns, for y = 1..K; tail holds the turn
+    count of each game past K, in draw order, as int64. Each caller counts
+    the tail as its output needs, so the kernel sorts nothing. The head
+    and the tail's size are Multinomial(count, law), drawn by the
     conditional binomials of one rng.multinomial over the cells of
     _turn_table: turns 1..K, then Y > K (with the one cell of K = 0, numpy
     draws nothing). The games past K invert the law conditioned on Y > K,
@@ -302,19 +305,13 @@ def _turn_chunk(
     log1p(-S(K) (1 - V)), which never rounds to 0, and log(1 - U**(1/n))
     comes from moments._log1mexp_array, the switch quantile's seed takes.
     At K = 0, S(0) = 1 and U = V: the plain inverse law, one uniform per
-    game. log q = -inf at s = 1 and U = 0 both give one turn. Every
-    returned value has games, except in a dense count of the tail (at
-    most 8 turns a tail game), which lists each turn from K + 1 to the
-    longest; the last value is always the longest game.
+    game. log q = -inf at s = 1 and U = 0 both give one turn.
     """
     import numpy as np
     k = cells.size - 1
     games = rng.multinomial(count, cells)
-    values = np.flatnonzero(games)  # cell i holds turn i + 1; cell K, the tail, turns past K
-    games = games[values]
-    values += 1
-    if values[-1] > k:
-        turns = rng.random(games[-1])
+    turns = rng.random(games[-1])
+    if turns.size:
         np.subtract(1.0, turns, out=turns)
         turns *= -cells[-1]
         # log1p(-1) = -inf at U = 0; a tiny 1/s overflows the quotient past the cap
@@ -325,18 +322,8 @@ def _turn_chunk(
             turns /= _log_q(params)
         np.ceil(turns, out=turns)
         np.maximum(turns, k + 1, out=turns)
-        longest = turns.max()
-        _check_turn_cap(longest)
-        turns = turns.astype(np.int64)
-        if longest - k <= 8 * turns.size:  # a dense count of the tail takes at most 64 bytes a game
-            turns -= k + 1
-            counts = np.bincount(turns)
-            turns = np.arange(k + 1, int(longest) + 1)
-        else:
-            turns, counts = np.unique(turns, return_counts=True)
-        values = np.concatenate((values[:-1], turns))
-        games = np.concatenate((games[:-1], counts))
-    return values, games
+        _check_turn_cap(turns.max())
+    return games[:-1], turns.astype(np.int64)
 
 
 def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -> Counter:
@@ -409,7 +396,7 @@ def _chunk_streams(
 
 
 def _turn_chunks(params: GameParams, trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_turn_chunk's (turn values, games) per chunk, over one _turn_table for the call."""
+    """_turn_chunk's (head, tail) per chunk, over one _turn_table for the call."""
     streams = _chunk_streams(params, trials, seed)
     cells = _turn_table(params, int(trials))  # an integer, as the streams checked
     return (_turn_chunk(params, size, rng, cells) for size, rng in streams)
@@ -418,26 +405,30 @@ def _turn_chunks(params: GameParams, trials: int, seed: int) -> Iterator[tuple[n
 def monte_carlo_moments(params: GameParams, trials: int, seed: int) -> McEstimate:
     """Sample mean and variance of the turn count over seeded games.
 
-    Each chunk's histogram is one draw of _turn_chunk: a multinomial over
-    the law's tabulated turns and one uniform per game past them. The sums
-    are exact integers over the turn counts it returns (int64 while
-    y*y*games cannot overflow, Python ints past 2**23 turns), so the
-    estimate is a pure function of (params, trials, seed), and its memory
-    does not grow with the longest game as a dense histogram's would.
+    Each chunk is one draw of _turn_chunk: a multinomial over the law's
+    tabulated turns and one uniform per game past them. The sums are exact
+    integers, over the head's turns weighted by their games and over the
+    tail's turn counts one by one (int64 while the tail's squares cannot
+    overflow, Python ints from 2**23 turns on), so the estimate is a pure
+    function of (params, trials, seed), and its memory does not grow with
+    the longest game as a dense histogram's would.
     """
+    import numpy as np
     trials = plain_int(trials, "trials must be an integer")
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance")
     total = total_sq = 0
-    for values, games in _turn_chunks(params, trials, seed):
-        if values[-1] < 1 << 23:  # then y*y*games sums to below 2**46 * CHUNK_TRIALS in int64
-            total += int(values @ games)
-            total_sq += int((values * values) @ games)
+    for head, tail in _turn_chunks(params, trials, seed):
+        turns = np.arange(1, head.size + 1)  # K <= 2**13: the head's sums stay far inside int64
+        total += int(turns @ head)
+        total_sq += int((turns * turns) @ head)
+        if tail.max(initial=0) < 1 << 23:  # then the squares sum to below 2**46 * CHUNK_TRIALS
+            total += int(tail.sum())
+            total_sq += int(tail @ tail)
         else:
-            values = values.tolist()
-            weighted = list(map(operator.mul, values, games.tolist()))
-            total += sum(weighted)
-            total_sq += sum(map(operator.mul, values, weighted))
+            tail = tail.tolist()
+            total += sum(tail)
+            total_sq += sum(map(operator.mul, tail, tail))
     mean = total / trials
     # exact integer numerator: no cancellation between the two big sums
     variance = (trials * total_sq - total * total) / (trials * (trials - 1))
@@ -454,19 +445,24 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
     """Counts of observed turn counts; index y holds how many games took y turns.
 
     Drawn chunk by chunk by _turn_chunk, from the streams that
-    monte_carlo_moments draws. The array is as long as the longest game,
-    so a chunk whose longest game would take it past MEMORY_BUDGET raises
-    ValueError, checked after the chunk's draws (the seeded streams do not
-    depend on the budget).
+    monte_carlo_moments draws; a chunk's tail is counted by bincount. The
+    array is as long as the longest game, so a chunk whose longest game
+    would take it past MEMORY_BUDGET raises ValueError, checked after the
+    chunk's draws (the seeded streams do not depend on the budget).
     """
     import numpy as np
     hist = np.zeros(1, dtype=np.int64)
-    for values, games in _turn_chunks(params, trials, seed):
-        longest = int(values[-1])
+    for head, tail in _turn_chunks(params, trials, seed):
+        # a tail game outlasts every head game
+        longest = int(tail.max()) if tail.size else int(np.flatnonzero(head)[-1]) + 1
         check_memory(8 * (longest + 1), f"a histogram of games up to {longest} turns")
-        if longest >= hist.size:
-            hist = np.concatenate((hist, np.zeros(longest + 1 - hist.size, dtype=np.int64)))
-        hist[values] += games
+        counts = np.bincount(tail, minlength=longest + 1)
+        counts[1 : head.size + 1] += head[:longest]
+        if counts.size > hist.size:
+            counts[: hist.size] += hist
+            hist = counts
+        else:
+            hist[: counts.size] += counts
     return hist
 
 

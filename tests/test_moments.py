@@ -851,7 +851,8 @@ class TestQuantile:
         # the cap guards only the Fraction cdf: brackets decide the round
         # trip at (100, 100), y = 300, under small caps, and at s = 2**60,
         # while the exact tie at (3, 8), y = 5 needs that cdf, of
-        # _cdf_products(tie, 5) digit products
+        # _cdf_products(tie, 5) digit products; a refusal names the first
+        # turn that takes as many, 4
         params = GameParams(100, 100)
         prob = cdf(params, 300)
         tie = GameParams(3, 8)
@@ -862,7 +863,8 @@ class TestQuantile:
             assert quantile(params, prob) == quantile(params, prob, EXACT)
             assert quantile(tie, level) == 5
         monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
-        message = f"exact cdf at y=5 for n=3, s=8 takes up to {products} digit products, past TURN_CAP"
+        assert _cdf_products(tie, 3) < products == _cdf_products(tie, 4)
+        message = f"exact cdf at y=4 for n=3, s=8 takes up to {products} digit products, past TURN_CAP"
         for mode in (FLOAT, EXACT):
             with pytest.raises(ValueError, match=message):
                 quantile(tie, level, mode)
@@ -886,8 +888,9 @@ class TestQuantile:
         # the gallop from the seed at 53 probes y = 1075 past the answer
         # 1000; under a cap that admits the answer's exact cdf but not the
         # probe's, the search goes on below the probe instead of refusing,
-        # and under one that refuses the answer's too, the probe's refusal
-        # stands
+        # and under one that refuses the answer's too, the refusal names
+        # the first turn refused, 992, which takes as many products as
+        # the answer, not the probe
         params, prob = GameParams(1, 2), 1 - Fraction(1, 2**1000)
         products = _cdf_products(params, 1000)
         assert _cdf_products(params, 1075) > products
@@ -900,7 +903,8 @@ class TestQuantile:
         assert max(probes) == 1075
         for module in (moments, chain_module):
             monkeypatch.setattr(module, "TURN_CAP", products - 1)
-        message = f"at y=1075 for n=1, s=2 takes up to {_cdf_products(params, 1075)} digit products"
+        assert _cdf_products(params, 991) < products == _cdf_products(params, 992)
+        message = f"at y=992 for n=1, s=2 takes up to {products} digit products"
         with pytest.raises(ValueError, match=message):
             quantile(params, prob)
 

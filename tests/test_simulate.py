@@ -58,28 +58,24 @@ def check_inversion(params: GameParams, cells: np.ndarray, count: int, seed: int
     """_turn_chunk's head is its multinomial draw and its tail the exact inverse law.
 
     The tail's U = 1 - S(K) (1 - V) are replayed from the same stream and
-    sorted; as the turn count grows with U, the chunk's counts deal them
+    sorted; as the turn count grows with U, the sorted tail deals them
     out in order, and each turn y must take U with cdf(y - 1) < U <= cdf(y)
     in exact arithmetic.
     """
     k = cells.size - 1
-    values, games = _turn_chunk(params, count, np.random.default_rng(seed), cells)
+    head, tail = _turn_chunk(params, count, np.random.default_rng(seed), cells)
     rng = np.random.default_rng(seed)
-    head = rng.multinomial(count, cells)
+    drawn = rng.multinomial(count, cells)
     survival = Fraction(cells[-1])
-    uniforms = sorted(1 - survival * (1 - Fraction(v)) for v in rng.random(head[-1]).tolist())
-    assert games.sum() == count and games[-1] > 0
-    assert (np.diff(values) > 0).all()
-    tail = values > k
-    assert values[~tail].tolist() == (np.flatnonzero(head[:-1]) + 1).tolist()
-    assert games[~tail].tolist() == head[:-1][head[:-1] > 0].tolist()
-    assert games[tail].sum() == len(uniforms)
+    uniforms = sorted(1 - survival * (1 - Fraction(v)) for v in rng.random(drawn[-1]).tolist())
+    assert head.tolist() == drawn[:-1].tolist()
+    assert tail.dtype == np.int64 and tail.size == len(uniforms) > 0
+    assert (tail > k).all()
     start = 0
-    for y, drawn in zip(values[tail].tolist(), games[tail].tolist()):
-        if drawn:
-            low, high = uniforms[start], uniforms[start + drawn - 1]
-            assert not _cdf_reaches(params, y - 1, low) and _cdf_reaches(params, y, high), (params, y)
-            start += drawn
+    for y, games in zip(*np.unique(tail, return_counts=True)):
+        low, high = uniforms[start], uniforms[start + games - 1]
+        assert not _cdf_reaches(params, int(y) - 1, low) and _cdf_reaches(params, int(y), high), (params, y)
+        start += games
 
 
 def check_record(record: GameRecord) -> None:
@@ -233,9 +229,10 @@ class TestMonteCarlo:
         whole = turn_count_histogram(params, CHUNK_TRIALS + 17, seed)
         head = turn_count_histogram(params, CHUNK_TRIALS, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        values, games = _turn_chunk(params, 17, rng, _turn_table(params, CHUNK_TRIALS + 17))
-        tail = np.zeros(values[-1] + 1, dtype=np.int64)
-        tail[values] = games
+        games, turns = _turn_chunk(params, 17, rng, _turn_table(params, CHUNK_TRIALS + 17))
+        tail = np.bincount(turns, minlength=games.size + 1)
+        tail[1 : games.size + 1] += games
+        tail = np.trim_zeros(tail, "b")
         size = max(head.size, tail.size)
         expected = np.pad(head, (0, size - head.size)) + np.pad(tail, (0, size - tail.size))
         assert np.array_equal(whole, expected)
@@ -297,8 +294,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n, s, count", [(2, 5000, 20), (1, 10**6, 100)])
     def test_sparse_tails_invert_the_exact_law(self, n, s, count):
-        # the tail spans more than 8 turns a game, so it is counted by
-        # np.unique rather than densely
+        # the tail spans far more turns than it has games
         params = GameParams(n, s)
         check_inversion(params, _turn_table(params, count), count, 7)
 
@@ -355,9 +351,11 @@ class TestMonteCarlo:
         params, seed = GameParams(n, s), 3
         cells = _turn_table(params, trials)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        values, games = _turn_chunk(params, trials, rng, cells)
-        total = sum(y * c for y, c in zip(values.tolist(), games.tolist()))
-        total_sq = sum(y * y * c for y, c in zip(values.tolist(), games.tolist()))
+        head, tail = _turn_chunk(params, trials, rng, cells)
+        turns = list(range(1, head.size + 1)) + tail.tolist()
+        games = head.tolist() + [1] * tail.size
+        total = sum(y * c for y, c in zip(turns, games))
+        total_sq = sum(y * y * c for y, c in zip(turns, games))
         est = monte_carlo_moments(params, trials, seed)
         assert est.mean == total / trials
         assert est.variance == (trials * total_sq - total * total) / (trials * (trials - 1))
@@ -423,10 +421,10 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             assert turn_count_histogram(params, 1000, 4).tolist() == [0, 1000]
             est = monte_carlo_moments(params, 1000, 4)
-            values, games = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), np.ones(1))
-            assert (values.tolist(), games.tolist()) == ([1], [4])
-            values, games = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), cells)
-            assert (values.tolist(), games.tolist()) == ([cells.size], [4])
+            head, tail = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), np.ones(1))
+            assert (head.tolist(), tail.tolist()) == ([], [1] * 4)
+            head, tail = _turn_chunk(GameParams(3, 5), 4, ZeroUniforms(), cells)
+            assert (head.tolist(), tail.tolist()) == ([0] * (cells.size - 1), [cells.size] * 4)
         assert (est.mean, est.variance) == (1.0, 0.0)
         assert signature_frequencies(params, 1000, 4) == Counter({(1,): 1000})
 
