@@ -44,6 +44,12 @@ With --cli the file is instead a transcript of the command line, run in
 one process through geomax.cli.main: for each call in CLI_CALLS, the call
 with its environment, its exit code, standard output and standard error.
 --help pages wrap to HELP_COLUMNS.
+
+With --diff OLD NEW nothing is run: two files of this script's default
+output are compared line by line, and each route's count of lines whose
+value changed, whose bound changed and whose bound grew is printed:
+
+    python scripts/route_snapshot.py --diff before.txt after.txt
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ import math
 import os
 import pathlib
 import shlex
+import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from geomax import (
@@ -400,19 +408,77 @@ def cli_transcript():
         yield f"$ {call}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def main() -> None:
+def read_snapshot(path: pathlib.Path) -> dict:
+    """{(route, n, s, point, k): (value, bound)}, k counting the earlier lines of one key."""
+    lines, seen = {}, Counter()
+    for line in path.read_text().splitlines():
+        route, n, s, point, value, bound = line.split(" ")
+        key = (route, n, s, point)
+        lines[(*key, seen[key])] = value, bound
+        seen[key] += 1
+    return lines
+
+
+def parse_bound(text: str):
+    """A written bound as a number (a float, or a Fraction for exact ones), None for "-"."""
+    if text == "-":
+        return None
+    if "/" in text:
+        num, den = text.split("/")
+        return Fraction(int(num, 16), int(den, 16))
+    return float.fromhex(text)
+
+
+def diff_snapshots(old: dict, new: dict) -> dict:
+    """Per route: Counter of lines, value and bound changes, grown bounds, and lines in one file only."""
+    routes = defaultdict(Counter)
+    for key in old.keys() | new.keys():
+        counts = routes[key[0]]
+        if key not in new or key not in old:
+            counts["only old" if key in old else "only new"] += 1
+            continue
+        (old_value, old_bound), (new_value, new_bound) = old[key], new[key]
+        counts["lines"] += 1
+        counts["value"] += old_value != new_value
+        counts["bound"] += old_bound != new_bound
+        before, after = parse_bound(old_bound), parse_bound(new_bound)
+        counts["grew"] += before is not None and after is not None and after > before
+    return dict(sorted(routes.items()))
+
+
+def print_diff(routes: dict) -> None:
+    for route, counts in routes.items():
+        grew = f"bound grew on {counts['grew']}" if counts["grew"] else "no bound grew"
+        line = f"{route}: {counts['lines']} lines, {counts['value']} changed value, "
+        line += f"{counts['bound']} changed bound, {grew}"
+        for side in ("only old", "only new"):
+            if counts[side]:
+                line += f", {counts[side]} {side}"
+        print(line)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=pathlib.Path, required=True)
+    parser.add_argument("--out", type=pathlib.Path)
     parser.add_argument("--s-max", type=int, default=40)
     parser.add_argument("--cli", action="store_true", help="write the CLI transcript instead")
+    parser.add_argument(
+        "--diff", nargs=2, type=pathlib.Path, metavar=("OLD", "NEW"), help="compare two --out files"
+    )
     args = parser.parse_args()
+    if args.diff:
+        print_diff(diff_snapshots(*map(read_snapshot, args.diff)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required unless --diff is given")
     with args.out.open("w") as fh:
         if args.cli:
             fh.writelines(cli_transcript())
-            return
+            return 0
         for route, params, point, value, bound in snapshot(args.s_max):
             fh.write(f"{route} {params.n} {params.s} {point} {value} {bound}\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

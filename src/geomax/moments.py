@@ -468,8 +468,11 @@ def _closed_tail(params: GameParams, eps: float):
     c_j / c_{j-1} = (n-j+1) q**T / j <= n q**T <= 1/2, and d grows with j,
     so each |term| is at most half the one before: the alternating sum's
     condition number is at most 3, and its remainder after the last term
-    kept is at most the first term left out. Each sum keeps its terms up to
-    the first whose computed magnitude is <= eps, or to j = n.
+    kept is at most the first term left out. Both sums keep their terms up
+    to the first j whose second-moment term, the mean's times
+    (2T+1) + 2x / d >= 3, is <= eps, or to j = n: a cut on the mean's own
+    terms would never come later, and its first term left out still bounds
+    the mean's remainder.
 
     Error bound, to first order, with u = 2**-53 and the roundings of
     _closed_form_terms: fl(j lam) errs by at most 5u relative, so q**T =
@@ -496,34 +499,28 @@ def _closed_tail(params: GameParams, eps: float):
     split = _first_at_most(lambda t: n * math.exp(t * lam), SERIES_SPLIT, walk)
     q_split = math.exp(split * lam)
     step = (5 * split * abs(lam) + 6) * _U  # c_j's relative error per j
-    kept, errors, left_out = ([], []), ([], []), [None, None]
-    c, j = 1.0, 0
-    while j < n and None in left_out:
-        j += 1
+    kept, errors, truncation = ([], []), ([], []), (0.0, 0.0)
+    c = 1.0
+    for j in range(1, n + 1):
         c *= (n - j + 1) / j * q_split
         d = -math.expm1(j * lam)
         mean = c / d
         terms = (mean, mean * ((2 * split + 1) + 2 * math.exp(j * lam) / d))
         relative = (j * step + 8 * _U, j * step + (5 * j * abs(lam) + 20) * _U)
+        if terms[1] <= eps:
+            truncation = [term * (1 + r) for term, r in zip(terms, relative)]
+            break
         for k in (0, 1):
-            if left_out[k] is not None:
-                continue
-            if terms[k] <= eps:
-                left_out[k] = terms[k] * (1 + relative[k])
-            else:
-                kept[k].append(terms[k] if j % 2 else -terms[k])
-                errors[k].append(terms[k] * relative[k])
+            kept[k].append(terms[k] if j % 2 else -terms[k])
+            errors[k].append(terms[k] * relative[k])
     tails = []
-    for terms, term_errors, truncation in zip(kept, errors, left_out):
+    for terms, term_errors, left_out in zip(kept, errors, truncation):
         value = math.fsum(terms)
-        bound = math.fsum(term_errors) + _U * abs(value) + (truncation or 0.0)
-        tails.append((split, value, bound))
+        tails.append((split, value, math.fsum(term_errors) + _U * abs(value) + left_out))
     return tails
 
 
-def _survival_sums(
-    params: GameParams, eps: float, source, tail=_geometric_tail
-) -> tuple[tuple[float, float], ...]:
+def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[float, float], ...]:
     """((mean, bound), (second moment, bound)) from the survival terms P(Y > t).
 
     E(Y) = sum_{t>=0} P(Y > t) and E(Y**2) = sum_{t>=0} (2t+1) P(Y > t).

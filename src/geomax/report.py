@@ -20,11 +20,6 @@ from . import chain, moments
 from .kernels import _U
 from .params import FLOAT, CancellationError, GameParams, MomentReport, NumericMode
 
-#: Analytic methods moment_report accepts. "auto" is the closed route
-#: with automatic series fallback; "closed" insists on the alternating
-#: sums and raises CancellationError when they cannot deliver.
-ANALYTIC_METHODS = ("auto", "closed", "series", "recursive", "matrix-power")
-
 #: Relative error bound above which float-mode closed sums refuse to
 #: stand on their own.
 CANCELLATION_TOLERANCE = 1e-9
@@ -62,27 +57,16 @@ def _closed_report(params: GameParams, mode: NumericMode, fallback: bool) -> Mom
             f"closed alternating sums at n={params.n}, s={params.s} lost "
             "too much precision and fallback is disabled"
         )
-    return _survival_report(params, mode, "series")
+    return METHODS["series"](params, mode)
 
 
-#: Where each survival-sum route reads its terms P(Y > t), and how it ends
-#: its sums: the closed form up to the closed tail, or the chain's
-#: absorption probabilities up to the geometric tail bound.
-SURVIVAL_SOURCES = {
-    "series": (moments._closed_form_terms, moments._closed_tail),
-    "matrix-power": (chain._survival_terms, moments._geometric_tail),
-}
-
-
-def _survival_report(params: GameParams, mode: NumericMode, method: str) -> MomentReport:
-    """The survival sums of method's source; exact mode has no finite evaluation of them."""
+def _survival_report(params: GameParams, mode: NumericMode, method: str, source, tail) -> MomentReport:
+    """The survival sums over source's terms, ended by tail; exact mode has no finite evaluation of them."""
     if mode.exact:
         if method == "matrix-power":
             raise ValueError("matrix-power moments are float-only")
         return _closed_report(params, mode, fallback=False)
-    (mean, mean_err), (m2, m2_err) = moments._survival_sums(
-        params, mode.truncation_epsilon, *SURVIVAL_SOURCES[method]
-    )
+    (mean, mean_err), (m2, m2_err) = moments._survival_sums(params, mode.truncation_epsilon, source, tail)
     return _pack(params, mean, m2, mean_err, m2_err, method)
 
 
@@ -108,6 +92,26 @@ def _pack(params: GameParams, mean, m2, mean_err, m2_err, tag: str) -> MomentRep
     )
 
 
+#: Each analytic method's report, (params, mode) -> MomentReport: "auto" is
+#: the closed sums with series fallback, "closed" raises CancellationError
+#: instead. Each entry looks up what it calls when called, so a patched or
+#: traced function runs.
+METHODS = {
+    "auto": lambda params, mode: _closed_report(params, mode, fallback=True),
+    "closed": lambda params, mode: _closed_report(params, mode, fallback=False),
+    "series": lambda params, mode: _survival_report(
+        params, mode, "series", moments._closed_form_terms, moments._closed_tail
+    ),
+    "recursive": lambda params, mode: _recursive_report(params, mode),
+    "matrix-power": lambda params, mode: _survival_report(
+        params, mode, "matrix-power", chain._survival_terms, moments._geometric_tail
+    ),
+}
+
+#: Analytic methods moment_report accepts, in the order the CLI lists them.
+ANALYTIC_METHODS = tuple(METHODS)
+
+
 def moment_report(
     params: GameParams, mode: NumericMode = FLOAT, method: str = "auto"
 ) -> MomentReport:
@@ -118,15 +122,9 @@ def moment_report(
     series requests route to the closed form; exact-mode matrix-power
     moments are rejected (that path sums a truncated series).
     """
-    if method == "auto":
-        return _closed_report(params, mode, fallback=True)
-    if method == "closed":
-        return _closed_report(params, mode, fallback=False)
-    if method in SURVIVAL_SOURCES:
-        return _survival_report(params, mode, method)
-    if method == "recursive":
-        return _recursive_report(params, mode)
-    raise ValueError(f"unknown method {method!r}; pick from {ANALYTIC_METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick from {ANALYTIC_METHODS}")
+    return METHODS[method](params, mode)
 
 
 def expected_value_closed(params: GameParams, mode: NumericMode = FLOAT, *, fallback: bool = True):

@@ -581,7 +581,7 @@ class TestSeriesAgreement:
         def source(_, stop):
             return lambda t: (exact_terms(t)[0], 0.0, np.full(t.size, error))
 
-        sums = _survival_sums(params, eps, source)
+        sums = _survival_sums(params, eps, source, moments._geometric_tail)
         # weights 1 (mean) and 2t + 1 (second moment)
         for (total, bound), tail, slope in zip(
             sums, (tail_bound_max_geom, tail_bound_weighted_max_geom), (0, 2)
@@ -611,6 +611,30 @@ class TestSeriesAgreement:
         for quantity in ("mean", "second_moment", "variance"):
             gap = abs(Fraction(getattr(got, quantity)) - getattr(exact, quantity))
             assert gap <= Fraction(got.error_bound), (quantity, float(gap), got.error_bound)
+
+    @pytest.mark.parametrize("n, s, eps", [(10, 10, 1e-13), (40, 40, 1e-6)])
+    def test_closed_tails_end_at_one_cut(self, n, s, eps):
+        # the mean's terms fall to eps before the second moment's do (at
+        # (10, 10) only at j = n, where the second moment's never do); both
+        # tails keep their terms up to the second moment's cut, and the
+        # mean's truncation is its own term there
+        (split, mean, mean_bound), (_, m2, _) = moments._closed_tail(GameParams(n, s), eps)
+        lam = math.log1p(-1 / s)
+        q_split, step = math.exp(split * lam), (5 * split * abs(lam) + 6) * _U
+        c, means, seconds = 1.0, [], []
+        for j in range(1, n + 1):
+            c *= (n - j + 1) / j * q_split
+            d = -math.expm1(j * lam)
+            means.append(c / d)
+            seconds.append(c / d * ((2 * split + 1) + 2 * math.exp(j * lam) / d))
+        cut = next((j for j, term in enumerate(seconds, 1) if term <= eps), n + 1)
+        assert next(j for j, term in enumerate(means, 1) if term <= eps) < cut
+        for value, terms in ((mean, means), (m2, seconds)):
+            assert value == math.fsum(term if j % 2 else -term for j, term in enumerate(terms[: cut - 1], 1))
+        relative = [j * step + 8 * _U for j in range(1, n + 1)]
+        evaluation = math.fsum(term * r for term, r in zip(means[: cut - 1], relative))
+        truncation = means[cut - 1] * (1 + relative[cut - 1]) if cut <= n else 0.0
+        assert mean_bound == evaluation + _U * abs(mean) + truncation
 
     def test_series_refuses_where_q_rounds_to_one(self):
         # the head would take about s ln(2n) terms; auto still has the closed sums
@@ -1052,6 +1076,16 @@ class TestRelaxedParameters:
                 GameParams(n, s)
         with pytest.raises(ValueError):
             GameParams(2.0, 3)  # type: ignore[arg-type]
+
+
+def test_methods_keep_their_order_and_refusal():
+    # the CLI builds its --method choices and --help from this order
+    assert report.ANALYTIC_METHODS == ("auto", "closed", "series", "recursive", "matrix-power")
+    with pytest.raises(ValueError) as refused:
+        moment_report(GameParams(2, 2), method="nope")
+    assert str(refused.value) == (
+        "unknown method 'nope'; pick from ('auto', 'closed', 'series', 'recursive', 'matrix-power')"
+    )
 
 
 @pytest.mark.parametrize(
