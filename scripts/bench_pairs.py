@@ -116,7 +116,7 @@ def machine() -> dict:
     }
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision of the base side")
     parser.add_argument("--head", required=True, help="revision of the head side")
@@ -159,8 +159,7 @@ def main(argv=None) -> int:
             f"better in {row['better_in']}, {row['verdict']} (bound {row['bound']})"
         )
     print(f"wrote {path.name}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

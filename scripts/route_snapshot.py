@@ -61,7 +61,6 @@ import math
 import os
 import pathlib
 import shlex
-import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -457,7 +456,7 @@ def print_diff(routes: dict) -> None:
         print(line)
 
 
-def main() -> int:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path)
     parser.add_argument("--s-max", type=int, default=40)
@@ -468,17 +467,16 @@ def main() -> int:
     args = parser.parse_args()
     if args.diff:
         print_diff(diff_snapshots(*map(read_snapshot, args.diff)))
-        return 0
+        return
     if args.out is None:
         parser.error("--out is required unless --diff is given")
     with args.out.open("w") as fh:
         if args.cli:
             fh.writelines(cli_transcript())
-            return 0
+            return
         for route, params, point, value, bound in snapshot(args.s_max):
             fh.write(f"{route} {params.n} {params.s} {point} {value} {bound}\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
