@@ -15,10 +15,10 @@ moments._survival_sums turns into the moments. A float walk long enough
 to pay for M**64 advances 64 turns per pair of matrix products; exact mode
 and short walks step one turn per product. Exact mode runs the same
 recursion body on no rows: it sums the earlier states by the binomial
-transform, in big-int additions. Each entry point checks its
-limits before its work starts: TURN_CAP rows or turns, MEMORY_BUDGET bytes,
-and in exact mode TURN_CAP 30-bit digit products of its big-int work, a
-count bounded from n and s alone.
+transform, in big-int additions. Each entry point passes its counts to
+params.check_limit before its work starts: TURN_CAP entries or turns,
+MEMORY_BUDGET bytes, and in exact mode TURN_CAP 30-bit digit products of
+its big-int work, a count bounded from n and s alone.
 Each function that runs numpy imports it itself, so importing geomax,
 and every call that never reaches the chain, leaves numpy unloaded.
 """
@@ -33,7 +33,7 @@ from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 from .kernels import _U, _float_p
-from .params import FLOAT, TURN_CAP, GameParams, NumericMode, check_memory
+from .params import FLOAT, GameParams, NumericMode, check_limit
 
 
 @dataclass(frozen=True)
@@ -65,26 +65,16 @@ class AbsorptionProfile:
     second_moments: tuple[float | Fraction, ...]
 
 
-def _check_entries(n: int) -> None:
-    """Raise ValueError naming TURN_CAP if rows 0..n hold more entries than it, (n+1)(n+2)/2."""
-    entries = (n + 1) * (n + 2) // 2
-    if entries > TURN_CAP:
-        raise ValueError(
-            f"the transition rows at n={n} hold {entries} entries, past TURN_CAP = {TURN_CAP}"
-        )
-
-
 def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
     """Rows k = 0..n of the transition matrix, row k holding its entries j = 0..k.
 
     Row k is the Binomial(k, q) law of the survivors, built from row k-1
     by Pascal's rule p * [row, 0] + q * [0, row]. Every entry is a sum of
     positive terms. Exact mode runs the rule on 1 and s-1, so row k is
-    the integer row C(k, j) (s-1)**j, the law times s**k. Rows holding
-    more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
-    when it is called, before any row is built.
+    the integer row C(k, j) (s-1)**j, the law times s**k. Its callers
+    check their limits first; the tightest for rows 0..n is
+    _moment_recursion's TURN_CAP on their (n+1)(n+2)/2 entries.
     """
-    _check_entries(params.n)
     import numpy as np
     p, q, dtype = (1, params.s - 1, object) if mode.exact else (_float_p(params), params.q, float)
     pad = np.zeros(1, dtype)
@@ -162,7 +152,7 @@ def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> Tr
     the first row is built.
     """
     n = params.n
-    check_memory(_rows_bytes(params, mode), f"the transition matrix rows at n={n}, s={params.s}")
+    check_limit(_rows_bytes(params, mode), "bytes", f"the transition matrix rows at n={n}, s={params.s}")
     zero = Fraction(0) if mode.exact else 0.0  # shared by every entry above the diagonal
     rows = []
     for k, row in enumerate(_survivor_rows(params, mode)):
@@ -171,14 +161,6 @@ def build_transition_matrix(params: GameParams, mode: NumericMode = FLOAT) -> Tr
             entries = map(Fraction, entries, repeat(params.s**k))
         rows.append((*entries, *(zero,) * (n - k)))
     return TransitionMatrix(n=n, rows=tuple(rows))
-
-
-def _check_digit_products(products: int, what: str) -> None:
-    """Raise ValueError naming TURN_CAP if `what` takes more 30-bit digit products than it."""
-    if products > TURN_CAP:
-        raise ValueError(
-            f"{what} takes up to {products} digit products, past TURN_CAP = {TURN_CAP}"
-        )
 
 
 def _lcm_bits(params: GameParams) -> int:
@@ -303,11 +285,11 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
     raises it, before L is built.
     """
     n, s = params.n, params.s
-    _check_entries(n)
+    check_limit((n + 1) * (n + 2) // 2, "entries", f"the transition rows at n={n}")
     if mode.exact:
         import contextlib
         what = f"the exact recursion at n={n}, s={s}"
-        _check_digit_products(_recursion_products(params, reduced), what)
+        check_limit(_recursion_products(params, reduced), "digit products", what)
         tops, lows = (list(accumulate(repeat(base, n), operator.mul)) for base in (s, s - 1))
         complements = list(map(operator.sub, tops, lows))
         unit, divide = math.lcm(*complements), operator.floordiv
@@ -382,12 +364,11 @@ def _absorption_steps(
     """
     import numpy as np
     n, s = params.n, params.s
-    if length - 1 > TURN_CAP:
-        raise ValueError(f"the chain walk needs {length - 1} turns, past TURN_CAP = {TURN_CAP}")
-    check_memory(_matrix_bytes(params, mode), f"the transition matrices at n={n}, s={s}")
+    check_limit(length - 1, "turns", "the chain walk")
+    check_limit(_matrix_bytes(params, mode), "bytes", f"the transition matrices at n={n}, s={s}")
     if mode.exact:
         what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
-        _check_digit_products(_walk_products(params, length, first), what)
+        check_limit(_walk_products(params, length, first), "digit products", what)
     rows = _stacked_rows(params, mode)
     state = np.zeros(n + 1, dtype=rows.dtype)
     state[-1] = 1

@@ -36,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, chain, moments, simulate
-from .params import GameNotFinishedError, GameParams, NumericMode
+from .params import GameNotFinishedError, GameParams, NumericMode, check_limit
 from .report import MOMENTS, ROUTES, moment_report
 
 DEFAULT_PRECISION = 12
@@ -94,9 +94,9 @@ def format_value(value, precision: int) -> str:
 
 
 def _check_printable(bits: int) -> None:
-    """Raise ValueError naming TURN_CAP if format_value's digits of a `bits`-bit int pass it."""
+    """Refuse (check_limit) format_value's digits of a `bits`-bit int past TURN_CAP digit products."""
     digits = -(-bits // 30)
-    chain._check_digit_products(digits * digits // 2, f"writing the digits of a {bits}-bit integer")
+    check_limit(digits * digits // 2, "digit products", f"writing the digits of a {bits}-bit integer")
 
 
 def _decimal(i: int, powers: list[int], level: int = -1) -> str:

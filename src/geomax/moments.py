@@ -43,9 +43,10 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .chain import _check_digit_products, _digits, _lcm_bits
+from . import params as params_module
+from .chain import _digits, _lcm_bits
 from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_geom
-from .params import EXACT, FLOAT, TURN_CAP, GameParams, NumericMode
+from .params import EXACT, FLOAT, GameParams, NumericMode, check_limit
 
 
 #: Printed error bound of a float closed pmf or cdf point against EXACT, 8u =
@@ -100,7 +101,7 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return Fraction(0) if mode.exact else 0.0
     if mode.exact:
         what = f"the exact cdf at y={y} for n={params.n}, s={params.s}"
-        _check_digit_products(_cdf_products(params, y), what)
+        check_limit(_cdf_products(params, y), "digit products", what)
         return (1 - params.q_exact**y) ** params.n
     return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
 
@@ -122,7 +123,8 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         raise ValueError("pmf support starts at y = 1")
     n, s = params.n, params.s
     if mode.exact:
-        _check_digit_products(_pmf_products(params, y), f"the exact pmf at y={y} for n={n}, s={s}")
+        what = f"the exact pmf at y={y} for n={n}, s={s}"
+        check_limit(_pmf_products(params, y), "digit products", what)
         top, low = s ** (y - 1), (s - 1) ** (y - 1)
         return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n)
     if y == 1:
@@ -306,7 +308,7 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
     term.
     """
     what = f"the exact closed sums at n={params.n}, s={params.s}"
-    _check_digit_products(_closed_products(params), what)
+    check_limit(_closed_products(params), "digit products", what)
     level = list(_closed_terms(params))
     while len(level) > 1:
         merged = []
@@ -375,27 +377,32 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+def _first_true(test, lo: int, hi: int) -> int:
+    """Smallest t in (lo, hi] with test(t), for a test false at lo, true at hi and monotone between.
+
+    Bisection; test is never called at lo or hi, so hi = lo + 1 returns hi at once.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
 def _first_at_most(bound, eps: float, walk: str) -> int:
     """Smallest t >= 1 with bound(t) <= eps, for a bound unimodal in t.
 
     If bound(1) > eps, the bound stays above eps until it crosses eps
     once on its decreasing side, so doubling brackets the crossing and
-    bisection finds it. A stop past TURN_CAP raises ValueError naming the
-    walk, at once if the doubling reaches TURN_CAP with the bound above eps.
+    _first_true finds it. A stop past TURN_CAP is refused (check_limit)
+    naming the walk, at once if the doubling reaches TURN_CAP with the
+    bound above eps, and then naming the turn past the last one doubled.
     """
     hi = 1
-    while (above := bound(hi) > eps) and hi < TURN_CAP:
+    while (above := bound(hi) > eps) and hi < params_module.TURN_CAP:
         hi *= 2
-    lo = hi if above else hi // 2  # above: the stop lies past hi; else lo is 0 or above eps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    if above or hi > TURN_CAP:
-        raise ValueError(f"{walk} needs {hi} turns or more, past TURN_CAP = {TURN_CAP}")
-    return hi
+    stop = hi + 1 if above else _first_true(lambda t: bound(t) <= eps, hi // 2, hi)
+    check_limit(stop, "turns", walk)
+    return stop
 
 
 def _closed_form_terms(params: GameParams, stop: int | None = None):
@@ -623,29 +630,11 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
         if lo * b >= a or hi * b < a:  # prob lies outside [lo, hi] / 2**k
             return lo * b >= a
         if k == 64:
-            limit = min(TURN_CAP, _cdf_products(params, y))
+            limit = min(params_module.TURN_CAP, _cdf_products(params, y))
         k *= 2
         if _bracket_products(params, y, prob, k) > limit:
             break
     return cdf(params, y, EXACT) >= prob
-
-
-def _last_admitted_cdf(params: GameParams, below: int) -> int:
-    """The largest y < below whose exact cdf passes its TURN_CAP check, or 0.
-
-    below's must fail it; as _cdf_products grows with y, the turns that
-    pass are the ones up to the answer, found by bisection.
-    """
-    lo, hi = 0, below
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _check_digit_products(_cdf_products(params, mid), "the exact cdf")
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
 
 
 #: quantile refines a float seed of this many turns or more in decimal: the
@@ -688,10 +677,10 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     each step exactly, so mode does not change the answer. Where a
     decision needs an exact cdf of more than TURN_CAP digit products it
     raises ValueError, but a gallop probe past the answer does not: the
-    search goes on below the last turn whose exact cdf is admitted
-    (_last_admitted_cdf), so a level is refused only where its answer lies
-    past that turn, its own exact cdf refused, and the refusal names the
-    turn just past it.
+    search goes on below the last turn whose exact cdf is admitted, found
+    by _first_true as _cdf_products grows with y, so a level is refused
+    only where its answer lies past that turn, its own exact cdf refused,
+    and the refusal names the turn just past it.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -716,14 +705,12 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
         else:
             lo, hi = hi, 3 * hi - 2 * lo
             continue
-        hi = _last_admitted_cdf(params, hi)
+        refused = _first_true(lambda y: _cdf_products(params, y) > params_module.TURN_CAP, 0, hi)
+        hi = refused - 1
         if not _cdf_reaches(params, hi, prob):  # the answer's own exact cdf is refused
             cdf(params, hi + 1, EXACT)  # raises ValueError, naming the first turn refused
         lo = min(lo, hi - 1)
         break
     while _cdf_reaches(params, lo, prob):
         lo, hi = max(0, 3 * lo - 2 * hi), lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _cdf_reaches(params, mid, prob) else (mid, hi)
-    return hi
+    return _first_true(lambda y: _cdf_reaches(params, y, prob), lo, hi)

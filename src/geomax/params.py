@@ -11,7 +11,8 @@ doubles, finite and with a finite bound, or raises ValueError naming the
 limit it passed, CancellationError (method "closed" only) or
 GameNotFinishedError (the simulator). In both modes, walks over turns stop
 at TURN_CAP and the arrays that grow with the input at MEMORY_BUDGET,
-each refused with ValueError before the work or the array starts.
+each refused by check_limit, the one check past a cap, with ValueError
+before the work or the array starts.
 """
 
 from __future__ import annotations
@@ -31,40 +32,55 @@ class GameNotFinishedError(RuntimeError):
 
 #: Most turns a walk over turns may take: a simulated game past it raises
 #: GameNotFinishedError, and a float survival sum or chain walk that would
-#: need more terms or steps raises ValueError before it starts. The
+#: need more terms or steps is refused by check_limit before it starts. The
 #: recursion's O(n**2) work is held to it too: transition rows 0..n of
-#: more than TURN_CAP entries in all, (n+1)(n+2)/2, raise ValueError
-#: before the first row (n = 44,719 is the largest n that passes). Exact
-#: mode's big-int work is held to it as a count of 30-bit digit products:
+#: more than TURN_CAP entries in all, (n+1)(n+2)/2, are refused before the
+#: first row (n = 44,719 is the largest n that passes). Exact mode's
+#: big-int work is held to it as a count of 30-bit digit products:
 #: the recursion over the lcm L of the complements s**k - (s-1)**k, with
 #: the gcds of the Fractions it returns (n = s = 151 passes for the
-#: moments, 112 for every state's, each in about 0.7 s) raises ValueError
-#: before L is built, the closed sums merged over the same L (n = s = 220
-#: passes, in about 0.4 s) before the first term, the exact cdf and pmf
-#: points (at n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and
-#: the pmf to 3,764, in about 1 s, most of it the Fraction's gcd) before
-#: the first power, and an exact chain walk with the Fractions it returns
-#: (at n = s = 10 a point passes to 3,336 turns and a profile to 1,007,
-#: each in about 1 s; all timings on a 2-vCPU Xeon VM) before its matrix
-#: is built. The CLI holds writing
-#: the digits of an exact int to it the same way (cli.format_value).
+#: moments, 112 for every state's, each in about 0.7 s), before L is
+#: built, the closed sums merged over the same L (n = s = 220 passes, in
+#: about 0.4 s) before the first term, the exact cdf and pmf points (at
+#: n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and the pmf to
+#: 3,764, in about 1 s, most of it the Fraction's gcd) before the first
+#: power, and an exact chain walk with the Fractions it returns (at
+#: n = s = 10 a point passes to 3,336 turns and a profile to 1,007, each
+#: in about 1 s; all timings on a 2-vCPU Xeon VM) before its matrix is
+#: built. The CLI holds writing the digits of an exact int to it the same
+#: way (cli.format_value).
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
 #: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
 #: (chain._matrix_bytes), the Python rows of chain.build_transition_matrix
-#: (chain._rows_bytes), and a dense turn-count histogram
-#: (simulate.turn_count_histogram). An estimate past it raises ValueError
-#: before the array is allocated.
+#: (chain._rows_bytes), a dense turn-count histogram
+#: (simulate.turn_count_histogram) and the rows of geomax compute over two
+#: ranges (cli._compute_pairs). An estimate past it is refused by
+#: check_limit before the array is allocated.
 MEMORY_BUDGET = 1 << 30
 
+#: Each unit a limit counts, as (the name of its cap in this module, the verb
+#: of a refusal). This is the one place a count meets its cap.
+LIMITS = {
+    "bytes": ("MEMORY_BUDGET", "would take about"),
+    "digit products": ("TURN_CAP", "takes up to"),
+    "entries": ("TURN_CAP", "hold"),
+    "turns": ("TURN_CAP", "needs"),
+}
 
-def check_memory(need: int, what: str) -> None:
-    """Raise ValueError naming MEMORY_BUDGET if `what` would take more bytes than it."""
-    if need > MEMORY_BUDGET:
-        raise ValueError(
-            f"{what} would take about {need} bytes, past MEMORY_BUDGET = {MEMORY_BUDGET}"
-        )
+
+def check_limit(count: int, unit: str, what: str) -> None:
+    """Raise ValueError if `what` counts more of `unit` than its cap in LIMITS.
+
+    The cap is read from this module when called, so patching TURN_CAP or
+    MEMORY_BUDGET here moves every check. The message reads
+    "{what} {verb} {count} {unit}, past {cap name} = {cap}".
+    """
+    name, verb = LIMITS[unit]
+    cap = globals()[name]
+    if count > cap:
+        raise ValueError(f"{what} {verb} {count} {unit}, past {name} = {cap}")
 
 
 def plain_int(value, message: str) -> int:

@@ -41,16 +41,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import params as params_module
 from .moments import _log1mexp, _log1mexp_array, _log_q, cdf
-from .params import (
-    FLOAT,
-    TURN_CAP,
-    GameNotFinishedError,
-    GameParams,
-    NumericMode,
-    check_memory,
-    plain_int,
-)
+from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, check_limit, plain_int
 
 #: Trials per RNG substream in the Monte Carlo drivers.
 CHUNK_TRIALS = 1 << 16
@@ -103,8 +96,8 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_turn_cap(longest) -> None:
-    if longest > TURN_CAP:
-        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+    if longest > params_module.TURN_CAP:
+        raise GameNotFinishedError(f"game still running after {params_module.TURN_CAP} turns")
 
 
 def play_game(
@@ -161,7 +154,7 @@ def play_game(
         if len(block) - start < alive:
             block, start = block[start:] + fresh(alive), 0
         _check_turn_cap(len(turns) + 1)  # the turn about to be played
-        whole = min((len(block) - start) // alive, TURN_CAP - len(turns))
+        whole = min((len(block) - start) // alive, params_module.TURN_CAP - len(turns))
         end = start + whole * alive
         try:  # all turns but the last, which is counted below in any case
             hit = block.index(alive, start, end - alive)
@@ -388,7 +381,7 @@ def _chunk_streams(
     if trials < 1:
         raise ValueError("trials must be positive")
     if params.p < sys.float_info.min:
-        raise GameNotFinishedError(f"game still running after {TURN_CAP} turns")
+        raise GameNotFinishedError(f"game still running after {params_module.TURN_CAP} turns")
     return (
         (min(CHUNK_TRIALS, trials - done), np.random.default_rng(np.random.SeedSequence((seed, index))))
         for index, done in enumerate(range(0, trials, CHUNK_TRIALS))
@@ -455,7 +448,7 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
     for head, tail in _turn_chunks(params, trials, seed):
         # a tail game outlasts every head game
         longest = int(tail.max()) if tail.size else int(np.flatnonzero(head)[-1]) + 1
-        check_memory(8 * (longest + 1), f"a histogram of games up to {longest} turns")
+        check_limit(8 * (longest + 1), "bytes", f"a histogram of games up to {longest} turns")
         counts = np.bincount(tail, minlength=longest + 1)
         counts[1 : head.size + 1] += head[:longest]
         if counts.size > hist.size:

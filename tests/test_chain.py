@@ -251,12 +251,12 @@ class TestRecursiveMoments:
     def test_the_turn_cap_is_compared_with_the_rows_entries(self, monkeypatch, mode):
         params = GameParams(3, 5)  # rows 0..3 hold 1 + 2 + 3 + 4 = 10 entries
         expected = moment_report(params, mode, "recursive")
-        monkeypatch.setattr(chain_module, "TURN_CAP", 10)
+        monkeypatch.setattr(params_module, "TURN_CAP", 10)
         if mode.exact:  # its digit products pass a cap this small, so the rows are read
             assert len(list(_survivor_rows(params, mode))) == 4
         else:
             assert moment_report(params, mode, "recursive") == expected
-        monkeypatch.setattr(chain_module, "TURN_CAP", 9)
+        monkeypatch.setattr(params_module, "TURN_CAP", 9)
         with pytest.raises(ValueError, match="n=3 hold 10 entries, past TURN_CAP = 9"):
             moment_report(params, mode, "recursive")
 
@@ -288,9 +288,9 @@ class TestRecursiveMoments:
             (6, lambda: second_moments_recursive(params, EXACT).first_moments[-1]),
         ):
             products = _recursion_products(params, reduced)
-            monkeypatch.setattr(chain_module, "TURN_CAP", products)
+            monkeypatch.setattr(params_module, "TURN_CAP", products)
             assert call() == expected.mean
-            monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+            monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
             with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
                 call()
 
@@ -451,9 +451,9 @@ class TestAbsorptionByPower:
             "pmf": lambda: ROUTES[("pmf", "matrix-power")](params, EXACT, y)[0],
         }[quantity]
         expected = call()
-        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        monkeypatch.setattr(params_module, "TURN_CAP", products)
         assert call() == expected
-        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
         monkeypatch.setattr(chain_module, "_stacked_rows", not_called)
         with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
             call()

@@ -47,8 +47,8 @@ from geomax import (
     var_bounds_elementary,
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
-from geomax import chain as chain_module
 from geomax import moments as moments_module
+from geomax import params as params_module
 from geomax.moments import (
     _bracket_power,
     _cdf_products,
@@ -189,9 +189,9 @@ class TestDistribution:
         params = GameParams(5, 7)
         products = getattr(moments_module, count)(params, 9)
         expected = point(params, 9, EXACT)
-        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        monkeypatch.setattr(params_module, "TURN_CAP", products)
         assert point(params, 9, EXACT) == expected
-        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
         with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
             point(params, 9, EXACT)
 
@@ -381,9 +381,9 @@ class TestClosedMoments:
         params = GameParams(5, 7)
         products = _closed_products(params)
         expected = _exact_closed_moments(params)
-        monkeypatch.setattr(chain_module, "TURN_CAP", products)
+        monkeypatch.setattr(params_module, "TURN_CAP", products)
         assert _exact_closed_moments(params) == expected
-        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
         with pytest.raises(ValueError, match=f"takes up to {products} digit products, past TURN_CAP"):
             moment_report(params, EXACT, "closed")
 
@@ -666,11 +666,12 @@ class TestSeriesAgreement:
 
     def test_stop_search_refuses_past_the_turn_cap(self):
         # a stop past 2**30 is refused once the doubling reaches 2**30, with
-        # no bound taken past it; a stop in (TURN_CAP, 2**30] after the
-        # bisection, by its exact value; one within the cap is returned
-        for stop, needs in ((math.inf, 2**30), (TURN_CAP + 5, TURN_CAP + 5)):
+        # no bound taken past it, naming the first turn known to pass the
+        # cap; a stop in (TURN_CAP, 2**30] after the bisection, by its exact
+        # value; one within the cap is returned
+        for stop, needs in ((math.inf, 2**30 + 1), (TURN_CAP + 5, TURN_CAP + 5)):
             points = []
-            with pytest.raises(ValueError, match=f"walk needs {needs} turns or more, past TURN_CAP"):
+            with pytest.raises(ValueError, match=f"walk needs {needs} turns, past TURN_CAP"):
                 moments._first_at_most(lambda t: points.append(t) or t < stop, 0.5, "walk")
             assert max(points) == 2**30
         assert moments._first_at_most(lambda t: t < TURN_CAP, 0.5, "walk") == TURN_CAP
@@ -883,10 +884,10 @@ class TestQuantile:
         level = cdf(tie, 5, EXACT)
         products = _cdf_products(tie, 5)
         for cap in (products, 1000, 4000):
-            monkeypatch.setattr(chain_module, "TURN_CAP", cap)
+            monkeypatch.setattr(params_module, "TURN_CAP", cap)
             assert quantile(params, prob) == quantile(params, prob, EXACT)
             assert quantile(tie, level) == 5
-        monkeypatch.setattr(chain_module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
         assert _cdf_products(tie, 3) < products == _cdf_products(tie, 4)
         message = f"exact cdf at y=4 for n=3, s=8 takes up to {products} digit products, past TURN_CAP"
         for mode in (FLOAT, EXACT):
@@ -921,12 +922,10 @@ class TestQuantile:
         probes = []
         reaches = moments._cdf_reaches
         monkeypatch.setattr(moments, "_cdf_reaches", lambda *args: probes.append(args[1]) or reaches(*args))
-        for module in (moments, chain_module):
-            monkeypatch.setattr(module, "TURN_CAP", products)
+        monkeypatch.setattr(params_module, "TURN_CAP", products)
         assert quantile(params, prob) == quantile(params, prob, EXACT) == 1000
         assert max(probes) == 1075
-        for module in (moments, chain_module):
-            monkeypatch.setattr(module, "TURN_CAP", products - 1)
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
         assert _cdf_products(params, 991) < products == _cdf_products(params, 992)
         message = f"at y=992 for n=1, s=2 takes up to {products} digit products"
         with pytest.raises(ValueError, match=message):

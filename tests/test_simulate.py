@@ -42,11 +42,10 @@ from geomax import (
 from geomax import params as params_module
 from geomax import simulate as simulate_module
 from geomax.moments import _cdf_reaches, pmf
-from geomax.params import MEMORY_BUDGET
+from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.simulate import (
     CELL_GAMES,
     TAIL_FLOOR,
-    TURN_CAP,
     _signature_chunk,
     _signature_counts,
     _turn_chunk,
