@@ -49,9 +49,9 @@ from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_
 from .params import EXACT, FLOAT, GameParams, NumericMode, check_limit
 
 
-#: Printed error bound of a float closed pmf or cdf point against EXACT, 8u =
-#: 4 * 2**-52; quantile does not read it. Checked on n <= 40, s <= 2000, not
-#: derived: at n = 10**6 the cdf can miss it.
+#: Printed error bound of a float closed pmf point against EXACT, 8u =
+#: 4 * 2**-52. Checked on n <= 40, s <= 2000, not derived; the cdf prints
+#: _cdf_bound instead.
 CLOSED_POINT_BOUND = 8 * _U
 
 
@@ -91,8 +91,24 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     Float mode takes exp(n log(1 - q**y)) with q**y = exp(y lam),
     lam = log1p(-1/s): never a power of the rounded q, and no n-th power
     of a rounded base. log(1 - q**y) is _log1mexp(y lam), so nothing
-    cancels: by _closed_form_terms' analysis it errs by at most
-    (7 + 2|log(1 - q**y)|)u, and the cdf P by (7n + 3|ln P| + 2)u relative.
+    cancels. Error bound, with u = 2**-53 and libm within one ulp (2u):
+
+    * fl(y lam) = x (1 + theta), x = y lam, |theta| <= 6u: the 5u of
+      _closed_form_terms' analysis, and u more where y > 2**53 rounds.
+    * g(x) = log(1 - e**x) has the relative condition number
+      |x| e**x / ((1 - e**x) |g(x)|) <= |x| + 1/2 (its excess over |x|
+      peaks at 0.34 near x = -0.32 and falls like |x| e**x / 2 past it),
+      so theta moves g by (6|x| + 3)u relative. _log1mexp adds at most 5u:
+      above -ln 2, expm1's 2u moves log's result by 2u absolute, and
+      |g| >= ln 2 there, plus log's own 2u; below it, exp's 2u moves
+      log1p(-t) by at most 2u t / ((1 - t) |g|) <= 2.9u relative, as
+      t = e**x <= 1/2, plus log1p's own 2u.
+    * The product with n adds u, and u more for n past 2**53: the
+      exponent z = ln P errs by (6|x| + 10)u relative, which moves P by
+      P |ln P| (6|x| + 10)u, and exp adds 2u P.
+
+    So |float - P| <= P (|ln P| (6 y |lam| + 10) + 2)u to first order;
+    _cdf_bound prints it with spare constants for the second order.
     Exact mode raises ValueError before its first power where its powers
     take more than TURN_CAP digit products (_cdf_products).
     """
@@ -104,6 +120,22 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         check_limit(_cdf_products(params, y), "digit products", what)
         return (1 - params.q_exact**y) ** params.n
     return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
+
+
+def _cdf_bound(params: GameParams, y: int, value: float) -> float:
+    """Bound on |cdf(params, y) - exact| for its float value, from cdf's analysis.
+
+    value (|ln value| (6 y |lam| + 11) + 3)u. The spare u in each constant
+    covers the second-order terms, the bound's own roundings and ln of the
+    rounded value: |ln P| <= 745 for a nonzero double P, and |x| <= 747
+    wherever |ln P| >= u (n < 2**1024), so |z| times z's relative error is
+    below 4e-10. 2**-1073 covers a value that exp rounds below the normal
+    doubles, where its error is absolute. y < 1 (0) and s = 1 (1) are exact.
+    """
+    if y < 1 or params.s == 1:
+        return 0.0
+    drift = -math.log(value) * (6 * y * -_log_q(params) + 11) if value else 0.0
+    return value * (drift + 3) * _U + 2.0**-1073
 
 
 def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):

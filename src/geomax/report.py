@@ -166,8 +166,13 @@ def _moment(quantity: str, method: str, params, mode, point):
 
 
 def _closed(quantity: str, params, mode, point):
-    bound = 0.0 if quantity == "quantile" else moments.CLOSED_POINT_BOUND
     value = getattr(moments, quantity)(params, point, mode)
+    if mode.exact or quantity == "quantile":
+        bound = 0.0
+    elif quantity == "cdf":
+        bound = moments._cdf_bound(params, point, value)
+    else:
+        bound = moments.CLOSED_POINT_BOUND
     return value, _float_bound(mode, bound), "closed-alternating"
 
 

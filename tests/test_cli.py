@@ -26,6 +26,7 @@ from geomax.cli import (
     main,
     parse_range,
 )
+from geomax.moments import _cdf_bound
 from geomax.report import ROUTES
 
 HEADER = "n,s,quantity,method,value,error_bound"
@@ -169,7 +170,8 @@ class TestCompute:
         assert csv_rows(out)[0]["value"] == "5/16"
 
     def test_matrix_power_points_print_their_step_bound(self, capsys):
-        # the chain's rounding grows with the steps taken; closed points keep 4 eps
+        # the chain's rounding grows with the steps taken; a closed pmf keeps
+        # 4 eps, and a closed cdf prints its derived bound
         params = GameParams(12, 12)
         for quantity, truth in (
             ("cdf", cdf(params, 40, EXACT)),
@@ -183,10 +185,12 @@ class TestCompute:
                 )
                 assert code == 0
                 rows[method] = csv_rows(out)[0]
-            assert float(rows["closed"]["error_bound"]) == 4.0 * 2.0**-52
+            closed = float(rows["closed"]["error_bound"])
+            value = float(rows["closed"]["value"])
+            assert closed == (_cdf_bound(params, 40, value) if quantity == "cdf" else 4.0 * 2.0**-52)
             row = rows["matrix-power"]
             bound = float(row["error_bound"])
-            assert bound > 4.0 * 2.0**-52
+            assert bound > closed
             assert abs(Fraction(float(row["value"])) - truth) <= Fraction(bound)
 
     def test_every_route_prints_its_evaluators_tag_and_bound(self, capsys):
