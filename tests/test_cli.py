@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
+from geomax import params as params_module
 from geomax.cli import (
     CDF_SPOT_TURNS,
     FIGURE_GRIDS,
@@ -94,6 +95,23 @@ class TestFormatting:
             assert format_value(value, 12) == expected
         assert format_value(Fraction(-10**5000, 3), 12) == f"-{Decimal(10**5000)}/3"
         assert format_value(Fraction(-(10**5000)), 12) == str(Decimal(-(10**5000)))
+
+    def test_the_turn_cap_is_compared_with_the_printing_count(self, monkeypatch, capsys):
+        # printing reads TURN_CAP from params when it runs: an int of c
+        # 30-bit digits takes c**2 // 2 digit products to write, for a
+        # value, its bound, or the signature count 2**(n-1) of n bits
+        bits = 3_000
+        value, products = 2**bits - 1, 100**2 // 2
+        monkeypatch.setattr(params_module, "TURN_CAP", products)
+        assert format_value(Fraction(1, value), 12) == f"1/{Decimal(value)}"
+        code, out, _ = run(capsys, "signatures", "--n", str(bits), "--count-only")
+        assert (code, out.splitlines()[1]) == (0, str(Decimal(2 ** (bits - 1))))
+        monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
+        message = f"writing the digits of a 3000-bit integer takes up to {products} digit products"
+        with pytest.raises(ValueError, match=message):
+            format_value(Fraction(1, value), 12)
+        code, out, err = run(capsys, "signatures", "--n", str(bits), "--count-only")
+        assert (code, out) == (2, "") and message in err
 
     def test_fractions_render_as_ratios(self):
         assert format_value(Fraction(8, 3), 12) == "8/3"

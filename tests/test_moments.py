@@ -65,6 +65,17 @@ from geomax.moments import (
 from geomax.params import TURN_CAP
 from geomax.report import MOMENTS, ROUTES
 
+#: README's largest admitted y of the exact (cdf, pmf) points, per (n, s).
+README_ADMISSIONS = {
+    (40, 40): (21_221, 3_764),
+    (100, 100): (7_255, 1_290),
+    (12, 12): (79_575, 18_572),
+    (2, 2): (1_386_210, 227_625),
+    (1, 2): (2_771_341, 459_810),
+    (2, 6): (924_140, 151_750),
+}
+
+
 def not_called(*args):
     raise AssertionError("called before its budget was checked")
 
@@ -168,6 +179,19 @@ class TestDistribution:
         for (n, s), ys in scans.items():
             counts = [count(GameParams(n, s), y) for y in ys]
             assert counts == sorted(counts), (n, s)
+
+    def test_readme_admission_figures_come_from_the_counts(self):
+        # the counts never fall as y grows, so the largest admitted y is one
+        # bisection; README's table of them must move with the counts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for (n, s), figures in README_ADMISSIONS.items():
+            params = GameParams(n, s)
+            largest = tuple(
+                moments._first_true(lambda y: products(params, y) > TURN_CAP, 0, 1 << 22) - 1
+                for products in (_cdf_products, _pmf_products)
+            )
+            assert largest == figures, (n, s)
+            assert f"| ({n}, {s}) | {figures[0]:,} | {figures[1]:,} |" in readme, (n, s)
 
     def test_points_at_astronomic_turns_are_refused(self):
         # the count's Karatsuba recursion went one level deeper per bit of
@@ -702,6 +726,30 @@ class TestSeriesAgreement:
                 moments._first_at_most(lambda t: points.append(t) or t < stop, 0.5, "walk")
             assert max(points) == 2**30
         assert moments._first_at_most(lambda t: t < TURN_CAP, 0.5, "walk") == TURN_CAP
+
+    @pytest.mark.parametrize("method, tail", [("series", "_closed_tail"), ("matrix-power", "_geometric_tail")])
+    def test_the_turn_cap_is_compared_with_the_stop(self, monkeypatch, method, tail):
+        # the stop search reads TURN_CAP from params when it runs: under a
+        # cap at the later stop the report is unchanged, one turn less
+        # refuses it, naming that stop
+        params, eps = GameParams(3, 50), FLOAT.truncation_epsilon
+        stop = max(stop for stop, _, _ in getattr(moments, tail)(params, eps))
+        expected = moment_report(params, method=method)
+        monkeypatch.setattr(params_module, "TURN_CAP", stop)
+        assert moment_report(params, method=method) == expected
+        monkeypatch.setattr(params_module, "TURN_CAP", stop - 1)
+        with pytest.raises(ValueError, match=f"s=50 needs {stop} turns, past TURN_CAP = {stop - 1}"):
+            moment_report(params, method=method)
+
+    def test_first_true_bisects_a_monotone_test(self):
+        for lo, hi in ((0, 1), (0, 2), (-5, 17), (3, 1000)):
+            for first in range(lo + 1, hi + 1):
+                points = []
+                assert moments._first_true(lambda t: points.append(t) or t >= first, lo, hi) == first
+                assert all(lo < t < hi for t in points)
+                assert len(points) <= (hi - lo).bit_length()
+        # an empty bracket returns hi without calling the test
+        assert moments._first_true(not_called, 7, 8) == 8
 
     @pytest.mark.parametrize("e", [511, 600])
     def test_float_reports_past_the_double_range_are_refused(self, e):
