@@ -52,6 +52,12 @@ FIGURE_GRIDS = {
     ("var-bounds", "fixed-n"): ("n", 2, (2, 4, 6, 8, 10)),
 }
 
+#: Bytes a compute row holds until it is printed, per --format: the growth of
+#: tracemalloc's peak per pair of float rows at s near 10**5 (360 in csv; 1,910
+#: in json, where each row also becomes a dict and indented text) on CPython
+#: 3.11. The pair's GameParams is part of it, and exact rows hold more.
+COMPUTE_ROW_BYTES = {"csv": 360, "json": 1910}
+
 #: turn indices at which compare spot-checks the matrix-power cdf
 CDF_SPOT_TURNS = (1, 2, 5, 10, 25, 50)
 
@@ -169,8 +175,15 @@ def _emit(rows: list[tuple], fields: tuple[str, ...], fmt: str) -> None:
 
 
 def _compute_pairs(args) -> list[GameParams]:
+    """The (n, s) pairs of the two ranges, refused (check_limit) past MEMORY_BUDGET before the first.
+
+    compute holds every row until it prints them, so the pairs times
+    COMPUTE_ROW_BYTES of their format are checked from the two ranges alone.
+    """
     n_lo, n_hi = parse_range(args.n)
     s_lo, s_hi = parse_range(args.s)
+    count = (n_hi - n_lo + 1) * (s_hi - s_lo + 1)
+    check_limit(count * COMPUTE_ROW_BYTES[args.format], "bytes", f"the rows of {count} pairs")
     pairs = []
     for n in range(n_lo, n_hi + 1):
         for s in range(s_lo, s_hi + 1):

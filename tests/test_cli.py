@@ -20,6 +20,7 @@ from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
 from geomax import params as params_module
 from geomax.cli import (
     CDF_SPOT_TURNS,
+    COMPUTE_ROW_BYTES,
     FIGURE_GRIDS,
     UsageError,
     figure_rows,
@@ -414,6 +415,29 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "smallest normal double" in err
+
+    def test_ranges_past_the_memory_budget_are_refused_before_the_first_pair(self, capsys):
+        # 2.5e9 pairs: their GameParams alone would take about 300 GB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "compute", "--n", "1..50000", "--s", "50000..100000", "--quantity", "mean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the rows of 2500050000 pairs would take about") and "MEMORY_BUDGET" in err
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_budget_is_compared_with_the_rows_of_the_ranges(self, capsys, monkeypatch, fmt):
+        need = 6 * COMPUTE_ROW_BYTES[fmt]  # --n 1..2 --s 3..5
+        argv = ("compute", "--n", "1..2", "--s", "3..5", "--quantity", "mean", "--format", fmt)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"the rows of 6 pairs would take about {need} bytes, past MEMORY_BUDGET = {need - 1}" in err
 
     def test_chain_walk_past_the_turn_cap_is_a_usage_error(self, capsys):
         code, out, err = run(
