@@ -426,8 +426,8 @@ def _first_at_most(bound, eps: float, walk: str) -> int:
     If bound(1) > eps, the bound stays above eps until it crosses eps
     once on its decreasing side, so doubling brackets the crossing and
     _first_true finds it. A stop past TURN_CAP is refused (check_limit)
-    naming the walk, at once if the doubling reaches TURN_CAP with the
-    bound above eps, and then naming the turn past the last one doubled.
+    naming the walk; if the doubling reaches TURN_CAP with the bound still
+    above eps, at once, naming the turn after the last one probed.
     """
     hi = 1
     while (above := bound(hi) > eps) and hi < params_module.TURN_CAP:
