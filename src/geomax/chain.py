@@ -357,10 +357,12 @@ def _absorption_steps(
     steps an integer state by the integer matrix s**n M, so after t steps
     the state is s**(n*t) times the law, and item t is the integer
     s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
-    it returns, those from turn first on. Before M is built, a walk past
-    TURN_CAP turns, matrices past MEMORY_BUDGET (_matrix_bytes) and an
-    exact walk and reductions past TURN_CAP digit products (_walk_products)
-    raise ValueError, in that order.
+    it returns, those from turn first on. When it is called, before M is
+    built, a walk past TURN_CAP turns, matrices past MEMORY_BUDGET
+    (_matrix_bytes) and an exact walk and reductions past TURN_CAP digit
+    products (_walk_products) are refused (check_limit), in that order;
+    M, its powers and the columns are built then, and the walk's steps as
+    its items are read.
     """
     import numpy as np
     n, s = params.n, params.s
@@ -370,8 +372,6 @@ def _absorption_steps(
         what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
         check_limit(_walk_products(params, length, first), "digit products", what)
     rows = _stacked_rows(params, mode)
-    state = np.zeros(n + 1, dtype=rows.dtype)
-    state[-1] = 1
     block, jump = 1, rows
     if not mode.exact and length >= 2 * (n + 1) + BLOCK_TURNS:
         block, jump = BLOCK_TURNS, np.linalg.matrix_power(rows, BLOCK_TURNS)
@@ -379,13 +379,19 @@ def _absorption_steps(
         columns[0, 0] = 1.0
         for i in range(1, block):
             columns[i] = rows @ columns[i - 1]
-    for t in range(0, length, block):
-        if t:
-            state = state @ jump
-        if block > 1:
-            yield from (columns @ state)[: length - t].tolist()
-        else:
-            yield state.item(0)
+
+    def walk(state):
+        for t in range(0, length, block):
+            if t:
+                state = state @ jump
+            if block > 1:
+                yield from (columns @ state)[: length - t].tolist()
+            else:
+                yield state.item(0)
+
+    start = np.zeros(n + 1, dtype=rows.dtype)
+    start[-1] = 1
+    return walk(start)
 
 
 def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:

@@ -643,14 +643,15 @@ def _cdf_reaches(params: GameParams, y: int, prob: Fraction) -> bool:
     until prob falls outside. The Fraction cdf decides instead once k would
     pass its n y bit_length(s) bits, as at an exact tie, or once the next
     bracket would take more digit products (_bracket_products) than that
-    cdf (_cdf_products) or than TURN_CAP; it raises ValueError past
-    TURN_CAP. So a decision next to a cdf value takes about 2.5 TURN_CAP
-    digit products at most, as each bracket takes about three times the
-    one before. The first bracket, where nearly every decision ends, is not
-    counted. The cdf's count also holds its size: unless n = y = 1, where
-    the cdf is 1/s, the x**m of its powers square an int of a third of its
-    bits or more, and past 2**26 bits that square alone (_square_products)
-    counts over 9 TURN_CAP.
+    cdf (_cdf_products) or than TURN_CAP, read from params when it runs:
+    the cap past which the cdf's own check_limit refuses it. So a decision
+    next to a cdf value takes about 2.5 TURN_CAP digit products at most,
+    as each bracket takes about three times the one before. The first
+    bracket, where nearly every decision ends, is not counted. The cdf's
+    count also holds its size: unless n = y = 1, where the cdf is 1/s, the
+    x**m of its powers square an int of a third of its bits or more, and
+    past 2**26 bits that square alone (_square_products) counts over
+    9 TURN_CAP.
     """
     n, s = params.n, params.s
     bits = n * y * s.bit_length()

@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -406,9 +407,10 @@ class TestAbsorptionByPower:
         for mode in (FLOAT, EXACT):
             with pytest.raises(ValueError, match=f"walk needs {10**10} turns, past TURN_CAP"):
                 absorption_cdf_profile(params, 10**10, mode)
-            for quantity in ("pmf", "cdf"):
-                with pytest.raises(ValueError, match=f"needs {10**12} turns, past TURN_CAP"):
-                    ROUTES[(quantity, "matrix-power")](params, mode, 10**12)
+            # a point past sys.maxsize too, which islice would refuse itself
+            for quantity, y in product(("pmf", "cdf"), (10**12, 2**70)):
+                with pytest.raises(ValueError, match=f"needs {y} turns, past TURN_CAP"):
+                    ROUTES[(quantity, "matrix-power")](params, mode, y)
         assert time.perf_counter() - start < 1
         # a walk of TURN_CAP turns starts; one more turn is refused
         assert next(_absorption_steps(params, FLOAT, TURN_CAP + 1)) == 0.0
