@@ -61,6 +61,25 @@ def _log_q(params: GameParams) -> float:
     return math.log1p(-p) if p < 1 else -math.inf
 
 
+def _log_q_times(params: GameParams, y: int) -> float:
+    """y lam = log q**y as a float, for any int y >= 0.
+
+    y * lam wherever float(y) is finite; past the doubles, y's top 53 bits,
+    rounded to nearest, times lam, scaled by math.ldexp, and -inf where
+    that overflows. Either way y is rounded by at most u relative before
+    its one product.
+    """
+    lam = _log_q(params)
+    try:
+        return y * lam
+    except OverflowError:  # y rounds past the largest double
+        shift = y.bit_length() - 54
+        try:
+            return math.ldexp(((y >> shift) + 1 >> 1) * lam, shift + 1)
+        except OverflowError:
+            return -math.inf
+
+
 def _log1mexp(x: float) -> float:
     """log(1 - exp(x)) for x < 0, switching at x = -ln 2 so nothing cancels (Maechler's log1mexp)."""
     return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
@@ -94,7 +113,9 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     cancels. Error bound, with u = 2**-53 and libm within one ulp (2u):
 
     * fl(y lam) = x (1 + theta), x = y lam, |theta| <= 6u: the 5u of
-      _closed_form_terms' analysis, and u more where y > 2**53 rounds.
+      _closed_form_terms' analysis, and u more where y > 2**53 rounds
+      (to its top 53 bits past the doubles, by _log_q_times, whose -inf
+      past them leaves P = 1.0, within u of the truth).
     * g(x) = log(1 - e**x) has the relative condition number
       |x| e**x / ((1 - e**x) |g(x)|) <= |x| + 1/2 (its excess over |x|
       peaks at 0.34 near x = -0.32 and falls like |x| e**x / 2 past it),
@@ -119,7 +140,7 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         what = f"the exact cdf at y={y} for n={params.n}, s={params.s}"
         check_limit(_cdf_products(params, y), "digit products", what)
         return (1 - params.q_exact**y) ** params.n
-    return math.exp(params.n * _log1mexp(y * _log_q(params)))  # log q**y = y lam
+    return math.exp(params.n * _log1mexp(_log_q_times(params, y)))
 
 
 def _cdf_bound(params: GameParams, y: int, value: float) -> float:
@@ -134,7 +155,7 @@ def _cdf_bound(params: GameParams, y: int, value: float) -> float:
     """
     if y < 1 or params.s == 1:
         return 0.0
-    drift = -math.log(value) * (6 * y * -_log_q(params) + 11) if value else 0.0
+    drift = -math.log(value) * (6 * -_log_q_times(params, y) + 11) if 0 < value < 1 else 0.0
     return value * (drift + 3) * _U + 2.0**-1073
 
 
@@ -161,9 +182,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n)
     if y == 1:
         return _float_p(params) ** n
-    lam = _log_q(params)
-    x = params.p * math.exp((y - 1) * lam) / -math.expm1((y - 1) * lam)
-    return (-math.expm1(y * lam)) ** n * -math.expm1(-n * math.log1p(x))
+    before = _log_q_times(params, y - 1)
+    x = params.p * math.exp(before) / -math.expm1(before)
+    return (-math.expm1(_log_q_times(params, y))) ** n * -math.expm1(-n * math.log1p(x))
 
 
 #: digits of the largest int CPython squares by schoolbook; past it, by Karatsuba

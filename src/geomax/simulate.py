@@ -16,12 +16,15 @@ law's turns up to K, tabulated once per call by _turn_table, and inverts
 the law conditioned on Y > K for the few games past them, one uniform
 each, so a chunk's cost grows with the law's support rather than with
 its games. Where the law spreads over more turns than a chunk fills,
-K = 0 and every game inverts the law. Only signatures draw each die's
-exit turn. Games are played in fixed-size chunks, vectorized across
-games, with an independent RNG substream per chunk derived from (seed,
-chunk index). Chunk boundaries depend only on the trial count, and chunk
-results merge by plain integer addition, so estimates are bit-identical
-across runs and across any parallel scheduling of chunks.
+K = 0 and every game inverts the law. Signature counts are drawn the
+same way, as one multinomial over the exact law of the 2**(n-1)
+signatures, tabulated once per call under the same limit on cells
+(_signature_law); past it, every die's exit turn is drawn. Games are
+played in fixed-size chunks, vectorized across games, with an
+independent RNG substream per chunk derived from (seed, chunk index).
+Chunk boundaries depend only on the trial count, and chunk results merge
+by plain integer addition, so estimates are bit-identical across runs
+and across any parallel scheduling of chunks.
 
 Signatures: the sequence of values shown by removed dice, in removal
 order (ties within a turn in ascending original die order; they all show
@@ -231,6 +234,16 @@ TAIL_FLOOR = 2.0**-20
 CELL_GAMES = 8
 
 
+def _table_cells(trials: int) -> int:
+    """The most cells a chunk kernel tabulates for a call of `trials` games.
+
+    A tabulated cell costs about as much as CELL_GAMES games drawn one by
+    one, so a table pays only where its cells average that many games of
+    the first chunk.
+    """
+    return min(trials, CHUNK_TRIALS) // CELL_GAMES
+
+
 def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     """Cells of the chunk kernel's multinomial: P(Y = y) for y = 1..K, then P(Y > K).
 
@@ -242,22 +255,22 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     of all but the last.
 
     K depends only on (params, trials): the largest y with S(y) >=
-    TAIL_FLOOR, or 0 where that y passes min(trials, CHUNK_TRIALS) //
-    CELL_GAMES. So the table never grows with the longest game, and a law
-    spread over more turns than a chunk's games can fill is drawn by
-    inversion alone. numpy draws cell y as a binomial of the games left,
-    at the ratio of its probability to the running remainder 1 - (the
-    cells before it). That remainder errs by at most about (K + 1) u,
-    u = 2**-53, while the true remainder S(y - 1) is at least TAIL_FLOOR,
-    so with K <= 2**13 the ratio is accurate to 2**-20 relative. Its true
-    value is the hazard P(Y = y | Y >= y): given Y >= y, m >= 1 dice are
-    still in play on turn y, and all of them leave on it with probability
-    p**m <= p = 1/s. So no ratio numpy forms passes (1/2)(1 + 2**-19) < 1
-    for s >= 2. At s = 1 every game takes one turn with no draw: S(1) = 0,
-    K = 0 and the table is the one cell [1.0].
+    TAIL_FLOOR, or 0 where that y passes _table_cells(trials). So the
+    table never grows with the longest game, and a law spread over more
+    turns than a chunk's games can fill is drawn by inversion alone.
+    numpy draws cell y as a binomial of the games left, at the ratio of
+    its probability to the running remainder 1 - (the cells before it).
+    That remainder errs by at most about (K + 1) u, u = 2**-53, while the
+    true remainder S(y - 1) is at least TAIL_FLOOR, so with K <= 2**13 the
+    ratio is accurate to 2**-20 relative. Its true value is the hazard
+    P(Y = y | Y >= y): given Y >= y, m >= 1 dice are still in play on
+    turn y, and all of them leave on it with probability p**m <= p = 1/s.
+    So no ratio numpy forms passes (1/2)(1 + 2**-19) < 1 for s >= 2. At
+    s = 1 every game takes one turn with no draw: S(1) = 0, K = 0 and the
+    table is the one cell [1.0].
     """
     import numpy as np
-    cap = min(trials, CHUNK_TRIALS) // CELL_GAMES
+    cap = _table_cells(trials)
     lam = _log_q(params)
     # S(y) crosses TAIL_FLOOR near this y, by the inverse law; the
     # survivals computed a turn or two past it decide K
@@ -317,6 +330,73 @@ def _turn_chunk(
         np.maximum(turns, k + 1, out=turns)
         _check_turn_cap(turns.max())
     return games[:-1], turns.astype(np.int64)
+
+
+def _signature_law(params: GameParams, divide) -> list:
+    """P(signature) for each signature of enumerate_signatures(params.n), in its order.
+
+    Skip the turns where nothing leaves: the game then moves from k dice
+    to k - i with probability C(k, i) (s-1)**(k-i) / d_k, d_k = s**k -
+    (s-1)**k, and a signature's probability is the product of its jumps'
+    factors. Each factor is divide(numerator, d_k) of two ints:
+    operator.truediv, correctly rounded, or Fraction. The products are
+    built level by level, as enumerate_signatures builds its prefixes, so
+    a float cell is at most n factors, each within u, times each other:
+    within (2n - 1)u relative while it stays a normal double.
+    """
+    s = params.s
+    levels = [[divide(1, 1)]]
+    for m in range(1, params.n + 1):
+        d = s**m - (s - 1) ** m
+        block = []
+        for i in range(m, 0, -1):
+            factor = divide(math.comb(m, i) * (s - 1) ** (m - i), d)
+            block += [factor * rest for rest in levels[m - i]]
+        levels.append(block)
+    return levels[params.n]
+
+
+def _signature_at(n: int, index: int) -> tuple[int, ...]:
+    """enumerate_signatures(n)[index], without the listing.
+
+    The listing of m dice starts with the one signature that removes all m
+    at once, then holds, for each k = 1..m-1, the 2**(k-1) signatures that
+    leave k dice after m - k copies of m, from index 2**(k-1) on. So
+    index's bit length is the number of dice left after the first removal.
+    """
+    signature: list[int] = []
+    while n:
+        left = index.bit_length()
+        signature += [n] * (n - left)
+        index -= 1 << left >> 1
+        n = left
+    return tuple(signature)
+
+
+def _signature_law_chunk(
+    params: GameParams, count: int, rng: np.random.Generator, cells: np.ndarray
+) -> dict[tuple[int, ...], int]:
+    """Signature counts of `count` games: one rng.multinomial over the law's cells.
+
+    cells is _signature_law in floats; only the drawn cells are decoded.
+    The chunk also draws its longest game, the maximum of count n exit
+    turns, by _turn_chunk at (count n, s) with the plain inverse law, one
+    uniform, only to raise GameNotFinishedError past TURN_CAP as a
+    per-die draw would, with the same chance.
+
+    numpy draws each cell as a binomial at its ratio to the running
+    remainder 1 - (the cells before it), which errs by at most about
+    2**n u, below 2**-38 for the n <= 14 a table admits. The last cell,
+    every die leaving alone, stays far above that: its factors
+    m (s-1)**(m-1) / d_m are at least (1 - 1/s)**(m-1) >= 1/e for
+    m <= n <= s, as d_m <= m s**(m-1), so it is at least e**(1-n), and no
+    ratio numpy forms passes 1.
+    """
+    import numpy as np
+    games = rng.multinomial(count, cells)
+    _turn_chunk(GameParams(count * params.n, params.s, relaxed=True), 1, rng, np.ones(1))
+    drawn = np.flatnonzero(games)
+    return {_signature_at(params.n, j): c for j, c in zip(drawn.tolist(), games[drawn].tolist())}
 
 
 def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -> Counter:
@@ -460,10 +540,24 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
 
 
 def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter:
-    """Observed signature counts over seeded games, keyed by tuple."""
+    """Observed signature counts over seeded games, keyed by tuple.
+
+    Where the 2**(n-1) signatures are at most _table_cells(trials), the
+    rule of _turn_table, each chunk draws its counts from the exact law by
+    _signature_law_chunk, over one float _signature_law for the call;
+    past that, _signature_chunk draws each die's exit turn.
+    """
+    import numpy as np
+    streams = _chunk_streams(params, trials, seed)
     freq: Counter = Counter()
-    for size, rng in _chunk_streams(params, trials, seed):
-        freq.update(_signature_chunk(params, size, rng))
+    # 2**(n-1) <= the cells; trials is an integer, as the streams checked
+    if params.n <= _table_cells(int(trials)).bit_length():
+        cells = np.array(_signature_law(params, operator.truediv))
+        for size, rng in streams:
+            freq.update(_signature_law_chunk(params, size, rng, cells))
+    else:
+        for size, rng in streams:
+            freq.update(_signature_chunk(params, size, rng))
     return freq
 
 

@@ -479,6 +479,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past MEMORY_BUDGET" in err
 
+    @pytest.mark.parametrize("quantity, value", [("cdf", "1"), ("pmf", "0")])
+    def test_float_points_past_the_doubles_answer(self, capsys, quantity, value):
+        # y = 2**1100 has no float; the closed points answer all the same
+        code, out, err = run(capsys, "compute", "--n", "2", "--s", "4", "--quantity", quantity, "--y", str(2**1100))
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[0]["value"] == value
+
     @pytest.mark.parametrize(
         "argv, message",
         [(("simulate", "--n", "2", "--s", str(2**1100)), "game still running")],

@@ -51,6 +51,7 @@ from geomax import moments as moments_module
 from geomax import params as params_module
 from geomax.moments import (
     _bracket_power,
+    _cdf_bound,
     _cdf_products,
     _closed_form_terms,
     _closed_products,
@@ -280,7 +281,14 @@ class TestDistribution:
                     assert high**n <= value + accuracy, (n, s, y)
 
     @pytest.mark.parametrize(
-        "n, s, y", [(10**4, 10**4, 95_000), (10**6, 10**9, 14_095_274_639), (10**12, 10**15, 27_631_021_115_929_035)]
+        "n, s, y",
+        [
+            (10**4, 10**4, 95_000),
+            (10**6, 10**9, 14_095_274_639),
+            (10**12, 10**15, 27_631_021_115_929_035),
+            # float(y) overflows; y lam = -4 comes from y's top 53 bits
+            pytest.param(2, 2**1022, 2**1024, id="2-2**1022-2**1024"),
+        ],
     )
     def test_float_cdf_prints_a_bound_that_holds_at_large_n(self, n, s, y):
         # near the median the float cdf errs by 1.49u, 9.67u and 21.6u: the
@@ -297,6 +305,12 @@ class TestDistribution:
                 break
             k *= 2
         assert max(Fraction(value) - lo, hi - Fraction(value)) <= bound
+
+    def test_float_points_past_the_doubles(self):
+        # float(2**1100) overflows: the cdf is 1 to the last bit, the pmf 0
+        params = GameParams(2, 4)
+        assert (cdf(params, 2**1100), pmf(params, 2**1100)) == (1.0, 0.0)
+        assert _cdf_bound(params, 2**1100, 1.0) == 3 * _U + 2.0**-1073
 
     def test_float_cdf_bound_holds_against_exact(self):
         for s in range(1, 13):

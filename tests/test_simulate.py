@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import tracemalloc
 import warnings
 from bisect import bisect_left
@@ -41,13 +42,17 @@ from geomax import (
 )
 from geomax import params as params_module
 from geomax import simulate as simulate_module
+from geomax.kernels import _U
 from geomax.moments import _cdf_reaches, pmf
 from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.simulate import (
     CELL_GAMES,
     TAIL_FLOOR,
+    _signature_at,
     _signature_chunk,
     _signature_counts,
+    _signature_law,
+    _table_cells,
     _turn_chunk,
     _turn_table,
 )
@@ -492,6 +497,101 @@ class TestMonteCarlo:
     def test_signature_frequencies_are_valid_signatures(self):
         counts = signature_frequencies(GameParams(4, 6), trials=20_000, seed=17)
         assert set(counts) <= set(enumerate_signatures(4))
+
+
+class TestSignatureLaw:
+    def test_signature_index_decodes_the_listing(self):
+        for n in range(1, 13):
+            assert [_signature_at(n, j) for j in range(2 ** (n - 1))] == enumerate_signatures(n)
+
+    def test_exact_law_sums_to_one_and_follows_the_chain(self):
+        # each cell is the product of its jumps' P[k][j] / (1 - P[k][k])
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                law = _signature_law(params, Fraction)
+                assert len(law) == 2 ** (n - 1) and sum(law) == 1, (n, s)
+                if s <= 6:
+                    rows = build_transition_matrix(params, EXACT).rows
+                    for sig, prob in zip(enumerate_signatures(n), law):
+                        chained, k = Fraction(1), n
+                        while k:
+                            j = k - sig.count(k)
+                            chained *= rows[k][j] / (1 - rows[k][k])
+                            k = j
+                        assert prob == chained, (n, s, sig)
+
+    @pytest.mark.parametrize("n, s", [(3, 5), (6, 6), (10, 12), (12, 40)])
+    def test_float_cells_lie_within_n_u_of_the_exact_law(self, n, s):
+        # at most n rounded factors and n - 1 rounded products: (2n - 1)u
+        # by analysis, under 0.6 n u as measured on these pairs
+        params = GameParams(n, s)
+        for cell, exact in zip(_signature_law(params, operator.truediv), _signature_law(params, Fraction)):
+            assert abs(Fraction(cell) - exact) <= n * Fraction(_U) * exact
+
+    def test_signature_frequencies_follow_the_exact_law(self):
+        # chi-square over cells, in listing order, pooled to an expected
+        # count of at least 5, against the Wilson-Hilferty quantile,
+        # Bonferroni over the 36 games
+        trials, seed = 200_000, 41
+        cases = [GameParams(n, s) for s in range(1, 9) for n in range(1, s + 1)]
+        z = NormalDist().inv_cdf(1 - 0.001 / len(cases))
+        for params in cases:
+            counts = signature_frequencies(params, trials, seed)
+            sigs = enumerate_signatures(params.n)
+            assert sum(counts.values()) == trials and set(counts) <= set(sigs)
+            bins, observed, expected = [], 0, 0.0
+            for sig, prob in zip(sigs, _signature_law(params, Fraction)):
+                observed += counts[sig]
+                expected += trials * float(prob)
+                if expected >= 5:
+                    bins.append((observed, expected))
+                    observed, expected = 0, 0.0
+            if expected:  # the last cells join the bin before them
+                last_observed, last_expected = bins.pop()
+                bins.append((last_observed + observed, last_expected + expected))
+            df = len(bins) - 1
+            if df == 0:  # one die: one signature
+                assert counts == Counter({(1,): trials})
+                continue
+            stat = sum((o - e) ** 2 / e for o, e in bins)
+            limit = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+            assert stat < limit, (params, stat, limit, df)
+
+    def test_signature_counts_are_one_multinomial_per_chunk(self):
+        # chunk i draws Multinomial(size, law) first on substream (seed, i)
+        params, seed = GameParams(4, 6), 5
+        cells = np.array(_signature_law(params, operator.truediv))
+        expected = Counter()
+        for index, size in enumerate((CHUNK_TRIALS, 17)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+            for sig, count in zip(enumerate_signatures(4), rng.multinomial(size, cells).tolist()):
+                expected[sig] += count
+        assert signature_frequencies(params, CHUNK_TRIALS + 17, seed) == +expected
+
+    def test_tabulated_signatures_keep_the_turn_cap(self):
+        # 2 signatures for 10**4 games take the table; the longest of the
+        # chunk's 2 * 10**4 exit turns, about 10**13, passes TURN_CAP
+        assert 2 <= _table_cells(10_000)
+        with pytest.raises(GameNotFinishedError, match=str(TURN_CAP)):
+            signature_frequencies(GameParams(2, 10**12), 10_000, 1)
+
+    @pytest.mark.parametrize(
+        "n, trials, tabulated",
+        [(4, 8 * CELL_GAMES, True), (4, 8 * CELL_GAMES - 1, False),
+         (14, CHUNK_TRIALS + 5, True), (15, CHUNK_TRIALS + 5, False)],
+    )
+    def test_the_table_rule_holds_at_its_limit(self, monkeypatch, n, trials, tabulated):
+        # 2**(n - 1) signatures are tabulated up to _table_cells(trials)
+        # and drawn die by die one past it; either way the games are counted
+        assert (2 ** (n - 1) <= _table_cells(trials)) == tabulated
+        calls = []
+        per_die = simulate_module._signature_chunk
+        monkeypatch.setattr(simulate_module, "_signature_chunk", lambda *a: calls.append(a) or per_die(*a))
+        counts = signature_frequencies(GameParams(n, n), trials, 3)
+        assert bool(calls) != tabulated
+        assert sum(counts.values()) == trials
+        assert all(len(sig) == n and is_valid_signature(sig) for sig in counts)
 
 
 @pytest.mark.parametrize(
