@@ -356,29 +356,12 @@ def _signature_law(params: GameParams, divide) -> list:
     return levels[params.n]
 
 
-def _signature_at(n: int, index: int) -> tuple[int, ...]:
-    """enumerate_signatures(n)[index], without the listing.
-
-    The listing of m dice starts with the one signature that removes all m
-    at once, then holds, for each k = 1..m-1, the 2**(k-1) signatures that
-    leave k dice after m - k copies of m, from index 2**(k-1) on. So
-    index's bit length is the number of dice left after the first removal.
-    """
-    signature: list[int] = []
-    while n:
-        left = index.bit_length()
-        signature += [n] * (n - left)
-        index -= 1 << left >> 1
-        n = left
-    return tuple(signature)
-
-
 def _signature_law_chunk(
     params: GameParams, count: int, rng: np.random.Generator, cells: np.ndarray
-) -> dict[tuple[int, ...], int]:
-    """Signature counts of `count` games: one rng.multinomial over the law's cells.
+) -> np.ndarray:
+    """Games per signature of `count` games: one rng.multinomial over the law's cells.
 
-    cells is _signature_law in floats; only the drawn cells are decoded.
+    cells is _signature_law in floats, and the counts follow its order.
     The chunk also draws its longest game, the maximum of count n exit
     turns, by _turn_chunk at (count n, s) with the plain inverse law, one
     uniform, only to raise GameNotFinishedError past TURN_CAP as a
@@ -395,8 +378,7 @@ def _signature_law_chunk(
     import numpy as np
     games = rng.multinomial(count, cells)
     _turn_chunk(GameParams(count * params.n, params.s, relaxed=True), 1, rng, np.ones(1))
-    drawn = np.flatnonzero(games)
-    return {_signature_at(params.n, j): c for j, c in zip(drawn.tolist(), games[drawn].tolist())}
+    return games
 
 
 def _signature_chunk(params: GameParams, count: int, rng: np.random.Generator) -> Counter:
@@ -544,21 +526,22 @@ def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter
 
     Where the 2**(n-1) signatures are at most _table_cells(trials), the
     rule of _turn_table, each chunk draws its counts from the exact law by
-    _signature_law_chunk, over one float _signature_law for the call;
-    past that, _signature_chunk draws each die's exit turn.
+    _signature_law_chunk, over one float _signature_law for the call, and
+    the summed counts are keyed by one enumerate_signatures listing, which
+    holds at most 1/CELL_GAMES as many signatures as the call has games.
+    Past that, _signature_chunk draws each die's exit turn.
     """
     import numpy as np
     streams = _chunk_streams(params, trials, seed)
-    freq: Counter = Counter()
-    # 2**(n-1) <= the cells; trials is an integer, as the streams checked
-    if params.n <= _table_cells(int(trials)).bit_length():
-        cells = np.array(_signature_law(params, operator.truediv))
-        for size, rng in streams:
-            freq.update(_signature_law_chunk(params, size, rng, cells))
-    else:
+    # 2**(n-1) > the cells; trials is an integer, as the streams checked
+    if params.n > _table_cells(int(trials)).bit_length():
+        freq: Counter = Counter()
         for size, rng in streams:
             freq.update(_signature_chunk(params, size, rng))
-    return freq
+        return freq
+    cells = np.array(_signature_law(params, operator.truediv))
+    games = sum(_signature_law_chunk(params, size, rng, cells) for size, rng in streams)
+    return Counter({sig: c for sig, c in zip(enumerate_signatures(params.n), games.tolist()) if c})
 
 
 def ks_statistic(histogram: np.ndarray, params: GameParams, mode: NumericMode = FLOAT) -> float:

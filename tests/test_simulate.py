@@ -48,7 +48,6 @@ from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.simulate import (
     CELL_GAMES,
     TAIL_FLOOR,
-    _signature_at,
     _signature_chunk,
     _signature_counts,
     _signature_law,
@@ -500,10 +499,6 @@ class TestMonteCarlo:
 
 
 class TestSignatureLaw:
-    def test_signature_index_decodes_the_listing(self):
-        for n in range(1, 13):
-            assert [_signature_at(n, j) for j in range(2 ** (n - 1))] == enumerate_signatures(n)
-
     def test_exact_law_sums_to_one_and_follows_the_chain(self):
         # each cell is the product of its jumps' P[k][j] / (1 - P[k][k])
         for s in range(1, 13):
