@@ -150,9 +150,10 @@ HELP_COLUMNS = 80
 #: The --cli transcript's calls, as shell lines: every command of
 #: tests/test_cli.py and long exact outputs (a cdf of 64,083 digits a side,
 #: a signature count of 6,021 digits), then the error paths, then each
-#: --help page. The argparse paths are among them: an abbreviated option, a
-#: "--" before the command, unrecognized options and words, and -h in the
-#: middle of a call.
+#: --help page. The argparse paths are among them: an abbreviated option,
+#: "--opt=value", a negative or empty value, a value outside its choices, a
+#: repeated option or flag, a "--" before the command, unrecognized options
+#: and words, and -h in the middle of a call.
 CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity mean --mode exact",
     "geomax compute --n 2 --s 2 --quantity mean",
@@ -188,6 +189,12 @@ CLI_CALLS = (
     "geomax compute --n 2 --s 2 --quantity quantile",
     "geomax compute --n 2 --s 2 --quantity mean --method monte-carlo",
     "geomax compute --n 2 --s 2 --quant mean",
+    "geomax compute --n=2 --s 2 --quantity mean",
+    "geomax compute --n 2 --s 2 --quantity mean --mode exact --mode float",
+    "geomax compute --n 2 --s 6 --quantity quantile --prob -0.5",
+    "geomax compute --n 2 --s 2 --quantity mean --format xml",
+    "geomax compute --n '' --s 2 --quantity mean",
+    "geomax signatures --n 3 --count-only --count-only",
     "geomax -- compute --n 2 --s 2 --quantity mean",
     "geomax compare --n-max 30 --s-max 30",
     "geomax compare --n-max 45 --s-max 45",

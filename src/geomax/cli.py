@@ -409,26 +409,91 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per command: (its options, its defaults, its required dests), read from _build_parser's parsers.
+
+    An option string maps to (dest, const, type, choices): type is None for
+    a flag, which stores const, and str where argparse keeps the word as it
+    is. The help action, whose default is argparse.SUPPRESS, is left out.
+    """
+    tables = {}
+    for name, command in _build_parser()[1].items():
+        options, defaults, required = {}, {}, set()
+        for action in command._actions:
+            if action.default is argparse.SUPPRESS:
+                continue
+            convert = None if action.nargs == 0 else action.type or str
+            for option in action.option_strings:
+                options[option] = (action.dest, action.const, convert, action.choices)
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action.dest)
+        tables[name] = options, defaults, frozenset(required)
+    return tables
+
+
+def _parse_by_table(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse builds for argv, found in one pass, or None where argparse must parse it.
+
+    It answers only a call of a command whose every later word is a full
+    option string of that command, each option but a flag followed by one
+    value that does not start with "-", passes its type and lies in its
+    choices, and that gives every required option. The last repeat of an
+    option wins. Help, "--opt=value", abbreviations, negative numbers,
+    "--", stray words and every error go to argparse.
+    """
+    table = _option_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    values = {}
+    words = iter(argv[1:])
+    for word in words:
+        if word not in options:
+            return None
+        dest, value, convert, choices = options[word]
+        if convert is not None:
+            value = next(words, "-")  # a missing value is declined as "-" is
+            if value[:1] == "-":
+                return None
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+
+
 def main(argv=None) -> int:
     """Run one command line (argv, else sys.argv[1:]) and return its exit code.
 
-    A call whose first word names a command is parsed by that command's
-    parser alone, which is all the full tree would do with it after
-    finding the name. The full tree parses every other call: the top-level
-    help, a missing or unknown command, and a call that leaves words its
-    command does not take, so argparse's usage lines and errors read as
-    the tree writes them. The handler is looked up per call.
+    A well-formed call (see _parse_by_table) is parsed in one pass over its
+    command's option table, which holds what _build_parser declared and
+    gives the Namespace argparse would. Any other call whose first word
+    names a command is parsed by that command's parser alone, which is all
+    the full tree would do with it after finding the name. The full tree
+    parses every other call: the top-level help, a missing or unknown
+    command, and a call that leaves words its command does not take, so
+    argparse's help pages, usage lines and errors read as the tree writes
+    them. The handler is looked up per call.
     """
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    try:
-        if command is not None:
-            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if command is None or rest:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_by_table(argv)
+    if args is None:
+        command = commands.get(argv[0]) if argv else None
+        try:
+            if command is not None:
+                args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if command is None or rest:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     # looked up per call, so a handler replaced after the parser was built runs
     handler = {
         "compute": _cmd_compute,

@@ -231,17 +231,24 @@ TAIL_FLOOR = 2.0**-20
 #: TAIL_FLOOR average this many games each (see _turn_table): a tabulated
 #: turn costs a binomial draw and its survival, about what 4 inverted games
 #: cost (timed at (50, 50) and (20, 20) on a 2-vCPU Xeon VM).
-CELL_GAMES = 8
+TURN_CELL_GAMES = 8
+
+#: signature_frequencies tabulates the 2**(n-1) signatures only where they
+#: average this many games each: a tabulated signature (its law cell, its
+#: share of the multinomial and its listing) costs about 1 to 1.5 games
+#: drawn die by die (timed at n = s = 13..17 for 10**4 and 65,536 games on
+#: a 2-vCPU Xeon VM).
+SIGNATURE_CELL_GAMES = 2
 
 
-def _table_cells(trials: int) -> int:
+def _table_cells(trials: int, cell_games: int) -> int:
     """The most cells a chunk kernel tabulates for a call of `trials` games.
 
-    A tabulated cell costs about as much as CELL_GAMES games drawn one by
+    A tabulated cell costs about as much as cell_games games drawn one by
     one, so a table pays only where its cells average that many games of
     the first chunk.
     """
-    return min(trials, CHUNK_TRIALS) // CELL_GAMES
+    return min(trials, CHUNK_TRIALS) // cell_games
 
 
 def _turn_table(params: GameParams, trials: int) -> np.ndarray:
@@ -255,9 +262,10 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     of all but the last.
 
     K depends only on (params, trials): the largest y with S(y) >=
-    TAIL_FLOOR, or 0 where that y passes _table_cells(trials). So the
-    table never grows with the longest game, and a law spread over more
-    turns than a chunk's games can fill is drawn by inversion alone.
+    TAIL_FLOOR, or 0 where that y passes _table_cells(trials,
+    TURN_CELL_GAMES). So the table never grows with the longest game, and
+    a law spread over more turns than a chunk's games can fill is drawn by
+    inversion alone.
     numpy draws cell y as a binomial of the games left, at the ratio of
     its probability to the running remainder 1 - (the cells before it).
     That remainder errs by at most about (K + 1) u, u = 2**-53, while the
@@ -270,7 +278,7 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     table is the one cell [1.0].
     """
     import numpy as np
-    cap = _table_cells(trials)
+    cap = _table_cells(trials, TURN_CELL_GAMES)
     lam = _log_q(params)
     # S(y) crosses TAIL_FLOOR near this y, by the inverse law; the
     # survivals computed a turn or two past it decide K
@@ -369,7 +377,7 @@ def _signature_law_chunk(
 
     numpy draws each cell as a binomial at its ratio to the running
     remainder 1 - (the cells before it), which errs by at most about
-    2**n u, below 2**-38 for the n <= 14 a table admits. The last cell,
+    2**n u, below 2**-36 for the n <= 16 a table admits. The last cell,
     every die leaving alone, stays far above that: its factors
     m (s-1)**(m-1) / d_m are at least (1 - 1/s)**(m-1) >= 1/e for
     m <= n <= s, as d_m <= m s**(m-1), so it is at least e**(1-n), and no
@@ -524,17 +532,17 @@ def turn_count_histogram(params: GameParams, trials: int, seed: int) -> np.ndarr
 def signature_frequencies(params: GameParams, trials: int, seed: int) -> Counter:
     """Observed signature counts over seeded games, keyed by tuple.
 
-    Where the 2**(n-1) signatures are at most _table_cells(trials), the
-    rule of _turn_table, each chunk draws its counts from the exact law by
-    _signature_law_chunk, over one float _signature_law for the call, and
-    the summed counts are keyed by one enumerate_signatures listing, which
-    holds at most 1/CELL_GAMES as many signatures as the call has games.
-    Past that, _signature_chunk draws each die's exit turn.
+    Where the 2**(n-1) signatures are at most _table_cells(trials,
+    SIGNATURE_CELL_GAMES), each chunk draws its counts from the exact law
+    by _signature_law_chunk, over one float _signature_law for the call,
+    and the summed counts are keyed by one enumerate_signatures listing,
+    which holds at most 1/SIGNATURE_CELL_GAMES as many signatures as the
+    call has games. Past that, _signature_chunk draws each die's exit turn.
     """
     import numpy as np
     streams = _chunk_streams(params, trials, seed)
     # 2**(n-1) > the cells; trials is an integer, as the streams checked
-    if params.n > _table_cells(int(trials)).bit_length():
+    if params.n > _table_cells(int(trials), SIGNATURE_CELL_GAMES).bit_length():
         freq: Counter = Counter()
         for size, rng in streams:
             freq.update(_signature_chunk(params, size, rng))

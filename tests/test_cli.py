@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import runpy
 import shlex
@@ -15,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
 from geomax import params as params_module
@@ -733,31 +736,126 @@ class TestSharedParser:
         assert seen == [3]
 
 
+def fields(namespace: argparse.Namespace) -> dict[str, str]:
+    """A Namespace's fields in order, compared by repr, so a nan equals itself."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def parsed_by_command(argv: list[str]) -> dict[str, str]:
+    """The fields main() gets from argv's command parser, which must take every word."""
+    try:
+        args, rest = COMMANDS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+    assert rest == [], argv
+    return fields(args)
+
+
+COMMANDS = cli._build_parser()[1]
+
+#: Words that no option of a well-formed call takes: negative numbers, other
+#: words starting with "-", an empty word, and words outside a type or a
+#: choice set (or inside another option's). A change to a call also inserts
+#: them as stray words.
+ODD_WORDS = (
+    "", "-1", "-0.5", "-1e3", "-x", "--", "-h", "--help", "--n", "--bogus", "--relaxed",
+    "--count-only", "x", "1.5", "1e3", "2..3", "nan", "xml", "csv", "exact",
+)
+
+
+def option_actions(command: str) -> list[argparse.Action]:
+    """The command's option actions, its help action left out."""
+    return [action for action in COMMANDS[command]._actions if action.default is not argparse.SUPPRESS]
+
+
+def valid_values(action: argparse.Action):
+    """Words the action takes that do not start with "-"."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(0, 10**30).map(str)
+    if action.type is float:
+        return (st.floats(min_value=0.0) | st.just(math.nan)).map(repr)
+    assert action.type is None, action
+    return st.text(max_size=6).filter(lambda word: not word.startswith("-"))
+
+
+@st.composite
+def calls(draw, changes: int = 0) -> list[str]:
+    """A well-formed call, then up to `changes` changes to it.
+
+    The call is full option strings, each with one value it takes, every
+    required option among them, some repeated. A change abbreviates an
+    option, joins it to its value by "=", gives it (or a flag) an odd word,
+    drops it, or inserts a stray word.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = option_actions(command)
+    chosen = [action for action in actions if action.required]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=4))
+    items = [
+        [draw(st.sampled_from(action.option_strings)), None if action.nargs == 0 else draw(valid_values(action))]
+        for action in draw(st.permutations(chosen))
+    ]
+    kinds = ("abbreviate", "join", "odd value", "drop", "insert")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=changes)):
+        if kind == "insert" or not items:
+            items.insert(draw(st.integers(0, len(items))), [draw(st.sampled_from(ODD_WORDS)), None])
+            continue
+        item = draw(st.sampled_from(items))
+        if kind == "abbreviate" and len(item[0]) > 3:
+            item[0] = item[0][: draw(st.integers(3, len(item[0]) - 1))]
+        elif kind == "join":
+            value = draw(st.sampled_from(ODD_WORDS)) if item[1] is None else item[1]
+            item[:] = [f"{item[0]}={value}", None]
+        elif kind == "odd value":
+            item[1] = draw(st.sampled_from(ODD_WORDS))
+        elif kind == "drop":
+            items.remove(item)
+    return [command, *(word for item in items for word in item if word is not None)]
+
+
 class TestDispatch:
-    """main() parses a call with its command's parser alone, as the full tree would."""
+    """main() parses a well-formed call by its command's option table, any other as argparse does."""
 
     def test_each_valid_call_parses_as_the_full_tree_parses_it(self, capsys):
-        parser, commands = cli._build_parser()
-        checked = 0
+        parser, _ = cli._build_parser()
+        checked = tabled = 0
         for call in CLI_CALLS:
             words = shlex.split(call)
             argv = words[words.index("geomax") + 1 :]
+            table = cli._parse_by_table(argv)
             try:
-                full = parser.parse_args(argv)
+                full = fields(parser.parse_args(argv))
             except SystemExit:  # a usage error or a help page
+                assert table is None, call
                 continue
-            own, rest = commands[argv[0]].parse_known_args(argv[1:])
-            assert rest == []
-            # compared by repr, so a nan tolerance equals itself
-            fields = {name: repr(value) for name, value in vars(full).items()}
-            assert fields.pop("command") == repr(argv[0])
-            assert {name: repr(value) for name, value in vars(own).items()} == fields, call
+            assert parsed_by_command(argv) == full, call
             checked += 1
+            if table is not None:
+                assert fields(table) == full, call
+                tabled += 1
         capsys.readouterr()
-        assert checked > 80  # the valid calls of every command
+        assert checked > 90  # the valid calls of every command
+        assert tabled == checked - 5  # --quant, --n=2 and three negative values go to argparse
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(calls())
+    def test_the_table_parses_a_well_formed_call_as_argparse_does(self, argv):
+        table = cli._parse_by_table(argv)
+        assert table is not None, argv
+        assert fields(table) == parsed_by_command(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(calls(changes=3))
+    def test_the_table_answers_only_as_argparse_does(self, argv):
+        table = cli._parse_by_table(argv)
+        if table is not None:
+            assert fields(table) == parsed_by_command(argv)
 
     def test_a_valid_call_runs_one_parse(self, capsys, monkeypatch):
-        run(capsys, "signatures", "--n", "3")  # the parser is built before counting
+        """A call the table takes runs no argparse parse; a declined one runs today's argparse path."""
+        run(capsys, "signatures", "--n", "3")  # the parser and the tables are built before counting
         parses = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -768,7 +866,15 @@ class TestDispatch:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         code, out, _ = run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean")
         assert (code, out.splitlines()[0]) == (0, HEADER)
+        assert parses == []
+        # an abbreviation: the command parser takes every word
+        code, abbreviated, _ = run(capsys, "compute", "--n", "2", "--s", "2", "--quant", "mean")
+        assert (code, abbreviated) == (0, out)
         assert parses == ["geomax compute"]
+        # a stray word: the command parser leaves it, so the tree parses the call
+        parses.clear()
+        assert run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean", "extra")[0] == 2
+        assert parses == ["geomax compute", "geomax", "geomax compute"]
 
     def test_words_the_command_does_not_take_are_reported_by_the_full_tree(self, capsys):
         for extra in ("--bogus", "extra"):

@@ -46,8 +46,9 @@ from geomax.kernels import _U
 from geomax.moments import _cdf_reaches, pmf
 from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.simulate import (
-    CELL_GAMES,
+    SIGNATURE_CELL_GAMES,
     TAIL_FLOOR,
+    TURN_CELL_GAMES,
     _signature_chunk,
     _signature_counts,
     _signature_law,
@@ -286,7 +287,7 @@ class TestMonteCarlo:
         "table_trials, floor",
         # K = 0, so every game inverts the plain law; K > 0 with the tail
         # floor raised so that a quarter of the games or more land past K
-        [(CELL_GAMES - 1, TAIL_FLOOR), (2000, 0.25)],
+        [(TURN_CELL_GAMES - 1, TAIL_FLOOR), (2000, 0.25)],
         ids=["K=0", "K>0"],
     )
     def test_turn_counts_invert_the_exact_law(self, monkeypatch, table_trials, floor):
@@ -301,7 +302,7 @@ class TestMonteCarlo:
         params = GameParams(n, s)
         check_inversion(params, _turn_table(params, count), count, 7)
 
-    @pytest.mark.parametrize("trials", [1, CELL_GAMES, 2000, CHUNK_TRIALS, 10 * CHUNK_TRIALS])
+    @pytest.mark.parametrize("trials", [1, TURN_CELL_GAMES, 2000, CHUNK_TRIALS, 10 * CHUNK_TRIALS])
     def test_turn_tables_hold_their_invariants(self, trials):
         # numpy's multinomial needs cells >= 0 summing to at most 1 before the
         # last; the last, S(K), stays at or above the floor, and each cell
@@ -311,7 +312,7 @@ class TestMonteCarlo:
         for params in cases:
             cells = _turn_table(params, trials)
             k = cells.size - 1
-            assert k <= max(0, min(trials, CHUNK_TRIALS) // CELL_GAMES), (params, trials)
+            assert k <= max(0, min(trials, CHUNK_TRIALS) // TURN_CELL_GAMES), (params, trials)
             assert (cells >= 0).all() and math.fsum(cells[:-1]) <= 1, (params, trials)
             assert cells[-1] >= TAIL_FLOOR, (params, trials)
             if params.s <= 12:
@@ -567,19 +568,23 @@ class TestSignatureLaw:
     def test_tabulated_signatures_keep_the_turn_cap(self):
         # 2 signatures for 10**4 games take the table; the longest of the
         # chunk's 2 * 10**4 exit turns, about 10**13, passes TURN_CAP
-        assert 2 <= _table_cells(10_000)
+        assert 2 <= _table_cells(10_000, SIGNATURE_CELL_GAMES)
         with pytest.raises(GameNotFinishedError, match=str(TURN_CAP)):
             signature_frequencies(GameParams(2, 10**12), 10_000, 1)
 
     @pytest.mark.parametrize(
         "n, trials, tabulated",
-        [(4, 8 * CELL_GAMES, True), (4, 8 * CELL_GAMES - 1, False),
-         (14, CHUNK_TRIALS + 5, True), (15, CHUNK_TRIALS + 5, False)],
+        # the timed sizes: the table wins at (13, 13) x 10**4 and up to
+        # (16, 16) x 65,536, and is about even one die past each
+        [(4, 8 * SIGNATURE_CELL_GAMES, True), (4, 8 * SIGNATURE_CELL_GAMES - 1, False),
+         (13, 10_000, True), (14, 10_000, False), (15, CHUNK_TRIALS, True),
+         (16, CHUNK_TRIALS + 5, True), (17, CHUNK_TRIALS + 5, False)],
     )
     def test_the_table_rule_holds_at_its_limit(self, monkeypatch, n, trials, tabulated):
-        # 2**(n - 1) signatures are tabulated up to _table_cells(trials)
-        # and drawn die by die one past it; either way the games are counted
-        assert (2 ** (n - 1) <= _table_cells(trials)) == tabulated
+        # 2**(n - 1) signatures are tabulated up to _table_cells(trials,
+        # SIGNATURE_CELL_GAMES) and drawn die by die one past it; either way
+        # the games are counted
+        assert (2 ** (n - 1) <= _table_cells(trials, SIGNATURE_CELL_GAMES)) == tabulated
         calls = []
         per_die = simulate_module._signature_chunk
         monkeypatch.setattr(simulate_module, "_signature_chunk", lambda *a: calls.append(a) or per_die(*a))
