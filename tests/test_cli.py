@@ -736,6 +736,9 @@ class TestSharedParser:
         assert seen == [3]
 
 
+COMMANDS = cli._build_parser()[1]
+
+
 def fields(namespace: argparse.Namespace) -> dict[str, str]:
     """A Namespace's fields in order, compared by repr, so a nan equals itself."""
     return {name: repr(value) for name, value in vars(namespace).items()}
@@ -751,8 +754,6 @@ def parsed_by_command(argv: list[str]) -> dict[str, str]:
     return fields(args)
 
 
-COMMANDS = cli._build_parser()[1]
-
 #: Words that no option of a well-formed call takes: negative numbers, other
 #: words starting with "-", an empty word, and words outside a type or a
 #: choice set (or inside another option's). A change to a call also inserts
@@ -761,11 +762,6 @@ ODD_WORDS = (
     "", "-1", "-0.5", "-1e3", "-x", "--", "-h", "--help", "--n", "--bogus", "--relaxed",
     "--count-only", "x", "1.5", "1e3", "2..3", "nan", "xml", "csv", "exact",
 )
-
-
-def option_actions(command: str) -> list[argparse.Action]:
-    """The command's option actions, its help action left out."""
-    return [action for action in COMMANDS[command]._actions if action.default is not argparse.SUPPRESS]
 
 
 def valid_values(action: argparse.Action):
@@ -790,7 +786,7 @@ def calls(draw, changes: int = 0) -> list[str]:
     drops it, or inserts a stray word.
     """
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    actions = option_actions(command)
+    actions = [action for action in COMMANDS[command]._actions if action.default is not argparse.SUPPRESS]
     chosen = [action for action in actions if action.required]
     chosen += draw(st.lists(st.sampled_from(actions), max_size=4))
     items = [
