@@ -22,8 +22,9 @@ bound as "-". The routes:
   MEMORY_BUDGET in each mode (MATRIX_REFUSALS, point "rows");
 * exact-closed, exact-recursive: moments for n <= s <= min(20, s-max);
 * float-/exact- pmf, cdf and quantile points for s <= min(12, s-max),
-  the quantile at fixed levels and at each rounded exact cdf value and
-  its two float neighbours (the near-ties);
+  the float pmf and cdf with the bound their closed route prints, the
+  quantile at fixed levels and at each rounded exact cdf value and its
+  two float neighbours (the near-ties);
 * float quantiles at scale (SCALE_QUANTILES), past exact mode's reach;
 * the cliffs benchmark points, under the routes above;
 * the chain profile past t = 40 (LONG_PROFILES), in both modes, the exact
@@ -72,7 +73,6 @@ from geomax import (
     build_transition_matrix,
     cdf,
     moment_report,
-    pmf,
     quantile,
 )
 from geomax.chain import absorption_step_bound
@@ -329,9 +329,9 @@ def point_lines(params: GameParams, mode):
     kind = mode.kind
     yield from profile_lines(params, mode, range(TURNS + 1))
     for y in range(TURNS + 1):
-        yield f"{kind}-cdf", params, f"y={y}", fmt(cdf(params, y, mode)), "-"
-        if y >= 1:
-            yield f"{kind}-pmf", params, f"y={y}", fmt(pmf(params, y, mode)), "-"
+        for quantity in ("cdf", "pmf") if y >= 1 else ("cdf",):
+            value, bound, _ = ROUTES[(quantity, "closed")](params, mode, y)
+            yield f"{kind}-{quantity}", params, f"y={y}", fmt(value), "-" if mode.exact else fmt(bound)
     levels = set(LEVELS)
     for y in range(1, TURNS + 1):
         level = float(cdf(params, y, EXACT))

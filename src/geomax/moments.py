@@ -28,10 +28,10 @@ job; the public moment functions live there as views of moment_report.
 This module also holds pmf and cdf, whose exact forms are integer powers
 of s and s-1 (the pmf the difference of two cdfs over their common
 denominator), and quantile, which decides each step in either mode on the
-integer brackets of _bracket_power. Only the survival sums and
-_log1mexp_array, the simulator's twin of _log1mexp, run numpy, and each
-imports it itself, so the closed sums, the points and the quantile run
-without loading it.
+integer brackets of _bracket_power. Every float evaluation of the law,
+here and in the simulator, reads _log1mexp (with the one error analysis)
+through _log_cdf or _inverse_law. Only the survival sums and _log1mexp's
+array path import numpy, so the closed sums, points and quantile do not.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_
 from .params import EXACT, FLOAT, GameParams, NumericMode, check_limit
 
 
-#: Printed error bound of a float closed pmf point against EXACT, 8u =
-#: 4 * 2**-52. Checked on n <= 40, s <= 2000, not derived; the cdf prints
-#: _cdf_bound instead.
-CLOSED_POINT_BOUND = 8 * _U
-
-
 def _log_q(params: GameParams) -> float:
     """ln q = log1p(-p) for the float p = 1/s of kernels._float_p; -inf at s = 1, where q = 0."""
     p = _float_p(params)
@@ -62,12 +56,10 @@ def _log_q(params: GameParams) -> float:
 
 
 def _log_q_times(params: GameParams, y: int) -> float:
-    """y lam = log q**y as a float, for any int y >= 0.
+    """y lam = log q**y as a float for any int y >= 0, y rounded by at most u relative before the product.
 
-    y * lam wherever float(y) is finite; past the doubles, y's top 53 bits,
-    rounded to nearest, times lam, scaled by math.ldexp, and -inf where
-    that overflows. Either way y is rounded by at most u relative before
-    its one product.
+    Past the doubles, y's top 53 bits, rounded to nearest, times lam,
+    scaled by math.ldexp, and -inf where that overflows.
     """
     lam = _log_q(params)
     try:
@@ -80,58 +72,71 @@ def _log_q_times(params: GameParams, y: int) -> float:
             return -math.inf
 
 
-def _log1mexp(x: float) -> float:
-    """log(1 - exp(x)) for x < 0, switching at x = -ln 2 so nothing cancels (Maechler's log1mexp)."""
-    return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
+def _log1mexp(x):
+    """log(1 - e**x) for x <= 0: a float, or a new array for a float64 array (Maechler's log1mexp).
 
+    log(-expm1(x)) above -ln 2 and log1p(-exp(x)) below it, so nothing
+    cancels. An array takes the formula of the side holding most entries
+    over all of them, then the other's over its entries by index; x = 0
+    gives -inf there, silently. Only the array path imports numpy.
+    The float law is z = n _log1mexp(fl(x)) = ln P, P = (1 - q**y)**n,
+    x = y lam (_log_cdf). Its one error analysis, to first order, with
+    u = 2**-53, libm within 2u, r = e**x / (1 - e**x), g = log(1 - e**x):
+    fl(x) = x (1 + theta), |theta| <= 5u (fl(1/s)'s u times log1p's 1.24
+    at most, 1/2 being exact, log1p's 2u, the product's u; u more past
+    y = 2**53), moves z by n r |x| theta. expm1's 2u moves log's result by
+    2u, exp's moves log1p's by 2u r: 2u min(1, r) either side. log or
+    log1p, the product with n and n's rounding past 2**53 add (3u or 4u)|z|:
 
-def _log1mexp_array(x: np.ndarray) -> np.ndarray:
-    """_log1mexp over a float64 array of x <= 0, with the same switch, as a new array.
-
-    The near-side formula runs over every entry and the far side only over
-    the entries past the switch, if any, so an array with none of them
-    costs one reduction more than the near-side formula alone. x = -inf
-    gives 0, and x = 0 gives -inf with numpy's divide warning, which is
-    the caller's to silence.
+    * P = exp(z): as r |x| <= |g| (|x| + 1/2) (the excess peaks at 0.34
+      near x = -0.32) and min(1, r) <= |g| / ln 2, z errs by at most
+      |z| ((|x| + 1/2) theta + 2.9u + 4u), and exp adds 2u P;
+    * S = 1 - P = -expm1(z): as P n r = n e**x (1 - e**x)**(n-1) <= S and
+      P |z| <= S, S errs by at most S (|x| theta + 8u), expm1's 2u
+      included, u less for n <= 2**53: no factor of n.
     """
+    if isinstance(x, float):
+        return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
     import numpy as np
-    out = np.expm1(x)
-    np.negative(out, out=out)
-    np.log(out, out=out)
-    if x.min(initial=0.0) <= -math.log(2):
-        far = np.flatnonzero(x <= -math.log(2))
-        out[far] = np.log1p(-np.exp(x[far]))
+    def side(v, first, then):  # then(-first(v)), in place
+        return then(np.negative(out := first(v), out=out), out=out)
+
+    count = np.count_nonzero(near := x > -math.log(2))
+    whole, fix, rest = (np.expm1, np.log), (np.exp, np.log1p), ~near
+    if 2 * count < x.size:  # most entries lie past the switch
+        whole, fix, rest = fix, whole, near
+    with np.errstate(divide="ignore"):  # log1p(-1) where exp(x) rounds to 1
+        out = side(x, *whole)
+    if 0 < count < x.size:
+        rest = np.flatnonzero(rest)
+        out[rest] = side(x[rest], *fix)
     return out
+
+
+def _log_cdf(params: GameParams, y):
+    """ln P(Y <= y) = n _log1mexp(y lam), y an int >= 1 (y lam by _log_q_times) or a float64 array."""
+    z = _log1mexp(_log_q_times(params, y) if isinstance(y, int) else y * _log_q(params))
+    z *= params.n  # in place on _log1mexp's new array
+    return z
+
+
+def _inverse_law(params: GameParams, log_level):
+    """The y with ln P(Y <= y) = log_level, _log1mexp(log_level * (1/n)) / lam; an array is overwritten."""
+    log_level *= 1 / params.n
+    y = _log1mexp(log_level)
+    y /= _log_q(params)  # in place on _log1mexp's new array
+    return y
 
 
 def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     """P(turn count <= y). Zero below 1, else (1 - q**y)**n.
 
-    Float mode takes exp(n log(1 - q**y)) with q**y = exp(y lam),
-    lam = log1p(-1/s): never a power of the rounded q, and no n-th power
-    of a rounded base. log(1 - q**y) is _log1mexp(y lam), so nothing
-    cancels. Error bound, with u = 2**-53 and libm within one ulp (2u):
-
-    * fl(y lam) = x (1 + theta), x = y lam, |theta| <= 6u: the 5u of
-      _closed_form_terms' analysis, and u more where y > 2**53 rounds
-      (to its top 53 bits past the doubles, by _log_q_times, whose -inf
-      past them leaves P = 1.0, within u of the truth).
-    * g(x) = log(1 - e**x) has the relative condition number
-      |x| e**x / ((1 - e**x) |g(x)|) <= |x| + 1/2 (its excess over |x|
-      peaks at 0.34 near x = -0.32 and falls like |x| e**x / 2 past it),
-      so theta moves g by (6|x| + 3)u relative. _log1mexp adds at most 5u:
-      above -ln 2, expm1's 2u moves log's result by 2u absolute, and
-      |g| >= ln 2 there, plus log's own 2u; below it, exp's 2u moves
-      log1p(-t) by at most 2u t / ((1 - t) |g|) <= 2.9u relative, as
-      t = e**x <= 1/2, plus log1p's own 2u.
-    * The product with n adds u, and u more for n past 2**53: the
-      exponent z = ln P errs by (6|x| + 10)u relative, which moves P by
-      P |ln P| (6|x| + 10)u, and exp adds 2u P.
-
-    So |float - P| <= P (|ln P| (6 y |lam| + 10) + 2)u to first order;
-    _cdf_bound prints it with spare constants for the second order.
-    Exact mode raises ValueError before its first power where its powers
-    take more than TURN_CAP digit products (_cdf_products).
+    Float mode takes exp(_log_cdf(params, y)), never a power of the
+    rounded q or of a rounded base. By _log1mexp's analysis, |theta| <= 6u
+    (past the doubles P = 1.0, within u), it errs by at most
+    P (|ln P| (6 y |lam| + 10) + 2)u, which _cdf_bound prints with spare
+    constants. Exact mode raises ValueError before its first power where
+    its powers take more than TURN_CAP digit products (_cdf_products).
     """
     y = operator.index(y)
     if y < 1:
@@ -140,18 +145,17 @@ def cdf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         what = f"the exact cdf at y={y} for n={params.n}, s={params.s}"
         check_limit(_cdf_products(params, y), "digit products", what)
         return (1 - params.q_exact**y) ** params.n
-    return math.exp(params.n * _log1mexp(_log_q_times(params, y)))
+    return math.exp(_log_cdf(params, y))
 
 
 def _cdf_bound(params: GameParams, y: int, value: float) -> float:
-    """Bound on |cdf(params, y) - exact| for its float value, from cdf's analysis.
+    """Bound on |cdf(params, y) - exact| for its float value: value (|ln value| (6 y |lam| + 11) + 3)u.
 
-    value (|ln value| (6 y |lam| + 11) + 3)u. The spare u in each constant
-    covers the second-order terms, the bound's own roundings and ln of the
-    rounded value: |ln P| <= 745 for a nonzero double P, and |x| <= 747
-    wherever |ln P| >= u (n < 2**1024), so |z| times z's relative error is
-    below 4e-10. 2**-1073 covers a value that exp rounds below the normal
-    doubles, where its error is absolute. y < 1 (0) and s = 1 (1) are exact.
+    From cdf's analysis, a spare u per constant covering the second order,
+    the bound's own roundings and ln of the rounded value: |ln P| <= 745
+    for a nonzero double P, and |x| <= 747 wherever |ln P| >= u (n <
+    2**1024), so |z| times z's relative error is below 4e-10. 2**-1073
+    covers a value below the normal doubles. y < 1 (0), s = 1 (1) are exact.
     """
     if y < 1 or params.s == 1:
         return 0.0
@@ -168,8 +172,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     (s-1)**(y-1), and one Fraction built at the end. Past TURN_CAP digit
     products (_pmf_products) it raises ValueError before the first power.
     Float mode takes the positive form u_y**n (1 - (1 + x)**-n), from
-    u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1},
-    with q**t = exp(t log1p(-1/s)): nothing cancels and nothing overflows.
+    u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1}, as
+    cdf(params, y) * -expm1(-n log1p(x)): nothing cancels and nothing
+    overflows (p**n at y = 1). _pmf_bound bounds its error.
     """
     y = operator.index(y)
     if y < 1:
@@ -184,7 +189,31 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         return _float_p(params) ** n
     before = _log_q_times(params, y - 1)
     x = params.p * math.exp(before) / -math.expm1(before)
-    return (-math.expm1(_log_q_times(params, y))) ** n * -math.expm1(-n * math.log1p(x))
+    return cdf(params, y) * -math.expm1(-n * math.log1p(x))
+
+
+def _pmf_bound(params: GameParams, y: int, value: float) -> float:
+    """Bound on |pmf(params, y) - exact| for its float value P F, P = cdf(params, y).
+
+    F = -expm1(-n log1p(x)) = 1 - (1 + x)**-n with x = p e**b / -expm1(b)
+    and b = fl((y-1) lam), |theta| <= 6u as in cdf. To first order, with
+    u = 2**-53 and libm within 2u, x errs by (|b| + 1) theta + 7u: its
+    condition number in b is |b| / (1 - e**b) <= |b| + 1, and fl(1/s),
+    exp, expm1, the product and the quotient add 7u. F's condition number
+    in x, n x (1 + x)**(-n-1) / F, is at most 1, as is each later step's,
+    and log1p, the product with n and expm1 add 6u: F errs by
+    (6|b| + 19)u, P by cdf's bound, the product by u more, and a spare u
+    per constant covers the second order (|b| <= y |lam|). At y = 1 the
+    pmf is fl(1/s)**n, within (n + 2)u < 11u |ln P|. Below the normal
+    doubles a rounding errs by 2**-1074 absolute: there -expm1(b) > 1/2,
+    so x errs by 2.5 2**-1074 more and F by n times that; log1p and the
+    product with n add n 2**-1074, and expm1, P and the product 2.5
+    2**-1074: below (n + 1) 2**-1071. s = 1 is exact.
+    """
+    if params.s == 1:
+        return 0.0
+    x, floor = -_log_q_times(params, y), (params.n + 1) * 2.0**-1071
+    return value * (-_log_cdf(params, y) * (6 * x + 11) + 6 * x + 23) * _U + floor if value else floor
 
 
 #: digits of the largest int CPython squares by schoolbook; past it, by Karatsuba
@@ -459,34 +488,20 @@ def _first_at_most(bound, eps: float, walk: str) -> int:
 
 
 def _closed_form_terms(params: GameParams, stop: int | None = None):
-    """Survival-term source for _survival_sums: P(Y > t) = 1 - (1 - q**t)**n.
+    """Survival-term source for _survival_sums: P(Y > t) = 1 - (1 - q**t)**n = -expm1(_log_cdf(params, t)).
 
     The series sums these terms for t < T, the head, and _closed_tail
-    sums the rest; each term stands alone, so the stop T is not read.
-
-    Each term is -expm1(n * log1p(-q**t)) with q**t = exp(t * lam),
-    lam = log1p(-1/s), never a power of the rounded q. Error bound, with
-    u = 2**-53 and libm's exp, log1p and expm1 within one ulp (2u):
-
-    * fl(t * lam) = t * lam * (1 + theta) with |theta| <= 5u: the u of
-      fl(1/s), which log1p passes on amplified by x / ((1-x) |ln(1-x)|)
-      <= 1.24 at x = 1/s <= 1/3 (1/2 is exact), log1p's own 2u and the
-      product's u. So q**t carries a relative error of at most
-      (5 t |lam| + 2) u, exp's own error included.
-    * A relative error e of y = q**t moves the term by about
-      n y (1 - y)**(n-1) e <= term * e, since the term is
-      sum_{j<n} y (1 - y)**j. A relative error d of
-      z = n log1p(-y) = ln P, P = (1 - y)**n, moves it by about
-      P |ln P| d <= (1 - P) d = term * d. log1p, the product with n,
-      expm1 and the weight add at most 2u + u + 2u + u.
-    * So each weighted term errs by at most (5 t |lam| + 8) u times it,
-      a relative bound with no factor of n.
+    sums the rest; each term stands alone, so the stop T is not read. By
+    _log1mexp's analysis of the survival, |theta| <= 5u (t < TURN_CAP <
+    2**53), and the weight's u, each weighted term errs by at most
+    (5 t |lam| + 8)u times it, u more where n > 2**53 rounds.
     """
     import numpy as np
-    n, lam = params.n, _log_q(params)
-
+    lam, rounds = _log_q(params), 8 + (params.n > 1 << 53)
     def terms_of(t: np.ndarray):
-        return -np.expm1(n * np.log1p(-np.exp(t * lam))), (5 * abs(lam) * t + 8) * _U, 0.0
+        terms = _log_cdf(params, t)
+        np.negative(np.expm1(terms, out=terms), out=terms)
+        return terms, (5 * abs(lam) * t + rounds) * _U, 0.0
 
     return terms_of
 
@@ -534,8 +549,8 @@ def _closed_tail(params: GameParams, eps: float):
     terms would never come later, and its first term left out still bounds
     the mean's remainder.
 
-    Error bound, to first order, with u = 2**-53 and the roundings of
-    _closed_form_terms: fl(j lam) errs by at most 5u relative, so q**T =
+    Error bound, to first order, with u = 2**-53 and the theta of
+    _log1mexp's analysis: fl(j lam) errs by at most 5u relative, so q**T =
     exp(T lam) by (5T|lam| + 2)u, and c_j, built as c_{j-1} times
     fl(fl((n-j+1)/j) q**T) (Python's int division rounds once), by
     j (5T|lam| + 5)u; a spare u per step, j (5T|lam| + 6)u, covers the
@@ -722,7 +737,7 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
     The inverted law ceil(log(1 - root) / log q), root = prob**(1/n) with
     prob clamped into the doubles, seeds a search that steps away from the
     seed, doubling its step, then bisects. log(1 - root) is _log1mexp's
-    (the simulator's tail takes its numpy twin, _log1mexp_array), so a
+    (as the simulator's _inverse_law takes it), so a
     root below 2**-53 does not seed at 1, and it sizes the seed in
     logs first: a seed of DECIMAL_SEED_FROM turns or more, even one past
     the doubles, comes from _decimal_seed at its digits plus 20, plus the

@@ -167,12 +167,8 @@ def _moment(quantity: str, method: str, params, mode, point):
 
 def _closed(quantity: str, params, mode, point):
     value = getattr(moments, quantity)(params, point, mode)
-    if mode.exact or quantity == "quantile":
-        bound = 0.0
-    elif quantity == "cdf":
-        bound = moments._cdf_bound(params, point, value)
-    else:
-        bound = moments.CLOSED_POINT_BOUND
+    exact = mode.exact or quantity == "quantile"
+    bound = 0.0 if exact else getattr(moments, f"_{quantity}_bound")(params, point, value)
     return value, _float_bound(mode, bound), "closed-alternating"
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import params as params_module
-from .moments import _log1mexp, _log1mexp_array, _log_q, cdf
+from .moments import _inverse_law, _log_cdf, cdf
 from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, check_limit, plain_int
 
 #: Trials per RNG substream in the Monte Carlo drivers.
@@ -255,11 +255,10 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     """Cells of the chunk kernel's multinomial: P(Y = y) for y = 1..K, then P(Y > K).
 
     Each cell is a difference of survivals S(y) = P(Y > y) =
-    -expm1(n log(1 - q**y)), log(1 - q**y) taken by moments._log1mexp_array
-    at y log q, so no cell is a difference of cdfs near 1. The survivals are
-    made non-increasing first, so every cell is >= 0 and the cells up to K
-    sum to 1 - S(K) <= 1 within rounding, as numpy's multinomial requires
-    of all but the last.
+    -expm1(moments._log_cdf(params, y)), so no cell is a difference of
+    cdfs near 1. The survivals are made non-increasing first, so every
+    cell is >= 0 and the cells up to K sum to 1 - S(K) <= 1 within
+    rounding, as numpy's multinomial requires of all but the last.
 
     K depends only on (params, trials): the largest y with S(y) >=
     TAIL_FLOOR, or 0 where that y passes _table_cells(trials,
@@ -279,18 +278,12 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     """
     import numpy as np
     cap = _table_cells(trials, TURN_CELL_GAMES)
-    lam = _log_q(params)
-    # S(y) crosses TAIL_FLOOR near this y, by the inverse law; the
-    # survivals computed a turn or two past it decide K
-    stop = _log1mexp(math.log1p(-TAIL_FLOOR) / params.n) / lam
+    # S(y) crosses TAIL_FLOOR near stop; the survivals a turn or two past it decide K
+    stop = _inverse_law(params, math.log1p(-TAIL_FLOOR))
     if not stop < cap + 1:  # S(cap + 1) >= TAIL_FLOOR: K = 0, no survival needed
         return np.ones(1)
-    survival = np.empty(int(stop) + 3)
-    survival[0] = 1.0
-    rest = survival[1:]
-    np.multiply(_log1mexp_array(np.arange(1.0, rest.size + 1) * lam), params.n, out=rest)
-    np.expm1(rest, out=rest)
-    np.negative(rest, out=rest)
+    # S(y) for y = 0 (ln P(Y <= 0) = -inf) to int(stop) + 2
+    survival = -np.expm1(np.r_[-math.inf, _log_cdf(params, np.arange(1.0, int(stop) + 3))])
     # rounding may lift a survival an ulp above the one before it
     np.minimum.accumulate(survival, out=survival)
     k = int(np.count_nonzero(survival >= TAIL_FLOOR)) - 1
@@ -315,11 +308,10 @@ def _turn_chunk(
     draws nothing). The games past K invert the law conditioned on Y > K,
     one uniform V in [0, 1) each: U = 1 - S(K) (1 - V) is uniform on
     [cdf(K), 1), and the turn count is the smallest y with cdf(y) >= U,
-    ceil(log(1 - U**(1/n)) / log q), at least K + 1. log U is
-    log1p(-S(K) (1 - V)), which never rounds to 0, and log(1 - U**(1/n))
-    comes from moments._log1mexp_array, the switch quantile's seed takes.
-    At K = 0, S(0) = 1 and U = V: the plain inverse law, one uniform per
-    game. log q = -inf at s = 1 and U = 0 both give one turn.
+    the ceiling of moments._inverse_law at log U, at least K + 1. log U is
+    log1p(-S(K) (1 - V)), which never rounds to 0. At K = 0, S(0) = 1 and
+    U = V: the plain inverse law, one uniform per game. log q = -inf at
+    s = 1 and U = 0 both give one turn.
     """
     import numpy as np
     k = cells.size - 1
@@ -330,10 +322,7 @@ def _turn_chunk(
         turns *= -cells[-1]
         # log1p(-1) = -inf at U = 0; a tiny 1/s overflows the quotient past the cap
         with np.errstate(divide="ignore", over="ignore"):
-            np.log1p(turns, out=turns)
-            turns *= 1 / params.n
-            turns = _log1mexp_array(turns)
-            turns /= _log_q(params)
+            turns = _inverse_law(params, np.log1p(turns, out=turns))
         np.ceil(turns, out=turns)
         np.maximum(turns, k + 1, out=turns)
         _check_turn_cap(turns.max())

@@ -31,7 +31,7 @@ from geomax.cli import (
     main,
     parse_range,
 )
-from geomax.moments import _cdf_bound
+from geomax.moments import _cdf_bound, _pmf_bound
 from geomax.report import ROUTES
 
 HEADER = "n,s,quantity,method,value,error_bound"
@@ -192,8 +192,8 @@ class TestCompute:
         assert csv_rows(out)[0]["value"] == "5/16"
 
     def test_matrix_power_points_print_their_step_bound(self, capsys):
-        # the chain's rounding grows with the steps taken; a closed pmf keeps
-        # 4 eps, and a closed cdf prints its derived bound
+        # the chain's rounding grows with the steps taken; a closed pmf and
+        # a closed cdf print their derived bounds
         params = GameParams(12, 12)
         for quantity, truth in (
             ("cdf", cdf(params, 40, EXACT)),
@@ -209,7 +209,7 @@ class TestCompute:
                 rows[method] = csv_rows(out)[0]
             closed = float(rows["closed"]["error_bound"])
             value = float(rows["closed"]["value"])
-            assert closed == (_cdf_bound(params, 40, value) if quantity == "cdf" else 4.0 * 2.0**-52)
+            assert closed == (_cdf_bound if quantity == "cdf" else _pmf_bound)(params, 40, value)
             row = rows["matrix-power"]
             bound = float(row["error_bound"])
             assert bound > closed

@@ -59,6 +59,7 @@ from geomax.moments import (
     _closed_terms,
     _exact_closed_moments,
     _exact_sum,
+    _log1mexp,
     _pmf_products,
     _square_products,
     _survival_sums,
@@ -281,30 +282,66 @@ class TestDistribution:
                     assert high**n <= value + accuracy, (n, s, y)
 
     @pytest.mark.parametrize(
-        "n, s, y",
+        "quantity, n, s, y",
         [
-            (10**4, 10**4, 95_000),
-            (10**6, 10**9, 14_095_274_639),
-            (10**12, 10**15, 27_631_021_115_929_035),
+            pytest.param("cdf", 10**4, 10**4, 95_000, id="10000-10000-95000"),
+            pytest.param("cdf", 10**6, 10**9, 14_095_274_639, id="1000000-1000000000-14095274639"),
+            pytest.param(
+                "cdf", 10**12, 10**15, 27_631_021_115_929_035, id="1000000000000-1000000000000000-27631021115929035"
+            ),
             # float(y) overflows; y lam = -4 comes from y's top 53 bits
-            pytest.param(2, 2**1022, 2**1024, id="2-2**1022-2**1024"),
+            pytest.param("cdf", 2, 2**1022, 2**1024, id="2-2**1022-2**1024"),
+            # relaxed pairs near the median, where an n-th power of a rounded
+            # base missed the 8u once printed for every pmf point by up to
+            # 6.7e9 times (10**12, 3) at y = 68
+            pytest.param("pmf", 1000, 3, 18, id="pmf-1000-3-18"),
+            pytest.param("pmf", 10**4, 40, 379, id="pmf-10000-40-379"),
+            pytest.param("pmf", 10**12, 3, 68, id="pmf-10**12-3-68"),
+            pytest.param("pmf", 10**18, 2, 61, id="pmf-10**18-2-61"),
         ],
     )
-    def test_float_cdf_prints_a_bound_that_holds_at_large_n(self, n, s, y):
+    def test_float_cdf_prints_a_bound_that_holds_at_large_n(self, quantity, n, s, y):
         # near the median the float cdf errs by 1.49u, 9.67u and 21.6u: the
         # 8u printed before the bound was derived missed the last two. The
         # exact law lies in _bracket_power's brackets, narrowed until they
-        # are a tenth of the bound wide
-        params = GameParams(n, s)
-        value, bound, _ = ROUTES[("cdf", "closed")](params, FLOAT, y)
+        # are a tenth of the bound wide; a pmf lies between lo_y - hi_(y-1)
+        # and hi_y - lo_(y-1) of the cdf's brackets at y and y - 1
+        params = GameParams(n, s, relaxed=True)
+        value, bound, _ = ROUTES[(quantity, "closed")](params, FLOAT, y)
+
+        def bracket(y: int, k: int) -> tuple[Fraction, Fraction]:
+            q_lo, q_hi = _bracket_power(((s - 1) << k) // s, -(-((s - 1) << k) // s), y, k)
+            return tuple(Fraction(b, 1 << k) for b in _bracket_power((1 << k) - q_hi, (1 << k) - q_lo, n, k))
+
         k = 64
         while True:
-            q_lo, q_hi = _bracket_power(((s - 1) << k) // s, -(-((s - 1) << k) // s), y, k)
-            lo, hi = (Fraction(b, 1 << k) for b in _bracket_power((1 << k) - q_hi, (1 << k) - q_lo, n, k))
+            lo, hi = bracket(y, k)
+            if quantity == "pmf":
+                below_lo, below_hi = bracket(y - 1, k)
+                lo, hi = lo - below_hi, hi - below_lo
             if hi - lo < Fraction(bound) / 10:
                 break
             k *= 2
         assert max(Fraction(value) - lo, hi - Fraction(value)) <= bound
+
+    def test_log1mexp_array_path_matches_the_scalar_path(self):
+        # whichever side of -ln 2 holds most entries, each entry takes its
+        # own side's formula: bit for bit its value as a one-entry array,
+        # and within the 5u of _log1mexp's analysis of the scalar path's,
+        # as numpy's vectorized exp and log1p differ from libm's by an ulp
+        # on some entries
+        ln2 = math.log(2)
+        near = -np.geomspace(1e-300, ln2, 400, endpoint=False)
+        far = -np.geomspace(ln2, 740, 400)[1:]
+        edges = [-ln2, -ln2, math.nextafter(-ln2, 0), math.nextafter(-ln2, -1), -math.inf, -math.inf]
+        for x, most_near in ((np.r_[near, far[::8], edges], True), (np.r_[near[::8], far, edges], False)):
+            assert (2 * np.count_nonzero(x > -ln2) > x.size) == most_near
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = _log1mexp(x)
+            assert values.tolist() == [_log1mexp(x[i : i + 1])[0] for i in range(x.size)]
+            scalar = np.array([_log1mexp(float(v)) for v in x])
+            assert np.all(np.abs(values - scalar) <= 10 * _U * np.abs(scalar))
 
     def test_float_points_past_the_doubles(self):
         # float(2**1100) overflows: the cdf is 1 to the last bit, the pmf 0
@@ -313,12 +350,19 @@ class TestDistribution:
         assert _cdf_bound(params, 2**1100, 1.0) == 3 * _U + 2.0**-1073
 
     def test_float_cdf_bound_holds_against_exact(self):
-        for s in range(1, 13):
-            for n in range(1, s + 1):
-                params = GameParams(n, s)
-                for y in range(-1, 201):
-                    value, bound, _ = ROUTES[("cdf", "closed")](params, FLOAT, y)
-                    assert abs(Fraction(value) - cdf(params, y, EXACT)) <= bound, (n, s, y)
+        # and the pmf's, on every n <= s <= 12 and three relaxed pairs, the
+        # exact pmf taken as the exact cdf's difference
+        relaxed = [GameParams(n, s, relaxed=True) for n, s in ((7, 5), (10, 6), (3, 1))]
+        for params in [GameParams(n, s) for s in range(1, 13) for n in range(1, s + 1)] + relaxed:
+            below = Fraction(0)
+            for y in range(-1, 201):
+                exact = cdf(params, y, EXACT)
+                value, bound, _ = ROUTES[("cdf", "closed")](params, FLOAT, y)
+                assert abs(Fraction(value) - exact) <= bound, (params, y)
+                if y >= 1:
+                    value, bound, _ = ROUTES[("pmf", "closed")](params, FLOAT, y)
+                    assert abs(Fraction(value) - (exact - below)) <= bound, (params, y, "pmf")
+                below = exact
 
     def test_float_cdf_where_q_to_the_y_rounds_to_one(self):
         # at s = 2**60, exp(y log1p(-1/s)) rounds to 1.0 for small y, and
