@@ -77,8 +77,9 @@ def _log1mexp(x):
 
     log(-expm1(x)) above -ln 2 and log1p(-exp(x)) below it, so nothing
     cancels. An array takes the formula of the side holding most entries
-    over all of them, then the other's over its entries by index; x = 0
-    gives -inf there, silently. Only the array path imports numpy.
+    over all of them, then the other's over its entries by index; x = 0,
+    and an exp that rounds to 1 where most lie past the switch, warn of a
+    divide, the caller's to silence. Only the array path imports numpy.
     The float law is z = n _log1mexp(fl(x)) = ln P, P = (1 - q**y)**n,
     x = y lam (_log_cdf). Its one error analysis, to first order, with
     u = 2**-53, libm within 2u, r = e**x / (1 - e**x), g = log(1 - e**x):
@@ -102,13 +103,12 @@ def _log1mexp(x):
         return then(np.negative(out := first(v), out=out), out=out)
 
     count = np.count_nonzero(near := x > -math.log(2))
-    whole, fix, rest = (np.expm1, np.log), (np.exp, np.log1p), ~near
-    if 2 * count < x.size:  # most entries lie past the switch
-        whole, fix, rest = fix, whole, near
-    with np.errstate(divide="ignore"):  # log1p(-1) where exp(x) rounds to 1
-        out = side(x, *whole)
+    whole, fix = (np.expm1, np.log), (np.exp, np.log1p)
+    if most_far := 2 * count < x.size:
+        whole, fix = fix, whole
+    out = side(x, *whole)
     if 0 < count < x.size:
-        rest = np.flatnonzero(rest)
+        rest = np.flatnonzero(near if most_far else ~near)
         out[rest] = side(x[rest], *fix)
     return out
 

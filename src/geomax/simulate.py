@@ -283,7 +283,7 @@ def _turn_table(params: GameParams, trials: int) -> np.ndarray:
     if not stop < cap + 1:  # S(cap + 1) >= TAIL_FLOOR: K = 0, no survival needed
         return np.ones(1)
     # S(y) for y = 0 (ln P(Y <= 0) = -inf) to int(stop) + 2
-    survival = -np.expm1(np.r_[-math.inf, _log_cdf(params, np.arange(1.0, int(stop) + 3))])
+    survival = -np.expm1(np.concatenate(([-math.inf], _log_cdf(params, np.arange(1.0, int(stop) + 3)))))
     # rounding may lift a survival an ulp above the one before it
     np.minimum.accumulate(survival, out=survival)
     k = int(np.count_nonzero(survival >= TAIL_FLOOR)) - 1
