@@ -102,13 +102,14 @@ def _log1mexp(x):
     def side(v, first, then):  # then(-first(v)), in place
         return then(np.negative(out := first(v), out=out), out=out)
 
-    count = np.count_nonzero(near := x > -math.log(2))
-    whole, fix = (np.expm1, np.log), (np.exp, np.log1p)
-    if most_far := 2 * count < x.size:
-        whole, fix = fix, whole
+    near, far = (np.expm1, np.log), (np.exp, np.log1p)
+    count = np.count_nonzero(mask := x > -math.log(2))  # entries on the near side
+    whole, fix = (near, far) if 2 * count >= x.size else (far, near)
     out = side(x, *whole)
     if 0 < count < x.size:
-        rest = np.flatnonzero(near if most_far else ~near)
+        if whole is near:  # fix the entries past the switch, inverting the mask in place
+            np.logical_not(mask, out=mask)
+        rest = np.flatnonzero(mask)
         out[rest] = side(x[rest], *fix)
     return out
 
@@ -212,8 +213,8 @@ def _pmf_bound(params: GameParams, y: int, value: float) -> float:
     """
     if params.s == 1:
         return 0.0
-    x, floor = -_log_q_times(params, y), (params.n + 1) * 2.0**-1071
-    return value * (-_log_cdf(params, y) * (6 * x + 11) + 6 * x + 23) * _U + floor if value else floor
+    y_lam, floor = -_log_q_times(params, y), (params.n + 1) * 2.0**-1071
+    return value * (-_log_cdf(params, y) * (6 * y_lam + 11) + 6 * y_lam + 23) * _U + floor if value else floor
 
 
 #: digits of the largest int CPython squares by schoolbook; past it, by Karatsuba
@@ -736,20 +737,19 @@ def quantile(params: GameParams, prob, mode: NumericMode = FLOAT) -> int:
 
     The inverted law ceil(log(1 - root) / log q), root = prob**(1/n) with
     prob clamped into the doubles, seeds a search that steps away from the
-    seed, doubling its step, then bisects. log(1 - root) is _log1mexp's
-    (as the simulator's _inverse_law takes it), so a
-    root below 2**-53 does not seed at 1, and it sizes the seed in
-    logs first: a seed of DECIMAL_SEED_FROM turns or more, even one past
-    the doubles, comes from _decimal_seed at its digits plus 20, plus the
-    leading zeros of root and of 1 - root, where 1 - root and its log
-    cancel, so that it lands within a turn or two. _cdf_reaches decides
-    each step exactly, so mode does not change the answer. Where a
-    decision needs an exact cdf of more than TURN_CAP digit products it
-    raises ValueError, but a gallop probe past the answer does not: the
-    search goes on below the last turn whose exact cdf is admitted, found
-    by _first_true as _cdf_products grows with y, so a level is refused
-    only where its answer lies past that turn, its own exact cdf refused,
-    and the refusal names the turn just past it.
+    seed, doubling its step, then bisects. log(1 - root) is _log1mexp's, as
+    in _inverse_law, so a root below 2**-53 does not seed at 1, and it sizes
+    the seed in logs first: a seed of DECIMAL_SEED_FROM turns or more, even
+    one past the doubles, comes from _decimal_seed at its digits plus 20,
+    plus the leading zeros of root and of 1 - root, where 1 - root and its
+    log cancel, so that it lands within a turn or two. _cdf_reaches decides
+    each step exactly, so mode does not change the answer. Where a decision
+    needs an exact cdf of more than TURN_CAP digit products it raises
+    ValueError, but a gallop probe past the answer does not: the search goes
+    on below the last turn whose exact cdf is admitted, found by _first_true
+    as _cdf_products grows with y, so a level is refused only where its
+    answer lies past that turn, its own exact cdf refused, and the refusal
+    names the turn just past it.
     """
     if not 0 < prob < 1:
         raise ValueError("prob must lie strictly between 0 and 1")
