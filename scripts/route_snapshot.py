@@ -79,19 +79,20 @@ from geomax.chain import absorption_step_bound
 from geomax.cli import main as cli_main
 from geomax.report import ANALYTIC_METHODS, ROUTES
 
-#: The cliffs workload's size classes at their nominal sizes:
-#: (n, s, mode, method).
+#: The cliffs workload's size classes at their nominal sizes, and every size
+#: its seeded generator draws for the matrix-power, fallback and large-s
+#: classes, and seed 1's overflow draw: (n, s, mode, method).
 CLIFFS = (
     *((10, 10, FLOAT, m) for m in ("auto", "closed", "series", "recursive", "matrix-power")),
     *((10, 10, EXACT, m) for m in ("closed", "recursive")),
     *((60, s, EXACT, "recursive") for s in (60, 61, 62)),
     *((150, s, EXACT, "closed") for s in range(150, 155)),
     (1100, 2000, FLOAT, "auto"),
+    (1101, 2013, FLOAT, "auto"),
     (300, 300, FLOAT, "auto"),
-    (50, 50, FLOAT, "matrix-power"),
-    (60, 10_000, FLOAT, "auto"),
-    (61, 10_000, FLOAT, "auto"),
-    (5, 20_000, FLOAT, "series"),
+    *((n, n, FLOAT, "matrix-power") for n in (49, 50, 51)),
+    *((n, 10_000, FLOAT, "auto") for n in range(58, 63)),
+    *((n, 20_000, FLOAT, "series") for n in (4, 5, 6)),
     (500, 500, FLOAT, "recursive"),
 )
 

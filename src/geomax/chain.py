@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
 from .kernels import _U, _float_p
@@ -65,24 +66,28 @@ class AbsorptionProfile:
     second_moments: tuple[float | Fraction, ...]
 
 
-def _survivor_rows(params: GameParams, mode: NumericMode) -> Iterator[np.ndarray]:
+def _survivor_rows(params: GameParams, mode: NumericMode, rows=None) -> Iterator[np.ndarray]:
     """Rows k = 0..n of the transition matrix, row k holding its entries j = 0..k.
 
-    Row k is the Binomial(k, q) law of the survivors, built from row k-1
-    by Pascal's rule p * [row, 0] + q * [0, row]. Every entry is a sum of
-    positive terms. Exact mode runs the rule on 1 and s-1, so row k is
-    the integer row C(k, j) (s-1)**j, the law times s**k. Its callers
-    check their limits first; the tightest for rows 0..n is
-    _moment_recursion's TURN_CAP on their (n+1)(n+2)/2 entries.
+    Row k is the Binomial(k, q) law of the survivors, built in place from
+    row k-1 by Pascal's rule p * [row, 0] + q * [0, row]: p * row, then
+    q * row added one entry on. Every entry is a sum of positive terms.
+    Exact mode runs the rule on 1 and s-1, so row k is the integer row
+    C(k, j) (s-1)**j, the law times s**k. Row k is rows[k, :k+1] of a
+    given (n+1) x (n+1) zero array, else a view of one of two rows that
+    row k+2 overwrites. Its callers check their limits first; the tightest
+    for rows 0..n is _moment_recursion's TURN_CAP on their (n+1)(n+2)/2 entries.
     """
     import numpy as np
     p, q, dtype = (1, params.s - 1, object) if mode.exact else (_float_p(params), params.q, float)
-    pad = np.zeros(1, dtype)
-    return accumulate(
-        range(params.n),
-        lambda row, _: np.concatenate((p * row, pad)) + np.concatenate((pad, q * row)),
-        initial=pad + 1,  # row 0: [1]
-    )
+    rows = np.zeros((2, params.n + 1), dtype) if rows is None else rows
+    rows[0, 0] = 1
+    yield rows[0, :1]
+    for k in range(1, params.n + 1):
+        row, last = rows[k % len(rows), : k + 1], rows[(k - 1) % len(rows), :k]
+        np.multiply(last, p, out=row[:k])
+        row[1:] += q * last
+        yield row
 
 
 def _digits(params: GameParams, power: int) -> int:
@@ -116,12 +121,12 @@ def _rows_bytes(params: GameParams, mode: NumericMode) -> int:
     triangle, a 24-byte float, or a 48-byte Fraction and two ints below
     s**n. A row keeps a 40-byte tuple header and 17 bytes of references
     (from the list of rows, with its 1/8 slack, and the tuple it becomes).
-    Building a row takes at most six 8-byte slots per entry of the row (four
-    numpy rows of Pascal's step, and a list with its slack) and in exact
-    mode four integer rows and two ints (s**k and a gcd). What does not
-    grow with n stays under 2 KiB: six numpy headers with their shapes
-    (768 bytes), the step function and its closure (376), the iterators
-    (232), the TransitionMatrix and its dict (352), other headers (< 300).
+    Building a row takes at most six 8-byte slots per entry of the row (the
+    two rows and the product of Pascal's step, and a list with its slack)
+    and in exact mode four integer rows and two ints (s**k and a gcd). What
+    does not grow with n stays under 2 KiB: six numpy headers with their
+    shapes (768 bytes), the row generator (376), the iterators (232), the
+    TransitionMatrix and its dict (352), other headers (< 300).
     """
     n, size = params.n, params.n + 1
     common, triangle = 8 * size**2 + (57 + 48) * size + 2048, size * (n + 2) // 2
@@ -138,10 +143,11 @@ def _stacked_rows(params: GameParams, mode: NumericMode) -> np.ndarray:
     _matrix_bytes against MEMORY_BUDGET first.
     """
     import numpy as np
-    n = params.n
+    n, s = params.n, params.s
     matrix = np.zeros((n + 1, n + 1), object if mode.exact else float)
-    for k, row in enumerate(_survivor_rows(params, mode)):
-        matrix[k, : k + 1] = row * params.s ** (n - k) if mode.exact else row
+    deque(_survivor_rows(params, mode, matrix), maxlen=0)  # each row written in place
+    if mode.exact:
+        matrix *= np.array([s**m for m in range(n, -1, -1)], object)[:, None]
     return matrix
 
 
@@ -341,28 +347,26 @@ def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
 BLOCK_TURNS = 64
 
 
-def _absorption_steps(
-    params: GameParams, mode: NumericMode, length: int, first: int = 0
-) -> Iterator:
-    """P(T <= t) for t = 0, 1, ..., length - 1, a block of turns per matrix product.
+def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first: int = 0) -> Iterator:
+    """P(T <= t) for t = 0, 1, ..., length - 1, as one array per block of turns.
 
     The state is a numpy row vector over dice counts, started at e_n with
     all n dice on the table, so P(T <= t) = e_n M**t e_0. A float walk of
     at least 2(n+1) + B turns, B = BLOCK_TURNS, pays for squaring M up to
     M**B, which costs about as much as n single steps: it builds
-    columns[i] = M**i e_0, i < B, by B - 1 matrix-vector products, and
-    each block yields the B values columns @ state from the state's turn
-    on and moves the state on by state @ M**B. Any other walk takes blocks
-    of one turn: it reads state[0] and steps the state by M. Exact mode
-    steps an integer state by the integer matrix s**n M, so after t steps
-    the state is s**(n*t) times the law, and item t is the integer
-    s**(n*t) P(T <= t); _absorption_window makes Fractions of the items
-    it returns, those from turn first on. When it is called, before M is
-    built, a walk past TURN_CAP turns, matrices past MEMORY_BUDGET
+    columns[i] = M**i e_0, i < B, by B - 1 matrix-vector products, and a
+    block is the B values columns @ state from the state's turn on (fewer
+    in the last), after which state @ M**B moves the state on. Any other
+    walk takes blocks of one turn, state[:1], and steps the state by M.
+    Exact mode steps an integer state by the integer matrix s**n M, so
+    after t steps the state is s**(n*t) times the law, and item t is the
+    integer s**(n*t) P(T <= t); _absorption_window makes Fractions of the
+    items it returns, those from turn first on. When it is called, before
+    M is built, a walk past TURN_CAP turns, matrices past MEMORY_BUDGET
     (_matrix_bytes) and an exact walk and reductions past TURN_CAP digit
     products (_walk_products) are refused (check_limit), in that order;
     M, its powers and the columns are built then, and the walk's steps as
-    its items are read.
+    its blocks are read.
     """
     import numpy as np
     n, s = params.n, params.s
@@ -384,14 +388,16 @@ def _absorption_steps(
         for t in range(0, length, block):
             if t:
                 state = state @ jump
-            if block > 1:
-                yield from (columns @ state)[: length - t].tolist()
-            else:
-                yield state.item(0)
+            yield (columns @ state)[: length - t] if block > 1 else state[:1]
 
     start = np.zeros(n + 1, dtype=rows.dtype)
     start[-1] = 1
     return walk(start)
+
+
+def _absorption_steps(params: GameParams, mode: NumericMode, length: int, first: int = 0) -> Iterator:
+    """The items of _absorption_blocks one by one: floats, or in exact mode ints."""
+    return chain.from_iterable(block.tolist() for block in _absorption_blocks(params, mode, length, first))
 
 
 def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:
@@ -448,17 +454,24 @@ def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = F
 def _survival_terms(params: GameParams, stop: int):
     """Survival-term source for moments._survival_sums: P(T > t) = 1 - P(T <= t), t < stop.
 
-    Each call reads the next block of float chain steps. A term errs by at
-    most the step's absorption_step_bound b_t, plus u for the subtraction
-    and u for the weight 2t+1: relative bound 2u, absolute bound b_t. The
-    products u b_t are second order and fall inside the step bound's
-    spare factors.
+    Each call reads the walk's next blocks of turns as arrays, keeping the
+    turns past its own for the next call. A term errs by at most the
+    step's absorption_step_bound b_t, plus u for the subtraction and u for
+    the weight 2t+1: relative bound 2u, absolute bound b_t. The products
+    u b_t are second order and fall inside the step bound's spare factors.
     """
     import numpy as np
-    steps = islice(_absorption_steps(params, FLOAT, stop), 1, None)
+    blocks = _absorption_blocks(params, FLOAT, stop)
+    ahead = next(blocks)[1:]  # P(T <= t) from t = 1 on, read past the last call's turns
 
     def terms_of(t: np.ndarray):
-        absorbed = np.fromiter(steps, np.float64, count=t.size)
-        return 1.0 - absorbed, 2 * _U, absorption_step_bound(params, t)
+        nonlocal ahead
+        parts, count = [ahead], ahead.size
+        while count < t.size:
+            parts.append(next(blocks))
+            count += parts[-1].size
+        absorbed = np.concatenate(parts)
+        ahead = absorbed[t.size :]
+        return 1.0 - absorbed[: t.size], 2 * _U, absorption_step_bound(params, t)
 
     return terms_of

@@ -19,9 +19,9 @@ and the second moment:
   alternating tail past it (_closed_form_terms and _closed_tail, the
   "series" route), or the chain's absorption probabilities up to a
   geometric tail bound (chain._survival_terms and _geometric_tail, the
-  "matrix-power" route). Each numpy block of terms is summed exactly by
-  error-free extraction in a few vectorized rounds (_exact_sum) and
-  rounded once, bit for bit as math.fsum would round it.
+  "matrix-power" route). Each numpy block of terms takes a few numpy
+  calls, none per term, and is summed exactly in a few vectorized
+  ExtractVector rounds (_exact_sum), rounded once as math.fsum would.
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
@@ -72,14 +72,15 @@ def _log_q_times(params: GameParams, y: int) -> float:
             return -math.inf
 
 
-def _log1mexp(x):
-    """log(1 - e**x) for x <= 0: a float, or a new array for a float64 array (Maechler's log1mexp).
+def _log1mexp(x, out=None):
+    """log(1 - e**x) for x <= 0: a float, or for a float64 array into out (a new array if None; x may be out).
 
     log(-expm1(x)) above -ln 2 and log1p(-exp(x)) below it, so nothing
-    cancels. An array takes the formula of the side holding most entries
-    over all of them, then the other's over its entries by index; x = 0,
-    and an exp that rounds to 1 where most lie past the switch, warn of a
-    divide, the caller's to silence. Only the array path imports numpy.
+    cancels. An array whose entries above -ln 2 lead, as where x falls,
+    takes each formula over its slice; any other takes that of the side
+    holding most entries over all of them, then the other's by index, where
+    an exp that rounds to 1 warns of a divide, as x = 0 does on either
+    path: the caller's to silence. Only the array path imports numpy.
     The float law is z = n _log1mexp(fl(x)) = ln P, P = (1 - q**y)**n,
     x = y lam (_log_cdf). Its one error analysis, to first order, with
     u = 2**-53, libm within 2u, r = e**x / (1 - e**x), g = log(1 - e**x):
@@ -99,33 +100,38 @@ def _log1mexp(x):
     if isinstance(x, float):
         return math.log(-math.expm1(x)) if x > -math.log(2) else math.log1p(-math.exp(x))
     import numpy as np
-    def side(v, first, then):  # then(-first(v)), in place
-        return then(np.negative(out := first(v), out=out), out=out)
+    def side(v, first, then, out=None):  # then(-first(v)), in place
+        return then(np.negative(out := first(v, out), out), out)
 
     near, far = (np.expm1, np.log), (np.exp, np.log1p)
     count = np.count_nonzero(mask := x > -math.log(2))  # entries on the near side
+    if count in (0, x.size):
+        return side(x, *(near if count else far), out=out)
+    out = np.empty_like(x) if out is None else out
+    if mask[:count].all():  # they lead, as where x falls: one slice a side
+        side(x[:count], *near, out=out[:count])
+        side(x[count:], *far, out=out[count:])
+        return out
     whole, fix = (near, far) if 2 * count >= x.size else (far, near)
-    out = side(x, *whole)
-    if 0 < count < x.size:
-        if whole is near:  # fix the entries past the switch, inverting the mask in place
-            np.logical_not(mask, out=mask)
-        rest = np.flatnonzero(mask)
-        out[rest] = side(x[rest], *fix)
+    rest = np.flatnonzero(mask if whole is far else np.logical_not(mask, out=mask))  # the entries to fix
+    fixed = side(x[rest], *fix)  # read before out, which may be x, is written
+    side(x, *whole, out=out)[rest] = fixed
     return out
 
 
 def _log_cdf(params: GameParams, y):
     """ln P(Y <= y) = n _log1mexp(y lam), y an int >= 1 (y lam by _log_q_times) or a float64 array."""
-    z = _log1mexp(_log_q_times(params, y) if isinstance(y, int) else y * _log_q(params))
-    z *= params.n  # in place on _log1mexp's new array
+    x = _log_q_times(params, y) if isinstance(y, int) else y * _log_q(params)
+    z = _log1mexp(x, out=x)  # in place on an array x of its own
+    z *= params.n
     return z
 
 
 def _inverse_law(params: GameParams, log_level):
     """The y with ln P(Y <= y) = log_level, _log1mexp(log_level * (1/n)) / lam; an array is overwritten."""
     log_level *= 1 / params.n
-    y = _log1mexp(log_level)
-    y /= _log_q(params)  # in place on _log1mexp's new array
+    y = _log1mexp(log_level, out=log_level)
+    y /= _log_q(params)
     return y
 
 
@@ -177,6 +183,11 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     cdf(params, y) * -expm1(-n log1p(x)): nothing cancels and nothing
     overflows (p**n at y = 1). _pmf_bound bounds its error.
     """
+    return _pmf_point(params, y, mode)[0]
+
+
+def _pmf_point(params: GameParams, y: int, mode: NumericMode) -> tuple:
+    """(pmf(params, y, mode), its error bound): 0.0 in exact mode, else _pmf_bound's, on the value's ln P."""
     y = operator.index(y)
     if y < 1:
         raise ValueError("pmf support starts at y = 1")
@@ -185,16 +196,18 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
         what = f"the exact pmf at y={y} for n={n}, s={s}"
         check_limit(_pmf_products(params, y), "digit products", what)
         top, low = s ** (y - 1), (s - 1) ** (y - 1)
-        return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n)
+        return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n), 0.0
+    log_p = _log_cdf(params, y)  # ln cdf(params, y)
     if y == 1:
-        return _float_p(params) ** n
-    before = _log_q_times(params, y - 1)
-    x = params.p * math.exp(before) / -math.expm1(before)
-    return cdf(params, y) * -math.expm1(-n * math.log1p(x))
+        value = _float_p(params) ** n
+    else:
+        x = params.p * math.exp(before := _log_q_times(params, y - 1)) / -math.expm1(before)
+        value = math.exp(log_p) * -math.expm1(-n * math.log1p(x))
+    return value, _pmf_bound(params, y, value, log_p)
 
 
-def _pmf_bound(params: GameParams, y: int, value: float) -> float:
-    """Bound on |pmf(params, y) - exact| for its float value P F, P = cdf(params, y).
+def _pmf_bound(params: GameParams, y: int, value: float, log_p: float | None = None) -> float:
+    """Bound on |pmf(params, y) - exact| for its float value P F, P = cdf(params, y), ln P = log_p if given.
 
     F = -expm1(-n log1p(x)) = 1 - (1 + x)**-n with x = p e**b / -expm1(b)
     and b = fl((y-1) lam), |theta| <= 6u as in cdf. To first order, with
@@ -213,8 +226,9 @@ def _pmf_bound(params: GameParams, y: int, value: float) -> float:
     """
     if params.s == 1:
         return 0.0
+    log_p = _log_cdf(params, y) if log_p is None else log_p
     y_lam, floor = -_log_q_times(params, y), (params.n + 1) * 2.0**-1071
-    return value * (-_log_cdf(params, y) * (6 * y_lam + 11) + 6 * y_lam + 23) * _U + floor if value else floor
+    return value * (-log_p * (6 * y_lam + 11) + 6 * y_lam + 23) * _U + floor if value else floor
 
 
 #: digits of the largest int CPython squares by schoolbook; past it, by Karatsuba
@@ -412,8 +426,8 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
 #: partial sums exact and shrink the residual by about 2**37 or more.
 SERIES_BLOCK = 1 << 14
 
-#: _exact_sum hands blocks shorter than this to math.fsum, whose 20-30 ns a
-#: term cost less there than the extraction's fixed cost of about 25 us.
+#: _exact_sum hands blocks shorter than this to math.fsum, whose 17 ns a term
+#: cost less there than the extraction's 15 us plus 3 ns a term (2-vCPU Xeon VM).
 EXTRACT_FROM = 1 << 10
 
 
@@ -421,42 +435,38 @@ def _exact_sum(values: np.ndarray) -> float:
     """math.fsum(values), bit for bit (or its error), for at most SERIES_BLOCK doubles.
 
     A block of N >= EXTRACT_FROM values is summed by error-free extraction
-    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008), in
-    vectorized rounds. With top the largest |x| left, unit = 2**(E - 52)
-    for the least E with 2**E > fl(N top) (never below 2**-1074), and
-    high = trunc(x / unit) unit:
+    (ExtractVector of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008) in vectorized rounds. With 2**M >= N + 2 and every |x| left at
+    most 2**-M sigma, sigma a power of two (first 2**(e + M), 2**e > top,
+    the largest |x|), a round takes high = (x + sigma) - sigma:
 
-    * x / unit is exact unless it is subnormal, and then below 1, so its
-      trunc k is exact, |k| < 2**52, and high = k unit is exact too;
-    * every partial sum of the highs, in any order, is a multiple of unit
-      below N top < 2**52 unit, so np.sum adds them exactly (as integers k,
-      scaled by unit after);
-    * high has x's sign and |high| <= |x|, so the residual x - high, x's
-      bits below unit, is exact and below unit in magnitude: the next top
-      is at most about 2**-37 times this one (N <= 2**14). At
-      unit = 2**-1074 every x is a multiple of it and nothing is left.
+    * x + sigma lies within a factor 2 of sigma, so high is exact, a
+      multiple of eps sigma (eps = 2**-53) of at most 2**-M sigma;
+    * the residual x - high is the rounding error of x + sigma: exact and
+      at most eps sigma, so the next round's sigma is 2**(M - 53) times
+      this one (2**-38 or less for N <= 2**14), with no pass for top;
+    * every partial sum of the highs, in any order, is a multiple of
+      eps sigma below N 2**-M sigma < sigma, so np.sum adds them exactly.
+      Once eps sigma is below 2**-1074 every x is such a multiple and
+      nothing is left.
 
-    The rounds stop when the residual is all zero, so the exact partial
-    sums add up to the exact sum, and their fsum is that sum correctly
-    rounded, as math.fsum's is. The domain is finite values with N top
-    finite, and a block of survival terms lies far inside it; past it (an
-    inf or nan, or N top past the doubles) math.fsum sums the block.
-    Truncation, not floor: for a negative x, as the chain's terms
-    1 - P(T <= t) can be, floor gives |high| > |x|, and x - high rounds.
+    The rounds, four passes and a test for zero each, stop when the
+    residual is all zero, so the exact partial sums add up to the exact
+    sum, and their fsum is that sum correctly rounded, as math.fsum's is.
+    Past the domain, finite values with top below 2**(1023 - M) (sigma a
+    double), which survival terms lie far inside, math.fsum sums the block.
     """
     import numpy as np
-    size = values.size
-    if size < EXTRACT_FROM:
-        return math.fsum(memoryview(values))
+    size, bits = values.size, (values.size + 1).bit_length()  # bits is M
+    if size < EXTRACT_FROM or not (top := float(max(-values.min(), values.max()))) < 2.0 ** (1023 - bits):
+        return math.fsum(memoryview(values))  # short, or past the domain (nan too)
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
     parts, high, rest = [], np.empty_like(values), values.copy()
-    while top := float(max(-rest.min(), rest.max())):  # nan is true
-        reach = size * top
-        if not math.isfinite(reach):  # past the domain, in the first round only
-            return math.fsum(memoryview(values))
-        unit = math.ldexp(1.0, max(math.frexp(reach)[1] - 52, -1074))
-        np.trunc(np.divide(rest, unit, out=high), out=high)  # integers below 2**52
-        parts.append(float(np.sum(high)) * unit)
-        rest -= np.multiply(high, unit, out=high)
+    while rest.any():
+        np.subtract(np.add(rest, sigma, out=high), sigma, out=high)
+        parts.append(float(np.sum(high)))
+        rest -= high
+        sigma = math.ldexp(sigma, bits - 53)
     return math.fsum(parts)
 
 
@@ -502,7 +512,8 @@ def _closed_form_terms(params: GameParams, stop: int | None = None):
     def terms_of(t: np.ndarray):
         terms = _log_cdf(params, t)
         np.negative(np.expm1(terms, out=terms), out=terms)
-        return terms, (5 * abs(lam) * t + rounds) * _U, 0.0
+        relative = np.multiply(t, 5 * abs(lam))
+        return terms, np.multiply(np.add(relative, rounds, out=relative), _U, out=relative), None
 
     return terms_of
 
@@ -602,11 +613,11 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     E(Y) = sum_{t>=0} P(Y > t) and E(Y**2) = sum_{t>=0} (2t+1) P(Y > t).
     source(params, stop) gives a function that maps each next block of
     turns t (a float64 array, the blocks in order from t = 1 to stop - 1,
-    stop the larger of the tail's stops, which the chain's walk reads to
-    size its steps) to the terms and two error bounds, relative and
-    absolute (arrays or scalars): a term times its weight w, as rounded,
-    errs by at most relative * (w term) + w absolute. The t = 0 term is 1
-    for both sums.
+    stop the larger of the tail's stops, which sizes the chain's walk;
+    t and the terms are then overwritten) to the terms and two error
+    bounds, relative and absolute (arrays or scalars, absolute None where
+    it is 0): a term times its weight w, as rounded, errs by at most
+    relative * (w term) + w absolute. The t = 0 term is 1 for both sums.
 
     tail(params, eps) gives, per sum, where its terms stop and the value
     and error bound of what it leaves out: _geometric_tail (a value of 0
@@ -629,10 +640,14 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     for start in range(1, max(stops), SERIES_BLOCK):
         t = np.arange(start, min(start + SERIES_BLOCK, max(stops)), dtype=np.float64)
         terms, relative, absolute = terms_of(t)
-        for k, weight in enumerate((1.0, 2 * t + 1)):
+        weight = np.add(np.multiply(t, 2, out=t), 1, out=t)  # 2t + 1 over t, which terms_of has read
+        bounds = np.empty_like(t)
+        for k in (0, 1):
+            values = np.multiply(terms, weight, out=terms) if k else terms  # over the mean's terms, summed
             size = max(0, stops[k] - start)
-            values = terms * weight
-            bounds = relative * values + absolute * weight
+            np.multiply(relative, values, out=bounds)
+            if absolute is not None:
+                bounds += absolute * weight if k else absolute
             block_sums[k].append(_exact_sum(values[:size]))
             evaluation[k] += float(np.sum(bounds[:size]))
     sums = []

@@ -166,9 +166,11 @@ def _moment(quantity: str, method: str, params, mode, point):
 
 
 def _closed(quantity: str, params, mode, point):
-    value = getattr(moments, quantity)(params, point, mode)
-    exact = mode.exact or quantity == "quantile"
-    bound = 0.0 if exact else getattr(moments, f"_{quantity}_bound")(params, point, value)
+    if quantity == "pmf":  # the value and its bound on one ln P
+        value, bound = moments._pmf_point(params, point, mode)
+    else:
+        value = getattr(moments, quantity)(params, point, mode)
+        bound = 0.0 if mode.exact or quantity == "quantile" else moments._cdf_bound(params, point, value)
     return value, _float_bound(mode, bound), "closed-alternating"
 
 

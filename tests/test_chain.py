@@ -14,6 +14,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,11 +36,13 @@ from geomax import chain as chain_module
 from geomax import params as params_module
 from geomax.chain import (
     BLOCK_TURNS,
+    _absorption_blocks,
     _absorption_steps,
     _matrix_bytes,
     _recursion_products,
     _rows_bytes,
     _stacked_rows,
+    _survival_terms,
     _survivor_rows,
     _walk_products,
     absorption_step_bound,
@@ -377,6 +380,24 @@ class TestAbsorptionByPower:
         for t, m in ((63, 63 * 651), (64, 64 * 649 + 133), (66, 66 * 649 + 133), (67, 67 * 651)):
             assert absorption_step_bound(params, t) == m * _U / (1 - m * _U), t
         print(f"worst |value - EXACT| / bound: {worst}")
+
+    def test_walk_blocks_are_its_items(self):
+        # one turn per block below 2(n+1) + BLOCK_TURNS turns, BLOCK_TURNS
+        # from there (fewer in the last): flattened, the blocks are the float
+        # items the profile and the points read, and _survival_terms reads
+        # them as 1 - P(T <= t) from t = 1 on, across calls of any size
+        for s in range(1, 13):
+            for n in range(1, s + 1):
+                params, edge = GameParams(n, s), 2 * (n + 1) + BLOCK_TURNS
+                for length in (edge - 1, edge, edge + BLOCK_TURNS + 5):
+                    items = list(_absorption_steps(params, FLOAT, length))
+                    blocks = list(_absorption_blocks(params, FLOAT, length))
+                    block = BLOCK_TURNS if length >= edge else 1
+                    assert [b.size for b in blocks] == [min(block, length - t) for t in range(0, length, block)]
+                    assert np.concatenate(blocks).tolist() == items
+                    terms_of, turns = _survival_terms(params, length), np.arange(1.0, length)
+                    terms = [terms_of(t)[0] for t in np.split(turns, [1, 63, 128])]
+                    assert np.concatenate(terms).tolist() == [1.0 - item for item in items[1:]], (n, s)
 
     def test_profile_is_monotone_and_bounded(self):
         values = absorption_cdf_profile(GameParams(4, 6), 80, FLOAT)

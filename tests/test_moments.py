@@ -47,6 +47,7 @@ from geomax import (
     var_bounds_elementary,
 )
 from geomax.kernels import _U, tail_bound_max_geom, tail_bound_weighted_max_geom
+from geomax import chain as chain_module
 from geomax import moments as moments_module
 from geomax import params as params_module
 from geomax.moments import (
@@ -334,7 +335,16 @@ class TestDistribution:
         near = -np.geomspace(1e-300, ln2, 400, endpoint=False)
         far = -np.geomspace(ln2, 740, 400)[1:]
         edges = [-ln2, -ln2, math.nextafter(-ln2, 0), math.nextafter(-ln2, -1), -math.inf, -math.inf]
-        for x, most_near in ((np.r_[near, far[::8], edges], True), (np.r_[near[::8], far, edges], False)):
+        # falling, as a series block t lam is: the near side a leading slice,
+        # here with -ln 2 and its two neighbours in their places
+        lam = math.log1p(-1 / 1000)  # t lam crosses -ln 2 near t = 693
+        blocks = [np.sort(np.r_[np.arange(1.0, size) * lam, edges[:4]])[::-1] for size in (1001, 2001)]
+        for x, most_near in (
+            (np.r_[near, far[::8], edges], True),
+            (np.r_[near[::8], far, edges], False),
+            (blocks[0], True),
+            (blocks[1], False),
+        ):
             assert (2 * np.count_nonzero(x > -ln2) > x.size) == most_near
             with np.errstate(divide="ignore"):  # log1p(-1) on the near entries, before they are fixed
                 values = _log1mexp(x)
@@ -577,6 +587,20 @@ def small_negatives_block(rng: np.random.Generator) -> np.ndarray:
     return block
 
 
+def walk_block(n: int, s: int, index: int) -> np.ndarray:
+    """The chain's (2t+1)-weighted survival terms for block `index` of SERIES_BLOCK turns from t = 1.
+
+    At (2, 4000) the terms of block 7 fall from 7e-13 to -3e-14, negative on
+    5,262 turns, where P(T <= t) rounds above 1.
+    """
+    starts = range(1, (index + 1) * moments.SERIES_BLOCK + 1, moments.SERIES_BLOCK)
+    terms_of = chain_module._survival_terms(GameParams(n, s), starts[-1] + moments.SERIES_BLOCK)
+    for start in starts:
+        t = np.arange(start, start + moments.SERIES_BLOCK, dtype=np.float64)
+        terms = terms_of(t)[0]
+    return terms * (2 * t + 1)
+
+
 def near_top_block(top: float, size: int, rng: np.random.Generator) -> np.ndarray:
     # every partial sum of the same-signed values runs up to size * top
     block = top * (1 - rng.random(size) * 2.0**-30)
@@ -607,6 +631,10 @@ EXACT_SUM_BLOCKS = {
     "weighted head": lambda rng: weighted_head_block(4, 20_000),
     "weighted head, later block": lambda rng: weighted_head_block(6, 20_000, 1 + 2 * moments.SERIES_BLOCK),
     "small negatives": small_negatives_block,
+    # rounds from sigma = 2**-935 down past the smallest normal double
+    "rounds into the subnormals": lambda rng: rng.choice([-1.0, 1.0], moments.SERIES_BLOCK)
+    * np.ldexp(1 + rng.random(moments.SERIES_BLOCK), rng.integers(-1074, -950, moments.SERIES_BLOCK)),
+    "walk at (2, 4000)": lambda rng: walk_block(2, 4000, 7),
     # 1 + 2**-52 + 2**-53 is a tie, rounded to even; the tiny negative sends
     # the exact sum below it, to 1 + 2**-52, only if it is not rounded away
     "tie broken by a tiny negative": lambda rng: np.array([1 + 2.0**-52, 2.0**-53, -(2.0**-200)]),
