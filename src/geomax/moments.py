@@ -73,7 +73,7 @@ def _log_q_times(params: GameParams, y: int) -> float:
 
 
 def _log1mexp(x, out=None):
-    """log(1 - e**x) for x <= 0: a float, or for a float64 array into out (a new array if None; x may be out).
+    """log(1 - e**x) for x <= 0 (Maechler's log1mexp): a float, or a float64 array into out (x, or new if None).
 
     log(-expm1(x)) above -ln 2 and log1p(-exp(x)) below it, so nothing
     cancels. An array whose entries above -ln 2 lead, as where x falls,
