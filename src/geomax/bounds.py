@@ -8,22 +8,24 @@ parameter sets are rejected here even when the caller opted into them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import GameParams
+from .params import GameParams, _Record
 
-@dataclass(frozen=True)
-class BoundReport:
-    quantity: str  # mean | second-moment | variance
-    lower: int | Fraction
-    upper: int | Fraction
-    lower_source: str
-    upper_source: str
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+class BoundReport(_Record):
+    def __init__(
+        self,
+        quantity: str,  # mean | second-moment | variance
+        lower: int | Fraction,
+        upper: int | Fraction,
+        lower_source: str,
+        upper_source: str,
+    ) -> None:
+        if lower > upper:
             raise ValueError("bound report with lower > upper")
+        self.__dict__.update(
+            quantity=quantity, lower=lower, upper=upper, lower_source=lower_source, upper_source=upper_source
+        )
 
     def contains(self, value) -> bool:
         return self.lower <= value <= self.upper

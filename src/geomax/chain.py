@@ -28,21 +28,19 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
 from .kernels import _U, _float_p
-from .params import FLOAT, GameParams, NumericMode, check_limit
+from .params import FLOAT, GameParams, NumericMode, _Record, check_limit
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_Record):
     """Row-stochastic (n+1) x (n+1) matrix over dice counts 0..n."""
 
-    n: int
-    rows: tuple[tuple[float | Fraction, ...], ...]
+    def __init__(self, n: int, rows: tuple[tuple[float | Fraction, ...], ...]) -> None:
+        self.__dict__.update(n=n, rows=rows)
 
     def row(self, i: int) -> tuple[float | Fraction, ...]:
         return self.rows[i]
@@ -51,8 +49,7 @@ class TransitionMatrix:
         return [sum(row) for row in self.rows]
 
 
-@dataclass(frozen=True)
-class AbsorptionProfile:
+class AbsorptionProfile(_Record):
     """Absorption-time moments from every start state.
 
     first_moments[k] is the expected number of turns to finish a game
@@ -61,9 +58,13 @@ class AbsorptionProfile:
     at 0.
     """
 
-    params: GameParams
-    first_moments: tuple[float | Fraction, ...]
-    second_moments: tuple[float | Fraction, ...]
+    def __init__(
+        self,
+        params: GameParams,
+        first_moments: tuple[float | Fraction, ...],
+        second_moments: tuple[float | Fraction, ...],
+    ) -> None:
+        self.__dict__.update(params=params, first_moments=first_moments, second_moments=second_moments)
 
 
 def _survivor_rows(params: GameParams, mode: NumericMode, rows=None) -> Iterator[np.ndarray]:
@@ -457,7 +458,8 @@ def _survival_terms(params: GameParams, stop: int):
     Each call reads the walk's next blocks of turns as arrays, keeping the
     turns past its own for the next call. A term errs by at most the
     step's absorption_step_bound b_t, plus u for the subtraction and u for
-    the weight 2t+1: relative bound 2u, absolute bound b_t. The products
+    the weight 2t+1: relative bound 2u, absolute bound b_t. A term may
+    round below 0, so the relative bound is on its magnitude. The products
     u b_t are second order and fall inside the step bound's spare factors.
     """
     import numpy as np

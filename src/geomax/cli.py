@@ -28,12 +28,11 @@ digits of rendered output; --precision beats both.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bounds, chain, moments, simulate
 from .params import GameNotFinishedError, GameParams, NumericMode, check_limit
@@ -167,6 +166,8 @@ def _resolve_precision(args) -> int:
 def _emit(rows: list[tuple], fields: tuple[str, ...], fmt: str) -> None:
     """Print rows, each a tuple in the order of fields, as CSV or as a JSON list of objects."""
     if fmt == "json":
+        import json
+
         print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
     else:
         print(",".join(fields))
@@ -339,9 +340,54 @@ def _cmd_signatures(args) -> int:
     return 0
 
 
+#: Each command's help line and options, as (option string, add_argument's
+#: keywords), with the options every command takes (_COMMON_OPTIONS) last:
+#: the one declaration both the argparse tree and the option tables are built from.
+_COMMON_OPTIONS = (
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--precision", dict(type=int)),
+)
+_COMMANDS = {
+    "compute": ("moments, pmf/cdf points, quantiles", (
+        ("--n", dict(required=True, help="dice count or range A..B")),
+        ("--s", dict(required=True, help="face count or range A..B")),
+        ("--quantity", dict(required=True, choices=tuple(dict.fromkeys(q for q, _ in ROUTES)))),
+        ("--method", dict(
+            choices=(*dict.fromkeys(m for _, m in ROUTES if m != "auto"), "monte-carlo"),
+            help="force one path; default is closed with automatic series fallback",
+        )),
+        ("--mode", dict(choices=("float", "exact"), default="float")),
+        ("--relaxed", dict(action="store_true", help="allow n > s")),
+        ("--y", dict(type=int, help="point for pmf/cdf")),
+        ("--prob", dict(type=float, help="level for quantile")),
+    )),
+    "compare": ("cross-check evaluation paths", (
+        ("--n-max", dict(type=int, required=True)),
+        ("--s-max", dict(type=int, required=True)),
+        ("--tolerance", dict(type=float, default=1e-9)),
+        ("--mode", dict(choices=("float", "exact"), default="float")),
+    )),
+    "figures": ("bound-versus-exact curve data", (
+        ("--figure", dict(choices=("ev-bounds", "var-bounds"), required=True)),
+        ("--panel", dict(choices=("fixed-s", "fixed-n"), required=True)),
+    )),
+    "simulate": ("seeded Monte Carlo", (
+        ("--n", dict(type=int, required=True)),
+        ("--s", dict(type=int, required=True)),
+        ("--trials", dict(type=int, default=10000)),
+        ("--seed", dict(type=int, default=0)),
+        ("--report", dict(choices=("moments", "signatures", "histogram"), default="moments")),
+    )),
+    "signatures": ("enumerate removal signatures", (
+        ("--n", dict(type=int, required=True)),
+        ("--count-only", dict(action="store_true")),
+    )),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argparse tree and its command parsers by name, built on the first main() call.
+    """The argparse tree of _COMMANDS and its command parsers by name, built when main() first needs it.
 
     Later calls share them. The cache holds one tree of fixed size: it
     takes no arguments, so it never grows, and parsing leaves the parsers
@@ -350,98 +396,60 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     may change (GEOMAX_PRECISION, the terminal width that --help wraps
     to, sys.stdout and sys.stderr) is read when that call runs. The
     command parsers are the subparsers action's choices, the same objects
-    the tree hands a command's words to.
+    the tree hands a command's words to. argparse is imported here, so a
+    process whose calls the option tables answer never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="geomax",
         description="Turn-count distribution of the dice elimination game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--precision", type=int, default=None)
-
-    compute = sub.add_parser("compute", help="moments, pmf/cdf points, quantiles")
-    compute.add_argument("--n", required=True, help="dice count or range A..B")
-    compute.add_argument("--s", required=True, help="face count or range A..B")
-    quantities = tuple(dict.fromkeys(q for q, _ in ROUTES))
-    compute.add_argument("--quantity", required=True, choices=quantities)
-    compute.add_argument(
-        "--method",
-        choices=(*dict.fromkeys(m for _, m in ROUTES if m != "auto"), "monte-carlo"),
-        default=None,
-        help="force one path; default is closed with automatic series fallback",
-    )
-    compute.add_argument("--mode", choices=("float", "exact"), default="float")
-    compute.add_argument("--relaxed", action="store_true", help="allow n > s")
-    compute.add_argument("--y", type=int, default=None, help="point for pmf/cdf")
-    compute.add_argument("--prob", type=float, default=None, help="level for quantile")
-    add_common(compute)
-
-    compare = sub.add_parser("compare", help="cross-check evaluation paths")
-    compare.add_argument("--n-max", type=int, required=True)
-    compare.add_argument("--s-max", type=int, required=True)
-    compare.add_argument("--tolerance", type=float, default=1e-9)
-    compare.add_argument("--mode", choices=("float", "exact"), default="float")
-    add_common(compare)
-
-    figures = sub.add_parser("figures", help="bound-versus-exact curve data")
-    figures.add_argument("--figure", choices=("ev-bounds", "var-bounds"), required=True)
-    figures.add_argument("--panel", choices=("fixed-s", "fixed-n"), required=True)
-    add_common(figures)
-
-    sim = sub.add_parser("simulate", help="seeded Monte Carlo")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--s", type=int, required=True)
-    sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--report", choices=("moments", "signatures", "histogram"), default="moments"
-    )
-    add_common(sim)
-
-    sigs = sub.add_parser("signatures", help="enumerate removal signatures")
-    sigs.add_argument("--n", type=int, required=True)
-    sigs.add_argument("--count-only", action="store_true")
-    add_common(sigs)
-
+    for name, (summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option, keywords in (*options, *_COMMON_OPTIONS):
+            command.add_argument(option, **keywords)
     return parser, sub.choices
 
 
 @functools.cache
 def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
-    """Per command: (its options, its defaults, its required dests), read from _build_parser's parsers.
+    """Per command: (its options, its defaults, its required dests), read from _COMMANDS as argparse does.
 
-    An option string maps to (dest, const, type, choices): type is None for
-    a flag, which stores const, and str where argparse keeps the word as it
-    is. The help action, whose default is argparse.SUPPRESS, is left out.
+    An option string maps to (dest, const, type, choices): dest is the
+    option without its "--", "-" turned to "_"; a store_true flag has
+    type None, stores True and defaults to False; any other option has
+    const None, defaults to None unless declared, and type str unless
+    declared, where argparse keeps the word as it is.
     """
     tables = {}
-    for name, command in _build_parser()[1].items():
+    for name, (_, declared) in _COMMANDS.items():
         options, defaults, required = {}, {}, set()
-        for action in command._actions:
-            if action.default is argparse.SUPPRESS:
-                continue
-            convert = None if action.nargs == 0 else action.type or str
-            for option in action.option_strings:
-                options[option] = (action.dest, action.const, convert, action.choices)
-            defaults[action.dest] = action.default
-            if action.required:
-                required.add(action.dest)
+        for option, keywords in (*declared, *_COMMON_OPTIONS):
+            dest = option[2:].replace("-", "_")
+            if keywords.get("action") == "store_true":
+                options[option], defaults[dest] = (dest, True, None, None), False
+            else:
+                options[option] = (dest, None, keywords.get("type", str), keywords.get("choices"))
+                defaults[dest] = keywords.get("default")
+            if keywords.get("required"):
+                required.add(dest)
         tables[name] = options, defaults, frozenset(required)
     return tables
 
 
-def _parse_by_table(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse builds for argv, found in one pass, or None where argparse must parse it.
+def _parse_by_table(argv: list[str]) -> SimpleNamespace | None:
+    """The fields argparse parses argv into, found in one pass, or None where argparse must parse it.
 
     It answers only a call of a command whose every later word is a full
     option string of that command, each option but a flag followed by one
     value that does not start with "-", passes its type and lies in its
     choices, and that gives every required option. The last repeat of an
     option wins. Help, "--opt=value", abbreviations, negative numbers,
-    "--", stray words and every error go to argparse.
+    "--", stray words and every error go to argparse. The fields come as a
+    SimpleNamespace, which the handlers read as they read argparse's
+    Namespace, so a call answered here never imports argparse.
     """
     table = _option_tables().get(argv[0]) if argv else None
     if table is None:
@@ -459,33 +467,36 @@ def _parse_by_table(argv: list[str]) -> argparse.Namespace | None:
                 return None
             try:
                 value = convert(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+            except ValueError:  # int and float refuse a word with ValueError alone
                 return None
             if choices is not None and value not in choices:
                 return None
         values[dest] = value
     if not required <= values.keys():
         return None
-    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
 def main(argv=None) -> int:
     """Run one command line (argv, else sys.argv[1:]) and return its exit code.
 
     A well-formed call (see _parse_by_table) is parsed in one pass over its
-    command's option table, which holds what _build_parser declared and
-    gives the Namespace argparse would. Any other call whose first word
-    names a command is parsed by that command's parser alone, which is all
-    the full tree would do with it after finding the name. The full tree
-    parses every other call: the top-level help, a missing or unknown
+    command's option table, which holds what _COMMANDS declares and gives
+    the fields argparse would, and builds no argparse tree. The tree is
+    built on the first call the table declines. Such a call whose first
+    word names a command is parsed by that command's parser alone, which
+    is all the full tree would do with it after finding the name. The full
+    tree parses every other call: the top-level help, a missing or unknown
     command, and a call that leaves words its command does not take, so
     argparse's help pages, usage lines and errors read as the tree writes
     them. The handler is looked up per call.
     """
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_by_table(argv)
     if args is None:
+        import argparse
+
+        parser, commands = _build_parser()
         command = commands.get(argv[0]) if argv else None
         try:
             if command is not None:

@@ -617,7 +617,10 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     t and the terms are then overwritten) to the terms and two error
     bounds, relative and absolute (arrays or scalars, absolute None where
     it is 0): a term times its weight w, as rounded, errs by at most
-    relative * (w term) + w absolute. The t = 0 term is 1 for both sums.
+    relative * |w term| + w absolute. A term with a relative bound alone
+    has the sign of its exact value, a probability, so |w term| = w term;
+    one with an absolute bound too may round below 0. The t = 0 term is 1
+    for both sums.
 
     tail(params, eps) gives, per sum, where its terms stop and the value
     and error bound of what it leaves out: _geometric_tail (a value of 0
@@ -647,6 +650,7 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
             size = max(0, stops[k] - start)
             np.multiply(relative, values, out=bounds)
             if absolute is not None:
+                np.abs(bounds, out=bounds)
                 bounds += absolute * weight if k else absolute
             block_sums[k].append(_exact_sum(values[:size]))
             evaluation[k] += float(np.sum(bounds[:size]))

@@ -13,12 +13,15 @@ GameNotFinishedError (the simulator). In both modes, walks over turns stop
 at TURN_CAP and the arrays that grow with the input at MEMORY_BUDGET,
 each refused by check_limit, the one check past a cap, with ValueError
 before the work or the array starts.
+
+The parameter and result types, here and in chain, bounds and simulate,
+are immutable records on one base, _Record, built without the dataclasses
+module, whose import and generated methods cost a process milliseconds.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -93,8 +96,36 @@ def plain_int(value, message: str) -> int:
         raise ValueError(message) from None
 
 
-@dataclass(frozen=True)
-class NumericMode:
+class _Record:
+    """Immutable record: its fields are its attributes, in the order its __init__ stores them.
+
+    A subclass's __init__ checks its arguments and stores them with one
+    self.__dict__.update. As a frozen dataclass does, a record prints as
+    Name(field=value, ...), equals only a record of its own class with
+    equal fields, hashes as the tuple of its fields, refuses assignment
+    and deletion with AttributeError, and pickles.
+    """
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NumericMode(_Record):
     """Arithmetic regime for the evaluators.
 
     kind "exact" evaluates every finite formula in arbitrary-precision
@@ -104,14 +135,12 @@ class NumericMode:
     truncation_epsilon is the absolute tail mass at which series stop.
     """
 
-    kind: str = "float"
-    truncation_epsilon: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown numeric mode kind {self.kind!r}")
-        if not self.truncation_epsilon > 0:
+    def __init__(self, kind: str = "float", truncation_epsilon: float = 1e-13) -> None:
+        if kind not in ("exact", "float"):
+            raise ValueError(f"unknown numeric mode kind {kind!r}")
+        if not truncation_epsilon > 0:
             raise ValueError("truncation_epsilon must be positive")
+        self.__dict__.update(kind=kind, truncation_epsilon=truncation_epsilon)
 
     @property
     def exact(self) -> bool:
@@ -122,8 +151,7 @@ FLOAT = NumericMode("float")
 EXACT = NumericMode("exact")
 
 
-@dataclass(frozen=True)
-class GameParams:
+class GameParams(_Record):
     """Game size: n dice, each with s faces.
 
     The playable game needs n <= s (while more dice than faces remain, no
@@ -134,20 +162,13 @@ class GameParams:
     (see plain_int) and are stored as plain ints.
     """
 
-    n: int
-    s: int
-    relaxed: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("n", "s"):
-            value = plain_int(getattr(self, name), "n and s must be integers")
-            object.__setattr__(self, name, value)
-        if self.n < 1 or self.s < 1:
+    def __init__(self, n: int, s: int, relaxed: bool = False) -> None:
+        n, s = plain_int(n, "n and s must be integers"), plain_int(s, "n and s must be integers")
+        if n < 1 or s < 1:
             raise ValueError("n and s must both be at least 1")
-        if self.n > self.s and not self.relaxed:
-            raise ValueError(
-                f"n={self.n} exceeds s={self.s}; pass relaxed=True to evaluate anyway"
-            )
+        if n > s and not relaxed:
+            raise ValueError(f"n={n} exceeds s={s}; pass relaxed=True to evaluate anyway")
+        self.__dict__.update(n=n, s=s, relaxed=relaxed)
 
     @property
     def p(self) -> float:
@@ -167,8 +188,7 @@ class GameParams:
 METHODS = ("closed-alternating", "series", "recursive", "matrix-power")
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Mean, second moment and variance of the turn count, with provenance.
 
     error_bound is an absolute estimate covering all three figures; exact
@@ -176,14 +196,14 @@ class MomentReport:
     second_moment - mean**2 as computed, so the identity holds to rounding.
     """
 
-    mean: float | Fraction
-    second_moment: float | Fraction
-    variance: float | Fraction
-    method: str
-    error_bound: float | Fraction
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.error_bound < 0:
+    def __init__(
+        self, mean: float | Fraction, second_moment: float | Fraction, variance: float | Fraction,
+        method: str, error_bound: float | Fraction,
+    ) -> None:
+        if method not in METHODS:
+            raise ValueError(f"unknown method tag {method!r}")
+        if error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
+        self.__dict__.update(
+            mean=mean, second_moment=second_moment, variance=variance, method=method, error_bound=error_bound
+        )

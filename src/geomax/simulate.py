@@ -41,12 +41,11 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import params as params_module
 from .moments import _inverse_law, _log_cdf, cdf
-from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, check_limit, plain_int
+from .params import FLOAT, GameNotFinishedError, GameParams, NumericMode, _Record, check_limit, plain_int
 
 #: Trials per RNG substream in the Monte Carlo drivers.
 CHUNK_TRIALS = 1 << 16
@@ -58,8 +57,7 @@ FACE_BLOCK = 1 << 8
 MAX_ENUMERATION_DICE = 24
 
 
-@dataclass(frozen=True)
-class GameRecord:
+class GameRecord(_Record):
     """Full transcript of one game.
 
     turns[t] holds the faces shown in turn t by the dice still on the
@@ -67,20 +65,21 @@ class GameRecord:
     how many of them matched the dice count and left.
     """
 
-    params: GameParams
-    turns: tuple[tuple[int, ...], ...]
-    removed_per_turn: tuple[int, ...]
-    signature: tuple[int, ...]
-    turn_count: int
+    def __init__(
+        self, params: GameParams, turns: tuple[tuple[int, ...], ...], removed_per_turn: tuple[int, ...],
+        signature: tuple[int, ...], turn_count: int,
+    ) -> None:
+        self.__dict__.update(
+            params=params, turns=turns, removed_per_turn=removed_per_turn, signature=signature,
+            turn_count=turn_count,
+        )
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    variance: float
-    std_error_mean: float
-    trials: int
-    seed: int
+class McEstimate(_Record):
+    def __init__(self, mean: float, variance: float, std_error_mean: float, trials: int, seed: int) -> None:
+        self.__dict__.update(
+            mean=mean, variance=variance, std_error_mean=std_error_mean, trials=trials, seed=seed
+        )
 
 
 def _require_playable(params: GameParams) -> None:

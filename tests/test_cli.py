@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import runpy
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -727,6 +729,40 @@ class TestSharedParser:
             assert code == 0
         assert "default is closed with automatic series fallback" in pages[150]
         assert "default is closed with automatic series fallback" not in pages[50]
+
+    def test_first_calls_print_what_calls_after_the_tree_print(self, capsys):
+        # one well-formed call of each command, run first in a fresh
+        # interpreter, where no argparse tree is built, and here, where it is
+        calls = [
+            "compute --n 2..3 --s 4 --quantity variance --format json",
+            "compare --n-max 3 --s-max 4",
+            "figures --figure var-bounds --panel fixed-n",
+            "simulate --n 4 --s 6 --trials 1000 --seed 7 --report histogram",
+            "signatures --n 4 --count-only",
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import geomax.cli\n"
+            "runs = []\n"
+            "for call in sys.argv[1:]:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        runs.append([geomax.cli.main(call.split()), out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps([geomax.cli._build_parser.cache_info().currsize, runs]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *calls],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        built, first = json.loads(result.stdout)
+        assert built == 0
+        cli._build_parser()
+        assert [list(run(capsys, *call.split())) for call in calls] == first
+        assert [code for code, _, _ in first] == [0] * len(calls)
 
     def test_handler_is_resolved_per_call(self, capsys, monkeypatch):
         run(capsys, "signatures", "--n", "3")

@@ -729,6 +729,32 @@ class TestSeriesAgreement:
             parts = error * float(np.sum(weight)) + 2 * _U * total
             assert bound == pytest.approx(parts + tail(params.n, params.q, stop), rel=1e-12, abs=0)
 
+    def test_chain_terms_below_zero_add_to_their_bound(self):
+        # at (2, 4000) 118,183 of the walk's 243,993 terms round below 0; with
+        # its absolute bounds set to 0 and no tail, what a sum's bound holds
+        # past 2u |total| is the relative bound 2u on each |w term|, which a
+        # signed w term would shrink by 4e-13 (mean) and 6e-11 (second moment)
+        params, eps, seen = GameParams(2, 4000), 1e-13, []
+        stops = [stop for stop, _, _ in moments._geometric_tail(params, eps)]
+
+        def source(_, stop):
+            terms_of = chain_module._survival_terms(params, stop)
+
+            def without_absolute(t):
+                terms, relative, _ = terms_of(t)
+                seen.append((terms.copy(), 2 * t + 1))  # _survival_sums overwrites both
+                return terms, relative, 0.0
+
+            return without_absolute
+
+        sums = _survival_sums(params, eps, source, lambda *_: [(stop, 0.0, 0.0) for stop in stops])
+        terms, weight = (np.concatenate(parts) for parts in zip(*seen))
+        assert (terms < 0).sum() > 10**5
+        for (total, bound), stop, weighted in zip(sums, stops, (False, True)):
+            values = terms[: stop - 1] * (weight[: stop - 1] if weighted else 1.0)
+            magnitudes = 2 * _U * math.fsum(np.abs(values).tolist())
+            assert bound - 2 * _U * abs(total) >= magnitudes * (1 - 1e-14)
+
     @pytest.mark.parametrize(
         "n, s, split", [(1, 2, 1), (1, 3, 2), (4, 20_000, 41_588), (60, 10**4, 47_873), (200, 300, 1_795)]
     )

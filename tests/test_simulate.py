@@ -7,8 +7,10 @@ hand-written roll sequence whose outcome is checked move by move.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import operator
+import pickle
 import tracemalloc
 import warnings
 from bisect import bisect_left
@@ -24,9 +26,15 @@ from hypothesis import strategies as st
 from geomax import (
     CHUNK_TRIALS,
     EXACT,
+    AbsorptionProfile,
+    BoundReport,
     GameNotFinishedError,
     GameParams,
     GameRecord,
+    McEstimate,
+    MomentReport,
+    NumericMode,
+    TransitionMatrix,
     build_transition_matrix,
     cdf,
     enumerate_signatures,
@@ -665,3 +673,91 @@ class TestKolmogorovSmirnov:
 def test_histogram_and_ks_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+#: One record of each result and parameter type: its class, its fields in
+#: order and its repr, pinned from when the types were frozen dataclasses.
+#: A transcript's repr feeds the frozen seeded digests above.
+RECORDS = [
+    (NumericMode, ("exact", 1e-6), "NumericMode(kind='exact', truncation_epsilon=1e-06)"),
+    (GameParams, (5, 2, 1), "GameParams(n=5, s=2, relaxed=1)"),
+    (
+        MomentReport,
+        (1.5, Fraction(9, 4), 0.25, "series", 1e-12),
+        "MomentReport(mean=1.5, second_moment=Fraction(9, 4), variance=0.25, method='series', error_bound=1e-12)",
+    ),
+    (TransitionMatrix, (1, ((1.0, 0.0), (0.5, 0.5))), "TransitionMatrix(n=1, rows=((1.0, 0.0), (0.5, 0.5)))"),
+    (
+        AbsorptionProfile,
+        (GameParams(3, 4), (0.0, 1.5), (0.0, 3.0)),
+        "AbsorptionProfile(params=GameParams(n=3, s=4, relaxed=False), first_moments=(0.0, 1.5),"
+        " second_moments=(0.0, 3.0))",
+    ),
+    (
+        BoundReport,
+        ("mean", 1, Fraction(7, 2), "a", "b"),
+        "BoundReport(quantity='mean', lower=1, upper=Fraction(7, 2), lower_source='a', upper_source='b')",
+    ),
+    (
+        GameRecord,
+        (GameParams(2, 2), ((1, 2), (1,)), (1, 1), (2, 1), 2),
+        "GameRecord(params=GameParams(n=2, s=2, relaxed=False), turns=((1, 2), (1,)),"
+        " removed_per_turn=(1, 1), signature=(2, 1), turn_count=2)",
+    ),
+    (McEstimate, (1.0, 2.0, 0.1, 100, 7), "McEstimate(mean=1.0, variance=2.0, std_error_mean=0.1, trials=100, seed=7)"),
+]
+
+
+class TestRecords:
+    """Every result and parameter type keeps the semantics it had as a frozen dataclass."""
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+    def test_record_semantics(self, cls, fields, text):
+        record = cls(*fields)
+        names = list(inspect.signature(cls).parameters)
+        assert repr(record) == text
+        assert text == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(names, fields))})"
+        by_name = cls(**dict(zip(names, fields)))
+        assert by_name == record and repr(by_name) == text
+        # equal only to a record of its own class with equal fields
+        assert record == cls(*fields) and not record != cls(*fields)
+        assert record != fields and not record == fields
+        assert record.__eq__(fields) is NotImplemented
+        assert record != type("Other", (cls,), {})(*fields)
+        assert hash(record) == hash(fields)
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert type(copy) is cls and copy == record and repr(copy) == text
+
+    def test_defaults(self):
+        assert repr(NumericMode()) == "NumericMode(kind='float', truncation_epsilon=1e-13)"
+        assert NumericMode() == NumericMode("float", 1e-13) == NumericMode(truncation_epsilon=1e-13)
+        assert repr(GameParams(3, 4)) == "GameParams(n=3, s=4, relaxed=False)"
+        assert GameParams(3, 4) == GameParams(3, 4, False) != (3, 4, False)
+        assert GameParams(np.int64(3), s=4) == GameParams(3, 4)  # n and s are stored as plain ints
+        assert type(GameParams(np.int64(3), 4).n) is int
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: NumericMode("bogus"), "unknown numeric mode kind 'bogus'"),
+            (lambda: NumericMode(truncation_epsilon=0.0), "truncation_epsilon must be positive"),
+            (lambda: NumericMode(truncation_epsilon=math.nan), "truncation_epsilon must be positive"),
+            (lambda: GameParams(1.5, 2), "n and s must be integers"),
+            (lambda: GameParams(2, True), "n and s must be integers"),
+            (lambda: GameParams(0, 2), "n and s must both be at least 1"),
+            (lambda: GameParams(3, 2), r"n=3 exceeds s=2; pass relaxed=True to evaluate anyway"),
+            (lambda: MomentReport(1.0, 1.0, 0.0, "bogus", 0.0), "unknown method tag 'bogus'"),
+            (lambda: MomentReport(1.0, 1.0, 0.0, "series", -1e-9), "error_bound must be nonnegative"),
+            (lambda: BoundReport("mean", 2, 1, "a", "b"), "bound report with lower > upper"),
+        ],
+    )
+    def test_validation(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
