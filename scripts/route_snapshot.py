@@ -178,7 +178,7 @@ CLI_CALLS = (
     "geomax compute --n 5 --s 2 --quantity mean --relaxed",
     "geomax compute --n 5 --s 2 --quantity mean --relaxed --mode exact",
     "geomax compute --n 2..3 --s 4 --quantity variance",
-    "geomax compute --n 1..50000 --s 50000..100000 --quantity mean",
+    "geomax compute --n 25..35 --s 40 --quantity mean --method closed",
     "geomax compute --n 1..40 --s 40 --quantity mean --method recursive",
     "geomax compute --n 2 --s 2 --quantity mean --precision 4",
     "GEOMAX_PRECISION=5 geomax compute --n 2 --s 2 --quantity mean",

@@ -21,7 +21,10 @@ Exit codes: 0 success, 1 verification failure (compare), 2 usage error or
 refused input (a ValueError naming the limit it passed, such as TURN_CAP
 or MEMORY_BUDGET), 3 numeric failure (an ArithmeticError, such as a
 cancellation with fallback disabled, or a simulated game past its turn
-cap). Exact values print every digit, as numerator/denominator. The
+cap). Each row is written as soon as it is computed. A usage error
+prints no rows; a refusal or failure while a row is computed leaves the
+rows before it on stdout, a JSON list unclosed, and exits 2 or 3.
+Exact values print every digit, as numerator/denominator. The
 environment variable GEOMAX_PRECISION overrides the default 12 significant
 digits of rendered output; --precision beats both.
 """
@@ -33,6 +36,7 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from . import bounds, chain, moments, simulate
 from .params import GameNotFinishedError, GameParams, NumericMode, check_limit
@@ -50,12 +54,6 @@ FIGURE_GRIDS = {
     ("var-bounds", "fixed-s"): ("s", 10, (2, 4, 6, 8, 10)),
     ("var-bounds", "fixed-n"): ("n", 2, (2, 4, 6, 8, 10)),
 }
-
-#: Bytes a compute row holds until it is printed, per --format: the growth of
-#: tracemalloc's peak per pair of float rows at s near 10**5 (360 in csv; 1,910
-#: in json, where each row also becomes a dict and indented text) on CPython
-#: 3.11. The pair's GameParams is part of it, and exact rows hold more.
-COMPUTE_ROW_BYTES = {"csv": 360, "json": 1910}
 
 #: turn indices at which compare spot-checks the matrix-power cdf
 CDF_SPOT_TURNS = (1, 2, 5, 10, 25, 50)
@@ -163,37 +161,40 @@ def _resolve_precision(args) -> int:
     return value
 
 
-def _emit(rows: list[tuple], fields: tuple[str, ...], fmt: str) -> None:
-    """Print rows, each a tuple in the order of fields, as CSV or as a JSON list of objects."""
+def _emit(rows: Iterable[tuple], fields: tuple[str, ...], fmt: str) -> None:
+    """Write rows, each a tuple in the order of fields, as CSV or as json.dumps(list, indent=2) writes them.
+
+    Each row is written when it arrives, the CSV header or the opening "["
+    with the first, so a row that raises leaves the rows before it written.
+    """
     if fmt == "json":
         import json
 
-        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
-    else:
-        print(",".join(fields))
+        lead = "[\n"
         for row in rows:
-            print(",".join(map(str, row)))
+            print(lead + "  " + json.dumps(dict(zip(fields, row)), indent=2).replace("\n", "\n  "), end="")
+            lead = ",\n"
+        print("\n]")
+    else:
+        lead = ",".join(fields) + "\n"
+        for row in rows:
+            print(lead + ",".join(map(str, row)))
+            lead = ""
 
 
-def _compute_pairs(args) -> list[GameParams]:
-    """The (n, s) pairs of the two ranges, refused (check_limit) past MEMORY_BUDGET before the first.
+def _compute_pairs(args) -> Iterator[GameParams]:
+    """The (n, s) pairs of the two ranges, n before s, made as they are needed.
 
-    compute holds every row until it prints them, so the pairs times
-    COMPUTE_ROW_BYTES of their format are checked from the two ranges alone.
+    Without --relaxed, a pair with n > s is a usage error raised before
+    the first pair: the first such pair is (max(n_lo, s_lo + 1), s_lo).
     """
     n_lo, n_hi = parse_range(args.n)
     s_lo, s_hi = parse_range(args.s)
-    count = (n_hi - n_lo + 1) * (s_hi - s_lo + 1)
-    check_limit(count * COMPUTE_ROW_BYTES[args.format], "bytes", f"the rows of {count} pairs")
-    pairs = []
-    for n in range(n_lo, n_hi + 1):
-        for s in range(s_lo, s_hi + 1):
-            if n > s and not args.relaxed:
-                raise UsageError(
-                    f"pair n={n}, s={s} has n > s; pass --relaxed to evaluate"
-                )
-            pairs.append(GameParams(n=n, s=s, relaxed=args.relaxed))
-    return pairs
+    first = max(n_lo, s_lo + 1)
+    if first <= n_hi and not args.relaxed:
+        raise UsageError(f"pair n={first}, s={s_lo} has n > s; pass --relaxed to evaluate")
+    pairs = ((n, s) for n in range(n_lo, n_hi + 1) for s in range(s_lo, s_hi + 1))
+    return (GameParams(n=n, s=s, relaxed=args.relaxed) for n, s in pairs)
 
 
 def _cmd_compute(args) -> int:
@@ -219,12 +220,13 @@ def _cmd_compute(args) -> int:
         if len(methods) == 1:
             raise UsageError(f"{quantity} supports only the {methods[0]} method")
         raise UsageError(f"{quantity} supports methods {' and '.join(methods)}")
-    rows = []
-    for params in pairs:
-        value, err, tag = evaluate(params, mode, point)
-        value, err = format_value(value, precision), format_value(err, precision)
-        rows.append((params.n, params.s, quantity, tag, value, err))
-    _emit(rows, COMPUTE_FIELDS, args.format)
+
+    def rows():
+        for params in pairs:
+            value, err, tag = evaluate(params, mode, point)
+            yield params.n, params.s, quantity, tag, format_value(value, precision), format_value(err, precision)
+
+    _emit(rows(), COMPUTE_FIELDS, args.format)
     return 0
 
 
@@ -238,24 +240,29 @@ def _cmd_compare(args) -> int:
     tolerance = args.tolerance
     if not tolerance >= 0:  # also refuses nan
         raise UsageError("--tolerance must be nonnegative")
-    rows = []
-    for n in range(1, args.n_max + 1):
-        for s in range(n, args.s_max + 1):
-            params = GameParams(n=n, s=s)
-            closed = moment_report(params, mode, "closed")
-            gaps = {}
-            for method in ("series", "recursive"):
-                other = moment_report(params, mode, method)
-                gaps[f"mean:{other.method}"] = abs(closed.mean - other.mean)
-                gaps[f"second-moment:{other.method}"] = abs(closed.second_moment - other.second_moment)
-            profile = chain.absorption_cdf_profile(params, max(CDF_SPOT_TURNS), mode)
-            for t in CDF_SPOT_TURNS:
-                gaps[f"cdf:power:t={t}"] = abs(profile[t] - moments.cdf(params, t, mode))
-            check, gap = max(gaps.items(), key=lambda item: item[1])
-            shown = format_value(gap if mode.exact else float(gap), precision)
-            rows.append((n, s, shown, check, "ok" if gap <= tolerance else "fail"))
-    _emit(rows, ("n", "s", "max_discrepancy", "worst_check", "status"), args.format)
-    failures = sum(row[-1] == "fail" for row in rows)
+    failures = 0
+
+    def rows():
+        nonlocal failures
+        for n in range(1, args.n_max + 1):
+            for s in range(n, args.s_max + 1):
+                params = GameParams(n=n, s=s)
+                closed = moment_report(params, mode, "closed")
+                gaps = {}
+                for method in ("series", "recursive"):
+                    other = moment_report(params, mode, method)
+                    gaps[f"mean:{other.method}"] = abs(closed.mean - other.mean)
+                    gaps[f"second-moment:{other.method}"] = abs(closed.second_moment - other.second_moment)
+                profile = chain.absorption_cdf_profile(params, max(CDF_SPOT_TURNS), mode)
+                for t in CDF_SPOT_TURNS:
+                    gaps[f"cdf:power:t={t}"] = abs(profile[t] - moments.cdf(params, t, mode))
+                check, gap = max(gaps.items(), key=lambda item: item[1])
+                shown = format_value(gap if mode.exact else float(gap), precision)
+                status = "ok" if gap <= tolerance else "fail"
+                failures += status == "fail"
+                yield n, s, shown, check, status
+
+    _emit(rows(), ("n", "s", "max_discrepancy", "worst_check", "status"), args.format)
     if failures:
         print(f"compare: {failures} pair(s) beyond tolerance {tolerance}", file=sys.stderr)
         return 1
@@ -336,7 +343,7 @@ def _cmd_signatures(args) -> int:
         _emit([(count,)], ("count",), args.format)
         return 0
     sigs = simulate.enumerate_signatures(args.n)
-    _emit([(_signature_label(sig, args.n),) for sig in sigs], ("signature",), args.format)
+    _emit(((_signature_label(sig, args.n),) for sig in sigs), ("signature",), args.format)
     return 0
 
 
@@ -386,18 +393,17 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argparse tree of _COMMANDS and its command parsers by name, built when main() first needs it.
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of _COMMANDS, built when main() first needs it.
 
-    Later calls share them. The cache holds one tree of fixed size: it
+    Later calls share it. The cache holds one tree of fixed size: it
     takes no arguments, so it never grows, and parsing leaves the parsers
     as they were, so no result depends on the order of the calls. The
     tree holds only data; main() picks the handler, and everything a call
     may change (GEOMAX_PRECISION, the terminal width that --help wraps
-    to, sys.stdout and sys.stderr) is read when that call runs. The
-    command parsers are the subparsers action's choices, the same objects
-    the tree hands a command's words to. argparse is imported here, so a
-    process whose calls the option tables answer never loads it.
+    to, sys.stdout and sys.stderr) is read when that call runs. argparse
+    is imported here, so a process whose calls the option tables answer
+    never loads it.
     """
     import argparse
 
@@ -410,7 +416,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         command = sub.add_parser(name, help=summary)
         for option, keywords in (*options, *_COMMON_OPTIONS):
             command.add_argument(option, **keywords)
-    return parser, sub.choices
+    return parser
 
 
 @functools.cache
@@ -482,27 +488,16 @@ def main(argv=None) -> int:
 
     A well-formed call (see _parse_by_table) is parsed in one pass over its
     command's option table, which holds what _COMMANDS declares and gives
-    the fields argparse would, and builds no argparse tree. The tree is
-    built on the first call the table declines. Such a call whose first
-    word names a command is parsed by that command's parser alone, which
-    is all the full tree would do with it after finding the name. The full
-    tree parses every other call: the top-level help, a missing or unknown
-    command, and a call that leaves words its command does not take, so
+    the fields argparse would, and builds no argparse tree. The tree, built
+    on the first call the table declines, parses every such call, so
     argparse's help pages, usage lines and errors read as the tree writes
     them. The handler is looked up per call.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_by_table(argv)
     if args is None:
-        import argparse
-
-        parser, commands = _build_parser()
-        command = commands.get(argv[0]) if argv else None
         try:
-            if command is not None:
-                args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if command is None or rest:
-                args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     # looked up per call, so a handler replaced after the parser was built runs

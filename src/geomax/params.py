@@ -58,8 +58,8 @@ TURN_CAP = 10**9
 #: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
 #: (chain._matrix_bytes), the Python rows of chain.build_transition_matrix
 #: (chain._rows_bytes), a dense turn-count histogram
-#: (simulate.turn_count_histogram) and the rows of geomax compute over two
-#: ranges (cli._compute_pairs). An estimate past it is refused by
+#: (simulate.turn_count_histogram) and the levels of tuples
+#: simulate.enumerate_signatures builds. An estimate past it is refused by
 #: check_limit before the array is allocated.
 MEMORY_BUDGET = 1 << 30
 

@@ -53,9 +53,6 @@ CHUNK_TRIALS = 1 << 16
 #: Faces a seeded play_game draws per generator call (more if a turn needs more).
 FACE_BLOCK = 1 << 8
 
-#: enumerate_signatures refuses n above this (2**23 signatures at n=24).
-MAX_ENUMERATION_DICE = 24
-
 
 class GameRecord(_Record):
     """Full transcript of one game.
@@ -186,16 +183,18 @@ def enumerate_signatures(n: int) -> list[tuple[int, ...]]:
 
     Built from the block structure: a signature of n dice is i copies of
     n (the dice removed the first time anything leaves) followed by any
-    signature of the remaining n - i dice.
+    signature of the remaining n - i dice. Every level m <= n is held:
+    2**(m-1) tuples of 40 + 8m bytes (sys.getsizeof, 64-bit CPython) and a
+    reference to each. check_limit refuses their sum past MEMORY_BUDGET
+    before the first is built: n = 22 (about 906 MB) passes, n = 23 not.
     """
     n = plain_int(n, "n must be a positive integer")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n > MAX_ENUMERATION_DICE:
-        raise ValueError(
-            f"n={n} would enumerate 2**{n - 1} signatures; refusing above "
-            f"n={MAX_ENUMERATION_DICE}"
-        )
+    held = 0
+    for m in range(1, n + 1):  # refused by m = MEMORY_BUDGET.bit_length() at the latest
+        held += (48 + 8 * m) << (m - 1)
+        check_limit(held, "bytes", f"signature levels 1..{m} of n={n}")
     levels: list[list[tuple[int, ...]]] = [[()]]
     for m in range(1, n + 1):
         block: list[tuple[int, ...]] = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
 from geomax import params as params_module
 from geomax.cli import (
     CDF_SPOT_TURNS,
-    COMPUTE_ROW_BYTES,
     FIGURE_GRIDS,
     UsageError,
     figure_rows,
@@ -288,6 +288,49 @@ class TestCompute:
         )
         assert code == 0
         assert csv_rows(out)[0]["value"] == "2470/651"
+        # a range is refused before its first row, naming its first pair with n > s
+        for n, s, first in [("2..6", "4..9", "n=5, s=4"), ("7..8", "3..9", "n=7, s=3")]:
+            code, out, err = run(capsys, "compute", "--n", n, "--s", s, "--quantity", "mean")
+            assert (code, out) == (2, "")
+            assert f"pair {first} has n > s" in err
+        assert run(capsys, "compute", "--n", "2..4", "--s", "4..6", "--quantity", "mean")[0] == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failure_mid_range_leaves_the_rows_before_it(self, capsys, fmt):
+        # the closed sums cancel past their bound from n = 29 at s = 40
+        argv = ("compute", "--n", "25..35", "--s", "40", "--quantity", "mean", "--method", "closed", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("numeric failure: closed alternating sums at n=29, s=40")
+        singles = [run(capsys, *argv[:2], str(n), *argv[3:]) for n in range(25, 29)]
+        assert [code for code, _, _ in singles] == [0] * 4
+        if fmt == "csv":
+            assert out == HEADER + "\n" + "".join(single.split("\n", 1)[1] for _, single, _ in singles)
+        else:
+            with pytest.raises(json.JSONDecodeError):  # the list is left unclosed
+                json.loads(out)
+            assert json.loads(out + "\n]") == [json.loads(single)[0] for _, single, _ in singles]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_streamed_range_holds_flat_memory(self, fmt):
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        def peak(last: int) -> int:
+            argv = ["compute", "--n", f"1..{last}", "--s", "400", "--quantity", "cdf", "--y", "500", "--format", fmt]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(Sink()):
+                    assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(400)  # imports and caches first
+        # a cdf point's work does not grow with n; rows held until the end
+        # took 360 (csv) to 1,910 (json) bytes each
+        assert peak(400) - peak(20) < 100 * 380
 
 
 class TestPrecision:
@@ -420,29 +463,6 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "smallest normal double" in err
-
-    def test_ranges_past_the_memory_budget_are_refused_before_the_first_pair(self, capsys):
-        # 2.5e9 pairs: their GameParams alone would take about 300 GB
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "compute", "--n", "1..50000", "--s", "50000..100000", "--quantity", "mean")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, out) == (2, "")
-        assert err.startswith("error: the rows of 2500050000 pairs would take about") and "MEMORY_BUDGET" in err
-        assert peak < 1e6
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_the_budget_is_compared_with_the_rows_of_the_ranges(self, capsys, monkeypatch, fmt):
-        need = 6 * COMPUTE_ROW_BYTES[fmt]  # --n 1..2 --s 3..5
-        argv = ("compute", "--n", "1..2", "--s", "3..5", "--quantity", "mean", "--format", fmt)
-        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
-        assert run(capsys, *argv)[0] == 0
-        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert f"the rows of 6 pairs would take about {need} bytes, past MEMORY_BUDGET = {need - 1}" in err
 
     def test_chain_walk_past_the_turn_cap_is_a_usage_error(self, capsys):
         code, out, err = run(
@@ -772,7 +792,10 @@ class TestSharedParser:
         assert seen == [3]
 
 
-COMMANDS = cli._build_parser()[1]
+#: The command parsers by name, the choices of the tree's subparsers action.
+COMMANDS = next(
+    action.choices for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
 
 
 def fields(namespace: argparse.Namespace) -> dict[str, str]:
@@ -781,7 +804,7 @@ def fields(namespace: argparse.Namespace) -> dict[str, str]:
 
 
 def parsed_by_command(argv: list[str]) -> dict[str, str]:
-    """The fields main() gets from argv's command parser, which must take every word."""
+    """The fields argv's command parser gives, as the full tree does, which must take every word."""
     try:
         args, rest = COMMANDS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     except SystemExit:
@@ -851,7 +874,7 @@ class TestDispatch:
     """main() parses a well-formed call by its command's option table, any other as argparse does."""
 
     def test_each_valid_call_parses_as_the_full_tree_parses_it(self, capsys):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()
         checked = tabled = 0
         for call in CLI_CALLS:
             words = shlex.split(call)
@@ -886,7 +909,7 @@ class TestDispatch:
             assert fields(table) == parsed_by_command(argv)
 
     def test_a_valid_call_runs_one_parse(self, capsys, monkeypatch):
-        """A call the table takes runs no argparse parse; a declined one runs today's argparse path."""
+        """A call the table takes runs no argparse parse; the full tree parses a declined one."""
         run(capsys, "signatures", "--n", "3")  # the parser and the tables are built before counting
         parses = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -899,14 +922,13 @@ class TestDispatch:
         code, out, _ = run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean")
         assert (code, out.splitlines()[0]) == (0, HEADER)
         assert parses == []
-        # an abbreviation: the command parser takes every word
+        # an abbreviation, then a stray word: the tree hands the words after the command to its parser
         code, abbreviated, _ = run(capsys, "compute", "--n", "2", "--s", "2", "--quant", "mean")
         assert (code, abbreviated) == (0, out)
-        assert parses == ["geomax compute"]
-        # a stray word: the command parser leaves it, so the tree parses the call
+        assert parses == ["geomax", "geomax compute"]
         parses.clear()
         assert run(capsys, "compute", "--n", "2", "--s", "2", "--quantity", "mean", "extra")[0] == 2
-        assert parses == ["geomax compute", "geomax", "geomax compute"]
+        assert parses == ["geomax", "geomax compute"]
 
     def test_words_the_command_does_not_take_are_reported_by_the_full_tree(self, capsys):
         for extra in ("--bogus", "extra"):

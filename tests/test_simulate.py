@@ -223,9 +223,34 @@ class TestSignatures:
 
     def test_enumeration_size_guard(self):
         with pytest.raises(ValueError):
-            enumerate_signatures(25)
-        with pytest.raises(ValueError):
             enumerate_signatures(0)
+        # levels 1..22 take about 906 MB and pass; n = 23 is refused before any is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"levels 1\.\.23 of n=23 would take about 1879048152 bytes, past"):
+                enumerate_signatures(23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        for n in (25, 10**30):  # refused at the same level, however large n is
+            with pytest.raises(ValueError, match=rf"levels 1\.\.23 of n={n} "):
+                enumerate_signatures(n)
+
+    def test_the_budget_is_compared_with_the_levels_bytes(self, monkeypatch):
+        # level m: 2**(m-1) tuples of 40 + 8m bytes and a reference to each
+        need = sum((48 + 8 * m) << (m - 1) for m in range(1, 17))
+        tracemalloc.start()
+        try:
+            monkeypatch.setattr(params_module, "MEMORY_BUDGET", need)
+            assert len(enumerate_signatures(16)) == 2**15
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * need < peak < 1.25 * need  # the estimate is about what the levels take
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(ValueError, match=f"levels 1..16 of n=16 would take about {need} bytes, past MEMORY_BUDGET"):
+            enumerate_signatures(16)
 
 
 class TestMonteCarlo:
