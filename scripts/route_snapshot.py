@@ -170,6 +170,8 @@ CLI_CALLS = (
         for m in ("closed", "matrix-power")
     ),
     "geomax compute --n 12 --s 12 --quantity cdf --y 200 --method matrix-power --precision 17",
+    *(f"geomax compute --n 12 --s 12 --quantity {q} --y 40 --method matrix-power --mode exact" for q in ("cdf", "pmf")),
+    "geomax compute --n 34 --s 39 --quantity pmf --y 161 --mode exact",
     "geomax compute --n 40 --s 40 --quantity cdf --y 170 --mode exact",
     "geomax compute --n 40 --s 40 --quantity cdf --y 1000 --mode exact",
     "geomax compute --n 2 --s 6 --quantity quantile --prob 0.99",

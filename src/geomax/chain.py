@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
-from .kernels import _U, _float_p
+from .kernels import _U, _float_p, _lowest_terms
 from .params import FLOAT, GameParams, NumericMode, _Record, check_limit
 
 
@@ -218,25 +218,26 @@ def _recursion_products(params: GameParams, reduced: int) -> int:
     return products
 
 
-def _walk_products(params: GameParams, length: int, first: int) -> int:
+def _walk_products(params: GameParams, length: int) -> int:
     """Bound on the digit products of an exact walk of length - 1 turns, from n and bit_length(s).
 
     Turn t multiplies the (n+1)(n+2)/2 entries of s**n M, each below s**n,
-    by state entries below s**(n t). Summed over t < length, the digits
+    by state entries below s**(n t), and _absorption_window's denominator
+    s**(n t) by s**n, one product more. Summed over t < length, the digits
     of those (_digits) are at most those of s**(n length (length-1)/2)
-    plus length - 1. _absorption_window then reduces item t, for t from
-    first on, to a Fraction over s**(n t): a gcd of two ints of at most
-    c_t digits, counted as c_t**2 products (on a 2-vCPU Xeon VM a profile
-    at (10, 10) took about 1.1 ns per such product, a walk about 1 ns per
-    digit product).
-    With c the digits of the last item, these sum to at most c times the
-    digits of s**(n (first + ... + last)) plus the count of items.
+    plus length - 1 (on a 2-vCPU Xeon VM a walk took about 1 ns per digit
+    product). Item t over s**(n t) is in lowest terms, as the closed cdf's
+    (1 - q**t)**n is, so its Fraction takes no gcd.
     """
     n, last = params.n, length - 1
     walk = _digits(params, n * length * last // 2) + last
+    return ((n + 1) * (n + 2) // 2 + 1) * _digits(params, n) * walk
+
+
+def _window_bytes(params: GameParams, length: int, first: int) -> int:
+    """Bytes of exact items t = first..length-1: two ints below s**(n t) (28 bytes, 4 a digit), a Fraction, two slots."""
     items = length - first
-    reduced = _digits(params, n * (first + last) * items // 2) + items
-    return (n + 1) * (n + 2) // 2 * _digits(params, n) * walk + _digits(params, n * last) * reduced
+    return 120 * items + 8 * (_digits(params, params.n * (first + length - 1) * items // 2) + items)
 
 
 def _law_sums(params: GameParams, first, second) -> Iterator[tuple]:
@@ -364,8 +365,9 @@ def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first
     integer s**(n*t) P(T <= t); _absorption_window makes Fractions of the
     items it returns, those from turn first on. When it is called, before
     M is built, a walk past TURN_CAP turns, matrices past MEMORY_BUDGET
-    (_matrix_bytes) and an exact walk and reductions past TURN_CAP digit
-    products (_walk_products) are refused (check_limit), in that order;
+    (_matrix_bytes), an exact walk past TURN_CAP digit products
+    (_walk_products) and exact items past MEMORY_BUDGET (_window_bytes)
+    are refused (check_limit), in that order;
     M, its powers and the columns are built then, and the walk's steps as
     its blocks are read.
     """
@@ -375,7 +377,9 @@ def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first
     check_limit(_matrix_bytes(params, mode), "bytes", f"the transition matrices at n={n}, s={s}")
     if mode.exact:
         what = f"the exact chain walk of {length - 1} turns at n={n}, s={s}"
-        check_limit(_walk_products(params, length, first), "digit products", what)
+        check_limit(_walk_products(params, length), "digit products", what)
+        what = f"the exact points of turns {first}..{length - 1} at n={n}, s={s}"
+        check_limit(_window_bytes(params, length, first), "bytes", what)
     rows = _stacked_rows(params, mode)
     block, jump = 1, rows
     if not mode.exact and length >= 2 * (n + 1) + BLOCK_TURNS:
@@ -402,11 +406,11 @@ def _absorption_steps(params: GameParams, mode: NumericMode, length: int, first:
 
 
 def _absorption_window(params: GameParams, first: int, last: int, mode: NumericMode) -> list:
-    """[P(T <= t) for t in first..last]; exact mode reduces a Fraction for these t only."""
+    """[P(T <= t) for t in first..last]; exact mode builds Fractions for these t only, without a gcd."""
     window = list(islice(_absorption_steps(params, mode, last + 1, first), first, None))
-    if mode.exact:
-        unit = params.s**params.n
-        window = [Fraction(value, unit**t) for t, value in enumerate(window, start=first)]
+    if mode.exact:  # item t over s**(n t), in lowest terms (_walk_products)
+        units = islice(accumulate(repeat(params.s**params.n, last), operator.mul, initial=1), first, None)
+        window = [_lowest_terms(value, unit) for value, unit in zip(window, units)]
     return window
 
 

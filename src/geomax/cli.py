@@ -166,13 +166,16 @@ def _emit(rows: Iterable[tuple], fields: tuple[str, ...], fmt: str) -> None:
 
     Each row is written when it arrives, the CSV header or the opening "["
     with the first, so a row that raises leaves the rows before it written.
+    A json row's values are encoded one by one: json.dumps with an indent
+    builds its encoder's closures anew per call, garbage in cycles per row.
     """
     if fmt == "json":
         import json
 
         lead = "[\n"
         for row in rows:
-            print(lead + "  " + json.dumps(dict(zip(fields, row)), indent=2).replace("\n", "\n  "), end="")
+            body = ",\n".join(f"    {json.dumps(field)}: {json.dumps(value)}" for field, value in zip(fields, row))
+            print(lead + "  {\n" + body + "\n  }", end="")
             lead = ",\n"
         print("\n]")
     else:
@@ -302,10 +305,10 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _signature_label(sig: tuple[int, ...], n: int) -> str:
-    if n <= 9:
-        return "".join(str(v) for v in sig)
-    return "-".join(str(v) for v in sig)
+def _signature_labeller(n: int):
+    """Label of a signature of n dice: its values joined, with "-" between them past 9 dice."""
+    names, sep = [str(v) for v in range(n + 1)], "" if n <= 9 else "-"
+    return lambda sig: sep.join([names[v] for v in sig])
 
 
 def _cmd_simulate(args) -> int:
@@ -328,7 +331,8 @@ def _cmd_simulate(args) -> int:
     else:
         freq = simulate.signature_frequencies(params, args.trials, args.seed)
         ordered = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
-        rows = [(*base, _signature_label(sig, params.n), count) for sig, count in ordered]
+        label = _signature_labeller(params.n)
+        rows = [(*base, label(sig), count) for sig, count in ordered]
         fields = ("signature", "count")
     _emit(rows, ("n", "s", "trials", "seed", *fields), args.format)
     return 0
@@ -343,7 +347,7 @@ def _cmd_signatures(args) -> int:
         _emit([(count,)], ("count",), args.format)
         return 0
     sigs = simulate.enumerate_signatures(args.n)
-    _emit(((_signature_label(sig, args.n),) for sig in sigs), ("signature",), args.format)
+    _emit(((label,) for label in map(_signature_labeller(args.n), sigs)), ("signature",), args.format)
     return 0
 
 

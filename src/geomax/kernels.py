@@ -5,6 +5,7 @@ multiple threads. The pieces:
 
 * the unit roundoff _U of a double,
 * _float_p, the float 1/s that every float route reads,
+* _lowest_terms, the Fraction of a pair its caller proves coprime,
 * public closed forms for the power-weighted geometric series, checked
   against partial sums by acceptance criterion 10,
 * geometric tail bounds that truncate the matrix-power route's survival
@@ -12,6 +13,9 @@ multiple threads. The pieces:
 """
 
 from __future__ import annotations
+
+import numbers
+from fractions import Fraction
 
 #: Unit roundoff of a double, u = 2**-53.
 _U = 2.0**-53
@@ -22,6 +26,23 @@ def _float_p(params) -> float:
     if params.p < 2.0**-1022:  # the smallest normal double
         raise ValueError(f"s={params.s} puts the float 1/s below the smallest normal double")
     return params.p
+
+
+@numbers.Rational.register
+class _Coprime:
+    __slots__ = ("numerator", "denominator")
+
+
+def _lowest_terms(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for a coprime pair, denominator > 0, without Fraction's gcd.
+
+    Fraction(r), r a numbers.Rational, copies r's numerator and denominator,
+    which the ABC requires in lowest terms, and on CPython 3.10-3.13 runs
+    no gcd; a Python that reduced them anyway would only be slower.
+    """
+    pair = _Coprime()
+    pair.numerator, pair.denominator = numerator, denominator
+    return Fraction(pair)
 
 
 def _check_open_unit(x) -> None:

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import params as params_module
 from .chain import _digits, _lcm_bits
-from .kernels import _U, _float_p, tail_bound_max_geom, tail_bound_weighted_max_geom
+from .kernels import _U, _float_p, _lowest_terms, tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import EXACT, FLOAT, GameParams, NumericMode, check_limit
 
 
@@ -176,8 +176,9 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
     Exact mode takes cdf(y) - cdf(y-1) over the cdf's denominator s**(n y):
     (U**n - V**n) / s**(n y), with U = s**y - (s-1)**y and
     V = s (s**(y-1) - (s-1)**(y-1)), both built from s**(y-1) and
-    (s-1)**(y-1), and one Fraction built at the end. Past TURN_CAP digit
-    products (_pmf_products) it raises ValueError before the first power.
+    (s-1)**(y-1), and one Fraction built at the end without a gcd, as the
+    pair is in lowest terms (_pmf_products). Past TURN_CAP digit products
+    (_pmf_products) it raises ValueError before the first power.
     Float mode takes the positive form u_y**n (1 - (1 + x)**-n), from
     u_y = 1 - q**y = u_{y-1} + p q**(y-1) and x = p q**(y-1) / u_{y-1}, as
     cdf(params, y) * -expm1(-n log1p(x)): nothing cancels and nothing
@@ -187,7 +188,7 @@ def pmf(params: GameParams, y: int, mode: NumericMode = FLOAT):
 
 
 def _pmf_point(params: GameParams, y: int, mode: NumericMode) -> tuple:
-    """(pmf(params, y, mode), its error bound): 0.0 in exact mode, else _pmf_bound's, on the value's ln P."""
+    """(pmf(params, y, mode), its error bound): exact, a Fraction built without a gcd and 0.0, else _pmf_bound's."""
     y = operator.index(y)
     if y < 1:
         raise ValueError("pmf support starts at y = 1")
@@ -196,7 +197,7 @@ def _pmf_point(params: GameParams, y: int, mode: NumericMode) -> tuple:
         what = f"the exact pmf at y={y} for n={n}, s={s}"
         check_limit(_pmf_products(params, y), "digit products", what)
         top, low = s ** (y - 1), (s - 1) ** (y - 1)
-        return Fraction((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n), 0.0
+        return _lowest_terms((s * top - (s - 1) * low) ** n - (s * (top - low)) ** n, (s * top) ** n), 0.0
     log_p = _log_cdf(params, y)  # ln cdf(params, y)
     if y == 1:
         value = _float_p(params) ** n
@@ -300,15 +301,14 @@ def _pmf_products(params: GameParams, y: int) -> int:
     Counted as _cdf_products counts, every bit of y - 1 as set:
     s**(y-1) and (s-1)**(y-1), then U and V (three products by s or s-1
     and two differences, of at most the digits c_y of s**y), U, V and s**y
-    to the n-th power, U**n - V**n, and the Fraction's reduction: a gcd of
-    two ints below s**(n y), of at most c_(ny) digits (c_(ny)**2), and two
-    divisions by it, which is 1 (c_(ny) each): a prime that divides s
-    divides V, but U = -(-1)**y mod it.
+    to the n-th power, and U**n - V**n (c_(ny), the digits of s**(n y)).
+    The Fraction takes no gcd: U**n - V**n is coprime to s**(n y), as a
+    prime that divides s divides V, but U = -(-1)**y mod it.
     """
     c, last = _digits(params, y), _digits(params, params.n * y)
     powers = 2 * _power_products(params, 1, y - 1, every_bit=True)
     powers += 3 * _power_products(params, y, params.n)
-    return powers + c * (3 * _digits(params, 1) + 2) + last * (last + 3)
+    return powers + c * (3 * _digits(params, 1) + 2) + last
 
 
 def _closed_terms(params: GameParams):

@@ -46,18 +46,18 @@ class GameNotFinishedError(RuntimeError):
 #: built, the closed sums merged over the same L (n = s = 220 passes, in
 #: about 0.4 s) before the first term, the exact cdf and pmf points (at
 #: n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and the pmf to
-#: 3,764, in about 1 s, most of it the Fraction's gcd) before the first
-#: power, and an exact chain walk with the Fractions it returns (at
-#: n = s = 10 a point passes to 3,336 turns and a profile to 1,007, each
-#: in about 1 s; all timings on a 2-vCPU Xeon VM) before its matrix is
-#: built. The CLI holds writing the digits of an exact int to it the same
-#: way (cli.format_value).
+#: 16,060, in about 1 s) before the first power, and an exact chain walk
+#: (at n = s = 10 a point or a profile passes to 3,344 turns, in about 1 to
+#: 1.7 s; all timings on a 2-vCPU Xeon VM) before its matrix is built. The
+#: CLI holds writing the digits of an exact int to it the same way
+#: (cli.format_value).
 TURN_CAP = 10**9
 
 #: Most bytes (1 GiB) an array that grows with the input may take: the
 #: (n+1)**2 transition matrices of a chain walk, as many as it holds at once
 #: (chain._matrix_bytes), the Python rows of chain.build_transition_matrix
-#: (chain._rows_bytes), a dense turn-count histogram
+#: (chain._rows_bytes), the Fractions of an exact chain profile
+#: (chain._window_bytes), a dense turn-count histogram
 #: (simulate.turn_count_histogram) and the levels of tuples
 #: simulate.enumerate_signatures builds. An estimate past it is refused by
 #: check_limit before the array is allocated.

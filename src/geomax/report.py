@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import chain, moments
-from .kernels import _U
+from .kernels import _U, _lowest_terms
 from .params import FLOAT, CancellationError, GameParams, MomentReport, NumericMode
 
 #: Relative error bound above which float-mode closed sums refuse to
@@ -178,7 +178,9 @@ def _chain(quantity: str, params, mode, y):
     first = y - 1 if quantity == "pmf" else y  # a pmf is the difference of two cdf points
     points = chain._absorption_window(params, first, y, mode)
     value, bound = points[-1], chain.absorption_step_bound(params, y)
-    if quantity == "pmf":
+    if quantity == "pmf" and mode.exact:  # (w_y - s**n w_(y-1)) / s**(n y), reduced as moments.pmf's
+        value = _lowest_terms(value.numerator - params.s**params.n * points[0].numerator, value.denominator)
+    elif quantity == "pmf":
         value, bound = value - points[0], 2 * bound
     return value, _float_bound(mode, bound), "matrix-power"
 

@@ -45,6 +45,7 @@ from geomax.chain import (
     _survival_terms,
     _survivor_rows,
     _walk_products,
+    _window_bytes,
     absorption_step_bound,
 )
 from geomax.kernels import _U
@@ -408,8 +409,8 @@ class TestAbsorptionByPower:
         assert values[-1] > 0.999
 
     def test_exact_power_point_builds_no_profile(self):
-        # the point steps the integer state to y and reduces one Fraction;
-        # y + 1 reduced Fractions, a whole profile, take about 4.4 MB here
+        # the point steps the integer state and its denominator to y and builds
+        # one Fraction; y + 1 Fractions, a whole profile, take about 4.4 MB here
         params, y = GameParams(3, 6), 2000
         tracemalloc.start()
         try:
@@ -449,25 +450,35 @@ class TestAbsorptionByPower:
             with pytest.raises(ValueError, match=message):
                 ROUTES[(quantity, "matrix-power")](params, EXACT, 10**5)
         assert time.perf_counter() - start < 1
-        assert _walk_products(params, 3337, 3336) <= TURN_CAP < _walk_products(params, 3338, 3337)
-        # a profile reduces a Fraction for each of its turns: about 1 s at y = 1,000
-        assert _walk_products(params, 1008, 0) <= TURN_CAP < _walk_products(params, 1009, 0)
+        # a point, or a whole profile, passes to 3,344 turns, in about 1 to 1.7 s
+        assert _walk_products(params, 3345) <= TURN_CAP < _walk_products(params, 3346)
 
-    def test_exact_profiles_count_their_fraction_reductions(self):
-        # at (1, 2) the walk's products admit a point up to y = 97,833, but a profile's
-        # reductions grow as y**3 (2.7 s at y = 32,000, 9.3 s at 64,000): it passes to 7,635
-        params, y = GameParams(1, 2), 10**4
-        assert ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0] == cdf(params, y, EXACT)
+    def test_exact_profiles_past_the_memory_budget_are_refused_at_once(self):
+        # at (1, 2) the walk's products admit a point, or a profile, up to y = 86,587,
+        # but a profile's items, counted at about 2 GB there, stop it at 63,214 by their bytes
+        params, y = GameParams(1, 2), 70_000
+        assert ROUTES[("cdf", "matrix-power")](params, EXACT, 10**4)[0] == cdf(params, 10**4, EXACT)
+        assert _walk_products(params, 86588) <= TURN_CAP < _walk_products(params, 86589)
+        assert _window_bytes(params, 63215, 0) <= MEMORY_BUDGET < _window_bytes(params, 63216, 0)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"exact chain walk of {y} turns at n=1, s=2 takes up to"):
+        with pytest.raises(ValueError, match=f"exact points of turns 0..{y} at n=1, s=2 would take about"):
             absorption_cdf_profile(params, y, EXACT)
         assert time.perf_counter() - start < 1
-        assert _walk_products(params, 7636, 0) <= TURN_CAP < _walk_products(params, 7637, 0)
 
-    @pytest.mark.parametrize("quantity, first", [("cdf", 30), ("pmf", 29), ("profile", 0)])
-    def test_the_turn_cap_is_compared_with_the_walks_digit_products(self, monkeypatch, quantity, first):
+    def test_the_budget_is_compared_with_the_exact_windows_bytes(self, monkeypatch):
         params, y = GameParams(4, 9), 30
-        products = _walk_products(params, y + 1, first)
+        count, expected = _window_bytes(params, y + 1, 0), absorption_cdf_profile(params, y, EXACT)
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", count)
+        assert absorption_cdf_profile(params, y, EXACT) == expected
+        monkeypatch.setattr(params_module, "MEMORY_BUDGET", count - 1)
+        monkeypatch.setattr(chain_module, "_stacked_rows", not_called)
+        with pytest.raises(ValueError, match=f"would take about {count} bytes, past MEMORY_BUDGET"):
+            absorption_cdf_profile(params, y, EXACT)
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pmf", "profile"])
+    def test_the_turn_cap_is_compared_with_the_walks_digit_products(self, monkeypatch, quantity):
+        params, y = GameParams(4, 9), 30
+        products = _walk_products(params, y + 1)
         call = {
             "profile": lambda: absorption_cdf_profile(params, y, EXACT)[y],
             "cdf": lambda: ROUTES[("cdf", "matrix-power")](params, EXACT, y)[0],

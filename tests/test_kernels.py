@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from geomax import EXACT, GameParams, absorption_cdf_profile, pmf
 from geomax.kernels import (
+    _lowest_terms,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
     weighted_geom_sum_first,
     weighted_geom_sum_second,
 )
+from geomax.report import ROUTES
 
 
 def partial_weighted_sum(x: float, power: int, terms: int) -> float:
@@ -103,3 +106,65 @@ class TestTailBounds:
 def test_tail_bound_sizes_are_checked(bound, n, start, message):
     with pytest.raises(ValueError, match=message):
         bound(n, 0.5, start)
+
+
+def reduced_point(n: int, s: int, y: int, quantity: str) -> Fraction:
+    """The exact cdf or pmf at y as Fraction(N, D), reduced by Fraction's own gcd."""
+    def w(t):  # s**(n t) P(T <= t)
+        return (s**t - (s - 1) ** t) ** n
+
+    numerator = w(y) if quantity == "cdf" else w(y) - s**n * w(y - 1)
+    return Fraction(numerator, s ** (n * y))
+
+
+def assert_same_fraction(value, expected: Fraction) -> None:
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator, hash(value)) == (expected.numerator, expected.denominator, hash(expected))
+
+
+class TestLowestTerms:
+    """Every exact point built by _lowest_terms is the Fraction a gcd would have reduced."""
+
+    def test_a_coprime_pair_is_the_reduced_fraction(self):
+        for numerator, denominator in ((0, 1), (-3, 4), (5, 1), (2**70 + 1, 2**71)):
+            assert_same_fraction(_lowest_terms(numerator, denominator), Fraction(numerator, denominator))
+
+    def test_the_closed_pmf_is_reduced(self):
+        pairs = [(n, s, y) for s in range(1, 13) for n in range(1, s + 1) for y in range(1, 201)]
+        pairs += [(n, 1, y) for n in range(2, 6) for y in range(1, 6)]  # s = 1, relaxed
+        pairs += [(10, 6, y) for y in range(1, 201)] + [(34, 39, 161)]  # the TENZI pair, grid's largest
+        for n, s, y in pairs:
+            assert_same_fraction(pmf(GameParams(n, s, relaxed=True), y, EXACT), reduced_point(n, s, y, "pmf"))
+
+    def test_the_chains_cdf_pmf_and_profile_are_reduced(self):
+        for s in range(1, 9):
+            for n in range(1, s + 1):
+                params = GameParams(n, s)
+                profile = absorption_cdf_profile(params, 60, EXACT)
+                assert_same_fraction(profile[0], Fraction(0))
+                for t in range(1, 61):
+                    assert_same_fraction(profile[t], reduced_point(n, s, t, "cdf"))
+                for quantity in ("cdf", "pmf"):
+                    for y in (1, 2, 9, 60):
+                        value = ROUTES[(quantity, "matrix-power")](params, EXACT, y)[0]
+                        assert_same_fraction(value, reduced_point(n, s, y, quantity))
+
+    def test_the_exact_points_run_no_gcd_on_big_ints(self, monkeypatch):
+        # Fraction(N, D) runs math.gcd on the pair: 29k bits at (34, 39), 8.6k at (12, 12)
+        calls = {
+            (34, 39, 161, "pmf"): lambda: pmf(GameParams(34, 39), 161, EXACT),
+            **{
+                (12, 12, 200, q): lambda q=q: ROUTES[(q, "matrix-power")](GameParams(12, 12), EXACT, 200)[0]
+                for q in ("cdf", "pmf")
+            },
+        }
+        expected = {point: reduced_point(*point) for point in calls}
+        gcd = math.gcd
+
+        def small_gcd(*ints):
+            assert max(abs(i).bit_length() for i in ints) <= 1000, "a gcd on an int over 1,000 bits"
+            return gcd(*ints)
+
+        monkeypatch.setattr(math, "gcd", small_gcd)
+        for point, call in calls.items():
+            assert_same_fraction(call(), expected[point])

@@ -70,12 +70,12 @@ from geomax.report import MOMENTS, ROUTES
 
 #: README's largest admitted y of the exact (cdf, pmf) points, per (n, s).
 README_ADMISSIONS = {
-    (40, 40): (21_221, 3_764),
-    (100, 100): (7_255, 1_290),
-    (12, 12): (79_575, 18_572),
-    (2, 2): (1_386_210, 227_625),
-    (1, 2): (2_771_341, 459_810),
-    (2, 6): (924_140, 151_750),
+    (40, 40): (21_221, 16_060),
+    (100, 100): (7_255, 5_481),
+    (12, 12): (79_575, 64_000),
+    (2, 2): (1_386_210, 1_170_120),
+    (1, 2): (2_771_341, 2_769_662),
+    (2, 6): (924_140, 780_080),
 }
 
 
@@ -152,17 +152,17 @@ class TestDistribution:
             pmf(params, 0)
 
     def test_exact_points_past_the_turn_cap_are_refused_before_the_first_power(self):
-        # at (40, 40) the exact pmf at y = 10**4 took about 7 s and the cdf
-        # at y = 10**5 about 7 s; y = 3,764 and 21,221 are the largest admitted
+        # at (40, 40) the exact cdf at y = 10**5 took about 7 s; y = 16,060 and
+        # 21,221 are the largest pmf and cdf admitted, the pmf in about 1 s
         params = GameParams(40, 40)
-        assert _pmf_products(params, 3764) <= TURN_CAP < _pmf_products(params, 3765)
+        assert _pmf_products(params, 16060) <= TURN_CAP < _pmf_products(params, 16061)
         assert _cdf_products(params, 21221) <= TURN_CAP < _cdf_products(params, 21222)
         # the Karatsuba squares admit at (2, 2) every cdf whose digits the CLI
         # writes, and the count of every bit of y as set ends them at 1,386,210
         assert _cdf_products(GameParams(2, 2), 670_814) <= TURN_CAP
         assert _cdf_products(GameParams(2, 2), 1_386_210) <= TURN_CAP < _cdf_products(GameParams(2, 2), 1_386_211)
         start = time.perf_counter()
-        for point, y in ((pmf, 10**4), (cdf, 10**5)):
+        for point, y in ((pmf, 10**5), (cdf, 10**5)):
             message = f"exact {point.__name__} at y={y} for n=40, s=40 takes up to [0-9]+ digit products"
             with pytest.raises(ValueError, match=message):
                 point(params, y, EXACT)
