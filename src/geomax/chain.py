@@ -9,11 +9,12 @@ Fraction only for a value it returns.
 The rows feed the transition matrix, whose Python rows are built straight
 from them, the float one-step recursions for the first and second moments
 of the absorption time from every start state, and, as an independent
-route, the chain walk that pushes the start state through the turns to get
-P(T <= t) on the rows stacked into one array, whose survival terms
-moments._survival_sums turns into the moments. A float walk long enough
-to pay for M**64 advances 64 turns per pair of matrix products; exact mode
-and short walks step one turn per product. Exact mode runs the same
+route, the chain walk that pushes the start state through the turns on the
+rows stacked into one array: the absorbed mass P(T <= t) gives the points,
+and the live mass P(T > t) the survival terms that moments._survival_sums
+turns into the moments. A float walk long enough to pay for M**64 advances
+64 turns per pair of matrix products; exact mode and short walks step one
+turn per product. Exact mode runs the same
 recursion body on no rows: it sums the earlier states by the binomial
 transform, in big-int additions. Each entry point passes its counts to
 params.check_limit before its work starts: TURN_CAP entries or turns,
@@ -349,17 +350,19 @@ def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
 BLOCK_TURNS = 64
 
 
-def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first: int = 0) -> Iterator:
-    """P(T <= t) for t = 0, 1, ..., length - 1, as one array per block of turns.
+def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first: int = 0, live: bool = False) -> Iterator:
+    """P(T <= t), or P(T > t) if live, for t = 0, 1, ..., length - 1, as one array per block of turns.
 
     The state is a numpy row vector over dice counts, started at e_n with
-    all n dice on the table, so P(T <= t) = e_n M**t e_0. A float walk of
-    at least 2(n+1) + B turns, B = BLOCK_TURNS, pays for squaring M up to
-    M**B, which costs about as much as n single steps: it builds
-    columns[i] = M**i e_0, i < B, by B - 1 matrix-vector products, and a
-    block is the B values columns @ state from the state's turn on (fewer
-    in the last), after which state @ M**B moves the state on. Any other
-    walk takes blocks of one turn, state[:1], and steps the state by M.
+    all n dice on the table, so P(T <= t) = e_n M**t e_0, and the live mass
+    P(T > t) = e_n M**t 1_live, 1_live the indicator of the states k >= 1,
+    sums nonnegative products. A float walk of at least 2(n+1) + B turns,
+    B = BLOCK_TURNS, pays for squaring M up to M**B, which costs about as
+    much as n single steps: it builds columns[i] = M**i e_0 (or 1_live),
+    i < B, by B - 1 matrix-vector products, and a block is the B values
+    columns @ state from the state's turn on (fewer in the last), after
+    which state @ M**B moves the state on. Any other walk takes blocks of
+    one turn, state[:1] (or the sum of state[1:]), and steps the state by M.
     Exact mode steps an integer state by the integer matrix s**n M, so
     after t steps the state is s**(n*t) times the law, and item t is the
     integer s**(n*t) P(T <= t); _absorption_window makes Fractions of the
@@ -381,11 +384,12 @@ def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first
         what = f"the exact points of turns {first}..{length - 1} at n={n}, s={s}"
         check_limit(_window_bytes(params, length, first), "bytes", what)
     rows = _stacked_rows(params, mode)
+    read = slice(1, None) if live else slice(0, 1)  # the live states, or the absorbed one
     block, jump = 1, rows
     if not mode.exact and length >= 2 * (n + 1) + BLOCK_TURNS:
         block, jump = BLOCK_TURNS, np.linalg.matrix_power(rows, BLOCK_TURNS)
         columns = np.zeros((block, n + 1))
-        columns[0, 0] = 1.0
+        columns[0, read] = 1.0
         for i in range(1, block):
             columns[i] = rows @ columns[i - 1]
 
@@ -393,7 +397,10 @@ def _absorption_blocks(params: GameParams, mode: NumericMode, length: int, first
         for t in range(0, length, block):
             if t:
                 state = state @ jump
-            yield (columns @ state)[: length - t] if block > 1 else state[:1]
+            if block > 1:
+                yield (columns @ state)[: length - t]
+            else:
+                yield state[read].sum(keepdims=True) if live else state[read]
 
     start = np.zeros(n + 1, dtype=rows.dtype)
     start[-1] = 1
@@ -440,7 +447,8 @@ def absorption_step_bound(params: GameParams, t):
     This formula rounds twice, 1 - m u and the division, which two more
     factors cover. The spare 2t of t(5n+1) covers them, and past the first
     block the extra n + 1 too while n + 3 <= 2t; where it does not, m is
-    t(5n - 1) + n + 3. Twice the bound at t covers a pmf point.
+    t(5n - 1) + n + 3. Twice the bound at t covers a pmf point. The live mass
+    counts alike, a one-turn walk's sum of state[1:] adding n - 1: at most t(5n - 1) + n + 1.
     """
     import numpy as np
     least = (t >= BLOCK_TURNS) * (params.n + 3)  # the spare past the first block
@@ -457,18 +465,18 @@ def absorption_cdf_profile(params: GameParams, t_max: int, mode: NumericMode = F
 
 
 def _survival_terms(params: GameParams, stop: int):
-    """Survival-term source for moments._survival_sums: P(T > t) = 1 - P(T <= t), t < stop.
+    """Survival-term source for moments._survival_sums: P(T > t), the walk's live mass, t < stop.
 
     Each call reads the walk's next blocks of turns as arrays, keeping the
-    turns past its own for the next call. A term errs by at most the
-    step's absorption_step_bound b_t, plus u for the subtraction and u for
-    the weight 2t+1: relative bound 2u, absolute bound b_t. A term may
-    round below 0, so the relative bound is on its magnitude. The products
-    u b_t are second order and fall inside the step bound's spare factors.
+    turns past its own for the next call. A weighted term carries at most
+    m = t(5n - 1) + n + 2 rounding factors, the live mass's count in
+    absorption_step_bound and one for the weight 2t+1, so it errs by at
+    most m u / (1 - m u) of its exact value, m u / (1 - 2m u) of itself. Three
+    more, for 1 - 2m u, the division and the product with the term, give m + 3.
     """
     import numpy as np
-    blocks = _absorption_blocks(params, FLOAT, stop)
-    ahead = next(blocks)[1:]  # P(T <= t) from t = 1 on, read past the last call's turns
+    blocks = _absorption_blocks(params, FLOAT, stop, live=True)
+    ahead = next(blocks)[1:]  # P(T > t) from t = 1 on, read past the last call's turns
 
     def terms_of(t: np.ndarray):
         nonlocal ahead
@@ -476,8 +484,9 @@ def _survival_terms(params: GameParams, stop: int):
         while count < t.size:
             parts.append(next(blocks))
             count += parts[-1].size
-        absorbed = np.concatenate(parts)
-        ahead = absorbed[t.size :]
-        return 1.0 - absorbed[: t.size], 2 * _U, absorption_step_bound(params, t)
+        live = np.concatenate(parts)
+        ahead = live[t.size :]
+        factors = t * (5 * params.n - 1) + (params.n + 5)  # m + 3
+        return live[: t.size], factors * _U / (1 - 2 * _U * factors)
 
     return terms_of

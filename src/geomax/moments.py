@@ -17,11 +17,11 @@ and the second moment:
   P(Y > t) from a source and ends them by a tail: the closed form here
   up to the first t with n q**t <= SERIES_SPLIT, then the closed
   alternating tail past it (_closed_form_terms and _closed_tail, the
-  "series" route), or the chain's absorption probabilities up to a
-  geometric tail bound (chain._survival_terms and _geometric_tail, the
-  "matrix-power" route). Each numpy block of terms takes a few numpy
-  calls, none per term, and is summed exactly in a few vectorized
-  ExtractVector rounds (_exact_sum), rounded once as math.fsum would.
+  "series" route), or the chain walk's live mass up to a geometric tail
+  bound (chain._survival_terms and _geometric_tail, the "matrix-power"
+  route), each term with a relative bound. Each numpy block of terms
+  takes a few numpy calls, none per term, and is summed exactly in a few
+  vectorized ExtractVector rounds (_exact_sum), rounded once as fsum would.
 
 Deciding what to do when a closed sum's bound is too wide is report.py's
 job; the public moment functions live there as views of moment_report.
@@ -513,7 +513,7 @@ def _closed_form_terms(params: GameParams, stop: int | None = None):
         terms = _log_cdf(params, t)
         np.negative(np.expm1(terms, out=terms), out=terms)
         relative = np.multiply(t, 5 * abs(lam))
-        return terms, np.multiply(np.add(relative, rounds, out=relative), _U, out=relative), None
+        return terms, np.multiply(np.add(relative, rounds, out=relative), _U, out=relative)
 
     return terms_of
 
@@ -614,13 +614,9 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     source(params, stop) gives a function that maps each next block of
     turns t (a float64 array, the blocks in order from t = 1 to stop - 1,
     stop the larger of the tail's stops, which sizes the chain's walk;
-    t and the terms are then overwritten) to the terms and two error
-    bounds, relative and absolute (arrays or scalars, absolute None where
-    it is 0): a term times its weight w, as rounded, errs by at most
-    relative * |w term| + w absolute. A term with a relative bound alone
-    has the sign of its exact value, a probability, so |w term| = w term;
-    one with an absolute bound too may round below 0. The t = 0 term is 1
-    for both sums.
+    t and the terms are then overwritten) to the terms, never below 0, and a
+    relative bound: a term times its weight, as rounded, errs by at most
+    relative times itself. The t = 0 term is 1 for both sums.
 
     tail(params, eps) gives, per sum, where its terms stop and the value
     and error bound of what it leaves out: _geometric_tail (a value of 0
@@ -629,8 +625,7 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     of SERIES_BLOCK terms, each block's sum rounded once by _exact_sum (its
     math.fsum, bit for bit), and the block sums and the tail's value
     fsum'd again; the two rounding levels err by at most 2u |total|,
-    u = 2**-53. Each bound is the weighted per-term error bounds plus
-    2u |total| plus the tail's bound.
+    u = 2**-53. Each bound adds the per-term bounds, 2u |total| and the tail's.
     """
     import numpy as np
     if params.s == 1:  # every die is removed on the first turn
@@ -642,18 +637,14 @@ def _survival_sums(params: GameParams, eps: float, source, tail) -> tuple[tuple[
     evaluation = [0.0, 0.0]  # the summed per-term error bounds
     for start in range(1, max(stops), SERIES_BLOCK):
         t = np.arange(start, min(start + SERIES_BLOCK, max(stops)), dtype=np.float64)
-        terms, relative, absolute = terms_of(t)
+        terms, relative = terms_of(t)
         weight = np.add(np.multiply(t, 2, out=t), 1, out=t)  # 2t + 1 over t, which terms_of has read
         bounds = np.empty_like(t)
         for k in (0, 1):
             values = np.multiply(terms, weight, out=terms) if k else terms  # over the mean's terms, summed
             size = max(0, stops[k] - start)
-            np.multiply(relative, values, out=bounds)
-            if absolute is not None:
-                np.abs(bounds, out=bounds)
-                bounds += absolute * weight if k else absolute
             block_sums[k].append(_exact_sum(values[:size]))
-            evaluation[k] += float(np.sum(bounds[:size]))
+            evaluation[k] += float(np.sum(np.multiply(relative, values, out=bounds)[:size]))
     sums = []
     for parts, evaluated, (_, value, bound) in zip(block_sums, evaluation, tails):
         total = math.fsum([*parts, value])

@@ -385,8 +385,10 @@ class TestAbsorptionByPower:
     def test_walk_blocks_are_its_items(self):
         # one turn per block below 2(n+1) + BLOCK_TURNS turns, BLOCK_TURNS
         # from there (fewer in the last): flattened, the blocks are the float
-        # items the profile and the points read, and _survival_terms reads
-        # them as 1 - P(T <= t) from t = 1 on, across calls of any size
+        # items the profile and the points read; the live blocks, of the same
+        # sizes, are what _survival_terms reads from t = 1 on, across calls
+        # of any size, and each P(T > t) + P(T <= t) lies within the two
+        # values' bounds (and 2u for the sum) of 1
         for s in range(1, 13):
             for n in range(1, s + 1):
                 params, edge = GameParams(n, s), 2 * (n + 1) + BLOCK_TURNS
@@ -396,9 +398,14 @@ class TestAbsorptionByPower:
                     block = BLOCK_TURNS if length >= edge else 1
                     assert [b.size for b in blocks] == [min(block, length - t) for t in range(0, length, block)]
                     assert np.concatenate(blocks).tolist() == items
+                    live = np.concatenate(list(_absorption_blocks(params, FLOAT, length, live=True)))
+                    assert live.size == length and live[0] == 1.0
                     terms_of, turns = _survival_terms(params, length), np.arange(1.0, length)
-                    terms = [terms_of(t)[0] for t in np.split(turns, [1, 63, 128])]
-                    assert np.concatenate(terms).tolist() == [1.0 - item for item in items[1:]], (n, s)
+                    terms, relative = zip(*(terms_of(t) for t in np.split(turns, [1, 63, 128])))
+                    terms, relative = np.concatenate(terms), np.concatenate(relative)
+                    assert terms.tolist() == live[1:].tolist(), (n, s)
+                    gap = np.abs(terms + items[1:] - 1.0)
+                    assert (gap <= absorption_step_bound(params, turns) + relative * terms + 2 * _U).all(), (n, s)
 
     def test_profile_is_monotone_and_bounded(self):
         values = absorption_cdf_profile(GameParams(4, 6), 80, FLOAT)

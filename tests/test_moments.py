@@ -552,8 +552,9 @@ class TestClosedMoments:
 #: broke the series bound most, (35, 48), the fallback cliff and large s,
 #: which also broke the recursion's bound while it took 1 - q**k by
 #: subtraction, (50, 50), the benchmark's heaviest matrix-power point,
-#: (200, 300), where the series' closed tail starts past a long head, and
-#: (200, 200), where the chain's blocks start past the step bound's n + 3.
+#: (200, 300), where the series' closed tail starts past a long head,
+#: (200, 200), where the chain's blocks start past the step bound's n + 3,
+#: and (2, 4000), whose walk runs 243,993 survival terms down to 1e-27.
 SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (35, 48),
     (60, 10**4),
@@ -564,12 +565,13 @@ SERIES_BOUND_GRID = [(n, s) for s in range(1, 41) for n in range(1, s + 1)] + [
     (50, 50),
     (200, 300),
     (200, 200),
+    (2, 4000),
 ]
 
 #: The matrix-power route joins the gate up to this face count, at the
-#: largest points where the benchmark runs it, and at (200, 200).
+#: largest points where the benchmark runs it, at (200, 200) and at (2, 4000).
 POWER_BOUND_S_MAX = 40
-POWER_BOUND_EXTRA = ((6, 40), (50, 50), (200, 200))
+POWER_BOUND_EXTRA = ((6, 40), (50, 50), (200, 200), (2, 4000))
 
 
 def weighted_head_block(n: int, s: int, start: int = 1) -> np.ndarray:
@@ -590,8 +592,7 @@ def small_negatives_block(rng: np.random.Generator) -> np.ndarray:
 def walk_block(n: int, s: int, index: int) -> np.ndarray:
     """The chain's (2t+1)-weighted survival terms for block `index` of SERIES_BLOCK turns from t = 1.
 
-    At (2, 4000) the terms of block 7 fall from 7e-13 to -3e-14, negative on
-    5,262 turns, where P(T <= t) rounds above 1.
+    At (2, 4000) the terms of block 7 fall over six orders of magnitude.
     """
     starts = range(1, (index + 1) * moments.SERIES_BLOCK + 1, moments.SERIES_BLOCK)
     terms_of = chain_module._survival_terms(GameParams(n, s), starts[-1] + moments.SERIES_BLOCK)
@@ -708,14 +709,14 @@ class TestSeriesAgreement:
         assert abs(fine - exact) < 1e-12
 
     def test_survival_sums_add_their_bound_parts(self):
-        # a source with a constant absolute bound per term: each sum stops at
+        # a source with a constant relative bound per term: each sum stops at
         # the first t whose tail bound is <= eps, and its bound is the
         # weighted error bounds plus 2u |total| plus that tail bound
-        params, eps, error = GameParams(4, 9), 1e-13, 2.0**-60
+        params, eps, error = GameParams(4, 9), 1e-13, 2.0**-40
         exact_terms = _closed_form_terms(params)
 
         def source(_, stop):
-            return lambda t: (exact_terms(t)[0], 0.0, np.full(t.size, error))
+            return lambda t: (exact_terms(t)[0], error)
 
         sums = _survival_sums(params, eps, source, moments._geometric_tail)
         # weights 1 (mean) and 2t + 1 (second moment)
@@ -724,36 +725,26 @@ class TestSeriesAgreement:
         ):
             stop = next(t for t in count(1) if tail(params.n, params.q, t) <= eps)
             t = np.arange(1, stop, dtype=np.float64)
-            weight = slope * t + 1
-            assert total == math.fsum([1.0, *(exact_terms(t)[0] * weight).tolist()])
-            parts = error * float(np.sum(weight)) + 2 * _U * total
+            values = (exact_terms(t)[0] * (slope * t + 1)).tolist()
+            assert total == math.fsum([1.0, *values])
+            parts = error * math.fsum(values) + 2 * _U * total
             assert bound == pytest.approx(parts + tail(params.n, params.q, stop), rel=1e-12, abs=0)
 
-    def test_chain_terms_below_zero_add_to_their_bound(self):
-        # at (2, 4000) 118,183 of the walk's 243,993 terms round below 0; with
-        # its absolute bounds set to 0 and no tail, what a sum's bound holds
-        # past 2u |total| is the relative bound 2u on each |w term|, which a
-        # signed w term would shrink by 4e-13 (mean) and 6e-11 (second moment)
-        params, eps, seen = GameParams(2, 4000), 1e-13, []
-        stops = [stop for stop, _, _ in moments._geometric_tail(params, eps)]
-
-        def source(_, stop):
-            terms_of = chain_module._survival_terms(params, stop)
-
-            def without_absolute(t):
-                terms, relative, _ = terms_of(t)
-                seen.append((terms.copy(), 2 * t + 1))  # _survival_sums overwrites both
-                return terms, relative, 0.0
-
-            return without_absolute
-
-        sums = _survival_sums(params, eps, source, lambda *_: [(stop, 0.0, 0.0) for stop in stops])
-        terms, weight = (np.concatenate(parts) for parts in zip(*seen))
-        assert (terms < 0).sum() > 10**5
-        for (total, bound), stop, weighted in zip(sums, stops, (False, True)):
-            values = terms[: stop - 1] * (weight[: stop - 1] if weighted else 1.0)
-            magnitudes = 2 * _U * math.fsum(np.abs(values).tolist())
-            assert bound - 2 * _U * abs(total) >= magnitudes * (1 - 1e-14)
+    def test_chain_terms_are_live_mass_within_their_bound_of_the_closed_terms(self):
+        # at (2, 4000) the walk runs 243,993 terms, down to about 1e-27; each
+        # is the mass on the live states, so none rounds below 0, and each
+        # lies within its relative bound plus the series term's bound of the
+        # closed form's term (while 1 - P(T <= t), 118,183 rounded below 0)
+        params = GameParams(2, 4000)
+        stop = max(stop for stop, _, _ in moments._geometric_tail(params, 1e-13))
+        assert stop == 243_994
+        chain_terms, closed_terms = chain_module._survival_terms(params, stop), _closed_form_terms(params)
+        for start in range(1, stop, moments.SERIES_BLOCK):
+            t = np.arange(start, min(start + moments.SERIES_BLOCK, stop), dtype=np.float64)
+            (terms, relative), (closed, closed_relative) = chain_terms(t), closed_terms(t)
+            assert (terms >= 0).all(), start
+            assert (np.abs(terms - closed) <= relative * terms + closed_relative * closed).all(), start
+        assert terms[-1] < 1e-26
 
     @pytest.mark.parametrize(
         "n, s, split", [(1, 2, 1), (1, 3, 2), (4, 20_000, 41_588), (60, 10**4, 47_873), (200, 300, 1_795)]
