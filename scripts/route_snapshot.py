@@ -31,8 +31,7 @@ bound as "-". The routes:
   one at (10, 10) to t = 10**5, past TURN_CAP digit products, and the
   float-matrix-power moments at LONG_WALKS: (200, 200), where the float
   chain walks far enough to step a block of turns per matrix product, and
-  (2, 4000), whose walk spans many numpy blocks of survival terms, some
-  of them negative;
+  (2, 4000), whose walk spans many numpy blocks of survival terms;
 * the moments at the edges of the double range, of TURN_CAP and of
   MEMORY_BUDGET (REFUSALS), where a route answers or refuses;
 * the float chain profile and matrix-power cdf (point "cdf-y=40") where
@@ -115,8 +114,7 @@ LONG_TURNS = (63, 64, 65, 127, 128, 129, 200)
 
 #: Float matrix-power moments, as (n, s): (200, 200) stops at 11,281 turns,
 #: inside one block of moments.SERIES_BLOCK survival terms; (2, 4000) walks
-#: 243,994 turns over 15 blocks, where 1 - P(T <= t) rounds below 0 on
-#: about half the turns.
+#: 243,994 turns over 15 blocks, its last terms near 1e-27.
 LONG_WALKS = ((200, 200), (2, 4000))
 
 #: Moment requests at the edges of the double range, of TURN_CAP and of

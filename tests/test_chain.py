@@ -398,8 +398,9 @@ class TestAbsorptionByPower:
                     block = BLOCK_TURNS if length >= edge else 1
                     assert [b.size for b in blocks] == [min(block, length - t) for t in range(0, length, block)]
                     assert np.concatenate(blocks).tolist() == items
-                    live = np.concatenate(list(_absorption_blocks(params, FLOAT, length, live=True)))
-                    assert live.size == length and live[0] == 1.0
+                    live = list(_absorption_blocks(params, FLOAT, length, live=True))
+                    assert [b.size for b in live] == [b.size for b in blocks] and live[0][0] == 1.0
+                    live = np.concatenate(live)
                     terms_of, turns = _survival_terms(params, length), np.arange(1.0, length)
                     terms, relative = zip(*(terms_of(t) for t in np.split(turns, [1, 63, 128])))
                     terms, relative = np.concatenate(terms), np.concatenate(relative)

@@ -581,8 +581,9 @@ def weighted_head_block(n: int, s: int, start: int = 1) -> np.ndarray:
 
 
 def small_negatives_block(rng: np.random.Generator) -> np.ndarray:
-    # as in the chain's terms at (2, 4000): terms up to 10**4 falling away,
-    # and about half of them replaced by -1e-20 to -1e-5, whose total matters
+    # terms up to 10**4 falling away, and about half of them replaced by
+    # -1e-20 to -1e-5, as 1 - P(T <= t) rounds past 1 at (2, 4000): their
+    # total matters
     block = 1e4 * np.exp(-np.arange(moments.SERIES_BLOCK) / 2000.0)
     negative = rng.random(block.size) < 0.5
     block[negative] = -(10.0 ** rng.uniform(-20, -5, negative.sum()))
@@ -734,7 +735,7 @@ class TestSeriesAgreement:
         # at (2, 4000) the walk runs 243,993 terms, down to about 1e-27; each
         # is the mass on the live states, so none rounds below 0, and each
         # lies within its relative bound plus the series term's bound of the
-        # closed form's term (while 1 - P(T <= t), 118,183 rounded below 0)
+        # closed form's term
         params = GameParams(2, 4000)
         stop = max(stop for stop, _, _ in moments._geometric_tail(params, 1e-13))
         assert stop == 243_994
