@@ -19,9 +19,13 @@ against the metric's bound, a relative change:
 * within otherwise.
 
 The summary is written to BENCH_<head>.json at the root of the
-repository, <head> the head commit's first 12 hex digits, under the
-workload's name next to the summaries of other workloads already there,
-with the machine it ran on: CPU model, vCPUs, Python and numpy.
+repository, <head> the head commit's first 12 hex digits, with the
+machine it ran on: CPU model, vCPUs, Python and numpy. It is keyed by the
+workload's name and then by the seed, so a run with another seed (a
+confirmation) lands beside the first, and a run with the same workload
+and seed replaces its own summary:
+
+    {"head": ..., "workloads": {"cliffs": {"1": {...}, "2": {...}}, "grid": {"1": {...}}}}
 """
 
 from __future__ import annotations
@@ -99,6 +103,12 @@ def summarize(spec: list[dict], base_runs: list[dict], head_runs: list[dict]) ->
     return summary
 
 
+def add_run(record: dict, workload: str, seed: int, summary: dict) -> dict:
+    """record with summary under workload and seed, beside the other seeds' and workloads'."""
+    record["workloads"].setdefault(workload, {})[str(seed)] = summary
+    return record
+
+
 def machine() -> dict:
     model = platform.processor() or "unknown"
     with contextlib.suppress(OSError):
@@ -141,7 +151,7 @@ def main(argv=None) -> None:
     summary = summarize(spec["end_to_end"], runs["base"], runs["head"])
     path = ROOT / f"BENCH_{commits['head'][:12]}.json"
     record = json.loads(path.read_text()) if path.exists() else {"head": commits["head"], "workloads": {}}
-    record["workloads"][args.workload] = {
+    add_run(record, args.workload, args.seed, {
         "base": commits["base"],
         "pairs": args.pairs,
         "seed": args.seed,
@@ -149,7 +159,7 @@ def main(argv=None) -> None:
         "machine": machine(),
         "metrics": summary,
         "runs": runs,
-    }
+    })
     path.write_text(json.dumps(record, indent=1) + "\n")
     for name, row in summary.items():
         base, head = row["base"], row["head"]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
-from .kernels import _U, _float_p, _lowest_terms
+from .kernels import _U, _exact_moments, _float_p, _lowest_terms, _moments_products
 from .params import FLOAT, GameParams, NumericMode, _Record, check_limit
 
 
@@ -189,7 +189,7 @@ def _lcm_bits(params: GameParams) -> int:
     return min(n * (n - 1) // 2, totients) * sixteenths // 16 + 1
 
 
-def _recursion_products(params: GameParams, reduced: int) -> int:
+def _recursion_products(params: GameParams, every_state: bool) -> int:
     """Bound on the digit products of _moment_recursion in exact mode, from n and bit_length(s).
 
     Schoolbook arithmetic takes x y digit products to multiply x digits by
@@ -204,14 +204,15 @@ def _recursion_products(params: GameParams, reduced: int) -> int:
     (s-1)**(k-1) A_{k-1} and (s-1)**(k-1) B_{k-1} (c_k (a + b)), the
     additions that assemble the two numerators (4 (c_k + b)), and 2k
     additions on each anti-diagonal, whose entries are below s**k times
-    the largest state (2k (2 c_k + a + b)). Each of the `reduced` states
-    made a Fraction then takes a gcd of A_k and L and one of B_k and L**2
-    (a**2 + b**2).
+    the largest state (2k (2 c_k + a + b)). Then every_state makes each of
+    the n + 1 states two Fractions (a gcd of A_k and L and one of B_k and
+    L**2, a**2 + b**2), else kernels._exact_moments reduces state n.
     """
     n, width = params.n, params.s.bit_length()
     lcm_bits, size = _lcm_bits(params), n.bit_length() + width
     lcm, a, b = (-(-bits // 30) for bits in (lcm_bits, lcm_bits + size, 2 * (lcm_bits + size) + 1))
-    one, products = _digits(params, 1), lcm * lcm + reduced * (a * a + b * b)
+    reduce = (n + 1) * (a * a + b * b) if every_state else _moments_products(lcm, a, b)
+    one, products = _digits(params, 1), lcm * lcm + reduce
     for k in range(1, n + 1):
         digits = -(-k * width // 30)
         products += digits * (2 * one + digits + 6 * lcm + 3 * a + 2 * b + 5) + lcm * a + 4 * b
@@ -275,7 +276,7 @@ def _binomial_sums(tops: list, lows: list, complements: list, first: list, secon
         yield top, complement, sums[0][-1], sums[1][-1]
 
 
-def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tuple:
+def _moment_recursion(params: GameParams, mode: NumericMode, every_state: bool) -> tuple:
     """(first, second, L): L E(T_k) and L**2 E(T_k**2) for k = 0..n, as float arrays or int lists.
 
     With r_k row k of the transition rows times its weight w_k (1 for the
@@ -290,7 +291,7 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
     exactly. Rows 0..n past TURN_CAP entries, as many as exact mode's
     anti-diagonals hold, raise ValueError in either mode, and then in
     exact mode work past TURN_CAP digit products (_recursion_products,
-    with the gcds of the `reduced` states the caller makes Fractions)
+    with the reductions of every state or of state n, as the caller makes)
     raises it, before L is built.
     """
     n, s = params.n, params.s
@@ -298,7 +299,7 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
     if mode.exact:
         import contextlib
         what = f"the exact recursion at n={n}, s={s}"
-        check_limit(_recursion_products(params, reduced), "digit products", what)
+        check_limit(_recursion_products(params, every_state), "digit products", what)
         tops, lows = (list(accumulate(repeat(base, n), operator.mul)) for base in (s, s - 1))
         complements = list(map(operator.sub, tops, lows))
         unit, divide = math.lcm(*complements), operator.floordiv
@@ -323,11 +324,11 @@ def _moment_recursion(params: GameParams, mode: NumericMode, reduced: int) -> tu
 def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> AbsorptionProfile:
     """First and second moments of the absorption time from every state, bottom-up.
 
-    _moment_recursion runs the one-step recursions in O(n) memory; exact
-    mode reduces each state's Fractions once, and its count of digit
-    products holds those n + 1 reductions.
+    _moment_recursion runs the one-step recursions in O(n) memory; exact mode
+    reduces each state by Fraction's gcds (kernels._exact_moments is slower on
+    early states, whose h is large) and counts those n + 1 reductions' products.
     """
-    first, second, unit = _moment_recursion(params, mode, params.n + 1)
+    first, second, unit = _moment_recursion(params, mode, True)
     if mode.exact:
         square = unit * unit
         first, second = [Fraction(v, unit) for v in first], [Fraction(v, square) for v in second]
@@ -337,10 +338,10 @@ def second_moments_recursive(params: GameParams, mode: NumericMode = FLOAT) -> A
 
 
 def _recursive_moments(params: GameParams, mode: NumericMode = FLOAT) -> tuple:
-    """(E(T_n), E(T_n**2)) by _moment_recursion; exact mode reduces state n only."""
-    first, second, unit = _moment_recursion(params, mode, 1)
+    """(E(T_n), E(T_n**2)) by _moment_recursion; exact mode's, and Var(T_n), by kernels._exact_moments."""
+    first, second, unit = _moment_recursion(params, mode, False)
     if mode.exact:
-        return Fraction(first[-1], unit), Fraction(second[-1], unit * unit)
+        return _exact_moments(unit, first[-1], second[-1])
     return first.item(-1), second.item(-1)
 
 

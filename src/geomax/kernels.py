@@ -5,7 +5,7 @@ multiple threads. The pieces:
 
 * the unit roundoff _U of a double,
 * _float_p, the float 1/s that every float route reads,
-* _lowest_terms, the Fraction of a pair its caller proves coprime,
+* _lowest_terms, the Fraction of a proved coprime pair, and the moments' _exact_moments,
 * public closed forms for the power-weighted geometric series, checked
   against partial sums by acceptance criterion 10,
 * geometric tail bounds that truncate the matrix-power route's survival
@@ -14,6 +14,7 @@ multiple threads. The pieces:
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -43,6 +44,36 @@ def _lowest_terms(numerator: int, denominator: int) -> Fraction:
     pair = _Coprime()
     pair.numerator, pair.denominator = numerator, denominator
     return Fraction(pair)
+
+
+def _exact_moments(q: int, p: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(p / q, r / q**2, (r - p**2) / q**2) in lowest terms, for q > 0, with no gcd of q**2's size.
+
+    With h = gcd(a, q), a = h a' and q = h q', so that gcd(a', q') = 1,
+    gcd(a, q**2) = h gcd(a', h q'**2) = h g, g = gcd(a', h): a / q**2 is the
+    coprime (a' / g) / ((h / g) q'**2).
+    """
+    values = [Fraction(p, q)]
+    for a in (r, r - p * p):
+        h = math.gcd(a, q)
+        a, rest = a // h, q // h
+        g = math.gcd(a, h)
+        values.append(_lowest_terms(a // g, h // g * rest**2))
+    return tuple(values)
+
+
+def _moments_products(x: int, y: int, z: int) -> int:
+    """Bound on _exact_moments' digit products, for q, p, r of at most x, y, z >= x digits and any h.
+
+    Counted as chain._recursion_products counts, a gcd of x and y <= x digits as
+    x y: p**2 (y**2), r - p**2 (2y + z; 0 <= r - p**2 <= r), p / q (x y + (x + y)**2 / 8),
+    and per a / q**2, h of d digits: the gcd (z x), a' ((z - d) d), q' ((x - d) d),
+    g and a' / g ((z - d + 1) d each), h / g (d**2 / 4), q'**2 ((x - d + 1)**2) and
+    its product by h / g (2 (d + 1) (x - d + 1)), in all z x + (x + 2)**2 - 1 +
+    (3z + x) d - 4.75 d**2 <= z x + (x + 2)**2 + (3z + x)**2 / 19, about 5.6 x**2 at z = 2x.
+    """
+    square = z * x + (x + 2) ** 2 + -(-((3 * z + x) ** 2) // 19)
+    return y * y + 2 * y + z + x * y + -(-((x + y) ** 2) // 8) + 2 * square
 
 
 def _check_open_unit(x) -> None:

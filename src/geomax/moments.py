@@ -45,7 +45,8 @@ from fractions import Fraction
 
 from . import params as params_module
 from .chain import _digits, _lcm_bits
-from .kernels import _U, _float_p, _lowest_terms, tail_bound_max_geom, tail_bound_weighted_max_geom
+from .kernels import _U, _exact_moments, _float_p, _lowest_terms, _moments_products
+from .kernels import tail_bound_max_geom, tail_bound_weighted_max_geom
 from .params import EXACT, FLOAT, GameParams, NumericMode, check_limit
 
 
@@ -370,9 +371,9 @@ def _closed_products(params: GameParams) -> int:
     (((y + 1)**2 + (2x + 1)**2 + (z + 1)**2) / 2), in all
     (25 x**2 + beta x + gamma) / 4. So the m merges of a level take at most
     (m gamma + X (25 x_h + beta)) / 4, where X, the digits of their nodes'
-    Q, is at most m x_h and at most the digits of all Q_k. The root reduces
-    P / Q, R / Q**2 and (R - P**2) / Q**2, each a gcd and two divisions,
-    after Q**2 and P**2.
+    Q, is at most m x_h and at most the digits of all Q_k. The root's
+    (Q, P, R), of at most x, y and z digits, goes to kernels._exact_moments,
+    priced by kernels._moments_products for every gcd it finds.
     """
     n, one = params.n, params.s.bit_length()
     c, e, lcm_bits = _digits(params, n) + 1, -(-n // 30), _lcm_bits(params)
@@ -387,10 +388,7 @@ def _closed_products(params: GameParams) -> int:
         count -= merges
         x = -(-min((n << h) * one, lcm_bits) // 30)
         quarters += merges * gamma + min(merges * x, total) * (25 * x + beta)
-    y, z = x + p_more, 2 * x + r_more
-    quarters += (2 * x + 1) ** 2 + (2 * y + 1) ** 2 + 4 * x * y + (x + 1) ** 2 + (y + 1) ** 2
-    quarters += 2 * (8 * x * z + (2 * x + 1) ** 2 + (z + 1) ** 2)
-    return -(-quarters // 4)
+    return -(-quarters // 4) + _moments_products(x, x + p_more, 2 * x + r_more)
 
 
 def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fraction]:
@@ -399,8 +397,8 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
     Adjacent (Q, P, R) of _closed_terms are merged level by level over
     their lcm: with g = gcd(Q1, Q2), f1 = Q2 / g and f2 = Q1 / g,
     Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The balanced
-    tree keeps the products even, and each returned value is reduced
-    once: P / Q, R / Q**2 and (R - P**2) / Q**2. Sums past TURN_CAP
+    tree keeps the products even, and kernels._exact_moments reduces the
+    root (Q, P, R), as the exact recursion's state n. Sums past TURN_CAP
     digit products (_closed_products) raise ValueError before the first
     term.
     """
@@ -416,9 +414,7 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
-    [(q, p, r)] = level
-    q2 = q * q
-    return Fraction(p, q), Fraction(r, q2), Fraction(r - p * p, q2)
+    return _exact_moments(*level[0])
 
 
 #: Terms per numpy block of the positive series; no array spans more, and

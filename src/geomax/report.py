@@ -71,17 +71,18 @@ def _survival_report(params: GameParams, mode: NumericMode, method: str, source,
 
 
 def _recursive_report(params: GameParams, mode: NumericMode) -> MomentReport:
+    if mode.exact:
+        return MomentReport(*chain._recursive_moments(params, mode), "recursive", Fraction(0))
     mean, m2 = chain._recursive_moments(params, mode)
-    # heuristic, not derived: each of the recursion's n levels adds positive sums
-    scale = Fraction(0) if mode.exact else 16 * params.n * _U
+    scale = 16 * params.n * _U  # heuristic, not derived: each of the n levels adds positive sums
     return _pack(params, mean, m2, scale * abs(mean), scale * abs(m2), "recursive")
 
 
 def _pack(params: GameParams, mean, m2, mean_err, m2_err, tag: str) -> MomentReport:
-    """Report with the variance and its bound (Fraction(0) exact); ValueError on a float inf or nan."""
+    """Float report with the variance and its bound; ValueError on an inf or nan."""
     variance = m2 - mean * mean
     var_err = m2_err + 2 * abs(mean) * mean_err + mean_err * mean_err  # finite only if both others are
-    if isinstance(mean, float) and not all(map(math.isfinite, (mean, m2, variance, var_err))):
+    if not all(map(math.isfinite, (mean, m2, variance, var_err))):
         raise ValueError(f"the {tag} route at s={params.s} leaves the double range")
     return MomentReport(
         mean=mean,

@@ -33,7 +33,9 @@ from geomax import (
     second_moments_recursive,
 )
 from geomax import chain as chain_module
+from geomax import moments as moments_module
 from geomax import params as params_module
+from geomax import report as report_module
 from geomax.chain import (
     BLOCK_TURNS,
     _absorption_blocks,
@@ -48,7 +50,7 @@ from geomax.chain import (
     _window_bytes,
     absorption_step_bound,
 )
-from geomax.kernels import _U
+from geomax.kernels import _U, _exact_moments
 from geomax.params import MEMORY_BUDGET, TURN_CAP
 from geomax.report import ROUTES
 
@@ -266,9 +268,10 @@ class TestRecursiveMoments:
             moment_report(params, mode, "recursive")
 
     def test_exact_recursion_past_the_turn_cap_in_digit_products_is_refused_at_once(self):
-        # the report reduces state n only and the profile every state, so the
-        # largest admitted n = s are 151 and 112 (each about 0.7 s on a 2-vCPU
-        # Xeon VM); at (10**4, 10**4) the count is refused at once
+        # the report reduces state n only, with its variance, and the profile
+        # every state, so the largest admitted n = s are 150 and 112 (about
+        # 0.4 s and 0.7 s on a 2-vCPU Xeon VM); at (10**4, 10**4) the count is
+        # refused at once
         params = GameParams(10**4, 10**4)
         message = "exact recursion at n=10000, s=10000 takes up to [0-9]+ digit products, past TURN_CAP"
         start = time.perf_counter()
@@ -279,20 +282,20 @@ class TestRecursiveMoments:
             with pytest.raises(ValueError, match=message):
                 call()
         assert time.perf_counter() - start < 1
-        for n, reduced in ((151, lambda n: 1), (112, lambda n: n + 1)):
-            within, past = (_recursion_products(GameParams(m, m), reduced(m)) for m in (n, n + 1))
+        for n, every_state in ((150, False), (112, True)):
+            within, past = (_recursion_products(GameParams(m, m), every_state) for m in (n, n + 1))
             assert within <= TURN_CAP < past, n
 
     def test_the_turn_cap_is_compared_with_the_recursions_digit_products(self, monkeypatch):
-        # the report's count holds the gcds of one state's Fractions, the
-        # profile's those of all n + 1 states
+        # the report's count holds state n's reduction, the profile's those of
+        # all n + 1 states
         params = GameParams(5, 7)
         expected = moment_report(params, EXACT, "recursive")
-        for reduced, call in (
-            (1, lambda: moment_report(params, EXACT, "recursive").mean),
-            (6, lambda: second_moments_recursive(params, EXACT).first_moments[-1]),
+        for every_state, call in (
+            (False, lambda: moment_report(params, EXACT, "recursive").mean),
+            (True, lambda: second_moments_recursive(params, EXACT).first_moments[-1]),
         ):
-            products = _recursion_products(params, reduced)
+            products = _recursion_products(params, every_state)
             monkeypatch.setattr(params_module, "TURN_CAP", products)
             assert call() == expected.mean
             monkeypatch.setattr(params_module, "TURN_CAP", products - 1)
@@ -317,6 +320,29 @@ class TestRecursiveMoments:
     def test_exact_recursion_answers_at_the_benchmarks_sizes(self, s):
         params = GameParams(60, s)
         assert moment_report(params, EXACT, "recursive").mean == expected_value_closed(params, EXACT)
+
+    def test_both_exact_routes_end_in_one_reduction_of_the_same_ints(self, monkeypatch):
+        # the closed tree's root (Q, P, R) and the recursion's state n,
+        # (L, A_n, B_n), are the same ints, and each report holds what
+        # kernels._exact_moments made of them; no exact value passes report._pack
+        handed = {}
+
+        def recorded(route):
+            def reduce(q, p, r):
+                handed[route] = (q, p, r)
+                return _exact_moments(q, p, r)
+            return reduce
+
+        monkeypatch.setattr(moments_module, "_exact_moments", recorded("closed"))
+        monkeypatch.setattr(chain_module, "_exact_moments", recorded("recursive"))
+        monkeypatch.setattr(report_module, "_pack", not_called)
+        for s in range(1, 41):
+            for n in range(1, s + 1):
+                handed.clear()
+                for method in ("closed", "recursive"):
+                    report = moment_report(GameParams(n, s), EXACT, method)
+                    assert (report.mean, report.second_moment, report.variance) == _exact_moments(*handed[method])
+                assert handed["closed"] == handed["recursive"], (n, s)
 
     def test_large_n_agrees_with_the_series(self):
         params = GameParams(1100, 2000)

@@ -6,9 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from geomax import EXACT, GameParams, absorption_cdf_profile, pmf
+from geomax import EXACT, GameParams, absorption_cdf_profile, moment_report, pmf
 from geomax.kernels import (
+    _exact_moments,
     _lowest_terms,
     tail_bound_max_geom,
     tail_bound_weighted_max_geom,
@@ -168,3 +171,48 @@ class TestLowestTerms:
         monkeypatch.setattr(math, "gcd", small_gcd)
         for point, call in calls.items():
             assert_same_fraction(call(), expected[point])
+
+
+@st.composite
+def moment_ints(draw):
+    """(q, p, r) sharing a factor to drawn powers, so gcd(r, q) runs from 1 to q and past q**2."""
+    shared = draw(st.integers(1, 2**70))
+    q = shared ** draw(st.integers(0, 3)) * draw(st.integers(1, 2**70))
+    p = shared ** draw(st.integers(0, 4)) * draw(st.integers(-(2**140), 2**140))
+    r = shared ** draw(st.integers(0, 8)) * draw(st.integers(-(2**280), 2**280))
+    return q, p, r
+
+
+class TestExactMoments:
+    """kernels._exact_moments is (p / q, r / q**2, (r - p**2) / q**2) as Fraction reduces them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(moment_ints())
+    @example((1, 3, 5))  # q = 1
+    @example((12, 0, 0))  # a = 0 for every value
+    @example((12, -7, -5))  # negative a
+    @example((6, 30, 42))  # h = q for p and r
+    @example((12, 2**3 * 3, 2**5 * 3**3 * 5))  # v_2(r) = 5 and v_3(r) = 3 pass 2 v_p(q), q = 2**2 3
+    @example((2**100 * 3**50, 2**150, 2**201 * 3**99))
+    def test_each_value_is_the_reduced_fraction(self, ints):
+        q, p, r = ints
+        expected = (Fraction(p, q), Fraction(r, q * q), Fraction(r - p * p, q * q))
+        for value, reduced in zip(_exact_moments(q, p, r), expected):
+            assert_same_fraction(value, reduced)
+
+    def test_no_gcd_has_the_squares_size(self, monkeypatch):
+        # a gcd's cost is set by its smaller int, never above Q's bits: at
+        # (40, 40) the closed root's Q has 2,647 bits and R 5,308
+        gcd, smaller = math.gcd, []
+
+        def recorded(*ints):
+            smaller.append(min(abs(i).bit_length() for i in ints))
+            return gcd(*ints)
+
+        params = GameParams(40, 40)
+        expected = {method: moment_report(params, EXACT, method) for method in ("closed", "recursive")}
+        monkeypatch.setattr(math, "gcd", recorded)
+        for method, report in expected.items():
+            smaller.clear()
+            assert moment_report(params, EXACT, method) == report
+            assert 0 < max(smaller) <= 2647, method

@@ -483,11 +483,11 @@ class TestClosedMoments:
             assert _exact_closed_moments(params) == (mean, m2, m2 - mean**2), params
 
     def test_exact_closed_sums_past_the_turn_cap_are_refused_before_the_terms(self, monkeypatch):
-        # n = s = 220 passes (about 0.3 s on a 2-vCPU Xeon VM), and at
+        # n = s = 223 passes (about 0.3 s on a 2-vCPU Xeon VM), and at
         # 2000, about 40 minutes of sums, the count is refused at once
-        assert _closed_products(GameParams(220, 220)) <= TURN_CAP < _closed_products(GameParams(221, 221))
+        assert _closed_products(GameParams(223, 223)) <= TURN_CAP < _closed_products(GameParams(224, 224))
         monkeypatch.setattr(moments_module, "_closed_terms", not_called)
-        for params in (GameParams(221, 221), GameParams(2000, 2000), GameParams(16, 10**4299)):
+        for params in (GameParams(224, 224), GameParams(2000, 2000), GameParams(16, 10**4299)):
             message = f"exact closed sums at n={params.n}, s={params.s} takes up to [0-9]+ digit products"
             start = time.perf_counter()
             for call in (lambda: _exact_closed_moments(params), lambda: moment_report(params, EXACT)):

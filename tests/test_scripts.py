@@ -100,3 +100,16 @@ def test_bench_pairs_summarizes_each_metric_against_its_bound():
     # base quartiles 1 and 2 around a median of 1.5: a spread wider than the bound
     assert (setup["better_in"], setup["verdict"]) == ("2 of 4", "unresolved")
     assert rate["unit"] == "1/s" and rate["bound"] == 0.25 and rate["better"] == "higher"
+
+
+def test_bench_pairs_keys_each_run_by_workload_and_seed():
+    add_run = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["add_run"]
+    record = {"head": "0" * 40, "workloads": {}}
+    add_run(record, "cliffs", 1, {"pairs": 10})
+    add_run(record, "grid", 1, {"pairs": 3})
+    add_run(record, "cliffs", 2, {"pairs": 5})  # a confirmation seed lands beside the first
+    assert add_run(record, "grid", 1, {"pairs": 4}) is record  # the same seed replaces its own
+    assert record == {
+        "head": "0" * 40,
+        "workloads": {"cliffs": {"1": {"pairs": 10}, "2": {"pairs": 5}}, "grid": {"1": {"pairs": 4}}},
+    }
