@@ -103,10 +103,9 @@ def summarize(spec: list[dict], base_runs: list[dict], head_runs: list[dict]) ->
     return summary
 
 
-def add_run(record: dict, workload: str, seed: int, summary: dict) -> dict:
-    """record with summary under workload and seed, beside the other seeds' and workloads'."""
+def add_run(record: dict, workload: str, seed: int, summary: dict) -> None:
+    """Put summary in record under workload and seed, beside the other seeds' and workloads'."""
     record["workloads"].setdefault(workload, {})[str(seed)] = summary
-    return record
 
 
 def machine() -> dict:

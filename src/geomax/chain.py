@@ -211,8 +211,8 @@ def _recursion_products(params: GameParams, every_state: bool) -> int:
     n, width = params.n, params.s.bit_length()
     lcm_bits, size = _lcm_bits(params), n.bit_length() + width
     lcm, a, b = (-(-bits // 30) for bits in (lcm_bits, lcm_bits + size, 2 * (lcm_bits + size) + 1))
-    reduce = (n + 1) * (a * a + b * b) if every_state else _moments_products(lcm, a, b)
-    one, products = _digits(params, 1), lcm * lcm + reduce
+    reduction = (n + 1) * (a * a + b * b) if every_state else _moments_products(lcm, a, b)
+    one, products = _digits(params, 1), lcm * lcm + reduction
     for k in range(1, n + 1):
         digits = -(-k * width // 30)
         products += digits * (2 * one + digits + 6 * lcm + 3 * a + 2 * b + 5) + lcm * a + 4 * b

@@ -5,7 +5,8 @@ multiple threads. The pieces:
 
 * the unit roundoff _U of a double,
 * _float_p, the float 1/s that every float route reads,
-* _lowest_terms, the Fraction of a proved coprime pair, and the moments' _exact_moments,
+* _lowest_terms, the Fraction of a pair its caller proves coprime, and
+  _exact_moments, the reduction both exact moment routes end in,
 * public closed forms for the power-weighted geometric series, checked
   against partial sums by acceptance criterion 10,
 * geometric tail bounds that truncate the matrix-power route's survival
@@ -65,7 +66,7 @@ def _exact_moments(q: int, p: int, r: int) -> tuple[Fraction, Fraction, Fraction
 def _moments_products(x: int, y: int, z: int) -> int:
     """Bound on _exact_moments' digit products, for q, p, r of at most x, y, z >= x digits and any h.
 
-    Counted as chain._recursion_products counts, a gcd of x and y <= x digits as
+    Counted as chain._recursion_products counts, a gcd of x- and y-digit ints as
     x y: p**2 (y**2), r - p**2 (2y + z; 0 <= r - p**2 <= r), p / q (x y + (x + y)**2 / 8),
     and per a / q**2, h of d digits: the gcd (z x), a' ((z - d) d), q' ((x - d) d),
     g and a' / g ((z - d + 1) d each), h / g (d**2 / 4), q'**2 ((x - d + 1)**2) and

@@ -373,7 +373,7 @@ def _closed_products(params: GameParams) -> int:
     (m gamma + X (25 x_h + beta)) / 4, where X, the digits of their nodes'
     Q, is at most m x_h and at most the digits of all Q_k. The root's
     (Q, P, R), of at most x, y and z digits, goes to kernels._exact_moments,
-    priced by kernels._moments_products for every gcd it finds.
+    priced at its worst h = gcd(a, Q) by kernels._moments_products.
     """
     n, one = params.n, params.s.bit_length()
     c, e, lcm_bits = _digits(params, n) + 1, -(-n // 30), _lcm_bits(params)
@@ -398,9 +398,8 @@ def _exact_closed_moments(params: GameParams) -> tuple[Fraction, Fraction, Fract
     their lcm: with g = gcd(Q1, Q2), f1 = Q2 / g and f2 = Q1 / g,
     Q = Q1 f1, P = P1 f1 + P2 f2 and R = R1 f1**2 + R2 f2**2. The balanced
     tree keeps the products even, and kernels._exact_moments reduces the
-    root (Q, P, R), as the exact recursion's state n. Sums past TURN_CAP
-    digit products (_closed_products) raise ValueError before the first
-    term.
+    root (Q, P, R), as the recursion's state n. Sums past TURN_CAP digit
+    products (_closed_products) raise ValueError before the first term.
     """
     what = f"the exact closed sums at n={params.n}, s={params.s}"
     check_limit(_closed_products(params), "digit products", what)

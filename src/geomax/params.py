@@ -41,10 +41,10 @@ class GameNotFinishedError(RuntimeError):
 #: first row (n = 44,719 is the largest n that passes). Exact mode's
 #: big-int work is held to it as a count of 30-bit digit products:
 #: the recursion over the lcm L of the complements s**k - (s-1)**k, with
-#: the gcds of the Fractions it returns (n = s = 151 passes for the
-#: moments, 112 for every state's, each in about 0.7 s), before L is
-#: built, the closed sums merged over the same L (n = s = 220 passes, in
-#: about 0.4 s) before the first term, the exact cdf and pmf points (at
+#: the reductions of the values it returns (n = s = 150 passes for the
+#: moments, in about 0.4 s, 112 for every state's, in up to 0.7 s), before
+#: L is built, the closed sums merged over the same L (n = s = 223 passes,
+#: in about 0.3 s) before the first term, the exact cdf and pmf points (at
 #: n = s = 40 the cdf passes to y = 21,221, in about 0.7 s, and the pmf to
 #: 16,060, in about 1 s) before the first power, and an exact chain walk
 #: (at n = s = 10 a point or a profile passes to 3,344 turns, in about 1 to

@@ -270,8 +270,8 @@ class TestRecursiveMoments:
     def test_exact_recursion_past_the_turn_cap_in_digit_products_is_refused_at_once(self):
         # the report reduces state n only, with its variance, and the profile
         # every state, so the largest admitted n = s are 150 and 112 (about
-        # 0.4 s and 0.7 s on a 2-vCPU Xeon VM); at (10**4, 10**4) the count is
-        # refused at once
+        # 0.4 s and up to 0.7 s on a 2-vCPU Xeon VM); at (10**4, 10**4) the
+        # count is refused at once
         params = GameParams(10**4, 10**4)
         message = "exact recursion at n=10000, s=10000 takes up to [0-9]+ digit products, past TURN_CAP"
         start = time.perf_counter()
