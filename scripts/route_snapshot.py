@@ -50,6 +50,12 @@ output are compared line by line, and each route's count of lines whose
 value changed, whose bound changed and whose bound grew is printed:
 
     python scripts/route_snapshot.py --diff before.txt after.txt
+
+Two --cli transcripts are compared call by call instead, one line per
+call, in NEW's order and then OLD's calls that NEW lacks: "same",
+"changed", "count only" where the blocks differ only in a refusal's
+printed count of digit products (a re-derived count changes no value),
+or "only old" or "only new" for a call in one file only.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import shlex
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -198,14 +205,13 @@ CLI_CALLS = (
     "geomax signatures --n 3 --count-only --count-only",
     "geomax -- compute --n 2 --s 2 --quantity mean",
     "geomax compare --n-max 30 --s-max 30",
-    "geomax compare --n-max 45 --s-max 45",
+    "geomax compare --n-max 3 --s-max 45",
     "geomax frobnicate",
     "geomax compare --n-max 3 --s-max 5",
     "geomax compare --n-max 3 --s-max 6 --mode exact",
     "geomax compare --n-max 3 --s-max 5 --format json",
     "geomax compare --n-max 3 --s-max 6 --mode exact --format json",
     "geomax compare --n-max 6 --s-max 3",
-    "geomax compare --n-max 2 --s-max 2 --tolerance nan",
     *(
         f"geomax figures --figure {f} --panel {p}"
         for f in ("ev-bounds", "var-bounds")
@@ -267,7 +273,6 @@ CLI_CALLS = (
     f"geomax compute --n 40 --s 40 --quantity cdf --y {10**5} --mode exact",
     f"geomax compute --n 10 --s 10 --quantity cdf --y {10**5} --method matrix-power --mode exact",
     f"geomax compute --n {10**6} --s {10**6} --quantity cdf --y 3 --method matrix-power --mode exact",
-    "geomax compare --n-max 3 --s-max 5 --tolerance 0",
     "geomax figures --figure ev-bounds --panel sideways",
     "geomax simulate --n 2",
     f"geomax simulate --n 2 --s {2**1100}",
@@ -416,10 +421,10 @@ def cli_transcript():
         yield f"$ {call}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def read_snapshot(path: pathlib.Path) -> dict:
+def read_snapshot(text: str) -> dict:
     """{(route, n, s, point, k): (value, bound)}, k counting the earlier lines of one key."""
     lines, seen = {}, Counter()
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         route, n, s, point, value, bound = line.split(" ")
         key = (route, n, s, point)
         lines[(*key, seen[key])] = value, bound
@@ -465,6 +470,32 @@ def print_diff(routes: dict) -> None:
         print(line)
 
 
+#: A refusal's printed count, the part of a transcript a re-derived count changes.
+REFUSAL_COUNT = re.compile(r"(?<=takes up to )\d+(?= digit products)")
+
+
+def read_transcript(text: str) -> dict:
+    """{call: its block} of a --cli transcript, in the transcript's order."""
+    blocks = re.split(r"^\$ ", text, flags=re.MULTILINE)[1:]
+    return {block.split("\n", 1)[0]: block for block in blocks}
+
+
+def diff_transcripts(old: dict, new: dict) -> list[str]:
+    """One "status: call" line per call of new, then per call of old that new lacks."""
+    lines = []
+    for call in [*new, *(call for call in old if call not in new)]:
+        if call not in old or call not in new:
+            status = "only old" if call in old else "only new"
+        elif old[call] == new[call]:
+            status = "same"
+        elif REFUSAL_COUNT.sub("N", old[call]) == REFUSAL_COUNT.sub("N", new[call]):
+            status = "count only"
+        else:
+            status = "changed"
+        lines.append(f"{status}: {call}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path)
@@ -475,7 +506,11 @@ def main() -> None:
     )
     args = parser.parse_args()
     if args.diff:
-        print_diff(diff_snapshots(*map(read_snapshot, args.diff)))
+        texts = [path.read_text() for path in args.diff]
+        if all(text.startswith("$ ") for text in texts):
+            print(*diff_transcripts(*map(read_transcript, texts)), sep="\n")
+        else:
+            print_diff(diff_snapshots(*map(read_snapshot, texts)))
         return
     if args.out is None:
         parser.error("--out is required unless --diff is given")

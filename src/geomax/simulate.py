@@ -195,12 +195,20 @@ def enumerate_signatures(n: int) -> list[tuple[int, ...]]:
     for m in range(1, n + 1):  # refused by m = MEMORY_BUDGET.bit_length() at the latest
         held += (48 + 8 * m) << (m - 1)
         check_limit(held, "bytes", f"signature levels 1..{m} of n={n}")
-    levels: list[list[tuple[int, ...]]] = [[()]]
+    return _signature_levels(n, (), lambda m, i: (m,) * i, lambda prefix, level: [prefix + rest for rest in level])
+
+
+def _signature_levels(n: int, unit, head, join) -> list:
+    """Level n of the pyramid whose level 0 is [unit], all levels held: the order signature_frequencies zips.
+
+    Level m is join(head(m, i), level m - i) for i = m down to 1: i copies of m joined by +
+    to each signature of m - i dice (enumerate_signatures), or the jump's factor by * to each product.
+    """
+    levels = [[unit]]
     for m in range(1, n + 1):
-        block: list[tuple[int, ...]] = []
+        block = []
         for i in range(m, 0, -1):
-            prefix = (m,) * i
-            block.extend(prefix + rest for rest in levels[m - i])
+            block += join(head(m, i), levels[m - i])
         levels.append(block)
     return levels[n]
 
@@ -340,15 +348,11 @@ def _signature_law(params: GameParams, divide) -> list:
     within (2n - 1)u relative while it stays a normal double.
     """
     s = params.s
-    levels = [[divide(1, 1)]]
-    for m in range(1, params.n + 1):
-        d = s**m - (s - 1) ** m
-        block = []
-        for i in range(m, 0, -1):
-            factor = divide(math.comb(m, i) * (s - 1) ** (m - i), d)
-            block += [factor * rest for rest in levels[m - i]]
-        levels.append(block)
-    return levels[params.n]
+    d = [s**m - (s - 1) ** m for m in range(params.n + 1)]
+    return _signature_levels(
+        params.n, divide(1, 1), lambda m, i: divide(math.comb(m, i) * (s - 1) ** (m - i), d[m]),
+        lambda factor, level: [factor * rest for rest in level],
+    )
 
 
 def _signature_law_chunk(

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomax import EXACT, FLOAT, GameParams, cdf, chain, cli
+from geomax import EXACT, FLOAT, GameParams, MomentReport, cdf, chain, cli, report
 from geomax import params as params_module
 from geomax.cli import (
     CDF_SPOT_TURNS,
@@ -521,14 +521,36 @@ class TestExitCodes:
         assert err.startswith("numeric failure:") and message in err
 
     def test_cancellation_exit_code(self, capsys):
-        # compare forces the closed path without fallback; at the 30,30
-        # corner its derived error bound crosses the refusal threshold
-        code, _, err = run(capsys, "compare", "--n-max", "30", "--s-max", "30")
+        # the closed sums without fallback: at 30,30 their derived error
+        # bound crosses the refusal threshold
+        code, _, err = run(capsys, "compute", "--n", "30", "--s", "30", "--quantity", "mean", "--method", "closed")
         assert code == 3
         assert "precision" in err
 
-    def test_compare_size_guard(self, capsys):
-        assert run(capsys, "compare", "--n-max", "45", "--s-max", "45")[0] == 2
+    def test_compare_has_no_face_cap(self, capsys):
+        code, out, _ = run(capsys, "compare", "--n-max", "3", "--s-max", "45")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 132
+        assert all(row["status"] == "ok" for row in rows)
+
+    def test_compare_fails_every_pair_of_a_route_off_by_one_part_in_a_million(self, capsys, monkeypatch):
+        # a gap of 1e-6 of the mean passes the summed bounds on every pair,
+        # also past n = 28, where the reference is auto's series fallback
+        recursive = report.METHODS["recursive"]
+
+        def scaled(params, mode):
+            got = recursive(params, mode)
+            mean = got.mean * (1 + 1e-6)
+            return MomentReport(mean, got.second_moment, got.second_moment - mean**2, got.method, got.error_bound)
+
+        monkeypatch.setitem(report.METHODS, "recursive", scaled)
+        code, out, err = run(capsys, "compare", "--n-max", "30", "--s-max", "30")
+        assert code == 1
+        rows = csv_rows(out)
+        assert len(rows) == 465
+        assert all(row["status"] == "fail" for row in rows)
+        assert "465 pair(s)" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -559,11 +581,6 @@ class TestExitCodes:
 
     def test_compare_misordered_limits(self, capsys):
         assert run(capsys, "compare", "--n-max", "6", "--s-max", "3")[0] == 2
-
-    def test_compare_refuses_a_nan_tolerance(self, capsys):
-        code, _, err = run(capsys, "compare", "--n-max", "2", "--s-max", "2", "--tolerance", "nan")
-        assert code == 2
-        assert "--tolerance" in err
 
 
 class TestFigures:
